@@ -3,6 +3,12 @@
 Answers "is the graph k-colorable?" with a certificate.  Sat outcomes
 carry a verified proper coloring; Unsat means the full search space was
 exhausted, so the answer is a proof, not a guess.
+
+The search is an explicit-stack loop over integer vertex indices, so its
+depth is not bounded by Python's recursion limit.  Unused colors are
+interchangeable, so a branch tries only colors 1..min(k, max_used + 1)
+(Brélaz 1979; San Segundo 2012): any coloring can be relabeled into one
+the search reaches.
 """
 
 from __future__ import annotations
@@ -16,11 +22,6 @@ from .graphs import ColorAssignment, Graph, verdict
 
 class DeadlineExceeded(Exception):
     """Raised when a computation runs past its wall-clock budget."""
-
-
-class _DeadlineHit(Exception):
-    # Internal unwind signal for the recursive search; never escapes.
-    pass
 
 
 @dataclass(frozen=True)
@@ -69,50 +70,64 @@ class SolveOutcome:
 
 
 class _SearchState:
-    """Mutable search state: partial assignment plus saturation bookkeeping.
+    """Mutable search state over vertex indices (positions in graph.vertices).
 
-    saturation[v] is the set of colors already used on v's neighbors; it
-    is only maintained for uncolored vertices, which is all the selector
-    and the feasibility check ever read.
+    color[v] is v's color, 0 while uncolored.  counts[v][c] is the number
+    of colored neighbors of v holding color c.  rank[v] is
+    saturation * step + degree, where saturation is the number of distinct
+    colors among v's colored neighbors and step exceeds every degree, so
+    the largest rank is the DSATUR choice.  A colored vertex holds ~rank,
+    which is negative, so it never wins and unassign restores it.
+
+    counts and rank are kept only for uncolored vertices: assign and
+    unassign skip colored neighbors.  Undo is exact because the search
+    unwinds LIFO, so the neighbors colored when v is uncolored are the
+    ones that were colored when v was colored.
     """
 
-    __slots__ = ("assignment", "saturation")
+    __slots__ = ("neighbors", "color", "counts", "rank", "step")
 
-    def __init__(self, graph: Graph) -> None:
-        self.assignment: ColorAssignment = {}
-        self.saturation: dict[str, set[int]] = {v: set() for v in graph.vertices}
+    def __init__(self, graph: Graph, colors: int) -> None:
+        index = {v: i for i, v in enumerate(graph.vertices)}
+        self.neighbors = [list(map(index.__getitem__, graph.adjacency[v])) for v in graph.vertices]
+        n = len(graph.vertices)
+        self.color = [0] * n
+        self.counts = [[0] * (colors + 1) for _ in range(n)]
+        self.rank = [len(ns) for ns in self.neighbors]
+        self.step = max(self.rank, default=0) + 1
 
-    def assign(self, graph: Graph, v: str, color: int) -> list[str]:
-        """Color v, returning the neighbors whose saturation gained `color`."""
-        self.assignment[v] = color
-        changed = []
-        for u in graph.adjacency[v]:
-            if u not in self.assignment and color not in self.saturation[u]:
-                self.saturation[u].add(color)
-                changed.append(u)
-        return changed
+    def assign(self, v: int, color: int) -> None:
+        colored, counts, rank, step = self.color, self.counts, self.rank, self.step
+        colored[v] = color
+        rank[v] = ~rank[v]
+        for u in self.neighbors[v]:
+            if colored[u]:
+                continue
+            row = counts[u]
+            if not row[color]:
+                rank[u] += step
+            row[color] += 1
 
-    def unassign(self, v: str, color: int, changed: list[str]) -> None:
-        # Undo is exact because search unwinds LIFO: every saturation entry
-        # added by this assign call is still attributable to it alone.
-        del self.assignment[v]
-        for u in changed:
-            self.saturation[u].discard(color)
+    def unassign(self, v: int) -> None:
+        colored, counts, rank, step = self.color, self.counts, self.rank, self.step
+        color = colored[v]
+        colored[v] = 0
+        rank[v] = ~rank[v]
+        for u in self.neighbors[v]:
+            if colored[u]:
+                continue
+            row = counts[u]
+            row[color] -= 1
+            if not row[color]:
+                rank[u] -= step
 
 
-def select_vertex(state: _SearchState, graph: Graph) -> str:
-    """Next vertex to color: max saturation, then max degree, then stable order."""
-    best: str | None = None
-    best_key: tuple[int, int, int] | None = None
-    for idx, v in enumerate(graph.vertices):
-        if v in state.assignment:
-            continue
-        key = (len(state.saturation[v]), graph.degree(v), -idx)
-        if best_key is None or key > best_key:
-            best, best_key = v, key
-    if best is None:
+def select_vertex(state: _SearchState) -> int:
+    """Next vertex to color: max saturation, then max degree, then lowest index."""
+    best = max(state.rank, default=-1)
+    if best < 0:
         raise ValueError("all vertices are already colored")
-    return best
+    return state.rank.index(best)
 
 
 def solve_decision(graph: Graph, k: int, time_limit: float = 200.0) -> SolveOutcome:
@@ -122,38 +137,46 @@ def solve_decision(graph: Graph, k: int, time_limit: float = 200.0) -> SolveOutc
     if time_limit <= 0:
         return SolveOutcome.timeout()
     deadline = time.monotonic() + time_limit
-    if not graph.vertices:
-        return SolveOutcome.sat({})
-
-    state = _SearchState(graph)
     n = len(graph.vertices)
-
-    def search(depth: int) -> bool:
+    # No search uses more than n colors, so larger budgets need no columns.
+    colors = min(k, n)
+    state = _SearchState(graph, colors)
+    counts = state.counts
+    # One frame per colored vertex: [vertex, its current color, max color
+    # used by the vertices colored before it].
+    stack: list[list[int]] = []
+    max_used = 0
+    while len(stack) < n:
         if time.monotonic() > deadline:
-            raise _DeadlineHit
-        if depth == n:
-            return True
-        v = select_vertex(state, graph)
-        # The first vertex colored may take color 1 only: color classes are
-        # interchangeable, so any solution can be relabeled to comply.
-        limit = 1 if depth == 0 else k
-        for color in range(1, limit + 1):
-            if color in state.saturation[v]:
-                continue
-            changed = state.assign(graph, v, color)
-            if search(depth + 1):
-                return True
-            state.unassign(v, color, changed)
-        return False
+            return SolveOutcome.timeout()
+        v = select_vertex(state)  # module global: one call per search node
+        frame = [v, 0, max_used]
+        stack.append(frame)
+        # Advance the top frame to its next feasible color, popping frames
+        # whose colors are exhausted; an empty stack means no coloring exists.
+        while True:
+            v, color, used = frame
+            if color:
+                state.unassign(v)
+            row = counts[v]
+            cap = min(colors, used + 1)
+            color += 1
+            while color <= cap and row[color]:
+                color += 1
+            if color <= cap:
+                break
+            stack.pop()
+            if not stack:
+                return SolveOutcome.unsat()
+            frame = stack[-1]
+        frame[1] = color
+        state.assign(v, color)
+        max_used = max(used, color)
 
-    try:
-        found = search(0)
-    except _DeadlineHit:
-        return SolveOutcome.timeout()
-    if not found:
-        return SolveOutcome.unsat()
-    assert verdict(graph, state.assignment, k).valid
-    return SolveOutcome.sat(state.assignment)
+    assignment = dict(zip(graph.vertices, state.color))
+    if not verdict(graph, assignment, k).valid:
+        return SolveOutcome.failure("search produced an improper coloring")
+    return SolveOutcome.sat(assignment)
 
 
 def chromatic_number(graph: Graph, time_limit: float = 200.0) -> int:
@@ -173,6 +196,8 @@ def chromatic_number(graph: Graph, time_limit: float = 200.0) -> int:
         outcome = solve_decision(graph, k, time_limit=remaining)
         if outcome.is_timeout:
             raise DeadlineExceeded(f"chromatic number search exceeded {time_limit}s")
+        if outcome.is_failure:
+            raise RuntimeError(f"exact solver failed at k={k}: {outcome.reason}")
         if outcome.is_sat:
             return k
     raise AssertionError("graph not n-colorable with n vertices")  # unreachable

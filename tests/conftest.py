@@ -36,6 +36,25 @@ def cycle_graph(n: int) -> Graph:
     return Graph(vertices, edges)
 
 
+def myciel(m: int) -> Graph:
+    """DIMACS `myciel<m>`: Mycielski's construction applied m - 1 times to K2.
+
+    Triangle-free with chi = m + 1.  myciel6 (95 vertices, 755 edges) at
+    k = 6 is the suite's instance the exact solver cannot finish: DSATUR
+    gives no answer within 20 s, so any sub-second limit must fire.
+    """
+    vertices = ["1", "2"]
+    edges = [("1", "2")]
+    for _ in range(m - 1):
+        n = len(vertices)
+        copy = {v: str(n + i + 1) for i, v in enumerate(vertices)}
+        apex = str(2 * n + 1)
+        edges += [(a, copy[b]) for a, b in edges] + [(b, copy[a]) for a, b in edges]
+        edges += [(copy[v], apex) for v in vertices]
+        vertices += list(copy.values()) + [apex]
+    return Graph(tuple(vertices), tuple(edges))
+
+
 @pytest.fixture
 def petersen() -> Graph:
     outer = [(str(i + 1), str((i + 1) % 5 + 1)) for i in range(5)]

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import complete_graph, cycle_graph
+from conftest import complete_graph, cycle_graph, myciel
 from oracles import brute_force_colorable, product_scan_colorable, score_by_edge_enumeration
 from sofai_gc.bench import RunConfig, TrialResult, aggregate, run_benchmark
 from sofai_gc.dsatur import chromatic_number, solve_decision
@@ -237,12 +237,12 @@ class TestCriterion08HarnessProtocol:
         assert rows[0].avg_time_s is None
 
     def test_timeout_enforcement_bound_on_slow_instance(self, tmp_path):
-        graph = gen_erdos_renyi(45, 0.5, seed=3)
+        graph = myciel(6)
         record = InstanceRecord(
-            id="er_n45_p0.5_0000", graph=graph, n=45, p=0.5, seed=3,
-            chi=9, k=8, label="UNSAT",
+            id="myciel6_k6", graph=graph, n=95, p=graph.density, seed=0,
+            chi=7, k=6, label="UNSAT",
         )
-        spec = GenSpec(n=45, p=0.5, count=1, seed=3, mix=(0, 100))
+        spec = GenSpec(n=95, p=graph.density, count=1, seed=0, mix=(0, 100))
         write_dataset(Dataset(spec=spec, instances=(record,), complete=True), tmp_path)
 
         results = run_benchmark(

@@ -15,7 +15,8 @@ from sofai_gc import (
 )
 from sofai_gc.bench import SOLVERS, load_results
 from sofai_gc.generate import Dataset, InstanceRecord
-from sofai_gc import gen_erdos_renyi
+
+from conftest import myciel
 
 
 def make_trial(instance_id, solver="S2", trial=1, status="sat", correct=True,
@@ -109,12 +110,12 @@ class TestRunBenchmark:
         assert all(r.status == "timeout" and not r.correct for r in results)
 
     def test_timeout_overshoot_bounded_on_slow_instance(self, tmp_path):
-        # an instance the exact solver cannot finish quickly: the k=8
-        # decision at n=45, p=0.5 neither finds a coloring nor exhausts
-        graph = gen_erdos_renyi(45, 0.5, seed=3)
-        rec = InstanceRecord(id="slow_0000", graph=graph, n=45, p=0.5, seed=3,
-                             chi=9, k=8, label="SAT")
-        spec = GenSpec(n=45, p=0.5, count=1, seed=3)
+        # an instance the exact solver cannot finish quickly: the k=6
+        # decision on myciel6 neither finds a coloring nor exhausts
+        graph = myciel(6)
+        rec = InstanceRecord(id="slow_0000", graph=graph, n=95, p=graph.density, seed=0,
+                             chi=7, k=6, label="UNSAT")
+        spec = GenSpec(n=95, p=graph.density, count=1, seed=0)
         write_dataset(Dataset(spec=spec, instances=(rec,), complete=True), tmp_path)
         limit = 0.3
         cfg = RunConfig(solver="S2", dataset=str(tmp_path), time_limit=limit,

@@ -70,9 +70,10 @@ class TestSolve:
             main(["solve", "--solver", "S9", "--instance", "x.col"])
 
     def test_timeout_exit_code(self, tmp_path, capsys):
-        from sofai_gc import gen_erdos_renyi, serialize_dimacs
+        from sofai_gc import serialize_dimacs
+        from conftest import myciel
         inst = tmp_path / "slow.col"
-        inst.write_text(serialize_dimacs(gen_erdos_renyi(45, 0.5, 3), k=8) + "\n")
+        inst.write_text(serialize_dimacs(myciel(6), k=6) + "\n")
         rc = main(["solve", "--solver", "S2", "--instance", str(inst),
                    "--time-limit", "0.2"])
         assert rc == 2

@@ -15,7 +15,7 @@ from sofai_gc import (
 )
 from sofai_gc.dsatur import _SearchState, select_vertex
 
-from conftest import complete_graph, cycle_graph
+from conftest import complete_graph, cycle_graph, myciel
 from oracles import brute_force_chromatic, brute_force_colorable, product_scan_colorable
 from strategies import er_graphs
 
@@ -48,22 +48,66 @@ class TestSolveDecision:
         assert solve_decision(triangle, 3, time_limit=0).is_timeout
 
     def test_hard_instance_times_out_quickly(self):
-        # n=45 p=0.5 at k=8 sits on the chromatic boundary: the search
-        # neither finds a coloring nor exhausts in under several seconds
-        graph = gen_erdos_renyi(45, 0.5, seed=3)
+        # myciel6 at k=6 sits just below chi=7: the search neither finds a
+        # coloring nor exhausts in under several seconds
+        graph = myciel(6)
         start = time.monotonic()
-        outcome = solve_decision(graph, 8, time_limit=0.2)
+        outcome = solve_decision(graph, 6, time_limit=0.2)
         elapsed = time.monotonic() - start
         assert outcome.is_timeout
         assert elapsed < 1.2  # cooperative deadline: bounded overshoot
 
-    @settings(max_examples=120, deadline=None)
-    @given(er_graphs(max_n=7), st.integers(1, 4))
+    def test_boundary_instance_is_proved_unsat_within_a_second(self):
+        # G(45, 0.5) has chi=9: the k=8 proof needs symmetry breaking on
+        # unused colors, without which it ran for tens of seconds
+        assert solve_decision(gen_erdos_renyi(45, 0.5, seed=3), 8, time_limit=1.0).is_unsat
+
+    def test_large_sparse_graph_does_not_exhaust_the_stack(self):
+        graph = gen_erdos_renyi(1500, 0.002, 1)
+        outcome = solve_decision(graph, 4)
+        assert outcome.is_sat
+        assert verdict(graph, outcome.assignment, 4).valid
+
+    def test_rejected_certificate_is_a_failure(self, fig2_graph, monkeypatch):
+        # the certificate check must hold under `python -O`, so it cannot be an assert
+        rejected = verdict(fig2_graph, {}, 3)
+        monkeypatch.setattr("sofai_gc.dsatur.verdict", lambda graph, assignment, k: rejected)
+        outcome = solve_decision(fig2_graph, 3)
+        assert outcome.is_failure and outcome.reason
+        assert solve_decision(fig2_graph, 2).is_unsat
+        with pytest.raises(RuntimeError, match="k=3"):
+            chromatic_number(fig2_graph)
+
+    @settings(max_examples=200, deadline=None)
+    @given(er_graphs(max_n=7), st.integers(1, 5))
     def test_agrees_with_exhaustive_search(self, graph, k):
         outcome = solve_decision(graph, k)
         expected = brute_force_colorable(graph, k)
         assert outcome.is_sat == expected
         assert outcome.is_unsat == (not expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(er_graphs(max_n=8), st.integers(1, 5), st.randoms(use_true_random=False))
+    def test_relabeling_vertices_keeps_the_status(self, graph, k, rng):
+        order = list(graph.vertices)
+        rng.shuffle(order)
+        rename = {v: f"x{i}" for i, v in enumerate(order)}
+        edges = [(rename[v], rename[u]) if rng.random() < 0.5 else (rename[u], rename[v])
+                 for u, v in graph.edges]
+        rng.shuffle(edges)
+        relabeled = Graph(tuple(rename[v] for v in order), tuple(edges))
+        status = solve_decision(graph, k).status
+        assert solve_decision(relabeled, k).status == status
+        assert status == ("sat" if brute_force_colorable(relabeled, k) else "unsat")
+
+    @settings(max_examples=150, deadline=None)
+    @given(er_graphs(max_n=8), st.integers(1, 5))
+    def test_sat_stays_sat_with_one_more_color(self, graph, k):
+        at_k, above = solve_decision(graph, k), solve_decision(graph, k + 1)
+        assert at_k.is_sat == brute_force_colorable(graph, k)
+        assert above.is_sat == brute_force_colorable(graph, k + 1)
+        if at_k.is_sat:
+            assert above.is_sat
 
     def test_agrees_with_product_scan_on_tiny_graphs(self):
         rng = random.Random(5)
@@ -98,37 +142,39 @@ class TestChromaticNumber:
             assert chromatic_number(graph) == brute_force_chromatic(graph)
 
     def test_deadline_raises(self):
-        graph = gen_erdos_renyi(45, 0.5, seed=3)
+        graph = myciel(6)
         with pytest.raises(DeadlineExceeded):
             chromatic_number(graph, time_limit=0.2)
 
 
 class TestSelectVertex:
     def test_prefers_saturation_then_degree_then_order(self):
-        # star center 1 has degree 3; vertex 5 is isolated; 2,3,4 are leaves
-        graph = Graph(
-            ("1", "2", "3", "4", "5"),
-            (("1", "2"), ("1", "3"), ("1", "4")),
-        )
-        state = _SearchState(graph)
-        assert select_vertex(state, graph) == "1"  # highest degree
-        state.assign(graph, "1", 1)
-        # leaves now have saturation 1; ties broken by earlier position
-        assert select_vertex(state, graph) == "2"
-        state.assign(graph, "2", 2)
-        assert select_vertex(state, graph) == "3"
+        # "1"-"2" is an edge; "3" is the center of a star on "4", "5", "6"
+        graph = Graph(tuple("123456"), (("1", "2"), ("3", "4"), ("3", "5"), ("3", "6")))
+        state = _SearchState(graph, 3)
+        assert select_vertex(state) == 2  # "3": degree 3 beats an earlier position
+        state.assign(0, 1)
+        assert select_vertex(state) == 1  # "2": saturation 1 beats degree 3
+        state.assign(1, 2)
+        assert select_vertex(state) == 2
+        state.assign(2, 1)
+        # "4", "5", "6" tie on saturation and degree: lowest index wins
+        assert select_vertex(state) == 3
 
     def test_all_colored_raises(self, triangle):
-        state = _SearchState(triangle)
-        for i, v in enumerate(triangle.vertices):
-            state.assign(triangle, v, i + 1)
+        state = _SearchState(triangle, 3)
+        for v in range(3):
+            state.assign(v, v + 1)
         with pytest.raises(ValueError, match="already colored"):
-            select_vertex(state, triangle)
+            select_vertex(state)
 
     def test_undo_restores_saturation(self, triangle):
-        state = _SearchState(triangle)
-        changed = state.assign(triangle, "A", 1)
-        assert state.saturation["B"] == {1} and state.saturation["C"] == {1}
-        state.unassign("A", 1, changed)
-        assert state.saturation["B"] == set() and state.saturation["C"] == set()
-        assert "A" not in state.assignment
+        state = _SearchState(triangle, 3)
+        rank = list(state.rank)
+        state.assign(0, 1)
+        assert [state.rank[u] // state.step for u in (1, 2)] == [1, 1]
+        assert state.counts[1][1] == state.counts[2][1] == 1
+        state.unassign(0)
+        assert state.rank == rank
+        assert state.color == [0, 0, 0]
+        assert all(not any(row) for row in state.counts)

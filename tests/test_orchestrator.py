@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import myciel
 from sofai_gc import (
     Graph,
     MemoryStore,
@@ -184,8 +185,7 @@ class TestSofaiV2:
         assert trace.s2_invoked
 
     def test_timeout_propagates(self):
-        graph = gen_erdos_renyi(45, 0.5, seed=3)
-        outcome, trace = solve_sofai_v2(graph, 8, cfg_with(ALWAYS_UNSAT, time_limit=0.3))
+        outcome, trace = solve_sofai_v2(myciel(6), 6, cfg_with(ALWAYS_UNSAT, time_limit=0.3))
         assert outcome.is_timeout
         assert trace.total_time < 1.3
 
