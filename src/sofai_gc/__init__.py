@@ -55,7 +55,6 @@ from .proposer import (
     RemoteProposer,
     make_proposer,
     parse_response,
-    propose,
     render_prompt,
 )
 from .bench import (
@@ -115,7 +114,6 @@ __all__ = [
     "parse_dimacs",
     "parse_dimacs_instance",
     "parse_response",
-    "propose",
     "render_prompt",
     "report",
     "retrieve_memory",

@@ -20,16 +20,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .generate import load_dataset, read_manifest_meta
-from .graphs import parse_dimacs_instance, serialize_dimacs
+from .dsatur import SolveOutcome
+from .generate import InstanceRecord, load_dataset, read_manifest_meta
+from .graphs import Graph
 from .memory import MemoryStore
 from .metacognition import (
     OrchestratorConfig,
+    SolveTrace,
     solve_mc_s1_iN,
+    solve_s2,
     solve_sofai_v1,
     solve_sofai_v2,
 )
-from .dsatur import solve_decision
 from .proposer import ProposerConfig
 
 SOLVERS = (
@@ -103,20 +105,19 @@ def derive_seed(root_seed: int, instance_id: str, trial: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _solve_instance(
+def solve(
     solver: str,
-    dimacs: str,
+    graph: Graph,
     k: int,
     time_limit: float,
     proposer: ProposerConfig,
-    memory_path: Optional[str],
-) -> tuple[str, int, bool]:
-    """Run one solver on one instance; returns (status, s1_iterations, s2_invoked)."""
-    graph, _, _ = parse_dimacs_instance(dimacs)
-    if solver == "S2":
-        outcome = solve_decision(graph, k, time_limit=time_limit)
-        return outcome.status, 0, True
-    store = MemoryStore(memory_path) if memory_path else MemoryStore()
+    store: Optional[MemoryStore] = None,
+) -> tuple[SolveOutcome, SolveTrace]:
+    """Run one roster solver on one instance; every id is a preset of one controller loop.
+
+    The presets are looked up in this module's globals on each call, so a
+    caller may swap one of them (for example to check every answer).
+    """
     cfg = OrchestratorConfig(
         proposer=proposer,
         time_limit=time_limit,
@@ -125,47 +126,57 @@ def _solve_instance(
         # the orchestrated modes leave certification to the exact solver.
         accept_s1_unsat=(solver == "S1"),
     )
+    if solver == "S2":
+        return solve_s2(graph, k, cfg)
     if solver == "S1":
-        outcome, trace = solve_mc_s1_iN(graph, k, cfg, 1)
-    elif solver == "SOFAI-v1":
-        outcome, trace = solve_sofai_v1(graph, k, cfg)
-    elif solver == "SOFAI-v2":
-        outcome, trace = solve_sofai_v2(graph, k, cfg)
-    elif solver.startswith("MC-S1-I"):
-        outcome, trace = solve_mc_s1_iN(graph, k, cfg, int(solver[-1]))
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-    return outcome.status, trace.s1_calls, trace.s2_invoked
+        return solve_mc_s1_iN(graph, k, cfg, 1)
+    if solver == "SOFAI-v1":
+        return solve_sofai_v1(graph, k, cfg)
+    if solver == "SOFAI-v2":
+        return solve_sofai_v2(graph, k, cfg)
+    if solver.startswith("MC-S1-I"):
+        return solve_mc_s1_iN(graph, k, cfg, int(solver[-1]))
+    raise ValueError(f"unknown solver {solver!r}")
 
 
-def _run_trial(args: tuple) -> TrialResult:
-    (solver, instance_id, dimacs, k, label, n, p, mix,
-     time_limit, proposer, trial, trial_seed, memory_path) = args
-    trial_proposer = dataclasses.replace(proposer, seed=trial_seed)
+@dataclass(frozen=True)
+class _Trial:
+    """One trial's inputs.  A store is shared by reference, so it forces one worker."""
+
+    solver: str
+    instance: InstanceRecord
+    mix: str
+    time_limit: float
+    proposer: ProposerConfig  # already seeded for this trial
+    trial: int
+    store: Optional[MemoryStore]
+
+
+def _run_trial(job: _Trial) -> TrialResult:
+    inst = job.instance
     start = time.monotonic()
     error = None
     try:
-        status, s1_iters, s2_invoked = _solve_instance(
-            solver, dimacs, k, time_limit, trial_proposer, memory_path
-        )
+        outcome, trace = solve(job.solver, inst.graph, inst.k, job.time_limit, job.proposer, job.store)
+        status, s1_iters, s2_invoked = outcome.status, trace.s1_calls, trace.s2_invoked
     except Exception as exc:  # a crashed trial is data, not a crashed run
         status, s1_iters, s2_invoked = "failure", 0, False
         error = f"{type(exc).__name__}: {exc}"
     wall = time.monotonic() - start
-    correct = (status == "sat" and label == "SAT") or (status == "unsat" and label == "UNSAT")
+    correct = (status == "sat" and inst.label == "SAT") or (status == "unsat" and inst.label == "UNSAT")
     return TrialResult(
-        instance_id=instance_id,
-        solver=solver,
-        trial=trial,
+        instance_id=inst.id,
+        solver=job.solver,
+        trial=job.trial,
         status=status,
         correct=correct,
         wall_time=wall,
         s1_iterations=s1_iters,
         s2_invoked=s2_invoked,
-        n=n,
-        p=p,
-        mix=mix,
-        label=label,
+        n=inst.n,
+        p=inst.p,
+        mix=job.mix,
+        label=inst.label,
         error=error,
     )
 
@@ -175,26 +186,22 @@ def run_benchmark(cfg: RunConfig) -> list[TrialResult]:
 
     Trials are independent and seeded, so results are reproducible for
     any worker count.  A shared persistent memory store is an ordering
-    dependency, so it forces sequential execution.
+    dependency, so it forces sequential execution; it is loaded once and
+    every trial reads and appends to the same store.
     """
     records = load_dataset(cfg.dataset)
     meta = read_manifest_meta(cfg.dataset)
     mix = meta.get("mix", "")
+    store = MemoryStore(cfg.memory_path) if cfg.memory_path else None
     jobs = [
-        (
-            cfg.solver,
-            rec.id,
-            serialize_dimacs(rec.graph),
-            rec.k,
-            rec.label,
-            rec.n,
-            rec.p,
-            mix,
-            cfg.time_limit,
-            cfg.proposer,
-            trial,
-            derive_seed(cfg.seed, rec.id, trial),
-            cfg.memory_path,
+        _Trial(
+            solver=cfg.solver,
+            instance=rec,
+            mix=mix,
+            time_limit=cfg.time_limit,
+            proposer=dataclasses.replace(cfg.proposer, seed=derive_seed(cfg.seed, rec.id, trial)),
+            trial=trial,
+            store=store,
         )
         for rec in records
         for trial in range(1, cfg.trials + 1)
@@ -203,7 +210,7 @@ def run_benchmark(cfg: RunConfig) -> list[TrialResult]:
     workers = cfg.workers
     if workers is None:
         workers = max(1, (os.cpu_count() or 2) - 1)
-    if cfg.memory_path is not None:
+    if store is not None:
         workers = 1
 
     sink = open(cfg.out, "w") if cfg.out else None

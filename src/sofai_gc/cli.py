@@ -6,12 +6,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import SOLVERS, RunConfig, aggregate, load_results, report, run_benchmark
+from .bench import SOLVERS, RunConfig, aggregate, load_results, report, run_benchmark, solve
 from .generate import GenSpec, build_dataset, write_dataset
 from .graphs import parse_dimacs_instance
 from .memory import MemoryStore
-from .metacognition import OrchestratorConfig, solve_mc_s1_iN, solve_sofai_v1, solve_sofai_v2
-from .dsatur import solve_decision
 from .proposer import NOT_SOLVABLE, ProposerConfig
 
 
@@ -40,23 +38,14 @@ def _proposer_config(args: argparse.Namespace) -> ProposerConfig:
         unsat_rate=args.unsat_rate,
         seed=args.seed,
     )
+    if args.proposer == "mock":
+        return ProposerConfig(kind="mock", **overrides)
     if args.endpoint:
         overrides["endpoint"] = args.endpoint
     if args.model:
         overrides["model"] = args.model
-    if args.proposer == "auto":
-        return ProposerConfig.from_env(**overrides)
     cfg = ProposerConfig.from_env(**overrides)
-    if args.proposer == "mock":
-        return ProposerConfig(
-            kind="mock",
-            temperature=args.temperature,
-            noise=args.noise,
-            noise_decay=args.noise_decay,
-            unsat_rate=args.unsat_rate,
-            seed=args.seed,
-        )
-    if cfg.kind != "remote":
+    if args.proposer == "remote" and cfg.kind != "remote":
         raise SystemExit("remote proposer requested but no endpoint given (flag or S1_ENDPOINT)")
     return cfg
 
@@ -87,24 +76,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if k is None:
         raise SystemExit("no color bound: pass --k or use an instance with a 'c k' comment")
 
-    if args.solver == "S2":
-        outcome = solve_decision(graph, k, time_limit=args.time_limit)
-    else:
-        cfg = OrchestratorConfig(
-            proposer=_proposer_config(args),
-            time_limit=args.time_limit,
-            store=MemoryStore(args.memory) if args.memory else MemoryStore(),
-            accept_s1_unsat=(args.solver == "S1"),
-        )
-        if args.solver == "S1":
-            outcome, _ = solve_mc_s1_iN(graph, k, cfg, 1)
-        elif args.solver == "SOFAI-v1":
-            outcome, _ = solve_sofai_v1(graph, k, cfg)
-        elif args.solver == "SOFAI-v2":
-            outcome, _ = solve_sofai_v2(graph, k, cfg)
-        else:
-            outcome, _ = solve_mc_s1_iN(graph, k, cfg, int(args.solver[-1]))
-
+    store = MemoryStore(args.memory) if args.memory else None
+    outcome, _ = solve(args.solver, graph, k, args.time_limit, _proposer_config(args), store)
     if outcome.is_sat:
         for v in graph.vertices:
             print(f"({v} {outcome.assignment[v]})")
@@ -141,9 +114,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    results = load_results(getattr(args, "in"))
+    path = getattr(args, "in")
+    try:
+        results = load_results(path)
+    except FileNotFoundError:
+        raise SystemExit(f"no such trial results file: {path}") from None
     if not results:
-        raise SystemExit(f"no trial results in {getattr(args, 'in')}")
+        raise SystemExit(f"no trial results in {path}")
     print(report(aggregate(results), format=args.format))
     return 0
 

@@ -122,6 +122,9 @@ class MemoryStore:
     def __len__(self) -> int:
         return len(self._records)
 
+    def __contains__(self, record_id: object) -> bool:
+        return record_id in self._ids
+
     def records(self) -> tuple[EpisodicRecord, ...]:
         return tuple(self._records)
 
@@ -141,8 +144,12 @@ def update_memory(store: MemoryStore, record: EpisodicRecord) -> str:
     """Validate and durably append a record; returns its id.
 
     A record carrying a solution must re-verify as a proper coloring of
-    its own instance within its k, otherwise it is rejected.
+    its own instance within its k, otherwise it is rejected.  A known id
+    is rejected first, before that check; append checks it again under
+    the store's lock.
     """
+    if record.id in store:
+        raise MemoryRejected(f"duplicate record id {record.id}")
     if record.solution is not None:
         graph = parse_dimacs(record.dimacs)
         if not verdict(graph, record.solution, record.k).valid:

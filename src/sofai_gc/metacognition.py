@@ -2,9 +2,10 @@
 
 Verifies proposer output, renders template feedback, generates worked
 subgraph examples, tracks improvement trends, and decides when to stop
-trusting the fast path and hand the instance to the exact solver.  The
-three entry points are solve_sofai_v2 (full loop), solve_sofai_v1
-(one shot then fallback), and solve_mc_s1_iN (capped loop, no fallback).
+trusting the fast path and hand the instance to the exact solver.  There
+is one loop, _run; the entry points are presets of it: solve_sofai_v2
+(full loop), solve_sofai_v1 (one shot then fallback), solve_mc_s1_iN
+(capped loop, no fallback) and solve_s2 (no S1 rounds).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .dsatur import SolveOutcome, solve_decision
-from .graphs import ColorAssignment, Conflict, Graph, parse_dimacs, serialize_dimacs, verdict
+from .graphs import ColorAssignment, Conflict, Graph, Verdict, parse_dimacs, serialize_dimacs, verdict
 from .memory import EpisodicRecord, MemoryRejected, MemoryStore, retrieve_memory, update_memory
 from .proposer import (
     NOT_SOLVABLE,
@@ -48,7 +49,10 @@ class FeedbackItem:
 
 def format_feedback(graph: Graph, assignment: ColorAssignment, k: int) -> list[FeedbackItem]:
     """Template feedback for an assignment: conflicts in edge order, then budget."""
-    result = verdict(graph, assignment, k)
+    return _feedback(verdict(graph, assignment, k), k)
+
+
+def _feedback(result: Verdict, k: int) -> list[FeedbackItem]:
     items = [
         FeedbackItem(
             kind="conflict",
@@ -82,15 +86,13 @@ class GeneratedExample:
         )
 
 
-def generate_example(graph: Graph, k: int, seed: Optional[int] = None) -> GeneratedExample:
+def generate_example(graph: Graph, k: int) -> GeneratedExample:
     """Greedily color the subgraph induced by the min(3, n) highest-degree vertices.
 
     Selection and coloring are deterministic (degree, ties by vertex
-    order), so the same problem always yields the same example; the seed
-    parameter is accepted for interface stability but unused.  Greedy is
-    unbounded: the example may use more than k colors on dense cores.
+    order), so the same problem always yields the same example.  Greedy
+    is unbounded: the example may use more than k colors on dense cores.
     """
-    del seed
     if not graph.vertices:
         raise ValueError("graph must have at least one vertex")
     ranked = sorted(graph.vertices, key=lambda v: (-graph.degree(v), graph.vertices.index(v)))
@@ -142,20 +144,17 @@ def escalation_rule(trend: TrendState, t: int, T: int) -> bool:
     return False
 
 
-def _signature(kind: str, conflicts: tuple[Conflict, ...]) -> tuple:
-    if kind == "assignment":
-        edges = sorted(tuple(sorted((c.u, c.v))) for c in conflicts)
-        return ("conflicts", tuple(edges))
-    return (kind,)
+def _conflict_signature(conflicts: tuple[Conflict, ...]) -> tuple:
+    edges = sorted(tuple(sorted((c.u, c.v))) for c in conflicts)
+    return ("conflicts", tuple(edges))
 
 
 @dataclass(frozen=True)
 class OrchestratorConfig:
-    """Loop parameters; theta is fixed at 1.0 (only perfect colorings pass)."""
+    """Loop parameters; S1 answers are accepted only as perfect colorings."""
 
     proposer: ProposerConfig = ProposerConfig()
     max_iterations: int = 5
-    theta: float = 1.0
     alpha: float = 0.1
     memory_limit: int = 1
     time_limit: float = 200.0
@@ -165,8 +164,6 @@ class OrchestratorConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.theta != 1.0:
-            raise ValueError("theta is fixed at 1.0")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if self.time_limit <= 0:
@@ -199,137 +196,111 @@ class SolveTrace:
         return len(self.iterations)
 
 
-@dataclass
-class _LoopResult:
-    status: str  # valid | declared_unsat | exhausted | timeout
-    assignment: Optional[ColorAssignment] = None
-    iterations: list[IterationRecord] = field(default_factory=list)
-    declared_unsat: bool = False
-
-
-def _s1_loop(
+def _run(
     graph: Graph,
     k: int,
     cfg: OrchestratorConfig,
     max_iters: int,
-    deadline: float,
     *,
-    escalate: bool,
     use_memory: bool,
-) -> _LoopResult:
-    """The shared S1 iteration engine.
+    fallback: bool,
+) -> tuple[SolveOutcome, SolveTrace]:
+    """The one metacognitive loop; every solver entry point is a preset of it.
 
-    escalate=True applies the escalation rule after each failed round
-    (the full-loop behavior); escalate=False runs every round (the
-    capped ablation variants).  use_memory controls retrieval seeding.
+    Runs up to max_iters S1 rounds with template feedback.  use_memory
+    seeds the prompt from cfg.store and records each solved instance
+    there.  fallback applies the escalation rule after each failed round
+    and hands an unsolved instance to S2; without it every round runs and
+    an unsolved instance ends as Failure("s1-exhausted").
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    start = time.monotonic()
+    deadline = start + cfg.time_limit
+    store = cfg.store if use_memory else None
     proposer = make_proposer(cfg.proposer)
     examples: list[PromptExample] = []
-    if use_memory and cfg.store is not None:
-        for rec in retrieve_memory(cfg.store, graph, k, cfg.alpha, cfg.memory_limit):
+    if store is not None:
+        for rec in retrieve_memory(store, graph, k, cfg.alpha, cfg.memory_limit):
             order = parse_dimacs(rec.dimacs).vertices
             examples.append(PromptExample(rec.dimacs, rec.solution, order))
     history: list[tuple[str, tuple[str, ...]]] = []
     trend = TrendState()
-    result = _LoopResult(status="exhausted")
-    generated_added = False
+    iterations: list[IterationRecord] = []
+    declared_unsat = False
+    outcome: Optional[SolveOutcome] = None  # set once S1 answers or time runs out
 
     for t in range(1, max_iters + 1):
         now = time.monotonic()
         if now >= deadline:
-            result.status = "timeout"
-            return result
+            outcome = SolveOutcome.timeout()
+            break
         prompt = render_prompt(graph, k, examples, history)
         response = proposer.propose(prompt, timeout=deadline - now)
         elapsed = time.monotonic() - now
 
+        # Without an assignment the round scores as the empty assignment
+        # does: every edge unsatisfied, unless there are none.
+        score = float(not graph.edges)
+        signature = (response.kind,)
+        conflict_subgraph = None
         if response.is_assignment:
             v = verdict(graph, response.assignment, k)
             score = float(v.score)
             if v.valid:
-                result.iterations.append(
-                    IterationRecord(t, "assignment", score, (), None, elapsed)
-                )
-                result.status = "valid"
-                result.assignment = dict(response.assignment)
-                return result
+                iterations.append(IterationRecord(t, "assignment", score, (), None, elapsed))
+                outcome = SolveOutcome.sat(response.assignment)
+                break
             conflict_vertices = {u for c in v.conflicts for u in (c.u, c.v)}
             conflict_subgraph = graph.induced_subgraph(conflict_vertices)
-            items = format_feedback(graph, response.assignment, k)
-            messages = tuple(item.message for item in items)
-            signature = _signature("assignment", v.conflicts)
+            messages = tuple(item.message for item in _feedback(v, k))
+            signature = _conflict_signature(v.conflicts)
             attempt_text = format_assignment(response.assignment, graph.vertices)
-            kind = "assignment"
         elif response.is_not_solvable:
-            result.declared_unsat = True
+            declared_unsat = True
             if cfg.accept_s1_unsat:
-                score = float(verdict(graph, {}, k).score)
-                result.iterations.append(
-                    IterationRecord(t, "not_solvable", score, (), _signature("not_solvable", ()), elapsed)
-                )
-                result.status = "declared_unsat"
-                return result
-            score = float(verdict(graph, {}, k).score)
-            conflict_subgraph = None
+                iterations.append(IterationRecord(t, response.kind, score, (), signature, elapsed))
+                outcome = SolveOutcome.unsat()
+                break
             messages = (NOT_SOLVABLE_REJECTED_MESSAGE,)
-            signature = _signature("not_solvable", ())
             attempt_text = response.raw or NOT_SOLVABLE
-            kind = "not_solvable"
         else:
-            score = float(verdict(graph, {}, k).score)
-            conflict_subgraph = None
             messages = (UNPARSEABLE_MESSAGE,)
-            signature = _signature("unparseable", ())
             attempt_text = response.raw or "(no response)"
-            kind = "unparseable"
 
         trend.record(score, signature)
         history.append((attempt_text, messages))
-        result.iterations.append(
-            IterationRecord(t, kind, score, messages, signature, elapsed, conflict_subgraph)
+        iterations.append(
+            IterationRecord(t, response.kind, score, messages, signature, elapsed, conflict_subgraph)
         )
-        if not generated_added and graph.vertices:
+        if t == 1 and graph.vertices:  # the first failed round adds a worked example
             examples.append(generate_example(graph, k).as_prompt_example())
-            generated_added = True
         if time.monotonic() >= deadline:
-            result.status = "timeout"
-            return result
-        if escalate and escalation_rule(trend, t, max_iters):
-            return result
-    return result
+            outcome = SolveOutcome.timeout()
+            break
+        if fallback and escalation_rule(trend, t, max_iters):
+            break
 
-
-def _record_success(cfg: OrchestratorConfig, graph: Graph, k: int, assignment: ColorAssignment, solver: str) -> None:
-    if cfg.store is None:
-        return
-    try:
-        update_memory(cfg.store, EpisodicRecord.make(graph, k, assignment, solver))
-    except MemoryRejected:
-        pass  # already known; nothing to add
-
-
-def _finish_with_s2(
-    graph: Graph,
-    k: int,
-    cfg: OrchestratorConfig,
-    deadline: float,
-    iterations: list[IterationRecord],
-    declared_unsat: bool,
-    start: float,
-    update_store: bool,
-) -> tuple[SolveOutcome, SolveTrace]:
-    remaining = deadline - time.monotonic()
-    if remaining <= 0:
-        outcome = SolveOutcome.timeout()
-        source = None
-    else:
-        outcome = solve_decision(graph, k, time_limit=remaining)
-        source = "S2" if not outcome.is_timeout else None
-        if outcome.is_sat and update_store:
-            _record_success(cfg, graph, k, outcome.assignment, "S2")
+    source = None if outcome is None or outcome.is_timeout else "S1"
+    s2_invoked = False
+    if outcome is None and not fallback:
+        outcome = SolveOutcome.failure("s1-exhausted")
+    elif outcome is None:
+        remaining = deadline - time.monotonic()
+        s2_invoked = remaining > 0
+        if s2_invoked:
+            outcome = solve_decision(graph, k, time_limit=remaining)
+            source = None if outcome.is_timeout else "S2"
+        else:
+            outcome = SolveOutcome.timeout()
+    if store is not None and outcome.is_sat:
+        try:
+            update_memory(store, EpisodicRecord.make(graph, k, outcome.assignment, source))
+        except MemoryRejected:
+            pass  # already known; nothing to add
     trace = SolveTrace(
         iterations=tuple(iterations),
-        s2_invoked=remaining > 0,
+        s2_invoked=s2_invoked,
         source=source,
         s1_declared_unsat=declared_unsat,
         total_time=time.monotonic() - start,
@@ -339,83 +310,12 @@ def _finish_with_s2(
 
 def solve_sofai_v2(graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[SolveOutcome, SolveTrace]:
     """Full loop: memory-seeded iterative S1 with feedback, then exact fallback."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    start = time.monotonic()
-    deadline = start + cfg.time_limit
-    loop = _s1_loop(
-        graph, k, cfg, cfg.max_iterations, deadline, escalate=True, use_memory=True
-    )
-    if loop.status == "valid":
-        _record_success(cfg, graph, k, loop.assignment, "S1")
-        trace = SolveTrace(
-            iterations=tuple(loop.iterations),
-            s2_invoked=False,
-            source="S1",
-            s1_declared_unsat=loop.declared_unsat,
-            total_time=time.monotonic() - start,
-        )
-        return SolveOutcome.sat(loop.assignment), trace
-    if loop.status == "timeout":
-        trace = SolveTrace(
-            iterations=tuple(loop.iterations),
-            s2_invoked=False,
-            source=None,
-            s1_declared_unsat=loop.declared_unsat,
-            total_time=time.monotonic() - start,
-        )
-        return SolveOutcome.timeout(), trace
-    if loop.status == "declared_unsat":
-        trace = SolveTrace(
-            iterations=tuple(loop.iterations),
-            s2_invoked=False,
-            source="S1",
-            s1_declared_unsat=True,
-            total_time=time.monotonic() - start,
-        )
-        return SolveOutcome.unsat(), trace
-    return _finish_with_s2(
-        graph, k, cfg, deadline, loop.iterations, loop.declared_unsat, start, update_store=True
-    )
+    return _run(graph, k, cfg, cfg.max_iterations, use_memory=True, fallback=True)
 
 
 def solve_sofai_v1(graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[SolveOutcome, SolveTrace]:
     """One S1 shot, no feedback, no memory; anything short of valid goes to S2."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    start = time.monotonic()
-    deadline = start + cfg.time_limit
-    loop = _s1_loop(graph, k, cfg, 1, deadline, escalate=True, use_memory=False)
-    if loop.status == "valid":
-        trace = SolveTrace(
-            iterations=tuple(loop.iterations),
-            s2_invoked=False,
-            source="S1",
-            s1_declared_unsat=loop.declared_unsat,
-            total_time=time.monotonic() - start,
-        )
-        return SolveOutcome.sat(loop.assignment), trace
-    if loop.status == "timeout":
-        trace = SolveTrace(
-            iterations=tuple(loop.iterations),
-            s2_invoked=False,
-            source=None,
-            s1_declared_unsat=loop.declared_unsat,
-            total_time=time.monotonic() - start,
-        )
-        return SolveOutcome.timeout(), trace
-    if loop.status == "declared_unsat":
-        trace = SolveTrace(
-            iterations=tuple(loop.iterations),
-            s2_invoked=False,
-            source="S1",
-            s1_declared_unsat=True,
-            total_time=time.monotonic() - start,
-        )
-        return SolveOutcome.unsat(), trace
-    return _finish_with_s2(
-        graph, k, cfg, deadline, loop.iterations, loop.declared_unsat, start, update_store=False
-    )
+    return _run(graph, k, cfg, 1, use_memory=False, fallback=True)
 
 
 def solve_mc_s1_iN(
@@ -426,33 +326,11 @@ def solve_mc_s1_iN(
     Runs all N rounds even when the trend has stalled (there is no S2 to
     escalate to), and reports Failure("s1-exhausted") if none succeeded.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if not 1 <= n_iterations <= cfg.max_iterations:
         raise ValueError(f"n_iterations must be in 1..{cfg.max_iterations}")
-    start = time.monotonic()
-    deadline = start + cfg.time_limit
-    loop = _s1_loop(
-        graph, k, cfg, n_iterations, deadline, escalate=False, use_memory=True
-    )
-    if loop.status == "valid":
-        _record_success(cfg, graph, k, loop.assignment, "S1")
-        outcome = SolveOutcome.sat(loop.assignment)
-        source = "S1"
-    elif loop.status == "timeout":
-        outcome = SolveOutcome.timeout()
-        source = None
-    elif loop.status == "declared_unsat":
-        outcome = SolveOutcome.unsat()
-        source = "S1"
-    else:
-        outcome = SolveOutcome.failure("s1-exhausted")
-        source = None
-    trace = SolveTrace(
-        iterations=tuple(loop.iterations),
-        s2_invoked=False,
-        source=source,
-        s1_declared_unsat=loop.declared_unsat,
-        total_time=time.monotonic() - start,
-    )
-    return outcome, trace
+    return _run(graph, k, cfg, n_iterations, use_memory=True, fallback=False)
+
+
+def solve_s2(graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[SolveOutcome, SolveTrace]:
+    """The exact solver alone, under cfg.time_limit; no S1 rounds, no memory."""
+    return _run(graph, k, cfg, 0, use_memory=False, fallback=True)

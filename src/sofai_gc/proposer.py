@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 import random
 import re
-import threading
 import time
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -46,7 +45,6 @@ class ProposerConfig:
     temperature: float = 0.0
     timeout: float = _DEFAULT_TIMEOUT
     retries: int = 2
-    max_inflight: int = 4
     noise: float = 0.0
     noise_decay: float = 1.0
     unsat_rate: float = 0.0
@@ -66,16 +64,18 @@ class ProposerConfig:
 
     @classmethod
     def from_env(cls, environ: Mapping[str, str] | None = None, **overrides) -> "ProposerConfig":
-        """Build from S1_ENDPOINT / S1_API_KEY / S1_MODEL; mock when unset."""
+        """Build from S1_ENDPOINT / S1_API_KEY / S1_MODEL, then overrides.
+
+        Unless overridden, kind is remote iff the final endpoint is set.
+        """
         env = os.environ if environ is None else environ
-        endpoint = env.get("S1_ENDPOINT")
         fields = dict(
-            kind="remote" if endpoint else "mock",
-            endpoint=endpoint,
+            endpoint=env.get("S1_ENDPOINT"),
             api_key=env.get("S1_API_KEY"),
             model=env.get("S1_MODEL"),
         )
         fields.update(overrides)
+        fields.setdefault("kind", "remote" if fields["endpoint"] else "mock")
         return cls(**fields)
 
 
@@ -245,21 +245,12 @@ class MockProposer:
 
 
 class RemoteProposer:
-    """Chat-completions HTTP client with retries and an in-flight cap."""
-
-    _gates: dict[str, threading.Semaphore] = {}
-    _gates_lock = threading.Lock()
+    """Chat-completions HTTP client with retries."""
 
     def __init__(self, config: ProposerConfig) -> None:
         if config.kind != "remote":
             raise ValueError("RemoteProposer requires a remote config")
         self.config = config
-        with self._gates_lock:
-            gate = self._gates.get(config.endpoint)
-            if gate is None:
-                gate = threading.Semaphore(config.max_inflight)
-                self._gates[config.endpoint] = gate
-        self._gate = gate
 
     def propose(self, prompt: Prompt, *, timeout: Optional[float] = None) -> ProposerResponse:
         budget = self.config.timeout if timeout is None else min(self.config.timeout, timeout)
@@ -276,10 +267,9 @@ class RemoteProposer:
         last_error = "transport failure"
         for attempt in range(self.config.retries + 1):
             try:
-                with self._gate:
-                    resp = requests.post(
-                        self.config.endpoint, json=payload, headers=headers, timeout=budget
-                    )
+                resp = requests.post(
+                    self.config.endpoint, json=payload, headers=headers, timeout=budget
+                )
                 resp.raise_for_status()
                 content = resp.json()["choices"][0]["message"]["content"]
                 if not isinstance(content, str):
@@ -296,8 +286,3 @@ def make_proposer(config: ProposerConfig):
     if config.kind == "mock":
         return MockProposer(config)
     return RemoteProposer(config)
-
-
-def propose(config: ProposerConfig, prompt: Prompt, *, timeout: Optional[float] = None) -> ProposerResponse:
-    """One-shot convenience wrapper around make_proposer().propose()."""
-    return make_proposer(config).propose(prompt, timeout=timeout)

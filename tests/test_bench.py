@@ -152,6 +152,23 @@ class TestRunBenchmark:
         assert all(r.correct for r in results)
         assert mem.exists() and mem.read_text().strip()
 
+    def test_memory_store_loaded_once_per_run(self, small_dataset, tmp_path, monkeypatch):
+        import sofai_gc.bench as bench
+        built = []
+
+        class CountingStore(bench.MemoryStore):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "MemoryStore", CountingStore)
+        cfg = RunConfig(solver="SOFAI-v2", dataset=str(small_dataset), time_limit=30,
+                        trials=3, workers=1, proposer=ProposerConfig(kind="mock"),
+                        memory_path=str(tmp_path / "memory.jsonl"))
+        results = run_benchmark(cfg)
+        assert len(results) == 18 and all(r.correct for r in results)
+        assert len(built) == 1
+
 
 class TestAggregate:
     def test_best_of_three_worked_example(self):

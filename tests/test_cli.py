@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sofai_gc.cli import main
+from sofai_gc.cli import _proposer_config, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +65,17 @@ class TestSolve:
         assert rc == 0
         assert capsys.readouterr().out.strip()
 
+    @pytest.mark.parametrize("backend", ["remote", "auto"])
+    def test_endpoint_flag_selects_remote_backend(self, backend, monkeypatch):
+        monkeypatch.delenv("S1_ENDPOINT", raising=False)
+        args = build_parser().parse_args([
+            "solve", "--solver", "SOFAI-v2", "--instance", "x.col",
+            "--proposer", backend, "--endpoint", "http://127.0.0.1:1/v1",
+        ])
+        cfg = _proposer_config(args)
+        assert cfg.kind == "remote"
+        assert cfg.endpoint == "http://127.0.0.1:1/v1"
+
     def test_unknown_solver_rejected(self, dataset_dir):
         with pytest.raises(SystemExit):
             main(["solve", "--solver", "S9", "--instance", "x.col"])
@@ -117,3 +128,8 @@ class TestBenchAndReport:
         empty.write_text("")
         with pytest.raises(SystemExit, match="no trial results"):
             main(["report", "--in", str(empty)])
+
+    def test_report_on_missing_file_is_a_one_line_error(self, tmp_path):
+        with pytest.raises(SystemExit, match="no such trial results file") as exc:
+            main(["report", "--in", str(tmp_path / "missing.jsonl")])
+        assert "\n" not in str(exc.value.code)

@@ -66,6 +66,20 @@ class TestUpdateMemory:
         with pytest.raises(MemoryRejected, match="duplicate"):
             update_memory(store, record_for(triangle, 3, {"A": 3, "B": 1, "C": 2}))
 
+    def test_duplicate_rejected_before_parse_and_verify(self, triangle, monkeypatch):
+        import sofai_gc.memory as memory
+        store = MemoryStore()
+        rec = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
+        update_memory(store, rec)
+        parsed = []
+        monkeypatch.setattr(memory, "parse_dimacs", lambda text: parsed.append(text))
+        with pytest.raises(MemoryRejected, match="duplicate"):
+            update_memory(store, rec)
+        assert parsed == []
+        with pytest.raises(MemoryRejected, match="duplicate"):
+            store.append(rec)  # the append itself still refuses a known id
+        assert len(store) == 1
+
     def test_unsat_record_accepted_without_solution(self, triangle):
         store = MemoryStore()
         update_memory(store, record_for(triangle, 2, None))

@@ -148,10 +148,6 @@ class TestEscalationRule:
 
 
 class TestConfigValidation:
-    def test_theta_fixed(self):
-        with pytest.raises(ValueError, match="theta"):
-            OrchestratorConfig(theta=0.9)
-
     def test_bounds(self):
         with pytest.raises(ValueError):
             OrchestratorConfig(max_iterations=0)
@@ -261,6 +257,18 @@ class TestSofaiV2:
             endpoints = {v for e in it.conflict_subgraph.edges for v in e}
             assert set(it.conflict_subgraph.vertices) <= set(c5.vertices)
             assert endpoints  # induced by actual conflict endpoints
+
+    def test_one_verdict_per_assignment_round(self, monkeypatch):
+        import sofai_gc.metacognition as metacognition
+        calls = []
+        real = metacognition.verdict
+        monkeypatch.setattr(metacognition, "verdict", lambda *a: calls.append(a) or real(*a))
+        c5 = Graph(tuple("ABCDE"), (("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "A")))
+        noisy = ProposerConfig(kind="mock", noise=1.0, seed=3)
+        outcome, trace = solve_sofai_v2(c5, 2, cfg_with(noisy))
+        assert outcome.is_unsat and trace.s2_invoked
+        assert [it.kind for it in trace.iterations] == ["assignment"] * trace.s1_calls
+        assert len(calls) == trace.s1_calls
 
     def test_completeness_matches_s2_on_random_instances(self):
         rng = random.Random(0)
