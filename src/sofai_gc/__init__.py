@@ -33,7 +33,6 @@ from .generate import (
 from .memory import EpisodicRecord, MemoryRejected, MemoryStore, retrieve_memory, update_memory
 from .metacognition import (
     FeedbackItem,
-    GeneratedExample,
     IterationRecord,
     OrchestratorConfig,
     SolveTrace,
@@ -44,7 +43,6 @@ from .metacognition import (
     solve_mc_s1_iN,
     solve_sofai_v1,
     solve_sofai_v2,
-    trend_improved,
 )
 from .proposer import (
     MockProposer,
@@ -80,7 +78,6 @@ __all__ = [
     "EpisodicRecord",
     "FeedbackItem",
     "GenSpec",
-    "GeneratedExample",
     "Graph",
     "InstanceRecord",
     "IterationRecord",
@@ -123,7 +120,6 @@ __all__ = [
     "solve_mc_s1_iN",
     "solve_sofai_v1",
     "solve_sofai_v2",
-    "trend_improved",
     "update_memory",
     "verdict",
     "write_dataset",

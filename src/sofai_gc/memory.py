@@ -1,9 +1,10 @@
 """Episodic memory: solved instances stored by attribute, retrieved by similarity.
 
-Records live in an append-only JSONL file (or purely in memory for
-tests).  Retrieval compares (n, e, density, k) attribute vectors; the
-raw chromatic number of a fresh instance is unknown before solving, so
-the color bound k stands in for it.
+A record holds the solved Graph; it becomes DIMACS text only in its line
+of the append-only JSONL file (a store may also live purely in memory).
+Retrieval compares (n, e, density, k) attribute vectors; the raw
+chromatic number of a fresh instance is unknown before solving, so the
+color bound k stands in for it.
 """
 
 from __future__ import annotations
@@ -27,15 +28,26 @@ class MemoryRejected(ValueError):
 
 @dataclass(frozen=True)
 class EpisodicRecord:
+    """A solved instance: the graph, its color bound k, and the answer."""
+
     id: str
-    n: int
-    e: int
-    density: float
     k: int
-    dimacs: str
+    graph: Graph
     solution: Optional[ColorAssignment]
     solver: str
     timestamp: float
+
+    @property
+    def n(self) -> int:
+        return len(self.graph.vertices)
+
+    @property
+    def e(self) -> int:
+        return len(self.graph.edges)
+
+    @property
+    def density(self) -> float:
+        return self.graph.density
 
     @classmethod
     def make(
@@ -46,18 +58,14 @@ class EpisodicRecord:
         solver: str,
         timestamp: Optional[float] = None,
     ) -> "EpisodicRecord":
-        """Build a record from a graph; the id is a digest of (text, k)."""
+        """Build a record from a graph; the id is a digest of (DIMACS text, k)."""
         if solver not in _SOLVERS:
             raise ValueError(f"solver must be one of {_SOLVERS}")
-        dimacs = serialize_dimacs(graph)
-        digest = hashlib.sha256(f"{dimacs}\nk={k}".encode()).hexdigest()[:16]
+        digest = hashlib.sha256(f"{serialize_dimacs(graph)}\nk={k}".encode()).hexdigest()[:16]
         return cls(
             id=digest,
-            n=len(graph.vertices),
-            e=len(graph.edges),
-            density=graph.density,
             k=k,
-            dimacs=dimacs,
+            graph=graph,
             solution=dict(solution) if solution is not None else None,
             solver=solver,
             timestamp=time.time() if timestamp is None else timestamp,
@@ -71,7 +79,7 @@ class EpisodicRecord:
                 "e": self.e,
                 "density": self.density,
                 "k": self.k,
-                "dimacs": self.dimacs,
+                "dimacs": serialize_dimacs(self.graph),
                 "solution": self.solution,
                 "solver": self.solver,
                 "timestamp": self.timestamp,
@@ -80,18 +88,16 @@ class EpisodicRecord:
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "EpisodicRecord":
+    def from_json(cls, line: str | bytes) -> "EpisodicRecord":
+        """Parse one JSONL line; its n, e and density are not read back, the graph has them."""
         obj = json.loads(line)
         solution = obj["solution"]
         if solution is not None:
             solution = {str(v): int(c) for v, c in solution.items()}
         return cls(
             id=obj["id"],
-            n=int(obj["n"]),
-            e=int(obj["e"]),
-            density=float(obj["density"]),
             k=int(obj["k"]),
-            dimacs=obj["dimacs"],
+            graph=parse_dimacs(obj["dimacs"]),
             solution=solution,
             solver=obj["solver"],
             timestamp=float(obj["timestamp"]),
@@ -104,6 +110,11 @@ class MemoryStore:
     With a path, every accepted record is appended to the JSONL file
     before the call returns, and existing lines are loaded eagerly.
     Reads are lock-free snapshots; appends are serialized.
+
+    An append cut short leaves a final line without its newline.  Loading
+    skips such a line when it does not parse, and the next append cuts it
+    off first, so the file loads in full again.  Any other line that does
+    not parse is an error naming its line number.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -111,11 +122,25 @@ class MemoryStore:
         self._lock = threading.Lock()
         self._records: list[EpisodicRecord] = []
         self._ids: set[str] = set()
+        # Set when the file's last line lacks its newline: the offset to
+        # truncate the file to, and the bytes to write, before the next record.
+        self._mend: Optional[tuple[int, bytes]] = None
         if self.path is not None and self.path.exists():
-            for line in self.path.read_text().splitlines():
+            data = self.path.read_bytes()
+            lines = data.split(b"\n")
+            for lineno, line in enumerate(lines, 1):
                 if not line.strip():
                     continue
-                rec = EpisodicRecord.from_json(line)
+                unterminated = lineno == len(lines)
+                try:
+                    rec = EpisodicRecord.from_json(line)
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    if not unterminated:
+                        raise ValueError(f"{self.path}:{lineno}: not a memory record: {exc!r}") from None
+                    self._mend = (len(data) - len(line), b"")  # an append cut short
+                    break
+                if unterminated:
+                    self._mend = (len(data), b"\n")
                 self._records.append(rec)
                 self._ids.add(rec.id)
 
@@ -134,8 +159,12 @@ class MemoryStore:
                 raise MemoryRejected(f"duplicate record id {record.id}")
             if self.path is not None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                with self.path.open("a") as fh:
-                    fh.write(record.to_json() + "\n")
+                with self.path.open("ab") as fh:
+                    if self._mend is not None:
+                        fh.truncate(self._mend[0])
+                        fh.write(self._mend[1])
+                        self._mend = None
+                    fh.write(record.to_json().encode() + b"\n")
             self._records.append(record)
             self._ids.add(record.id)
 
@@ -143,17 +172,15 @@ class MemoryStore:
 def update_memory(store: MemoryStore, record: EpisodicRecord) -> str:
     """Validate and durably append a record; returns its id.
 
-    A record carrying a solution must re-verify as a proper coloring of
-    its own instance within its k, otherwise it is rejected.  A known id
-    is rejected first, before that check; append checks it again under
-    the store's lock.
+    A record carrying a solution must verify as a proper coloring of its
+    own graph within its k, otherwise it is rejected.  A known id is
+    rejected first, before that check; append checks it again under the
+    store's lock.
     """
     if record.id in store:
         raise MemoryRejected(f"duplicate record id {record.id}")
-    if record.solution is not None:
-        graph = parse_dimacs(record.dimacs)
-        if not verdict(graph, record.solution, record.k).valid:
-            raise MemoryRejected(f"record {record.id} carries an invalid solution")
+    if record.solution is not None and not verdict(record.graph, record.solution, record.k).valid:
+        raise MemoryRejected(f"record {record.id} carries an invalid solution")
     store.append(record)
     return record.id
 

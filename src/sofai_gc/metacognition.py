@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .dsatur import SolveOutcome, solve_decision
-from .graphs import ColorAssignment, Conflict, Graph, Verdict, parse_dimacs, serialize_dimacs, verdict
+from .graphs import ColorAssignment, Conflict, Graph, Verdict, verdict
 from .memory import EpisodicRecord, MemoryRejected, MemoryStore, retrieve_memory, update_memory
 from .proposer import (
     NOT_SOLVABLE,
@@ -71,33 +71,18 @@ def _feedback(result: Verdict, k: int) -> list[FeedbackItem]:
     return items
 
 
-@dataclass(frozen=True)
-class GeneratedExample:
-    """A small solved subgraph shown to the proposer as a worked example."""
-
-    subgraph: Graph
-    coloring: ColorAssignment
-
-    def as_prompt_example(self) -> PromptExample:
-        return PromptExample(
-            problem_dimacs=serialize_dimacs(self.subgraph),
-            solution=dict(self.coloring),
-            vertex_order=self.subgraph.vertices,
-        )
-
-
-def generate_example(graph: Graph, k: int) -> GeneratedExample:
+def generate_example(graph: Graph) -> PromptExample:
     """Greedily color the subgraph induced by the min(3, n) highest-degree vertices.
 
     Selection and coloring are deterministic (degree, ties by vertex
     order), so the same problem always yields the same example.  Greedy
-    is unbounded: the example may use more than k colors on dense cores.
+    is unbounded: the example may use more than the problem's k colors on
+    dense cores.
     """
     if not graph.vertices:
         raise ValueError("graph must have at least one vertex")
-    ranked = sorted(graph.vertices, key=lambda v: (-graph.degree(v), graph.vertices.index(v)))
-    chosen = ranked[: min(3, len(graph.vertices))]
-    sub = graph.induced_subgraph(chosen)
+    ranked = sorted(enumerate(graph.vertices), key=lambda iv: (-graph.degree(iv[1]), iv[0]))
+    sub = graph.induced_subgraph(v for _, v in ranked[:3])
     coloring: ColorAssignment = {}
     for v in sub.vertices:
         used = {coloring[u] for u in sub.adjacency[v] if u in coloring}
@@ -105,7 +90,7 @@ def generate_example(graph: Graph, k: int) -> GeneratedExample:
         while color in used:
             color += 1
         coloring[v] = color
-    return GeneratedExample(subgraph=sub, coloring=coloring)
+    return PromptExample(sub, coloring)
 
 
 @dataclass
@@ -118,13 +103,6 @@ class TrendState:
     def record(self, score: float, signature: tuple) -> None:
         self.scores.append(score)
         self.signatures.append(signature)
-
-
-def trend_improved(scores: list[float]) -> bool:
-    """True iff the score sequence is strictly increasing throughout."""
-    if not scores:
-        raise ValueError("scores must be nonempty")
-    return all(b > a for a, b in zip(scores, scores[1:]))
 
 
 def escalation_rule(trend: TrendState, t: int, T: int) -> bool:
@@ -219,11 +197,8 @@ def _run(
     deadline = start + cfg.time_limit
     store = cfg.store if use_memory else None
     proposer = make_proposer(cfg.proposer)
-    examples: list[PromptExample] = []
-    if store is not None:
-        for rec in retrieve_memory(store, graph, k, cfg.alpha, cfg.memory_limit):
-            order = parse_dimacs(rec.dimacs).vertices
-            examples.append(PromptExample(rec.dimacs, rec.solution, order))
+    hits = retrieve_memory(store, graph, k, cfg.alpha, cfg.memory_limit) if store is not None else []
+    examples = [PromptExample(rec.graph, rec.solution) for rec in hits]
     history: list[tuple[str, tuple[str, ...]]] = []
     trend = TrendState()
     iterations: list[IterationRecord] = []
@@ -231,6 +206,8 @@ def _run(
     outcome: Optional[SolveOutcome] = None  # set once S1 answers or time runs out
 
     for t in range(1, max_iters + 1):
+        if t == 2 and graph.vertices:  # rounds after a failed one show a worked example
+            examples.append(generate_example(graph))
         now = time.monotonic()
         if now >= deadline:
             outcome = SolveOutcome.timeout()
@@ -273,8 +250,6 @@ def _run(
         iterations.append(
             IterationRecord(t, response.kind, score, messages, signature, elapsed, conflict_subgraph)
         )
-        if t == 1 and graph.vertices:  # the first failed round adds a worked example
-            examples.append(generate_example(graph, k).as_prompt_example())
         if time.monotonic() >= deadline:
             outcome = SolveOutcome.timeout()
             break

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import requests
 
-from .graphs import ColorAssignment, Graph
+from .graphs import ColorAssignment, Graph, serialize_dimacs
 
 NOT_SOLVABLE = "NOT SOLVABLE"
 
@@ -83,17 +83,15 @@ class ProposerConfig:
 class PromptExample:
     """A solved (or declared-unsolvable) instance shown to the proposer."""
 
-    problem_dimacs: str
+    graph: Graph
     solution: Optional[ColorAssignment]
-    vertex_order: tuple[str, ...] = ()
 
     def render(self) -> str:
-        lines = ["Problem:", self.problem_dimacs, "", "Correct Solution:"]
+        lines = ["Problem:", serialize_dimacs(self.graph), "", "Correct Solution:"]
         if self.solution is None:
             lines.append(NOT_SOLVABLE)
         else:
-            order = self.vertex_order or tuple(sorted(self.solution))
-            lines.append(format_assignment(self.solution, order))
+            lines.append(format_assignment(self.solution, self.graph.vertices))
         lines.extend(["", "End of Example"])
         return "\n".join(lines)
 

@@ -16,6 +16,14 @@ def record_for(graph, k, solution, solver="S2", timestamp=0.0):
     return EpisodicRecord.make(graph, k, solution, solver, timestamp=timestamp)
 
 
+# One memory file line, byte for byte: the JSONL format must not drift.
+FROZEN_LINE = (
+    '{"density": 0.5, "dimacs": "c vertices A B C D\\np edge 4 3\\ne A B\\ne B C\\ne A C", '
+    '"e": 3, "id": "248afda8ddeea7ed", "k": 3, "n": 4, "solution": {"A": 1, "B": 2, "C": 3, "D": 1}, '
+    '"solver": "S2", "timestamp": 0.0}'
+)
+
+
 class TestEpisodicRecord:
     def test_id_is_content_hash(self, triangle):
         a = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
@@ -33,6 +41,12 @@ class TestEpisodicRecord:
         assert EpisodicRecord.from_json(rec.to_json()) == rec
         unsat = record_for(triangle, 2, None)
         assert EpisodicRecord.from_json(unsat.to_json()) == unsat
+
+    def test_json_line_is_frozen(self):
+        graph = Graph(("A", "B", "C", "D"), (("A", "B"), ("B", "C"), ("A", "C")))
+        rec = record_for(graph, 3, {"A": 1, "B": 2, "C": 3, "D": 1})
+        assert rec.to_json() == FROZEN_LINE
+        assert EpisodicRecord.from_json(FROZEN_LINE) == rec
 
     def test_solver_validation(self, triangle):
         with pytest.raises(ValueError, match="solver"):
@@ -71,11 +85,11 @@ class TestUpdateMemory:
         store = MemoryStore()
         rec = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
         update_memory(store, rec)
-        parsed = []
-        monkeypatch.setattr(memory, "parse_dimacs", lambda text: parsed.append(text))
+        checked = []
+        monkeypatch.setattr(memory, "verdict", lambda *args: checked.append(args))
         with pytest.raises(MemoryRejected, match="duplicate"):
             update_memory(store, rec)
-        assert parsed == []
+        assert checked == []
         with pytest.raises(MemoryRejected, match="duplicate"):
             store.append(rec)  # the append itself still refuses a known id
         assert len(store) == 1
@@ -107,6 +121,42 @@ class TestPersistence:
 
         reopened = MemoryStore(path)
         assert reopened.records() == store.records()
+
+    def test_torn_final_line_skipped_then_cut_off(self, tmp_path, triangle, fig2_graph, petersen):
+        path = tmp_path / "memory.jsonl"
+        first = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
+        update_memory(MemoryStore(path), first)
+        cut = record_for(fig2_graph, 3, None).to_json()
+        with path.open("a") as fh:
+            fh.write(cut[: len(cut) // 2])  # an append cut short before its newline
+        store = MemoryStore(path)
+        assert store.records() == (first,)
+        third = record_for(petersen, 3, None)
+        update_memory(store, third)
+        assert MemoryStore(path).records() == (first, third)
+
+    def test_unterminated_final_record_kept(self, tmp_path, triangle, petersen):
+        path = tmp_path / "memory.jsonl"
+        first = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
+        path.write_text(first.to_json())  # complete, but its newline never landed
+        store = MemoryStore(path)
+        assert store.records() == (first,)
+        second = record_for(petersen, 3, None)
+        update_memory(store, second)
+        assert MemoryStore(path).records() == (first, second)
+
+    def test_bad_line_mid_file_names_its_line(self, tmp_path, triangle, petersen):
+        path = tmp_path / "memory.jsonl"
+        good = [record_for(triangle, 3, None).to_json(), record_for(petersen, 3, None).to_json()]
+        path.write_text(good[0] + "\n" + good[1][:40] + "\n" + good[1] + "\n")
+        with pytest.raises(ValueError, match=r"memory\.jsonl:2: "):
+            MemoryStore(path)
+
+    def test_bad_terminated_final_line_raises(self, tmp_path, triangle):
+        path = tmp_path / "memory.jsonl"
+        path.write_text(record_for(triangle, 3, None).to_json() + "\n\n" + '{"id": "x"}\n')
+        with pytest.raises(ValueError, match=r"memory\.jsonl:3: "):
+            MemoryStore(path)
 
     def test_reopened_store_still_rejects_duplicates(self, tmp_path, triangle):
         path = tmp_path / "memory.jsonl"

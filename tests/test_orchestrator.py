@@ -5,8 +5,10 @@ import pytest
 from conftest import myciel
 from sofai_gc import (
     Graph,
+    EpisodicRecord,
     MemoryStore,
     OrchestratorConfig,
+    PromptExample,
     ProposerConfig,
     TrendState,
     escalation_rule,
@@ -17,7 +19,6 @@ from sofai_gc import (
     solve_mc_s1_iN,
     solve_sofai_v1,
     solve_sofai_v2,
-    trend_improved,
     verdict,
 )
 from sofai_gc.metacognition import (
@@ -67,54 +68,51 @@ class TestFormatFeedback:
 
 class TestGenerateExample:
     def test_picks_high_degree_triangle(self, fig2_graph):
-        ex = generate_example(fig2_graph, 2)
-        assert ex.subgraph.vertices == ("A", "B", "C")
-        assert ex.subgraph.edges == (("A", "B"), ("A", "C"), ("B", "C"))
-        assert ex.coloring == {"A": 1, "B": 2, "C": 3}  # greedy may exceed k
+        ex = generate_example(fig2_graph)
+        assert ex.graph.vertices == ("A", "B", "C")
+        assert ex.graph.edges == (("A", "B"), ("A", "C"), ("B", "C"))
+        assert ex.solution == {"A": 1, "B": 2, "C": 3}  # greedy may exceed k
 
     def test_edgeless_two_vertex_graph(self):
-        ex = generate_example(Graph(("A", "B"), ()), 1)
-        assert ex.coloring == {"A": 1, "B": 1}
+        ex = generate_example(Graph(("A", "B"), ()))
+        assert ex.solution == {"A": 1, "B": 1}
 
     def test_path_alternates(self):
         path = Graph(("A", "B", "C"), (("A", "B"), ("B", "C")))
-        ex = generate_example(path, 2)
-        assert ex.coloring == {"A": 1, "B": 2, "C": 1}
+        ex = generate_example(path)
+        assert ex.solution == {"A": 1, "B": 2, "C": 1}
 
     def test_single_vertex(self):
-        ex = generate_example(Graph(("X",), ()), 3)
-        assert ex.subgraph.vertices == ("X",)
-        assert ex.coloring == {"X": 1}
+        ex = generate_example(Graph(("X",), ()))
+        assert ex.graph.vertices == ("X",)
+        assert ex.solution == {"X": 1}
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            generate_example(Graph((), ()), 1)
+            generate_example(Graph((), ()))
 
     def test_coloring_is_proper(self, petersen):
-        ex = generate_example(petersen, 3)
-        assert len(ex.subgraph.vertices) == 3
-        assert verdict(ex.subgraph, ex.coloring, max(ex.coloring.values())).valid
+        ex = generate_example(petersen)
+        assert len(ex.graph.vertices) == 3
+        assert verdict(ex.graph, ex.solution, max(ex.solution.values())).valid
 
     def test_prompt_example_renders_fig_block(self, fig2_graph):
-        rendered = generate_example(fig2_graph, 2).as_prompt_example().render()
+        rendered = generate_example(fig2_graph).render()
         assert rendered.startswith("Problem:\np edge 3 3\ne A B\ne A C\ne B C")
         assert "Correct Solution:\n(A 1)\n(B 2)\n(C 3)" in rendered
         assert rendered.endswith("End of Example")
 
-
-class TestTrend:
-    def test_strictly_increasing(self):
-        assert trend_improved([0.4, 0.6, 0.8])
-        assert trend_improved([0.5])
-
-    def test_plateau_and_regression_fail(self):
-        assert not trend_improved([0.6, 0.6])
-        assert not trend_improved([0.9, 0.5])
-        assert not trend_improved([0.1, 0.5, 0.5])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            trend_improved([])
+    def test_built_only_for_a_second_round(self, fig2_graph, monkeypatch):
+        import sofai_gc.metacognition as metacognition
+        calls = []
+        real = metacognition.generate_example
+        monkeypatch.setattr(metacognition, "generate_example", lambda g: calls.append(g) or real(g))
+        # Every round fails, so each preset runs as many rounds as it may.
+        solve_sofai_v1(fig2_graph, 3, cfg_with(ALWAYS_UNSAT))
+        solve_mc_s1_iN(fig2_graph, 3, cfg_with(ALWAYS_UNSAT), 1)
+        assert calls == []
+        _, trace = solve_sofai_v2(fig2_graph, 3, cfg_with(ALWAYS_UNSAT))
+        assert trace.s1_calls == 2 and calls == [fig2_graph]
 
 
 class TestEscalationRule:
@@ -198,6 +196,24 @@ class TestSofaiV2:
         outcome, _ = solve_sofai_v2(fig2_graph, 3, cfg_with(ALWAYS_UNSAT, store=store))
         assert outcome.is_sat
         assert store.records()[0].solver == "S2"
+
+    def test_memory_round_trip_parses_no_dimacs(self, petersen, monkeypatch):
+        import sofai_gc.graphs as graphs
+        import sofai_gc.metacognition as metacognition
+        # Same n, e, density and k as petersen, another edge order: a distinct record.
+        twin = Graph(petersen.vertices, petersen.edges[::-1])
+        twin_coloring = solve_decision(twin, 3, time_limit=10.0).assignment
+        store = MemoryStore()
+        store.append(EpisodicRecord.make(twin, 3, twin_coloring, "S2"))
+        parsed, prompts = [], []
+        monkeypatch.setattr(graphs, "parse_dimacs_instance", lambda *a: parsed.append(a))
+        render = metacognition.render_prompt
+        monkeypatch.setattr(metacognition, "render_prompt", lambda *a: prompts.append(render(*a)) or prompts[-1])
+        outcome, trace = solve_sofai_v2(petersen, 3, cfg_with(ALWAYS_UNSAT, store=store))
+        assert outcome.is_sat and trace.source == "S2"
+        assert prompts[0].examples == (PromptExample(twin, twin_coloring),)  # the memory hit
+        assert [(r.graph, r.solver) for r in store.records()] == [(twin, "S2"), (petersen, "S2")]
+        assert parsed == []
 
     def test_unsat_not_stored(self, triangle):
         store = MemoryStore()

@@ -1,8 +1,9 @@
-"""Smoke run of the repository benchmark: one short traced er-exact round.
+"""Smoke run of the repository benchmark: one short traced round per workload.
 
 The benchmark checks every SOFAI-v2 answer by swapping
 `sofai_gc.bench.solve_sofai_v2` for a recording wrapper, so this also
-guards that the harness resolves that name at call time.
+guards that the harness resolves that name at call time.  s1-memory runs
+the episodic-memory path, so its answers are checked here too.
 """
 
 import json
@@ -10,12 +11,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_er_exact_traced_round_checks_every_answer():
+@pytest.mark.parametrize("workload", ["er-exact", "s1-memory"])
+def test_traced_round_checks_every_answer(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "er-exact", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )

@@ -56,11 +56,8 @@ class TestRenderPrompt:
         assert text.endswith('if it cannot be solved.')
 
     def test_example_block_format(self, fig2_graph):
-        example = PromptExample(
-            problem_dimacs="p edge 4 4\ne X Y\ne Y Z\ne Z A\ne X A",
-            solution={"X": 1, "Y": 2, "Z": 1, "A": 2},
-            vertex_order=("X", "Y", "Z", "A"),
-        )
+        square = Graph(("X", "Y", "Z", "A"), (("X", "Y"), ("Y", "Z"), ("Z", "A"), ("X", "A")))
+        example = PromptExample(square, {"X": 1, "Y": 2, "Z": 1, "A": 2})
         text = render_prompt(fig2_graph, 2, examples=[example]).text
         block = (
             "Problem:\n"
@@ -83,7 +80,7 @@ class TestRenderPrompt:
         assert text.index("Example Format:") < text.index("Problem:") < text.index("Please provide")
 
     def test_unsolvable_example_block(self, fig2_graph):
-        example = PromptExample(problem_dimacs="p edge 2 1\ne A B", solution=None)
+        example = PromptExample(Graph(("A", "B"), (("A", "B"),)), None)
         text = render_prompt(fig2_graph, 2, examples=[example]).text
         assert "Correct Solution:\nNOT SOLVABLE" in text
 
