@@ -9,6 +9,17 @@ depth is not bounded by Python's recursion limit.  Unused colors are
 interchangeable, so a branch tries only colors 1..min(k, max_used + 1)
 (Brélaz 1979; San Segundo 2012): any coloring can be relabeled into one
 the search reaches.
+
+The next vertex comes from saturation buckets, not a scan.  Each vertex
+has a fixed bit, its place in (degree descending, index ascending) order,
+and one integer bitmask per saturation level holds the bits of the
+uncolored vertices at that level; assign and unassign move a neighbor
+between levels where its saturation changes, so the DSATUR choice is the
+lowest bit of the highest nonempty level.  Every graph of maximum degree
+D is (D + 1)-colorable and a search that may use D + 1 colors never
+backtracks, so the state holds min(k, D + 1) colors.  chromatic_number
+builds one state for its whole sweep over k: an Unsat proof unwinds the
+state back to empty, ready for k + 1, and the sweep ends by k = D + 1.
 """
 
 from __future__ import annotations
@@ -73,74 +84,100 @@ class _SearchState:
     """Mutable search state over vertex indices (positions in graph.vertices).
 
     color[v] is v's color, 0 while uncolored.  counts[v][c] is the number
-    of colored neighbors of v holding color c.  rank[v] is
-    saturation * step + degree, where saturation is the number of distinct
-    colors among v's colored neighbors and step exceeds every degree, so
-    the largest rank is the DSATUR choice.  A colored vertex holds ~rank,
-    which is negative, so it never wins and unassign restores it.
+    of colored neighbors of v holding color c, and sat[v] the number of
+    distinct colors among them: v's saturation.  bit[v] is 1 << v's place
+    in (degree descending, index ascending) order and order[place] is the
+    vertex there.  levels[s] is the union of the bits of the uncolored
+    vertices of saturation s; no level above top holds any.
 
-    counts and rank are kept only for uncolored vertices: assign and
+    counts and sat are kept only for uncolored vertices: assign and
     unassign skip colored neighbors.  Undo is exact because the search
     unwinds LIFO, so the neighbors colored when v is uncolored are the
-    ones that were colored when v was colored.
+    ones that were colored when v was colored, and v gets back the
+    saturation it had.
     """
 
-    __slots__ = ("neighbors", "color", "counts", "rank", "step")
+    __slots__ = ("neighbors", "color", "counts", "sat", "bit", "order", "levels", "top")
 
-    def __init__(self, graph: Graph, colors: int) -> None:
+    def __init__(self, graph: Graph, k: int) -> None:
         index = {v: i for i, v in enumerate(graph.vertices)}
         self.neighbors = [list(map(index.__getitem__, graph.adjacency[v])) for v in graph.vertices]
         n = len(graph.vertices)
+        # With D + 1 colors every vertex has a free one, so no search needs more.
+        colors = min(k, max(map(len, self.neighbors), default=0) + 1)
         self.color = [0] * n
         self.counts = [[0] * (colors + 1) for _ in range(n)]
-        self.rank = [len(ns) for ns in self.neighbors]
-        self.step = max(self.rank, default=0) + 1
+        self.sat = [0] * n
+        # A stable sort keeps equal degrees in index order.
+        self.order = sorted(range(n), key=lambda v: len(self.neighbors[v]), reverse=True)
+        self.bit = [0] * n
+        for place, v in enumerate(self.order):
+            self.bit[v] = 1 << place
+        self.levels = [0] * (colors + 1)
+        self.levels[0] = (1 << n) - 1
+        self.top = 0
+
+    @property
+    def colors(self) -> int:
+        return len(self.levels) - 1
 
     def assign(self, v: int, color: int) -> None:
-        colored, counts, rank, step = self.color, self.counts, self.rank, self.step
+        colored, counts, sat, bit, levels = self.color, self.counts, self.sat, self.bit, self.levels
         colored[v] = color
-        rank[v] = ~rank[v]
+        levels[sat[v]] ^= bit[v]
+        top = self.top
         for u in self.neighbors[v]:
             if colored[u]:
                 continue
             row = counts[u]
             if not row[color]:
-                rank[u] += step
+                s = sat[u]
+                sat[u] = s + 1
+                b = bit[u]
+                levels[s] ^= b
+                levels[s + 1] |= b
+                if s >= top:
+                    top = s + 1
             row[color] += 1
+        self.top = top
 
     def unassign(self, v: int) -> None:
-        colored, counts, rank, step = self.color, self.counts, self.rank, self.step
+        colored, counts, sat, bit, levels = self.color, self.counts, self.sat, self.bit, self.levels
         color = colored[v]
         colored[v] = 0
-        rank[v] = ~rank[v]
+        s = sat[v]
+        levels[s] |= bit[v]
+        if s > self.top:
+            self.top = s
         for u in self.neighbors[v]:
             if colored[u]:
                 continue
             row = counts[u]
             row[color] -= 1
             if not row[color]:
-                rank[u] -= step
+                s = sat[u]
+                sat[u] = s - 1
+                b = bit[u]
+                levels[s] ^= b
+                levels[s - 1] |= b
 
 
 def select_vertex(state: _SearchState) -> int:
     """Next vertex to color: max saturation, then max degree, then lowest index."""
-    best = max(state.rank, default=-1)
-    if best < 0:
+    levels, top = state.levels, state.top
+    while top and not levels[top]:
+        top -= 1
+    state.top = top
+    bits = levels[top]
+    if not bits:
         raise ValueError("all vertices are already colored")
-    return state.rank.index(best)
+    return state.order[(bits & -bits).bit_length() - 1]
 
 
-def solve_decision(graph: Graph, k: int, time_limit: float = 200.0) -> SolveOutcome:
-    """Decide whether the graph admits a proper coloring with at most k colors."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if time_limit <= 0:
-        return SolveOutcome.timeout()
-    deadline = time.monotonic() + time_limit
-    n = len(graph.vertices)
-    # No search uses more than n colors, so larger budgets need no columns.
-    colors = min(k, n)
-    state = _SearchState(graph, colors)
+def _decide(graph: Graph, state: _SearchState, k: int, deadline: float) -> SolveOutcome:
+    """Search an empty state for a k-coloring; an Unsat answer leaves it empty again."""
+    n = len(state.color)
+    colors = min(k, state.colors)
     counts = state.counts
     # One frame per colored vertex: [vertex, its current color, max color
     # used by the vertices colored before it].
@@ -179,25 +216,33 @@ def solve_decision(graph: Graph, k: int, time_limit: float = 200.0) -> SolveOutc
     return SolveOutcome.sat(assignment)
 
 
+def solve_decision(graph: Graph, k: int, time_limit: float = 200.0) -> SolveOutcome:
+    """Decide whether the graph admits a proper coloring with at most k colors."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if time_limit <= 0:
+        return SolveOutcome.timeout()
+    deadline = time.monotonic() + time_limit
+    return _decide(graph, _SearchState(graph, k), k, deadline)
+
+
 def chromatic_number(graph: Graph, time_limit: float = 200.0) -> int:
     """Smallest k for which the graph is k-colorable; 0 for the empty graph.
 
-    The whole sweep shares one deadline; DeadlineExceeded is raised if it
-    cannot finish in time.
+    The whole sweep shares one deadline and one search state;
+    DeadlineExceeded is raised if it cannot finish in time.
     """
     n = len(graph.vertices)
     if n == 0:
         return 0
     deadline = time.monotonic() + time_limit
-    for k in range(1, n + 1):
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise DeadlineExceeded(f"chromatic number search exceeded {time_limit}s")
-        outcome = solve_decision(graph, k, time_limit=remaining)
+    state = _SearchState(graph, n)
+    for k in range(1, state.colors + 1):
+        outcome = _decide(graph, state, k, deadline)
         if outcome.is_timeout:
             raise DeadlineExceeded(f"chromatic number search exceeded {time_limit}s")
         if outcome.is_failure:
             raise RuntimeError(f"exact solver failed at k={k}: {outcome.reason}")
         if outcome.is_sat:
             return k
-    raise AssertionError("graph not n-colorable with n vertices")  # unreachable
+    raise AssertionError("graph not (max degree + 1)-colorable")  # unreachable

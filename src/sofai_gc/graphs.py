@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -62,6 +63,11 @@ class Graph:
         if n < 2:
             return 0.0
         return 2.0 * len(self.edges) / (n * (n - 1))
+
+    @cached_property
+    def edge_text(self) -> str:
+        """The `e u v` line of every edge, in edge order; built once per graph."""
+        return "\n".join(f"e {u} {v}" for u, v in self.edges)
 
     def degree(self, v: str) -> int:
         return len(self.adjacency[v])
@@ -117,34 +123,31 @@ def detect_conflicts(graph: Graph, assignment: Mapping[str, int]) -> list[Confli
     Edges with an unassigned endpoint are not conflicts; they surface
     through the verdict's `complete` flag instead.
     """
-    _check_assignment(graph, assignment)
-    out = []
-    for u, v in graph.edges:
-        cu = assignment.get(u)
-        cv = assignment.get(v)
-        if cu is not None and cu == cv:
-            out.append(Conflict(u, v, cu))
-    return out
+    return list(verdict(graph, assignment, 1).conflicts)
 
 
 def verdict(graph: Graph, assignment: Mapping[str, int], k: int) -> Verdict:
-    """Score an assignment against the graph and the color budget k."""
+    """Score an assignment against the graph and the color budget k, in one pass over the edges."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    conflicts = detect_conflicts(graph, assignment)
+    _check_assignment(graph, assignment)
+    conflicts = []
+    satisfied = 0
+    get = assignment.get
+    for u, v in graph.edges:
+        cu = get(u)
+        cv = get(v)
+        if cu is None or cv is None:
+            continue
+        if cu == cv:
+            conflicts.append(Conflict(u, v, cu))
+        else:
+            satisfied += 1
     m = len(graph.edges)
-    if m == 0:
-        score = Fraction(1)
-    else:
-        satisfied = 0
-        for u, v in graph.edges:
-            cu = assignment.get(u)
-            cv = assignment.get(v)
-            if cu is not None and cv is not None and cu != cv:
-                satisfied += 1
-        score = Fraction(satisfied, m)
-    complete = all(v in assignment for v in graph.vertices)
-    colors_used = len(set(assignment.values())) if assignment else 0
+    score = Fraction(satisfied, m) if m else Fraction(1)
+    # Every key names a vertex (checked above), so all are assigned iff the counts match.
+    complete = len(assignment) == len(graph.vertices)
+    colors_used = len(set(assignment.values()))
     valid = score == 1 and complete and colors_used <= k
     return Verdict(score, tuple(conflicts), colors_used, complete, valid)
 
@@ -274,5 +277,6 @@ def serialize_dimacs(graph: Graph, k: int | None = None, label: str | None = Non
     if graph.vertices and _first_appearance(graph.edges) != graph.vertices:
         lines.append("c vertices " + " ".join(graph.vertices))
     lines.append(f"p edge {len(graph.vertices)} {len(graph.edges)}")
-    lines.extend(f"e {u} {v}" for u, v in graph.edges)
+    if graph.edges:
+        lines.append(graph.edge_text)
     return "\n".join(lines)

@@ -196,7 +196,7 @@ def _run(
     start = time.monotonic()
     deadline = start + cfg.time_limit
     store = cfg.store if use_memory else None
-    proposer = make_proposer(cfg.proposer)
+    proposer = make_proposer(cfg.proposer) if max_iters else None
     hits = retrieve_memory(store, graph, k, cfg.alpha, cfg.memory_limit) if store is not None else []
     examples = [PromptExample(rec.graph, rec.solution) for rec in hits]
     history: list[tuple[str, tuple[str, ...]]] = []

@@ -129,14 +129,13 @@ def render_prompt(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    edge_lines = "\n".join(f"e {u} {v}" for u, v in graph.edges)
     graph_block = (
         "Graph Representation:\n"
         f"- Number of vertices and edges: p edge {len(graph.vertices)} {len(graph.edges)}.\n"
         "- Edges between vertices are listed as follows:"
     )
-    if edge_lines:
-        graph_block += "\n" + edge_lines
+    if graph.edges:
+        graph_block += "\n" + graph.edge_text
     sections = [
         "New Problem to Solve:\n"
         f"You are given an undirected graph with {k} colors available. "
@@ -243,7 +242,11 @@ class MockProposer:
 
 
 class RemoteProposer:
-    """Chat-completions HTTP client with retries."""
+    """Chat-completions HTTP client with retries.
+
+    One call has one deadline: each attempt gets the time left, a backoff
+    sleeps at most that long, and no attempt starts once it is spent.
+    """
 
     def __init__(self, config: ProposerConfig) -> None:
         if config.kind != "remote":
@@ -254,6 +257,7 @@ class RemoteProposer:
         budget = self.config.timeout if timeout is None else min(self.config.timeout, timeout)
         if budget <= 0:
             return ProposerResponse("unparseable", raw="", error="no time budget left")
+        deadline = time.monotonic() + budget
         headers = {"Content-Type": "application/json"}
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
@@ -264,10 +268,11 @@ class RemoteProposer:
         }
         last_error = "transport failure"
         for attempt in range(self.config.retries + 1):
+            left = deadline - time.monotonic()
+            if left <= 0:
+                break
             try:
-                resp = requests.post(
-                    self.config.endpoint, json=payload, headers=headers, timeout=budget
-                )
+                resp = requests.post(self.config.endpoint, json=payload, headers=headers, timeout=left)
                 resp.raise_for_status()
                 content = resp.json()["choices"][0]["message"]["content"]
                 if not isinstance(content, str):
@@ -276,7 +281,7 @@ class RemoteProposer:
             except (requests.RequestException, ValueError, KeyError, IndexError) as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
                 if attempt < self.config.retries:
-                    time.sleep(_RETRY_BACKOFF * (attempt + 1))
+                    time.sleep(max(0.0, min(_RETRY_BACKOFF * (attempt + 1), deadline - time.monotonic())))
         return ProposerResponse("unparseable", raw="", error=last_error)
 
 

@@ -13,6 +13,7 @@ from sofai_gc import (
     solve_decision,
     verdict,
 )
+from sofai_gc import dsatur
 from sofai_gc.dsatur import _SearchState, select_vertex
 
 from conftest import complete_graph, cycle_graph, myciel
@@ -141,10 +142,34 @@ class TestChromaticNumber:
             graph = gen_erdos_renyi(rng.randint(1, 7), 0.5, seed=rng.getrandbits(32))
             assert chromatic_number(graph) == brute_force_chromatic(graph)
 
+    def test_chi_at_the_max_degree_bound(self):
+        # chi = D + 1 here, so the sweep runs to the last color its state holds
+        for graph in [complete_graph(n) for n in range(1, 9)] + [cycle_graph(n) for n in (3, 5, 9, 11)]:
+            top_degree = max(graph.degree(v) for v in graph.vertices)
+            assert chromatic_number(graph) == top_degree + 1
+
+    def test_one_search_state_per_sweep(self, petersen, monkeypatch):
+        built = []
+        monkeypatch.setattr(dsatur, "_SearchState", lambda graph, k: built.append(k) or _SearchState(graph, k))
+        assert chromatic_number(petersen) == 3
+        assert built == [10]
+        assert _SearchState(petersen, 10).colors == 4  # max degree 3, plus one
+
     def test_deadline_raises(self):
         graph = myciel(6)
         with pytest.raises(DeadlineExceeded):
             chromatic_number(graph, time_limit=0.2)
+
+
+def scan_choice(graph: Graph, color: list[int]):
+    """DSATUR's choice by a scan from scratch: max saturation, then max degree, then lowest index."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    keys = [
+        (len({color[index[u]] for u in graph.adjacency[v]} - {0}), graph.degree(v), -i)
+        for i, v in enumerate(graph.vertices)
+        if not color[i]
+    ]
+    return -max(keys)[2] if keys else None
 
 
 class TestSelectVertex:
@@ -152,6 +177,7 @@ class TestSelectVertex:
         # "1"-"2" is an edge; "3" is the center of a star on "4", "5", "6"
         graph = Graph(tuple("123456"), (("1", "2"), ("3", "4"), ("3", "5"), ("3", "6")))
         state = _SearchState(graph, 3)
+        assert state.order == [2, 0, 1, 3, 4, 5]  # degree descending, then index
         assert select_vertex(state) == 2  # "3": degree 3 beats an earlier position
         state.assign(0, 1)
         assert select_vertex(state) == 1  # "2": saturation 1 beats degree 3
@@ -167,14 +193,45 @@ class TestSelectVertex:
             state.assign(v, v + 1)
         with pytest.raises(ValueError, match="already colored"):
             select_vertex(state)
+        with pytest.raises(ValueError, match="already colored"):
+            select_vertex(_SearchState(Graph((), ()), 1))
 
-    def test_undo_restores_saturation(self, triangle):
-        state = _SearchState(triangle, 3)
-        rank = list(state.rank)
-        state.assign(0, 1)
-        assert [state.rank[u] // state.step for u in (1, 2)] == [1, 1]
-        assert state.counts[1][1] == state.counts[2][1] == 1
+    def test_undo_restores_saturation(self, fig2_graph):
+        # A-B, A-C, B-C, C-D, D-E
+        state = _SearchState(fig2_graph, 3)
+
+        def snapshot():
+            return (list(state.color), list(state.sat), list(state.levels), [list(row) for row in state.counts])
+
+        empty = snapshot()
+        assert state.levels[0] == sum(state.bit) and not any(state.levels[1:])
+        state.assign(2, 1)  # "C": its neighbors A, B and D rise one level
+        assert [state.sat[u] for u in (0, 1, 3, 4)] == [1, 1, 1, 0]
+        assert state.levels[1] == state.bit[0] | state.bit[1] | state.bit[3]
+        assert state.levels[0] == state.bit[4]
+        state.assign(0, 2)  # "A": B rises again; C is colored and skipped
+        assert state.sat[1] == 2 and state.counts[1][1:] == [1, 1, 0]
+        assert state.levels == [state.bit[4], state.bit[3], state.bit[1], 0]
         state.unassign(0)
-        assert state.rank == rank
-        assert state.color == [0, 0, 0]
-        assert all(not any(row) for row in state.counts)
+        state.unassign(2)
+        assert snapshot() == empty
+
+    @settings(max_examples=200, deadline=None)
+    @given(er_graphs(max_n=9), st.integers(1, 5), st.data())
+    def test_matches_a_scan_from_scratch_under_lifo_steps(self, graph, k, data):
+        state = _SearchState(graph, k)
+        stack: list[int] = []
+        for _ in range(data.draw(st.integers(0, 25), label="steps")):
+            uncolored = [v for v, c in enumerate(state.color) if not c]
+            if stack and (not uncolored or data.draw(st.booleans(), label="undo")):
+                state.unassign(stack.pop())
+            elif uncolored:
+                v = data.draw(st.sampled_from(uncolored), label="vertex")
+                state.assign(v, data.draw(st.integers(1, state.colors), label="color"))
+                stack.append(v)
+            expected = scan_choice(graph, state.color)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    select_vertex(state)
+            else:
+                assert select_vertex(state) == expected

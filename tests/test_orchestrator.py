@@ -21,6 +21,7 @@ from sofai_gc import (
     solve_sofai_v2,
     verdict,
 )
+from sofai_gc import metacognition
 from sofai_gc.metacognition import (
     CONFLICT_TEMPLATE,
     NOT_SOLVABLE_REJECTED_MESSAGE,
@@ -369,3 +370,15 @@ class TestMcS1IN:
         )
         assert outcome.is_unsat
         assert trace.s1_calls == 1
+
+
+class TestS2:
+    def test_answers_without_building_a_proposer(self, fig2_graph, monkeypatch):
+        built = []
+        make = metacognition.make_proposer
+        monkeypatch.setattr(metacognition, "make_proposer", lambda config: built.append(config) or make(config))
+        outcome, trace = metacognition.solve_s2(fig2_graph, 3, cfg_with())
+        assert outcome.is_sat and trace.s2_invoked and trace.s1_calls == 0
+        assert built == []
+        solve_sofai_v1(fig2_graph, 3, cfg_with())
+        assert len(built) == 1

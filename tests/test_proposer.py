@@ -1,6 +1,7 @@
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -202,7 +203,9 @@ class TestFromEnv:
 class _ChatHandler(BaseHTTPRequestHandler):
     """Scripted chat-completions endpoint; behavior set per test."""
 
-    script: list = []  # mutated by tests: list of (status, content) steps
+    # mutated by tests: list of (status, content) steps; a third item, when
+    # present, is how many seconds the endpoint waits before it answers
+    script: list = []
     seen: list = []
 
     def do_POST(self):
@@ -211,7 +214,10 @@ class _ChatHandler(BaseHTTPRequestHandler):
         type(self).seen.append(
             {"auth": self.headers.get("Authorization"), "body": body}
         )
-        status, content = self.script.pop(0) if self.script else (200, "(A 1)")
+        step = self.script.pop(0) if self.script else (200, "(A 1)")
+        status, content = step[:2]
+        if len(step) > 2:
+            time.sleep(step[2])
         if status == 200:
             payload = json.dumps(
                 {"choices": [{"message": {"role": "assistant", "content": content}}]}
@@ -224,13 +230,19 @@ class _ChatHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
+    def handle_one_request(self):
+        try:
+            super().handle_one_request()
+        except ConnectionError:
+            pass  # a client that timed out has gone
+
     def log_message(self, *args):
         pass
 
 
 @pytest.fixture
 def chat_server():
-    server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _ChatHandler.script = []
@@ -282,6 +294,25 @@ class TestRemoteProposer:
         resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3), timeout=0)
         assert resp.kind == "unparseable"
         assert _ChatHandler.seen == []
+
+    def test_retries_share_one_deadline(self, chat_server, triangle):
+        # each attempt used to get the full budget, then a backoff: 4.5 s in all
+        _ChatHandler.script = [(200, "(A 1)\n(B 2)\n(C 3)", 1.5)] * 3
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=2)
+        start = time.monotonic()
+        resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3), timeout=1.0)
+        assert time.monotonic() - start < 1.3
+        assert resp.kind == "unparseable"
+        assert "Timeout" in resp.error
+
+    def test_backoff_is_clipped_to_the_deadline(self, chat_server, triangle):
+        _ChatHandler.script = [(500, ""), (500, ""), (500, "")]
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=2)
+        start = time.monotonic()
+        resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3), timeout=0.3)
+        assert time.monotonic() - start < 0.45  # the first backoff alone is 0.5 s
+        assert "HTTPError" in resp.error
+        assert len(_ChatHandler.seen) == 1  # no attempt starts once the time is spent
 
     def test_not_solvable_reply(self, chat_server, triangle):
         _ChatHandler.script = [(200, "NOT SOLVABLE")]
