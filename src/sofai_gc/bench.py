@@ -46,6 +46,9 @@ SOLVERS = (
     "MC-S1-I5",
 )
 
+# Roster ids whose presets neither read nor write episodic memory.
+MEMORYLESS = ("S2", "SOFAI-v1")
+
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import SOLVERS, RunConfig, aggregate, load_results, report, run_benchmark, solve
+from .bench import MEMORYLESS, SOLVERS, RunConfig, aggregate, load_results, report, run_benchmark, solve
 from .generate import GenSpec, build_dataset, write_dataset
 from .graphs import parse_dimacs_instance
 from .memory import MemoryStore
@@ -50,6 +50,19 @@ def _proposer_config(args: argparse.Namespace) -> ProposerConfig:
     return cfg
 
 
+def _solver_inputs(args: argparse.Namespace) -> tuple[ProposerConfig, str | None]:
+    """The proposer config and memory path for args.solver, read only from flags it uses.
+
+    S2 runs no S1 round, so the proposer flags are neither read nor
+    checked; a memory path given to a solver that reads no memory is an
+    error rather than a silently ignored flag.
+    """
+    if args.memory and args.solver in MEMORYLESS:
+        raise SystemExit(f"--memory is not used by {args.solver}, which reads no episodic memory")
+    proposer = ProposerConfig() if args.solver == "S2" else _proposer_config(args)
+    return proposer, args.memory
+
+
 def _parse_mix(text: str) -> tuple[int, int]:
     try:
         a, b = (int(part) for part in text.split(","))
@@ -76,8 +89,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if k is None:
         raise SystemExit("no color bound: pass --k or use an instance with a 'c k' comment")
 
-    store = MemoryStore(args.memory) if args.memory else None
-    outcome, _ = solve(args.solver, graph, k, args.time_limit, _proposer_config(args), store)
+    proposer, memory = _solver_inputs(args)
+    store = MemoryStore(memory) if memory else None
+    outcome, _ = solve(args.solver, graph, k, args.time_limit, proposer, store)
     if outcome.is_sat:
         for v in graph.vertices:
             print(f"({v} {outcome.assignment[v]})")
@@ -93,16 +107,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    proposer, memory = _solver_inputs(args)
     cfg = RunConfig(
         solver=args.solver,
         dataset=args.dataset,
         time_limit=args.time_limit,
         trials=args.trials,
         workers=args.workers,
-        proposer=_proposer_config(args),
+        proposer=proposer,
         out=args.out,
         seed=args.seed,
-        memory_path=args.memory,
+        memory_path=memory,
     )
     results = run_benchmark(cfg)
     correct = sum(1 for r in results if r.correct)
@@ -147,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--instance", required=True, help="DIMACS-style instance file")
     solve.add_argument("--k", type=int, help="color bound (default: the instance's 'c k' comment)")
     solve.add_argument("--time-limit", type=float, default=200.0)
-    solve.add_argument("--memory", help="episodic memory JSONL path")
+    solve.add_argument("--memory", help="episodic memory JSONL path (not for S2 or SOFAI-v1)")
     _add_proposer_args(solve)
     solve.set_defaults(func=_cmd_solve)
 
@@ -158,7 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trials", type=int, default=3)
     bench.add_argument("--workers", type=int, help="parallel workers (default: cores - 1)")
     bench.add_argument("--out", help="trial results JSONL path (default: print to stdout)")
-    bench.add_argument("--memory", help="shared episodic memory path (forces sequential run)")
+    bench.add_argument(
+        "--memory", help="shared episodic memory path (forces sequential run; not for S2 or SOFAI-v1)"
+    )
     _add_proposer_args(bench)
     bench.set_defaults(func=_cmd_bench)
 

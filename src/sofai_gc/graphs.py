@@ -3,6 +3,11 @@
 Everything else in the package is built on the value types here: an
 immutable labeled graph, partial color assignments, conflict detection,
 and the correctness verdict used to accept or reject proposed colorings.
+
+A graph is validated once, when the `Graph` is built, in the same pass
+that builds its neighbour sets.  The DIMACS parser checks only the text's
+own structure and leaves the edges to `Graph`, adding the line number to
+the error for the edge it rejects.
 """
 
 from __future__ import annotations
@@ -23,13 +28,25 @@ class DimacsError(ValueError):
     """Malformed DIMACS-style text."""
 
 
+class _EdgeError(ValueError):
+    """A bad edge in a Graph; `index` is its position in `edges`, so a parser can name its line."""
+
+    def __init__(self, adj: Mapping[str, set[str]], message: str) -> None:
+        super().__init__(message)
+        # Every edge before the bad one is in adj, once from each end; the
+        # count is paid only on this error path, not per edge.
+        self.index = sum(map(len, adj.values())) // 2
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected simple graph with labeled vertices.
 
     Vertex order is stable (source or generator order) and edges keep
     their insertion order and endpoint orientation; equality compares
-    both tuples, so a parse/serialize round trip is exact.
+    both tuples, so a parse/serialize round trip is exact.  Building one
+    rejects duplicate vertex labels, self-loops, duplicate edges in either
+    orientation and edges to unknown vertices, raising ValueError.
     """
 
     vertices: tuple[str, ...]
@@ -37,23 +54,23 @@ class Graph:
     adjacency: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.vertices)) != len(self.vertices):
+        # One pass builds the neighbour sets and validates each edge against
+        # them: an edge is a duplicate, in either orientation, exactly when
+        # one endpoint is already a neighbour of the other.
+        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
+        if len(adj) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
-        vset = set(self.vertices)
-        seen: set[frozenset[str]] = set()
         for u, v in self.edges:
             if u == v:
-                raise ValueError(f"self-loop at vertex {u!r}")
-            if u not in vset or v not in vset:
-                raise ValueError(f"edge ({u!r}, {v!r}) references unknown vertex")
-            key = frozenset((u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge ({u!r}, {v!r})")
-            seen.add(key)
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
+                raise _EdgeError(adj, f"self-loop at vertex {u!r}")
+            nu = adj.get(u)
+            nv = adj.get(v)
+            if nu is None or nv is None:
+                raise _EdgeError(adj, f"edge ({u!r}, {v!r}) references unknown vertex")
+            if v in nu:
+                raise _EdgeError(adj, f"duplicate edge ({u!r}, {v!r})")
+            nu.add(v)
+            nv.add(u)
         object.__setattr__(self, "adjacency", {v: frozenset(ns) for v, ns in adj.items()})
 
     @property
@@ -68,6 +85,15 @@ class Graph:
     def edge_text(self) -> str:
         """The `e u v` line of every edge, in edge order; built once per graph."""
         return "\n".join(f"e {u} {v}" for u, v in self.edges)
+
+    @cached_property
+    def needs_vertices_comment(self) -> bool:
+        """Whether DIMACS text needs a `c vertices` line to recover `vertices`; decided once per graph.
+
+        It does when the edge lines alone would give another vertex list:
+        isolated vertices, or an order other than first appearance in `edges`.
+        """
+        return _first_appearance(self.edges) != self.vertices
 
     def degree(self, v: str) -> int:
         return len(self.adjacency[v])
@@ -176,11 +202,13 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
     vertex list is taken from a `c vertices ...` comment when present;
     otherwise from edge-endpoint first-appearance order; otherwise, for
     classic integer instances with isolated vertices, it is filled in as
-    1..nv.
+    1..nv.  Self-loops, duplicate edges and endpoints missing from a
+    `c vertices` list are rejected by `Graph`; the DimacsError names the
+    offending edge's line.
     """
     counts: tuple[int, int] | None = None
     edges: list[tuple[str, str]] = []
-    seen_edges: set[frozenset[str]] = set()
+    edge_lines: list[int] = []
     declared: list[str] | None = None
     k: int | None = None
     label: str | None = None
@@ -215,14 +243,8 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
                 raise DimacsError(f"line {lineno}: edge line before problem line")
             if len(tokens) != 3:
                 raise DimacsError(f"line {lineno}: expected 'e <u> <v>'")
-            u, v = tokens[1], tokens[2]
-            if u == v:
-                raise DimacsError(f"line {lineno}: self-loop at {u!r}")
-            key = frozenset((u, v))
-            if key in seen_edges:
-                raise DimacsError(f"line {lineno}: duplicate edge ({u!r}, {v!r})")
-            seen_edges.add(key)
-            edges.append((u, v))
+            edges.append((tokens[1], tokens[2]))
+            edge_lines.append(lineno)
         else:
             raise DimacsError(f"line {lineno}: unrecognized line {raw!r}")
 
@@ -232,26 +254,26 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
     if len(edges) != ne:
         raise DimacsError(f"problem line declares {ne} edges, found {len(edges)}")
 
-    endpoints = _first_appearance(edges)
     if declared is not None:
         if len(declared) != nv:
             raise DimacsError(f"problem line declares {nv} vertices, 'c vertices' lists {len(declared)}")
-        missing = set(endpoints) - set(declared)
-        if missing:
-            raise DimacsError(f"edge endpoints not in 'c vertices' list: {sorted(missing)}")
         vertices = tuple(declared)
-    elif len(endpoints) == nv:
-        vertices = endpoints
-    elif len(endpoints) < nv and all(
-        _INT_RE.match(t) and t == str(int(t)) and 1 <= int(t) <= nv for t in endpoints
-    ):
-        # Classic integer DIMACS: isolated vertices are implied by the header.
-        vertices = tuple(str(i) for i in range(1, nv + 1))
     else:
-        raise DimacsError(f"problem line declares {nv} vertices, edges mention {len(endpoints)}")
+        endpoints = _first_appearance(edges)
+        if len(endpoints) == nv:
+            vertices = endpoints
+        elif len(endpoints) < nv and all(
+            _INT_RE.match(t) and t == str(int(t)) and 1 <= int(t) <= nv for t in endpoints
+        ):
+            # Classic integer DIMACS: isolated vertices are implied by the header.
+            vertices = tuple(str(i) for i in range(1, nv + 1))
+        else:
+            raise DimacsError(f"problem line declares {nv} vertices, edges mention {len(endpoints)}")
 
     try:
         graph = Graph(vertices, tuple(edges))
+    except _EdgeError as exc:
+        raise DimacsError(f"line {edge_lines[exc.index]}: {exc}") from None
     except ValueError as exc:
         raise DimacsError(str(exc)) from None
     return graph, k, label
@@ -274,7 +296,7 @@ def serialize_dimacs(graph: Graph, k: int | None = None, label: str | None = Non
         if label not in _LABELS:
             raise ValueError(f"label must be one of {_LABELS}, got {label!r}")
         lines.append(f"c label {label}")
-    if graph.vertices and _first_appearance(graph.edges) != graph.vertices:
+    if graph.needs_vertices_comment:
         lines.append("c vertices " + " ".join(graph.vertices))
     lines.append(f"p edge {len(graph.vertices)} {len(graph.edges)}")
     if graph.edges:

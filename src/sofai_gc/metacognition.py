@@ -81,8 +81,9 @@ def generate_example(graph: Graph) -> PromptExample:
     """
     if not graph.vertices:
         raise ValueError("graph must have at least one vertex")
-    ranked = sorted(enumerate(graph.vertices), key=lambda iv: (-graph.degree(iv[1]), iv[0]))
-    sub = graph.induced_subgraph(v for _, v in ranked[:3])
+    # A stable sort keeps vertex order among equal degrees.
+    ranked = sorted(graph.vertices, key=graph.degree, reverse=True)
+    sub = graph.induced_subgraph(ranked[:3])
     coloring: ColorAssignment = {}
     for v in sub.vertices:
         used = {coloring[u] for u in sub.adjacency[v] if u in coloring}
@@ -158,7 +159,7 @@ class IterationRecord:
     feedback: tuple[str, ...]
     signature: Optional[tuple]
     elapsed: float
-    conflict_subgraph: Optional[Graph] = None
+    conflict_vertices: frozenset[str] = frozenset()  # endpoints of the round's conflicting edges
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,7 @@ def _run(
         # does: every edge unsatisfied, unless there are none.
         score = float(not graph.edges)
         signature = (response.kind,)
-        conflict_subgraph = None
+        conflict_vertices: frozenset[str] = frozenset()
         if response.is_assignment:
             v = verdict(graph, response.assignment, k)
             score = float(v.score)
@@ -228,8 +229,7 @@ def _run(
                 iterations.append(IterationRecord(t, "assignment", score, (), None, elapsed))
                 outcome = SolveOutcome.sat(response.assignment)
                 break
-            conflict_vertices = {u for c in v.conflicts for u in (c.u, c.v)}
-            conflict_subgraph = graph.induced_subgraph(conflict_vertices)
+            conflict_vertices = frozenset(u for c in v.conflicts for u in (c.u, c.v))
             messages = tuple(item.message for item in _feedback(v, k))
             signature = _conflict_signature(v.conflicts)
             attempt_text = format_assignment(response.assignment, graph.vertices)
@@ -248,7 +248,7 @@ def _run(
         trend.record(score, signature)
         history.append((attempt_text, messages))
         iterations.append(
-            IterationRecord(t, response.kind, score, messages, signature, elapsed, conflict_subgraph)
+            IterationRecord(t, response.kind, score, messages, signature, elapsed, conflict_vertices)
         )
         if time.monotonic() >= deadline:
             outcome = SolveOutcome.timeout()

@@ -76,6 +76,13 @@ class TestSolve:
         assert cfg.kind == "remote"
         assert cfg.endpoint == "http://127.0.0.1:1/v1"
 
+    def test_s2_reads_no_proposer_flags(self, dataset_dir, monkeypatch, capsys):
+        monkeypatch.delenv("S1_ENDPOINT", raising=False)
+        sat_file = dataset_dir / "instances" / "er_n5_p0.5_0000.col"
+        rc = main(["solve", "--solver", "S2", "--proposer", "remote", "--instance", str(sat_file)])
+        assert rc == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 5
+
     def test_unknown_solver_rejected(self, dataset_dir):
         with pytest.raises(SystemExit):
             main(["solve", "--solver", "S9", "--instance", "x.col"])
@@ -89,6 +96,21 @@ class TestSolve:
                    "--time-limit", "0.2"])
         assert rc == 2
         assert capsys.readouterr().out.strip() == "TIMEOUT"
+
+
+@pytest.mark.parametrize("solver", ["S2", "SOFAI-v1"])
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_memory_flag_rejected_for_solvers_without_memory(command, solver, dataset_dir, tmp_path):
+    memory = tmp_path / "memory.jsonl"
+    target = (
+        ["--instance", str(dataset_dir / "instances" / "er_n5_p0.5_0000.col")]
+        if command == "solve"
+        else ["--dataset", str(dataset_dir), "--trials", "1", "--workers", "1"]
+    )
+    with pytest.raises(SystemExit, match=f"--memory is not used by {solver}") as exc:
+        main([command, "--solver", solver, "--memory", str(memory), *target])
+    assert "\n" not in str(exc.value.code)
+    assert not memory.exists()
 
 
 class TestBenchAndReport:
@@ -114,10 +136,12 @@ class TestBenchAndReport:
         csv_text = capsys.readouterr().out
         assert csv_text.startswith("n,p,mix,solver,")
 
-    def test_bench_stdout_when_no_out(self, dataset_dir, capsys):
+    def test_bench_stdout_when_no_out(self, dataset_dir, capsys, monkeypatch):
+        monkeypatch.delenv("S1_ENDPOINT", raising=False)
         rc = main([
             "bench", "--dataset", str(dataset_dir), "--solver", "S2",
             "--time-limit", "30", "--trials", "1", "--workers", "1",
+            "--proposer", "remote",  # read by no S2 trial, so not an error
         ])
         assert rc == 0
         out = capsys.readouterr().out

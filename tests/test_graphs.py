@@ -19,6 +19,16 @@ from oracles import conflicts_by_edge_enumeration, score_by_edge_enumeration
 from strategies import er_graphs, graphs_with_assignments
 
 
+class _CountingEdges(tuple):
+    """An edge tuple that counts how often it is iterated."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
 class TestGraphConstruction:
     def test_adjacency_is_symmetric(self, fig2_graph):
         assert fig2_graph.adjacency["A"] == frozenset({"B", "C"})
@@ -38,6 +48,12 @@ class TestGraphConstruction:
     def test_rejects_unknown_endpoint(self):
         with pytest.raises(ValueError, match="unknown vertex"):
             Graph(("A",), (("A", "B"),))
+
+    def test_built_in_one_pass_over_the_edges(self, fig2_graph):
+        edges = _CountingEdges(fig2_graph.edges)
+        graph = Graph(fig2_graph.vertices, edges)
+        assert edges.walks == 1
+        assert graph.adjacency == fig2_graph.adjacency
 
     def test_rejects_duplicate_vertices(self):
         with pytest.raises(ValueError, match="duplicate vertex"):
@@ -122,6 +138,25 @@ class TestParseDimacs:
         with pytest.raises(DimacsError, match="duplicate edge"):
             parse_dimacs("p edge 2 2\ne A B\ne B A")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p edge 2 2\ne A B\ne A B", "line 3: duplicate edge ('A', 'B')"),
+            ("p edge 2 2\ne A B\ne B A", "line 3: duplicate edge ('B', 'A')"),
+            ("p edge 2 2\ne A B\ne B B", "line 3: self-loop at vertex 'B'"),
+            ("c vertices A B\np edge 2 1\ne A Z", "line 3: edge ('A', 'Z') references unknown vertex"),
+            # blank and comment lines are counted too
+            (
+                "c vertices A B C\n\np edge 3 3\ne A B\nc note\ne C A\ne A B",
+                "line 7: duplicate edge ('A', 'B')",
+            ),
+        ],
+    )
+    def test_bad_edge_names_its_line(self, text, message):
+        with pytest.raises(DimacsError) as exc:
+            parse_dimacs(text)
+        assert str(exc.value) == message
+
     def test_bad_arity(self):
         with pytest.raises(DimacsError, match="expected 'e <u> <v>'"):
             parse_dimacs("p edge 2 1\ne A B C")
@@ -162,6 +197,26 @@ class TestSerializeDimacs:
     @given(er_graphs())
     def test_round_trip_property(self, graph):
         assert parse_dimacs(serialize_dimacs(graph)) == graph
+
+    @settings(max_examples=150)
+    @given(er_graphs(), st.integers(0, 3), st.randoms(use_true_random=False))
+    def test_round_trip_with_permuted_vertices_and_isolates(self, graph, isolates, rng):
+        vertices = list(graph.vertices) + [f"iso{i}" for i in range(isolates)]
+        rng.shuffle(vertices)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges]
+        rng.shuffle(edges)
+        shuffled = Graph(tuple(vertices), tuple(edges))
+        assert parse_dimacs(serialize_dimacs(shuffled)) == shuffled
+        assert parse_dimacs_instance(serialize_dimacs(shuffled, k=2, label="SAT")) == (shuffled, 2, "SAT")
+
+    def test_second_serialization_walks_no_edges(self, fig2_graph):
+        edges = _CountingEdges(fig2_graph.edges[::-1])  # edge order differs from vertex order
+        graph = Graph(fig2_graph.vertices, edges)
+        first = serialize_dimacs(graph)
+        walks = edges.walks
+        assert serialize_dimacs(graph, k=3) == "c k 3\n" + first
+        assert edges.walks == walks
+        assert first.startswith("c vertices A B C D E\n")
 
 
 class TestDetectConflicts:

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import myciel
+from strategies import er_graphs
 from sofai_gc import (
     Graph,
     EpisodicRecord,
@@ -96,6 +99,33 @@ class TestGenerateExample:
         ex = generate_example(petersen)
         assert len(ex.graph.vertices) == 3
         assert verdict(ex.graph, ex.solution, max(ex.solution.values())).valid
+
+    @settings(max_examples=150)
+    @given(er_graphs(min_n=1), st.randoms(use_true_random=False))
+    def test_matches_a_rank_by_degree_then_position(self, graph, rng):
+        # Permuting the vertex list puts degree ties out of label order.
+        order = list(graph.vertices)
+        rng.shuffle(order)
+        graph = Graph(tuple(order), graph.edges)
+        ranked = sorted(enumerate(graph.vertices), key=lambda iv: (-graph.degree(iv[1]), iv[0]))
+        sub = graph.induced_subgraph(v for _, v in ranked[:3])
+        coloring = {}
+        for v in sub.vertices:
+            used = {coloring[u] for u in sub.adjacency[v] if u in coloring}
+            coloring[v] = min(set(range(1, len(used) + 2)) - used)
+        ex = generate_example(graph)
+        assert ex.graph == sub and ex.solution == coloring
+        assert ex.render() == PromptExample(sub, coloring).render()
+
+    def test_degree_ties_keep_vertex_order(self):
+        # Every vertex of a 6-cycle has degree 2: the example is the first three listed.
+        edges = (("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "F"), ("F", "A"))
+        ex = generate_example(Graph(tuple("FBDACE"), edges))
+        assert ex.graph == Graph(("F", "B", "D"), ())
+        assert ex.render() == (
+            "Problem:\nc vertices F B D\np edge 3 0\n\n"
+            "Correct Solution:\n(F 1)\n(B 1)\n(D 1)\n\nEnd of Example"
+        )
 
     def test_prompt_example_renders_fig_block(self, fig2_graph):
         rendered = generate_example(fig2_graph).render()
@@ -261,19 +291,19 @@ class TestSofaiV2:
         assert trace.iterations[0].feedback == (NOT_SOLVABLE_REJECTED_MESSAGE,)
         assert trace.iterations[0].signature == ("not_solvable",)
 
-    def test_conflict_subgraph_recorded(self):
+    def test_conflict_vertices_recorded(self):
         # noisy proposals at k=2 on an odd cycle produce conflicts
         c5 = Graph(tuple("ABCDE"), (("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "A")))
         noisy = ProposerConfig(kind="mock", noise=1.0, seed=3)
         _, trace = solve_sofai_v2(c5, 2, cfg_with(noisy))
         with_conflicts = [
-            it for it in trace.iterations if it.kind == "assignment" and it.conflict_subgraph
+            it for it in trace.iterations if it.kind == "assignment" and it.conflict_vertices
         ]
         assert with_conflicts
         for it in with_conflicts:
-            endpoints = {v for e in it.conflict_subgraph.edges for v in e}
-            assert set(it.conflict_subgraph.vertices) <= set(c5.vertices)
-            assert endpoints  # induced by actual conflict endpoints
+            assert it.conflict_vertices <= set(c5.vertices)
+            # exactly the endpoints of the conflicting edges the round's feedback named
+            assert it.conflict_vertices == {v for edge in it.signature[1] for v in edge}
 
     def test_one_verdict_per_assignment_round(self, monkeypatch):
         import sofai_gc.metacognition as metacognition
