@@ -14,7 +14,6 @@ from .graphs import (
     DimacsError,
     Graph,
     Verdict,
-    detect_conflicts,
     parse_dimacs,
     parse_dimacs_instance,
     serialize_dimacs,
@@ -36,11 +35,11 @@ from .metacognition import (
     IterationRecord,
     OrchestratorConfig,
     SolveTrace,
-    TrendState,
     escalation_rule,
     format_feedback,
     generate_example,
     solve_mc_s1_iN,
+    solve_s1,
     solve_sofai_v1,
     solve_sofai_v2,
 )
@@ -94,14 +93,12 @@ __all__ = [
     "SOLVERS",
     "SolveOutcome",
     "SolveTrace",
-    "TrendState",
     "TrialResult",
     "Verdict",
     "aggregate",
     "build_dataset",
     "chromatic_number",
     "derive_seed",
-    "detect_conflicts",
     "escalation_rule",
     "format_feedback",
     "gen_erdos_renyi",
@@ -118,6 +115,7 @@ __all__ = [
     "serialize_dimacs",
     "solve_decision",
     "solve_mc_s1_iN",
+    "solve_s1",
     "solve_sofai_v1",
     "solve_sofai_v2",
     "update_memory",

@@ -16,38 +16,33 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .dsatur import SolveOutcome
 from .generate import InstanceRecord, load_dataset, read_manifest_meta
 from .graphs import Graph
 from .memory import MemoryStore
 from .metacognition import (
+    MAX_ROUNDS,
     OrchestratorConfig,
     SolveTrace,
     solve_mc_s1_iN,
+    solve_s1,
     solve_s2,
     solve_sofai_v1,
     solve_sofai_v2,
 )
 from .proposer import ProposerConfig
 
-SOLVERS = (
-    "S1",
-    "S2",
-    "SOFAI-v1",
-    "SOFAI-v2",
-    "MC-S1-I1",
-    "MC-S1-I2",
-    "MC-S1-I3",
-    "MC-S1-I4",
-    "MC-S1-I5",
-)
+# MC-S1-IN runs for every N up to the budget that SOFAI-v2 has.
+SOLVERS = ("S1", "S2", "SOFAI-v1", "SOFAI-v2", *(f"MC-S1-I{n}" for n in range(1, MAX_ROUNDS + 1)))
 
-# Roster ids whose presets neither read nor write episodic memory.
+# Roster ids whose presets neither read nor write episodic memory; a memory path for one is an error.
 MEMORYLESS = ("S2", "SOFAI-v1")
+MEMORYLESS_ERROR = "--memory is not used by {solver}, which reads no episodic memory"
 
 
 @dataclass(frozen=True)
@@ -71,6 +66,8 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.memory_path and self.solver in MEMORYLESS:
+            raise ValueError(MEMORYLESS_ERROR.format(solver=self.solver))
 
 
 @dataclass(frozen=True)
@@ -121,24 +118,17 @@ def solve(
     The presets are looked up in this module's globals on each call, so a
     caller may swap one of them (for example to check every answer).
     """
-    cfg = OrchestratorConfig(
-        proposer=proposer,
-        time_limit=time_limit,
-        store=store,
-        # A standalone proposer's UNSAT declaration is its final answer;
-        # the orchestrated modes leave certification to the exact solver.
-        accept_s1_unsat=(solver == "S1"),
-    )
+    cfg = OrchestratorConfig(proposer=proposer, time_limit=time_limit, store=store)
     if solver == "S2":
         return solve_s2(graph, k, cfg)
     if solver == "S1":
-        return solve_mc_s1_iN(graph, k, cfg, 1)
+        return solve_s1(graph, k, cfg)
     if solver == "SOFAI-v1":
         return solve_sofai_v1(graph, k, cfg)
     if solver == "SOFAI-v2":
         return solve_sofai_v2(graph, k, cfg)
     if solver.startswith("MC-S1-I"):
-        return solve_mc_s1_iN(graph, k, cfg, int(solver[-1]))
+        return solve_mc_s1_iN(graph, k, cfg, int(solver.removeprefix("MC-S1-I")))
     raise ValueError(f"unknown solver {solver!r}")
 
 
@@ -184,6 +174,16 @@ def _run_trial(job: _Trial) -> TrialResult:
     )
 
 
+def _finished(jobs: list[_Trial], workers: int) -> Iterator[TrialResult]:
+    """Each trial's result as it finishes: in job order on one worker, else from a process pool."""
+    if workers == 1:
+        yield from map(_run_trial, jobs)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for fut in as_completed([pool.submit(_run_trial, job) for job in jobs]):
+            yield fut.result()
+
+
 def run_benchmark(cfg: RunConfig) -> list[TrialResult]:
     """Run cfg.trials trials of cfg.solver on every dataset instance.
 
@@ -216,28 +216,13 @@ def run_benchmark(cfg: RunConfig) -> list[TrialResult]:
     if store is not None:
         workers = 1
 
-    sink = open(cfg.out, "w") if cfg.out else None
     results: list[TrialResult] = []
-    try:
-        if workers == 1:
-            for job in jobs:
-                result = _run_trial(job)
-                results.append(result)
-                if sink:
-                    sink.write(result.to_json() + "\n")
-                    sink.flush()
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_trial, job) for job in jobs]
-                for fut in as_completed(futures):
-                    result = fut.result()
-                    results.append(result)
-                    if sink:
-                        sink.write(result.to_json() + "\n")
-                        sink.flush()
-    finally:
-        if sink:
-            sink.close()
+    with open(cfg.out, "w") if cfg.out else nullcontext() as sink:
+        for result in _finished(jobs, workers):
+            results.append(result)
+            if sink:
+                sink.write(result.to_json() + "\n")
+                sink.flush()
     results.sort(key=lambda r: (r.instance_id, r.trial))
     return results
 
@@ -253,16 +238,14 @@ class AggregateRow:
     instances: int
 
 
-def aggregate(results: Sequence[TrialResult], policy: str = "best-of-n") -> list[AggregateRow]:
-    """Fold trial results into per-cell success rates and solve times.
+def aggregate(results: Sequence[TrialResult]) -> list[AggregateRow]:
+    """Fold trial results into per-cell success rates and solve times, best-of-n.
 
-    best-of-n: an instance succeeds if any trial was correct, and its
+    An instance succeeds if any trial was correct, and its
     time is the minimum over its correct trials.  Cell success rate is
     the percentage of its instances that succeeded; average time is over
     succeeding instances only (None when there are none).
     """
-    if policy != "best-of-n":
-        raise ValueError(f"unknown aggregation policy {policy!r}")
     if not results:
         raise ValueError("results must be nonempty")
     by_instance: dict[tuple[str, str], list[TrialResult]] = {}

@@ -6,7 +6,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import MEMORYLESS, SOLVERS, RunConfig, aggregate, load_results, report, run_benchmark, solve
+from .bench import (
+    MEMORYLESS, MEMORYLESS_ERROR, SOLVERS, RunConfig, aggregate, load_results, report, run_benchmark, solve,
+)
 from .generate import GenSpec, build_dataset, write_dataset
 from .graphs import parse_dimacs_instance
 from .memory import MemoryStore
@@ -58,7 +60,7 @@ def _solver_inputs(args: argparse.Namespace) -> tuple[ProposerConfig, str | None
     error rather than a silently ignored flag.
     """
     if args.memory and args.solver in MEMORYLESS:
-        raise SystemExit(f"--memory is not used by {args.solver}, which reads no episodic memory")
+        raise SystemExit(MEMORYLESS_ERROR.format(solver=args.solver))
     proposer = ProposerConfig() if args.solver == "S2" else _proposer_config(args)
     return proposer, args.memory
 

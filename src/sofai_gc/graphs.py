@@ -1,8 +1,8 @@
 """Graph types, DIMACS-style parsing/serialization, and coloring verification.
 
 Everything else in the package is built on the value types here: an
-immutable labeled graph, partial color assignments, conflict detection,
-and the correctness verdict used to accept or reject proposed colorings.
+immutable labeled graph, partial color assignments, and the correctness
+verdict used to accept or reject proposed colorings.
 
 A graph is validated once, when the `Graph` is built, in the same pass
 that builds its neighbour sets.  The DIMACS parser checks only the text's
@@ -125,7 +125,9 @@ class Verdict:
     `score` is the fraction of edges whose two endpoints are assigned and
     differently colored; an edge with an unassigned endpoint counts as
     violated, so score 1 on a nonempty graph implies a full proper
-    coloring.  `valid` additionally requires the color budget to hold.
+    coloring.  `conflicts` are the edges whose endpoints are both assigned
+    and share a color, in edge order.  `valid` additionally requires the
+    color budget to hold.
     """
 
     score: Fraction
@@ -141,15 +143,6 @@ def _check_assignment(graph: Graph, assignment: Mapping[str, int]) -> None:
             raise ValueError(f"assignment references unknown vertex {v!r}")
         if not isinstance(c, int) or c < 1:
             raise ValueError(f"color for vertex {v!r} must be an integer >= 1, got {c!r}")
-
-
-def detect_conflicts(graph: Graph, assignment: Mapping[str, int]) -> list[Conflict]:
-    """Edges whose endpoints are both assigned and share a color, in edge order.
-
-    Edges with an unassigned endpoint are not conflicts; they surface
-    through the verdict's `complete` flag instead.
-    """
-    return list(verdict(graph, assignment, 1).conflicts)
 
 
 def verdict(graph: Graph, assignment: Mapping[str, int], k: int) -> Verdict:

@@ -5,14 +5,15 @@ subgraph examples, tracks improvement trends, and decides when to stop
 trusting the fast path and hand the instance to the exact solver.  There
 is one loop, _run; the entry points are presets of it: solve_sofai_v2
 (full loop), solve_sofai_v1 (one shot then fallback), solve_mc_s1_iN
-(capped loop, no fallback) and solve_s2 (no S1 rounds).
+(capped loop, no fallback), solve_s1 (one round, its NOT SOLVABLE final)
+and solve_s2 (no S1 rounds).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .dsatur import SolveOutcome, solve_decision
 from .graphs import ColorAssignment, Conflict, Graph, Verdict, verdict
@@ -36,6 +37,9 @@ NOT_SOLVABLE_REJECTED_MESSAGE = (
     "Error: The problem has not been proven unsolvable. "
     "Provide a color assignment using the format (Vertex Color)."
 )
+
+# The paper's T: SOFAI-v2's budget of S1 rounds, and the largest N of MC-S1-IN.
+MAX_ROUNDS = 5
 
 
 @dataclass(frozen=True)
@@ -94,35 +98,6 @@ def generate_example(graph: Graph) -> PromptExample:
     return PromptExample(sub, coloring)
 
 
-@dataclass
-class TrendState:
-    """Per-iteration correctness scores and feedback signatures, in order."""
-
-    scores: list[float] = field(default_factory=list)
-    signatures: list[tuple] = field(default_factory=list)
-
-    def record(self, score: float, signature: tuple) -> None:
-        self.scores.append(score)
-        self.signatures.append(signature)
-
-
-def escalation_rule(trend: TrendState, t: int, T: int) -> bool:
-    """Stop iterating S1 when the budget is spent or progress has stalled.
-
-    Fires at t >= T, on no strict score improvement between the last two
-    iterations, or on two identical consecutive feedback signatures.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if t >= T:
-        return True
-    if len(trend.scores) >= 2 and trend.scores[-1] <= trend.scores[-2]:
-        return True
-    if len(trend.signatures) >= 2 and trend.signatures[-1] == trend.signatures[-2]:
-        return True
-    return False
-
-
 def _conflict_signature(conflicts: tuple[Conflict, ...]) -> tuple:
     edges = sorted(tuple(sorted((c.u, c.v))) for c in conflicts)
     return ("conflicts", tuple(edges))
@@ -130,21 +105,13 @@ def _conflict_signature(conflicts: tuple[Conflict, ...]) -> tuple:
 
 @dataclass(frozen=True)
 class OrchestratorConfig:
-    """Loop parameters; S1 answers are accepted only as perfect colorings."""
+    """What a caller sets; a roster id's fixed facts, such as its round budget, are its preset's."""
 
     proposer: ProposerConfig = ProposerConfig()
-    max_iterations: int = 5
-    alpha: float = 0.1
-    memory_limit: int = 1
     time_limit: float = 200.0
     store: Optional[MemoryStore] = None
-    accept_s1_unsat: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
         if self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
 
@@ -162,17 +129,37 @@ class IterationRecord:
     conflict_vertices: frozenset[str] = frozenset()  # endpoints of the round's conflicting edges
 
 
+def escalation_rule(rounds: Sequence[IterationRecord], T: int) -> bool:
+    """Stop iterating S1 when the budget is spent or progress has stalled.
+
+    rounds are the failed S1 rounds so far, in order.  Fires once there
+    are T of them, when the last score is no strict improvement on the
+    one before, or when the last two feedback signatures are equal.
+    """
+    if not rounds:
+        raise ValueError("rounds must be nonempty")
+    if len(rounds) >= T:
+        return True
+    if len(rounds) < 2:
+        return False
+    prev, last = rounds[-2], rounds[-1]
+    return last.score <= prev.score or last.signature == prev.signature
+
+
 @dataclass(frozen=True)
 class SolveTrace:
     iterations: tuple[IterationRecord, ...]
     s2_invoked: bool
     source: Optional[str]  # S1 | S2 | None
-    s1_declared_unsat: bool
     total_time: float
 
     @property
     def s1_calls(self) -> int:
         return len(self.iterations)
+
+    @property
+    def s1_declared_unsat(self) -> bool:
+        return any(it.kind == "not_solvable" for it in self.iterations)
 
 
 def _run(
@@ -183,6 +170,7 @@ def _run(
     *,
     use_memory: bool,
     fallback: bool,
+    accept_unsat: bool = False,
 ) -> tuple[SolveOutcome, SolveTrace]:
     """The one metacognitive loop; every solver entry point is a preset of it.
 
@@ -190,7 +178,8 @@ def _run(
     seeds the prompt from cfg.store and records each solved instance
     there.  fallback applies the escalation rule after each failed round
     and hands an unsolved instance to S2; without it every round runs and
-    an unsolved instance ends as Failure("s1-exhausted").
+    an unsolved instance ends as Failure("s1-exhausted").  accept_unsat
+    makes S1's NOT SOLVABLE final instead of feeding back that it is unproven.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -198,12 +187,10 @@ def _run(
     deadline = start + cfg.time_limit
     store = cfg.store if use_memory else None
     proposer = make_proposer(cfg.proposer) if max_iters else None
-    hits = retrieve_memory(store, graph, k, cfg.alpha, cfg.memory_limit) if store is not None else []
+    hits = retrieve_memory(store, graph, k) if store is not None else []
     examples = [PromptExample(rec.graph, rec.solution) for rec in hits]
     history: list[tuple[str, tuple[str, ...]]] = []
-    trend = TrendState()
     iterations: list[IterationRecord] = []
-    declared_unsat = False
     outcome: Optional[SolveOutcome] = None  # set once S1 answers or time runs out
 
     for t in range(1, max_iters + 1):
@@ -234,8 +221,7 @@ def _run(
             signature = _conflict_signature(v.conflicts)
             attempt_text = format_assignment(response.assignment, graph.vertices)
         elif response.is_not_solvable:
-            declared_unsat = True
-            if cfg.accept_s1_unsat:
+            if accept_unsat:
                 iterations.append(IterationRecord(t, response.kind, score, (), signature, elapsed))
                 outcome = SolveOutcome.unsat()
                 break
@@ -245,7 +231,6 @@ def _run(
             messages = (UNPARSEABLE_MESSAGE,)
             attempt_text = response.raw or "(no response)"
 
-        trend.record(score, signature)
         history.append((attempt_text, messages))
         iterations.append(
             IterationRecord(t, response.kind, score, messages, signature, elapsed, conflict_vertices)
@@ -253,7 +238,7 @@ def _run(
         if time.monotonic() >= deadline:
             outcome = SolveOutcome.timeout()
             break
-        if fallback and escalation_rule(trend, t, max_iters):
+        if fallback and escalation_rule(iterations, max_iters):
             break
 
     source = None if outcome is None or outcome.is_timeout else "S1"
@@ -277,7 +262,6 @@ def _run(
         iterations=tuple(iterations),
         s2_invoked=s2_invoked,
         source=source,
-        s1_declared_unsat=declared_unsat,
         total_time=time.monotonic() - start,
     )
     return outcome, trace
@@ -285,7 +269,7 @@ def _run(
 
 def solve_sofai_v2(graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[SolveOutcome, SolveTrace]:
     """Full loop: memory-seeded iterative S1 with feedback, then exact fallback."""
-    return _run(graph, k, cfg, cfg.max_iterations, use_memory=True, fallback=True)
+    return _run(graph, k, cfg, MAX_ROUNDS, use_memory=True, fallback=True)
 
 
 def solve_sofai_v1(graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[SolveOutcome, SolveTrace]:
@@ -301,9 +285,17 @@ def solve_mc_s1_iN(
     Runs all N rounds even when the trend has stalled (there is no S2 to
     escalate to), and reports Failure("s1-exhausted") if none succeeded.
     """
-    if not 1 <= n_iterations <= cfg.max_iterations:
-        raise ValueError(f"n_iterations must be in 1..{cfg.max_iterations}")
+    if not 1 <= n_iterations <= MAX_ROUNDS:
+        raise ValueError(f"n_iterations must be in 1..{MAX_ROUNDS}")
     return _run(graph, k, cfg, n_iterations, use_memory=True, fallback=False)
+
+
+def solve_s1(graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[SolveOutcome, SolveTrace]:
+    """The proposer alone: one memory-seeded round, no fallback, its NOT SOLVABLE final.
+
+    The other presets leave certifying UNSAT to the exact solver.
+    """
+    return _run(graph, k, cfg, 1, use_memory=True, fallback=False, accept_unsat=True)
 
 
 def solve_s2(graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[SolveOutcome, SolveTrace]:

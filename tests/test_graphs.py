@@ -8,7 +8,6 @@ from sofai_gc import (
     Conflict,
     DimacsError,
     Graph,
-    detect_conflicts,
     parse_dimacs,
     parse_dimacs_instance,
     serialize_dimacs,
@@ -220,20 +219,24 @@ class TestSerializeDimacs:
 
 
 class TestDetectConflicts:
+    """Conflict detection is verdict(...).conflicts."""
+
     def test_worked_example(self, fig2_graph):
-        conflicts = detect_conflicts(fig2_graph, {"A": 1, "B": 1, "C": 2, "D": 2, "E": 1})
-        assert conflicts == [Conflict("A", "B", 1), Conflict("C", "D", 2)]
+        conflicts = verdict(fig2_graph, {"A": 1, "B": 1, "C": 2, "D": 2, "E": 1}, 2).conflicts
+        assert conflicts == (Conflict("A", "B", 1), Conflict("C", "D", 2))
 
     def test_partial_assignment_edges_not_conflicts(self, triangle):
-        assert detect_conflicts(triangle, {"A": 1}) == []
+        v = verdict(triangle, {"A": 1, "B": 1}, 1)
+        assert v.conflicts == (Conflict("A", "B", 1),)  # edges to C, unassigned, are not conflicts
+        assert verdict(triangle, {"A": 1}, 1).conflicts == ()
 
     def test_unknown_vertex_rejected(self, triangle):
         with pytest.raises(ValueError, match="unknown vertex"):
-            detect_conflicts(triangle, {"Z": 1})
+            verdict(triangle, {"Z": 1}, 1)
 
     def test_bad_color_rejected(self, triangle):
         with pytest.raises(ValueError, match="integer >= 1"):
-            detect_conflicts(triangle, {"A": 0})
+            verdict(triangle, {"A": 0}, 1)
 
 
 class TestVerdict:

@@ -1,7 +1,8 @@
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import myciel
@@ -12,14 +13,15 @@ from sofai_gc import (
     MemoryStore,
     OrchestratorConfig,
     PromptExample,
+    IterationRecord,
     ProposerConfig,
-    TrendState,
     escalation_rule,
     format_feedback,
     gen_erdos_renyi,
     generate_example,
     solve_decision,
     solve_mc_s1_iN,
+    solve_s1,
     solve_sofai_v1,
     solve_sofai_v2,
     verdict,
@@ -27,6 +29,7 @@ from sofai_gc import (
 from sofai_gc import metacognition
 from sofai_gc.metacognition import (
     CONFLICT_TEMPLATE,
+    MAX_ROUNDS,
     NOT_SOLVABLE_REJECTED_MESSAGE,
     OVER_COLOR_TEMPLATE,
     UNPARSEABLE_MESSAGE,
@@ -146,44 +149,62 @@ class TestGenerateExample:
         assert trace.s1_calls == 2 and calls == [fig2_graph]
 
 
+def failed_round(score, signature):
+    return IterationRecord(1, "assignment", score, (), signature, 0.0)
+
+
 class TestEscalationRule:
     def test_iteration_budget(self):
-        trend = TrendState()
-        trend.record(0.5, ("conflicts", ()))
-        assert escalation_rule(trend, t=5, T=5)
-        assert not escalation_rule(trend, t=1, T=5)
+        rounds = [failed_round(0.5, ("conflicts", ()))]
+        assert escalation_rule(rounds * 5, T=5)
+        assert not escalation_rule(rounds, T=5)
 
     def test_improving_does_not_escalate(self):
-        trend = TrendState()
-        trend.record(0.5, ("conflicts", (("A", "B"),)))
-        trend.record(0.7, ("conflicts", (("C", "D"),)))
-        assert not escalation_rule(trend, t=2, T=5)
+        rounds = [
+            failed_round(0.5, ("conflicts", (("A", "B"),))),
+            failed_round(0.7, ("conflicts", (("C", "D"),))),
+        ]
+        assert not escalation_rule(rounds, T=5)
 
     def test_no_improvement_escalates(self):
-        trend = TrendState()
-        trend.record(0.5, ("conflicts", (("A", "B"),)))
-        trend.record(0.5, ("conflicts", (("C", "D"),)))
-        assert escalation_rule(trend, t=2, T=5)
+        rounds = [
+            failed_round(0.5, ("conflicts", (("A", "B"),))),
+            failed_round(0.5, ("conflicts", (("C", "D"),))),
+        ]
+        assert escalation_rule(rounds, T=5)
 
     def test_repeated_signature_escalates(self):
-        trend = TrendState()
-        trend.record(0.5, ("conflicts", (("A", "B"),)))
-        trend.record(0.9, ("conflicts", (("A", "B"),)))
-        assert escalation_rule(trend, t=2, T=5)
+        rounds = [
+            failed_round(0.5, ("conflicts", (("A", "B"),))),
+            failed_round(0.9, ("conflicts", (("A", "B"),))),
+        ]
+        assert escalation_rule(rounds, T=5)
 
-    def test_t_validation(self):
+    def test_empty_rounds_rejected(self):
         with pytest.raises(ValueError):
-            escalation_rule(TrendState(), t=0, T=5)
+            escalation_rule([], T=5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(er_graphs(min_n=2), st.integers(1, 4), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+    def test_trace_alone_explains_escalation(self, graph, k, noise, seed):
+        # A noisy SOFAI-v2 run that reaches S2: no proper prefix of its failed
+        # rounds fires the rule, and the whole trace does.
+        noisy = ProposerConfig(kind="mock", noise=noise, noise_decay=0.7, unsat_rate=0.2, seed=seed)
+        outcome, trace = solve_sofai_v2(graph, k, cfg_with(noisy))
+        assume(trace.s2_invoked and not outcome.is_timeout)
+        assert 1 <= trace.s1_calls <= MAX_ROUNDS
+        for t in range(1, trace.s1_calls):
+            assert not escalation_rule(trace.iterations[:t], MAX_ROUNDS)
+        assert escalation_rule(trace.iterations, MAX_ROUNDS)
 
 
 class TestConfigValidation:
     def test_bounds(self):
         with pytest.raises(ValueError):
-            OrchestratorConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            OrchestratorConfig(alpha=-1)
-        with pytest.raises(ValueError):
             OrchestratorConfig(time_limit=0)
+
+    def test_only_what_callers_set(self):
+        assert [f.name for f in dataclasses.fields(OrchestratorConfig)] == ["proposer", "time_limit", "store"]
 
 
 class TestSofaiV2:
@@ -260,9 +281,10 @@ class TestSofaiV2:
         assert len(store) == 1  # duplicate id rejected quietly
 
     def test_accept_s1_unsat_flag(self, fig2_graph):
-        outcome, trace = solve_sofai_v2(
-            fig2_graph, 3, cfg_with(ALWAYS_UNSAT, accept_s1_unsat=True)
-        )
+        # SOFAI-v2 rejects the declaration; only the S1 preset takes it as final.
+        _, v2_trace = solve_sofai_v2(fig2_graph, 3, cfg_with(ALWAYS_UNSAT))
+        assert v2_trace.s2_invoked
+        outcome, trace = solve_s1(fig2_graph, 3, cfg_with(ALWAYS_UNSAT))
         assert outcome.is_unsat  # declaration accepted as final
         assert not trace.s2_invoked
         assert trace.source == "S1"
@@ -395,9 +417,10 @@ class TestMcS1IN:
         assert two.is_sat and trace2.s1_calls == 2
 
     def test_accepts_declaration_when_configured(self, triangle):
-        outcome, trace = solve_mc_s1_iN(
-            triangle, 2, cfg_with(ALWAYS_UNSAT, accept_s1_unsat=True), 3
-        )
+        # MC-S1-IN feeds back every declaration; solve_s1 stops at the first.
+        capped, capped_trace = solve_mc_s1_iN(triangle, 2, cfg_with(ALWAYS_UNSAT), 3)
+        assert capped.is_failure and capped_trace.s1_calls == 3
+        outcome, trace = solve_s1(triangle, 2, cfg_with(ALWAYS_UNSAT))
         assert outcome.is_unsat
         assert trace.s1_calls == 1
 
