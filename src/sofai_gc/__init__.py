@@ -66,59 +66,3 @@ from .bench import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregateRow",
-    "ColorAssignment",
-    "Conflict",
-    "Dataset",
-    "DeadlineExceeded",
-    "DimacsError",
-    "EpisodicRecord",
-    "FeedbackItem",
-    "GenSpec",
-    "Graph",
-    "InstanceRecord",
-    "IterationRecord",
-    "MemoryRejected",
-    "MemoryStore",
-    "MockProposer",
-    "OrchestratorConfig",
-    "Prompt",
-    "PromptExample",
-    "ProposerConfig",
-    "ProposerResponse",
-    "RemoteProposer",
-    "RunConfig",
-    "SOLVERS",
-    "SolveOutcome",
-    "SolveTrace",
-    "TrialResult",
-    "Verdict",
-    "aggregate",
-    "build_dataset",
-    "chromatic_number",
-    "derive_seed",
-    "escalation_rule",
-    "format_feedback",
-    "gen_erdos_renyi",
-    "generate_example",
-    "load_dataset",
-    "make_proposer",
-    "parse_dimacs",
-    "parse_dimacs_instance",
-    "parse_response",
-    "render_prompt",
-    "report",
-    "retrieve_memory",
-    "run_benchmark",
-    "serialize_dimacs",
-    "solve_decision",
-    "solve_mc_s1_iN",
-    "solve_s1",
-    "solve_sofai_v1",
-    "solve_sofai_v2",
-    "update_memory",
-    "verdict",
-    "write_dataset",
-]

@@ -105,20 +105,12 @@ def derive_seed(root_seed: int, instance_id: str, trial: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def solve(
-    solver: str,
-    graph: Graph,
-    k: int,
-    time_limit: float,
-    proposer: ProposerConfig,
-    store: Optional[MemoryStore] = None,
-) -> tuple[SolveOutcome, SolveTrace]:
+def solve(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[SolveOutcome, SolveTrace]:
     """Run one roster solver on one instance; every id is a preset of one controller loop.
 
     The presets are looked up in this module's globals on each call, so a
     caller may swap one of them (for example to check every answer).
     """
-    cfg = OrchestratorConfig(proposer=proposer, time_limit=time_limit, store=store)
     if solver == "S2":
         return solve_s2(graph, k, cfg)
     if solver == "S1":
@@ -134,15 +126,13 @@ def solve(
 
 @dataclass(frozen=True)
 class _Trial:
-    """One trial's inputs.  A store is shared by reference, so it forces one worker."""
+    """One trial's inputs.  A store in cfg is shared by reference, so it forces one worker."""
 
     solver: str
     instance: InstanceRecord
     mix: str
-    time_limit: float
-    proposer: ProposerConfig  # already seeded for this trial
+    cfg: OrchestratorConfig  # its proposer already seeded for this trial
     trial: int
-    store: Optional[MemoryStore]
 
 
 def _run_trial(job: _Trial) -> TrialResult:
@@ -150,7 +140,7 @@ def _run_trial(job: _Trial) -> TrialResult:
     start = time.monotonic()
     error = None
     try:
-        outcome, trace = solve(job.solver, inst.graph, inst.k, job.time_limit, job.proposer, job.store)
+        outcome, trace = solve(job.solver, inst.graph, inst.k, job.cfg)
         status, s1_iters, s2_invoked = outcome.status, trace.s1_calls, trace.s2_invoked
     except Exception as exc:  # a crashed trial is data, not a crashed run
         status, s1_iters, s2_invoked = "failure", 0, False
@@ -201,10 +191,12 @@ def run_benchmark(cfg: RunConfig) -> list[TrialResult]:
             solver=cfg.solver,
             instance=rec,
             mix=mix,
-            time_limit=cfg.time_limit,
-            proposer=dataclasses.replace(cfg.proposer, seed=derive_seed(cfg.seed, rec.id, trial)),
+            cfg=OrchestratorConfig(
+                proposer=dataclasses.replace(cfg.proposer, seed=derive_seed(cfg.seed, rec.id, trial)),
+                time_limit=cfg.time_limit,
+                store=store,
+            ),
             trial=trial,
-            store=store,
         )
         for rec in records
         for trial in range(1, cfg.trials + 1)

@@ -12,10 +12,17 @@ from .bench import (
 from .generate import GenSpec, build_dataset, write_dataset
 from .graphs import parse_dimacs_instance
 from .memory import MemoryStore
+from .metacognition import OrchestratorConfig
 from .proposer import NOT_SOLVABLE, ProposerConfig
 
 
-def _add_proposer_args(parser: argparse.ArgumentParser) -> None:
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    """The flags that solve and bench share: solver, time limit, memory and the proposer group."""
+    parser.add_argument("--solver", choices=SOLVERS, required=True)
+    parser.add_argument("--time-limit", type=float, default=200.0)
+    parser.add_argument(
+        "--memory", help="episodic memory JSONL path; a bench run with it is sequential (not for S2 or SOFAI-v1)"
+    )
     group = parser.add_argument_group("proposer")
     group.add_argument(
         "--proposer",
@@ -93,7 +100,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     proposer, memory = _solver_inputs(args)
     store = MemoryStore(memory) if memory else None
-    outcome, _ = solve(args.solver, graph, k, args.time_limit, proposer, store)
+    cfg = OrchestratorConfig(proposer=proposer, time_limit=args.time_limit, store=store)
+    outcome, _ = solve(args.solver, graph, k, cfg)
     if outcome.is_sat:
         for v in graph.vertices:
             print(f"({v} {outcome.assignment[v]})")
@@ -160,25 +168,17 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_gen)
 
     solve = sub.add_parser("solve", help="solve one instance file")
-    solve.add_argument("--solver", choices=SOLVERS, required=True)
     solve.add_argument("--instance", required=True, help="DIMACS-style instance file")
     solve.add_argument("--k", type=int, help="color bound (default: the instance's 'c k' comment)")
-    solve.add_argument("--time-limit", type=float, default=200.0)
-    solve.add_argument("--memory", help="episodic memory JSONL path (not for S2 or SOFAI-v1)")
-    _add_proposer_args(solve)
+    _add_run_args(solve)
     solve.set_defaults(func=_cmd_solve)
 
     bench = sub.add_parser("bench", help="run a solver over a dataset")
     bench.add_argument("--dataset", required=True, help="dataset directory (with manifest.csv)")
-    bench.add_argument("--solver", choices=SOLVERS, required=True)
-    bench.add_argument("--time-limit", type=float, default=200.0)
     bench.add_argument("--trials", type=int, default=3)
     bench.add_argument("--workers", type=int, help="parallel workers (default: cores - 1)")
     bench.add_argument("--out", help="trial results JSONL path (default: print to stdout)")
-    bench.add_argument(
-        "--memory", help="shared episodic memory path (forces sequential run; not for S2 or SOFAI-v1)"
-    )
-    _add_proposer_args(bench)
+    _add_run_args(bench)
     bench.set_defaults(func=_cmd_bench)
 
     rep = sub.add_parser("report", help="aggregate trial results into a table")
@@ -190,8 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; bad input, a DIMACS error or an unreadable file ends in one line, not a traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"sofai-gc: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from .proposer import (
 
 CONFLICT_TEMPLATE = "Error: Vertices {u} and {v} are adjacent but have the same color."
 OVER_COLOR_TEMPLATE = "Error: Only {k} colors are allowed. {used} colors were used."
+UNCOLORED_TEMPLATE = "Error: No color was given for vertices {vertices}."
 UNPARSEABLE_MESSAGE = (
     "Error: The response could not be parsed into vertex color assignments. "
     "Provide one (Vertex Color) pair per line."
@@ -44,7 +45,7 @@ MAX_ROUNDS = 5
 
 @dataclass(frozen=True)
 class FeedbackItem:
-    """One structured correction; kind is conflict, over_color, or unparseable."""
+    """One structured correction; kind is conflict, over_color, or uncolored."""
 
     kind: str
     message: str
@@ -52,11 +53,11 @@ class FeedbackItem:
 
 
 def format_feedback(graph: Graph, assignment: ColorAssignment, k: int) -> list[FeedbackItem]:
-    """Template feedback for an assignment: conflicts in edge order, then budget."""
-    return _feedback(verdict(graph, assignment, k), k)
+    """Template feedback for an assignment: conflicts in edge order, then budget, then uncolored vertices."""
+    return _feedback(graph, assignment, verdict(graph, assignment, k), k)
 
 
-def _feedback(result: Verdict, k: int) -> list[FeedbackItem]:
+def _feedback(graph: Graph, assignment: ColorAssignment, result: Verdict, k: int) -> list[FeedbackItem]:
     items = [
         FeedbackItem(
             kind="conflict",
@@ -72,6 +73,9 @@ def _feedback(result: Verdict, k: int) -> list[FeedbackItem]:
                 message=OVER_COLOR_TEMPLATE.format(k=k, used=result.colors_used),
             )
         )
+    if not result.complete:
+        missing = ", ".join(v for v in graph.vertices if v not in assignment)
+        items.append(FeedbackItem(kind="uncolored", message=UNCOLORED_TEMPLATE.format(vertices=missing)))
     return items
 
 
@@ -121,12 +125,13 @@ class IterationRecord:
     """What one S1 round produced, for post-hoc analysis."""
 
     index: int
-    kind: str  # assignment | not_solvable | unparseable
+    kind: str  # assignment | not_solvable | unparseable | error
     score: float
     feedback: tuple[str, ...]
     signature: Optional[tuple]
     elapsed: float
     conflict_vertices: frozenset[str] = frozenset()  # endpoints of the round's conflicting edges
+    error: Optional[str] = None  # why an error round got no reply
 
 
 def escalation_rule(rounds: Sequence[IterationRecord], T: int) -> bool:
@@ -180,6 +185,10 @@ def _run(
     and hands an unsolved instance to S2; without it every round runs and
     an unsolved instance ends as Failure("s1-exhausted").  accept_unsat
     makes S1's NOT SOLVABLE final instead of feeding back that it is unproven.
+
+    A round whose call got no reply (kind error) adds nothing to the
+    prompt history, but it counts toward max_iters and the escalation
+    rule like any other failed round.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -209,6 +218,7 @@ def _run(
         score = float(not graph.edges)
         signature = (response.kind,)
         conflict_vertices: frozenset[str] = frozenset()
+        error = None
         if response.is_assignment:
             v = verdict(graph, response.assignment, k)
             score = float(v.score)
@@ -217,7 +227,7 @@ def _run(
                 outcome = SolveOutcome.sat(response.assignment)
                 break
             conflict_vertices = frozenset(u for c in v.conflicts for u in (c.u, c.v))
-            messages = tuple(item.message for item in _feedback(v, k))
+            messages = tuple(item.message for item in _feedback(graph, response.assignment, v, k))
             signature = _conflict_signature(v.conflicts)
             attempt_text = format_assignment(response.assignment, graph.vertices)
         elif response.is_not_solvable:
@@ -227,13 +237,16 @@ def _run(
                 break
             messages = (NOT_SOLVABLE_REJECTED_MESSAGE,)
             attempt_text = response.raw or NOT_SOLVABLE
-        else:
+        elif response.kind == "unparseable":
             messages = (UNPARSEABLE_MESSAGE,)
             attempt_text = response.raw or "(no response)"
+        else:  # kind error: no reply, so the next prompt shows nothing of this round
+            messages, error = (), response.error
 
-        history.append((attempt_text, messages))
+        if messages:  # every reply that failed drew at least one message
+            history.append((attempt_text, messages))
         iterations.append(
-            IterationRecord(t, response.kind, score, messages, signature, elapsed, conflict_vertices)
+            IterationRecord(t, response.kind, score, messages, signature, elapsed, conflict_vertices, error)
         )
         if time.monotonic() >= deadline:
             outcome = SolveOutcome.timeout()

@@ -172,7 +172,9 @@ class ProposerResponse:
     """Parsed proposer output.
 
     kind: "assignment" (assignment holds the parsed pairs, possibly
-    partial), "not_solvable", or "unparseable" (error says why).
+    partial), "not_solvable", "unparseable" (a reply with no pairs), or
+    "error" (no reply: a transport, HTTP or JSON failure, or no time
+    left).  error says why for the last two.
     """
 
     kind: str
@@ -256,7 +258,7 @@ class RemoteProposer:
     def propose(self, prompt: Prompt, *, timeout: Optional[float] = None) -> ProposerResponse:
         budget = self.config.timeout if timeout is None else min(self.config.timeout, timeout)
         if budget <= 0:
-            return ProposerResponse("unparseable", raw="", error="no time budget left")
+            return ProposerResponse("error", raw="", error="no time budget left")
         deadline = time.monotonic() + budget
         headers = {"Content-Type": "application/json"}
         if self.config.api_key:
@@ -282,7 +284,7 @@ class RemoteProposer:
                 last_error = f"{type(exc).__name__}: {exc}"
                 if attempt < self.config.retries:
                     time.sleep(max(0.0, min(_RETRY_BACKOFF * (attempt + 1), deadline - time.monotonic())))
-        return ProposerResponse("unparseable", raw="", error=last_error)
+        return ProposerResponse("error", raw="", error=last_error)
 
 
 def make_proposer(config: ProposerConfig):

@@ -157,3 +157,26 @@ class TestBenchAndReport:
         with pytest.raises(SystemExit, match="no such trial results file") as exc:
             main(["report", "--in", str(tmp_path / "missing.jsonl")])
         assert "\n" not in str(exc.value.code)
+
+
+@pytest.mark.parametrize("command, flags, fragment", [
+    ("solve", ["--k", "0"], "k must be >= 1"),
+    ("solve", ["--time-limit", "0"], "time_limit must be positive"),
+    ("bench", ["--trials", "0"], "trials must be >= 1"),
+    ("gen", ["--n", "0"], "n must be >= 1"),
+    ("solve", ["--instance", "dup.col"], "duplicate edge"),
+    ("solve", ["--instance", "missing.col"], "No such file"),
+], ids=["k-0", "time-limit-0", "trials-0", "n-0", "duplicate-edge", "missing-instance"])
+def test_input_errors_end_in_one_line(command, flags, fragment, dataset_dir, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dup.col").write_text("c k 2\np edge 2 2\ne A B\ne B A\n")
+    base = {
+        "solve": ["--solver", "S2", "--instance", str(dataset_dir / "instances" / "er_n5_p0.5_0000.col")],
+        "bench": ["--solver", "S2", "--dataset", str(dataset_dir)],
+        "gen": ["--n", "5", "--p", "0.5", "--count", "1", "--out", "ds"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *base, *flags])  # a repeated flag's last value wins
+    message = str(exc.value.code)
+    assert message.startswith("sofai-gc: ") and fragment in message
+    assert "\n" not in message

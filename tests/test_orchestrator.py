@@ -32,7 +32,6 @@ from sofai_gc.metacognition import (
     MAX_ROUNDS,
     NOT_SOLVABLE_REJECTED_MESSAGE,
     OVER_COLOR_TEMPLATE,
-    UNPARSEABLE_MESSAGE,
 )
 
 PERFECT = ProposerConfig(kind="mock")
@@ -67,6 +66,19 @@ class TestFormatFeedback:
 
     def test_proper_within_budget_is_empty(self, triangle):
         assert format_feedback(triangle, {"A": 1, "B": 2, "C": 3}, 3) == []
+
+    def test_partial_assignment_names_uncolored_vertices(self):
+        path = Graph(("A", "B", "C"), (("A", "B"), ("B", "C")))
+        items = format_feedback(path, {"A": 1, "B": 2}, 2)
+        assert [(i.kind, i.message) for i in items] == [
+            ("uncolored", "Error: No color was given for vertices C.")
+        ]
+
+    def test_uncolored_vertices_come_last_in_vertex_order(self, triangle):
+        items = format_feedback(triangle, {"B": 1}, 1)
+        assert [i.message for i in items] == ["Error: No color was given for vertices A, C."]
+        items = format_feedback(triangle, {"A": 1, "B": 1}, 1)
+        assert [i.kind for i in items] == ["conflict", "uncolored"]
 
     def test_templates_are_exact_strings(self):
         assert CONFLICT_TEMPLATE == "Error: Vertices {u} and {v} are adjacent but have the same color."
@@ -294,8 +306,11 @@ class TestSofaiV2:
         dead = ProposerConfig(kind="remote", endpoint="http://127.0.0.1:1/v1", retries=0, timeout=0.3)
         outcome, trace = solve_sofai_v2(triangle, 3, cfg_with(dead))
         assert outcome.is_sat  # S2 answers despite a dead proposer
-        assert trace.iterations[0].kind == "unparseable"
-        assert trace.iterations[0].feedback == (UNPARSEABLE_MESSAGE,)
+        first = trace.iterations[0]
+        assert first.kind == "error"
+        assert first.feedback == ()
+        assert first.signature == ("error",)
+        assert first.error
 
     def test_feedback_recorded_in_trace(self, fig2_graph):
         # greedy at k=2 over-colors; the trace must carry the message

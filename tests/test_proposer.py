@@ -8,12 +8,14 @@ import pytest
 from sofai_gc import (
     Graph,
     MockProposer,
+    OrchestratorConfig,
     PromptExample,
     ProposerConfig,
     RemoteProposer,
     make_proposer,
     parse_response,
     render_prompt,
+    solve_sofai_v2,
     verdict,
 )
 from sofai_gc.proposer import format_assignment
@@ -278,7 +280,7 @@ class TestRemoteProposer:
         _ChatHandler.script = [(500, ""), (500, ""), (500, "")]
         cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=2)
         resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3))
-        assert resp.kind == "unparseable"
+        assert resp.kind == "error"
         assert "HTTPError" in resp.error
 
     def test_unreachable_endpoint(self, triangle):
@@ -286,13 +288,13 @@ class TestRemoteProposer:
             kind="remote", endpoint="http://127.0.0.1:1/v1", retries=0, timeout=0.5
         )
         resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3))
-        assert resp.kind == "unparseable"
+        assert resp.kind == "error"
         assert resp.error
 
     def test_zero_budget_short_circuits(self, chat_server, triangle):
         cfg = ProposerConfig(kind="remote", endpoint=chat_server)
         resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3), timeout=0)
-        assert resp.kind == "unparseable"
+        assert resp.kind == "error"
         assert _ChatHandler.seen == []
 
     def test_retries_share_one_deadline(self, chat_server, triangle):
@@ -302,7 +304,7 @@ class TestRemoteProposer:
         start = time.monotonic()
         resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3), timeout=1.0)
         assert time.monotonic() - start < 1.3
-        assert resp.kind == "unparseable"
+        assert resp.kind == "error"
         assert "Timeout" in resp.error
 
     def test_backoff_is_clipped_to_the_deadline(self, chat_server, triangle):
@@ -313,6 +315,16 @@ class TestRemoteProposer:
         assert time.monotonic() - start < 0.45  # the first backoff alone is 0.5 s
         assert "HTTPError" in resp.error
         assert len(_ChatHandler.seen) == 1  # no attempt starts once the time is spent
+
+    def test_transport_error_round_leaves_no_history(self, chat_server, triangle):
+        _ChatHandler.script = [(500, ""), (200, "(A 1)\n(B 2)\n(C 3)")]
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=0)
+        outcome, trace = solve_sofai_v2(triangle, 3, OrchestratorConfig(proposer=cfg, time_limit=30.0))
+        assert outcome.is_sat and trace.source == "S1"
+        assert [it.kind for it in trace.iterations] == ["error", "assignment"]
+        assert "HTTPError" in trace.iterations[0].error
+        second_prompt = _ChatHandler.seen[1]["body"]["messages"][0]["content"]
+        assert "Incorrect Coloring Submitted" not in second_prompt
 
     def test_not_solvable_reply(self, chat_server, triangle):
         _ChatHandler.script = [(200, "NOT SOLVABLE")]
