@@ -49,14 +49,13 @@ def _proposer_config(args: argparse.Namespace) -> ProposerConfig:
     )
     if args.proposer == "mock":
         return ProposerConfig(kind="mock", **overrides)
+    if args.proposer == "remote":
+        overrides["kind"] = "remote"
     if args.endpoint:
         overrides["endpoint"] = args.endpoint
     if args.model:
         overrides["model"] = args.model
-    cfg = ProposerConfig.from_env(**overrides)
-    if args.proposer == "remote" and cfg.kind != "remote":
-        raise SystemExit("remote proposer requested but no endpoint given (flag or S1_ENDPOINT)")
-    return cfg
+    return ProposerConfig.from_env(**overrides)
 
 
 def _solver_inputs(args: argparse.Namespace) -> tuple[ProposerConfig, str | None]:

@@ -96,34 +96,35 @@ def build_dataset(spec: GenSpec, time_limit_per_instance: float = 200.0) -> Data
     is redrawn with a fresh seed (k = 0 is meaningless).  A slot whose
     labeling times out is dropped and the dataset is marked incomplete.
     """
+    if time_limit_per_instance <= 0:
+        raise ValueError("time_limit_per_instance must be positive")
     rng = random.Random(spec.seed)
     n_sat = spec.count * spec.mix[0] // 100
     instances: list[InstanceRecord] = []
     complete = True
     for idx in range(spec.count):
         want_sat = idx < n_sat
-        record = None
         for _ in range(_MAX_REGEN_ATTEMPTS):
             inst_seed = rng.getrandbits(63)
             graph = gen_erdos_renyi(spec.n, spec.p, inst_seed)
             try:
                 chi = chromatic_number(graph, time_limit=time_limit_per_instance)
             except DeadlineExceeded:
-                record = None
+                complete = False
                 break
             if not want_sat and chi <= 1:
                 continue  # chi - 1 would be 0; redraw
-            k = chi if want_sat else chi - 1
-            label = "SAT" if want_sat else "UNSAT"
-            record = InstanceRecord(
-                id=f"er_n{spec.n}_p{spec.p:g}_{idx:04d}",
-                graph=graph,
-                n=spec.n,
-                p=spec.p,
-                seed=inst_seed,
-                chi=chi,
-                k=k,
-                label=label,
+            instances.append(
+                InstanceRecord(
+                    id=f"er_n{spec.n}_p{spec.p:g}_{idx:04d}",
+                    graph=graph,
+                    n=spec.n,
+                    p=spec.p,
+                    seed=inst_seed,
+                    chi=chi,
+                    k=chi if want_sat else chi - 1,
+                    label="SAT" if want_sat else "UNSAT",
+                )
             )
             break
         else:
@@ -131,10 +132,6 @@ def build_dataset(spec: GenSpec, time_limit_per_instance: float = 200.0) -> Data
                 f"could not draw a graph with chi >= 2 for an UNSAT slot "
                 f"after {_MAX_REGEN_ATTEMPTS} attempts (n={spec.n}, p={spec.p})"
             )
-        if record is None:
-            complete = False
-            continue
-        instances.append(record)
     return Dataset(spec=spec, instances=tuple(instances), complete=complete)
 
 

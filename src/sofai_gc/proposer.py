@@ -8,14 +8,15 @@ can be exercised deterministically and offline.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import random
 import re
 import time
+import urllib.request
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
-
-import requests
 
 from .graphs import ColorAssignment, Graph, serialize_dimacs
 
@@ -240,7 +241,7 @@ class MockProposer:
                 color = rng.randint(1, k)
             assignment[v] = color
         raw = format_assignment(assignment, graph.vertices)
-        return parse_response(raw, graph) if raw else ProposerResponse("unparseable", raw="", error="empty graph")
+        return parse_response(raw, graph) if raw else ProposerResponse("assignment", raw="", assignment={})
 
 
 class RemoteProposer:
@@ -268,19 +269,20 @@ class RemoteProposer:
             "messages": [{"role": "user", "content": prompt.text}],
             "temperature": self.config.temperature,
         }
+        request = urllib.request.Request(self.config.endpoint, json.dumps(payload).encode(), headers, method="POST")
         last_error = "transport failure"
         for attempt in range(self.config.retries + 1):
             left = deadline - time.monotonic()
             if left <= 0:
                 break
             try:
-                resp = requests.post(self.config.endpoint, json=payload, headers=headers, timeout=left)
-                resp.raise_for_status()
-                content = resp.json()["choices"][0]["message"]["content"]
+                with urllib.request.urlopen(request, timeout=left) as resp:
+                    content = json.load(resp)["choices"][0]["message"]["content"]
                 if not isinstance(content, str):
                     raise ValueError("message content is not text")
                 return parse_response(content, prompt.graph)
-            except (requests.RequestException, ValueError, KeyError, IndexError) as exc:
+            # HTTPError, URLError and TimeoutError are OSErrors; a wrong JSON shape raises TypeError or LookupError
+            except (OSError, http.client.HTTPException, ValueError, LookupError, TypeError) as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
                 if attempt < self.config.retries:
                     time.sleep(max(0.0, min(_RETRY_BACKOFF * (attempt + 1), deadline - time.monotonic())))

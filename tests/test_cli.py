@@ -166,9 +166,15 @@ class TestBenchAndReport:
     ("gen", ["--n", "0"], "n must be >= 1"),
     ("solve", ["--instance", "dup.col"], "duplicate edge"),
     ("solve", ["--instance", "missing.col"], "No such file"),
-], ids=["k-0", "time-limit-0", "trials-0", "n-0", "duplicate-edge", "missing-instance"])
+    ("gen", ["--time-limit", "0"], "time_limit_per_instance must be positive"),
+    ("solve", ["--solver", "SOFAI-v2", "--proposer", "remote"], "remote proposer requires an endpoint"),
+], ids=[
+    "k-0", "time-limit-0", "trials-0", "n-0", "duplicate-edge", "missing-instance", "gen-time-limit-0",
+    "remote-without-endpoint",
+])
 def test_input_errors_end_in_one_line(command, flags, fragment, dataset_dir, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("S1_ENDPOINT", raising=False)
     (tmp_path / "dup.col").write_text("c k 2\np edge 2 2\ne A B\ne B A\n")
     base = {
         "solve": ["--solver", "S2", "--instance", str(dataset_dir / "instances" / "er_n5_p0.5_0000.col")],

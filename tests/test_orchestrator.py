@@ -440,6 +440,20 @@ class TestMcS1IN:
         assert trace.s1_calls == 1
 
 
+def test_empty_graph_is_answered_by_s1():
+    # the empty assignment colors a graph with no vertices, so S1 answers it
+    empty = Graph((), ())
+    runs = [
+        solve_s1(empty, 1, cfg_with()),
+        solve_mc_s1_iN(empty, 1, cfg_with(), 2),
+        solve_sofai_v2(empty, 1, cfg_with()),
+    ]
+    for outcome, trace in runs:
+        assert outcome.is_sat and outcome.assignment == {}
+        assert [it.kind for it in trace.iterations] == ["assignment"]
+        assert trace.source == "S1" and not trace.s2_invoked
+
+
 class TestS2:
     def test_answers_without_building_a_proposer(self, fig2_graph, monkeypatch):
         built = []

@@ -205,8 +205,9 @@ class TestFromEnv:
 class _ChatHandler(BaseHTTPRequestHandler):
     """Scripted chat-completions endpoint; behavior set per test."""
 
-    # mutated by tests: list of (status, content) steps; a third item, when
-    # present, is how many seconds the endpoint waits before it answers
+    # mutated by tests: list of (status, content) steps; content given as
+    # bytes is sent as the raw body, and a third item, when present, is how
+    # many seconds the endpoint waits before it answers
     script: list = []
     seen: list = []
 
@@ -220,7 +221,9 @@ class _ChatHandler(BaseHTTPRequestHandler):
         status, content = step[:2]
         if len(step) > 2:
             time.sleep(step[2])
-        if status == 200:
+        if isinstance(content, bytes):
+            payload = content
+        elif status == 200:
             payload = json.dumps(
                 {"choices": [{"message": {"role": "assistant", "content": content}}]}
             ).encode()
@@ -251,6 +254,7 @@ def chat_server():
     _ChatHandler.seen = []
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
     thread.join()
 
 
@@ -331,6 +335,25 @@ class TestRemoteProposer:
         cfg = ProposerConfig(kind="remote", endpoint=chat_server)
         resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3))
         assert resp.is_not_solvable
+
+    @pytest.mark.parametrize(
+        "body", [b"[]", b'{"choices": null}', b'{"choices": [{"message": null}]}', b'"text"'],
+        ids=["list", "null-choices", "null-message", "string"],
+    )
+    def test_wrong_json_shape_is_an_error(self, chat_server, triangle, body):
+        _ChatHandler.script = [(200, body)]
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=0)
+        resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3))
+        assert resp.kind == "error"
+        assert resp.error.startswith("TypeError")
+
+    def test_wrong_json_shape_round_is_survivable(self, chat_server, triangle):
+        _ChatHandler.script = [(200, b"[]"), (200, "(A 1)\n(B 2)\n(C 3)")]
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=0)
+        outcome, trace = solve_sofai_v2(triangle, 3, OrchestratorConfig(proposer=cfg, time_limit=30.0))
+        assert outcome.is_sat and trace.source == "S1"
+        assert [it.kind for it in trace.iterations] == ["error", "assignment"]
+        assert trace.iterations[0].error.startswith("TypeError")
 
 
 class TestFormatAssignment:
