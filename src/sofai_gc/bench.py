@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Sequence
 from .dsatur import SolveOutcome
 from .generate import InstanceRecord, load_dataset, read_manifest_meta
 from .graphs import Graph
-from .memory import MemoryStore
+from .memory import MemoryStore, read_jsonl
 from .metacognition import (
     MAX_ROUNDS,
     OrchestratorConfig,
@@ -90,7 +90,7 @@ class TrialResult:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, line: str) -> "TrialResult":
+    def from_json(cls, line: str | bytes) -> "TrialResult":
         return cls(**json.loads(line))
 
 
@@ -110,7 +110,10 @@ def solve(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[S
 
     The presets are looked up in this module's globals on each call, so a
     caller may swap one of them (for example to check every answer).
+    A store for an id that reads no memory is an error, not ignored.
     """
+    if cfg.store is not None and solver in MEMORYLESS:
+        raise ValueError(MEMORYLESS_ERROR.format(solver=solver))
     if solver == "S2":
         return solve_s2(graph, k, cfg)
     if solver == "S1":
@@ -300,9 +303,9 @@ def report(rows: Sequence[AggregateRow], format: str = "table") -> str:
 
 
 def load_results(path: str | Path) -> list[TrialResult]:
-    """Read a JSONL trial-results file back into TrialResult rows."""
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            rows.append(TrialResult.from_json(line))
-    return rows
+    """Read a JSONL trial-results file back into TrialResult rows.
+
+    A torn final line (a run killed mid-write) is skipped; any other line
+    that is not a trial result raises ValueError naming path:line.
+    """
+    return read_jsonl(Path(path), TrialResult.from_json)[0]

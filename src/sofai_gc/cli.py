@@ -6,9 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import (
-    MEMORYLESS, MEMORYLESS_ERROR, SOLVERS, RunConfig, aggregate, load_results, report, run_benchmark, solve,
-)
+from .bench import SOLVERS, RunConfig, aggregate, load_results, report, run_benchmark, solve
 from .generate import GenSpec, build_dataset, write_dataset
 from .graphs import parse_dimacs_instance
 from .memory import MemoryStore
@@ -40,6 +38,9 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _proposer_config(args: argparse.Namespace) -> ProposerConfig:
+    """The proposer for args.solver; S2 runs no S1 round, so its proposer flags are neither read nor checked."""
+    if args.solver == "S2":
+        return ProposerConfig()
     overrides = dict(
         temperature=args.temperature,
         noise=args.noise,
@@ -56,19 +57,6 @@ def _proposer_config(args: argparse.Namespace) -> ProposerConfig:
     if args.model:
         overrides["model"] = args.model
     return ProposerConfig.from_env(**overrides)
-
-
-def _solver_inputs(args: argparse.Namespace) -> tuple[ProposerConfig, str | None]:
-    """The proposer config and memory path for args.solver, read only from flags it uses.
-
-    S2 runs no S1 round, so the proposer flags are neither read nor
-    checked; a memory path given to a solver that reads no memory is an
-    error rather than a silently ignored flag.
-    """
-    if args.memory and args.solver in MEMORYLESS:
-        raise SystemExit(MEMORYLESS_ERROR.format(solver=args.solver))
-    proposer = ProposerConfig() if args.solver == "S2" else _proposer_config(args)
-    return proposer, args.memory
 
 
 def _parse_mix(text: str) -> tuple[int, int]:
@@ -97,9 +85,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if k is None:
         raise SystemExit("no color bound: pass --k or use an instance with a 'c k' comment")
 
-    proposer, memory = _solver_inputs(args)
-    store = MemoryStore(memory) if memory else None
-    cfg = OrchestratorConfig(proposer=proposer, time_limit=args.time_limit, store=store)
+    store = MemoryStore(args.memory) if args.memory else None
+    cfg = OrchestratorConfig(proposer=_proposer_config(args), time_limit=args.time_limit, store=store)
     outcome, _ = solve(args.solver, graph, k, cfg)
     if outcome.is_sat:
         for v in graph.vertices:
@@ -116,17 +103,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    proposer, memory = _solver_inputs(args)
     cfg = RunConfig(
         solver=args.solver,
         dataset=args.dataset,
         time_limit=args.time_limit,
         trials=args.trials,
         workers=args.workers,
-        proposer=proposer,
+        proposer=_proposer_config(args),
         out=args.out,
         seed=args.seed,
-        memory_path=memory,
+        memory_path=args.memory,
     )
     results = run_benchmark(cfg)
     correct = sum(1 for r in results if r.correct)

@@ -15,7 +15,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from .graphs import ColorAssignment, Graph, parse_dimacs, serialize_dimacs, verdict
 
@@ -104,6 +104,37 @@ class EpisodicRecord:
         )
 
 
+T = TypeVar("T")
+
+
+def read_jsonl(path: Path, parse: Callable[[bytes], T]) -> tuple[list[T], Optional[tuple[int, bytes]]]:
+    """Parse each nonblank line of a JSONL file; returns the records and the mend.
+
+    A final line without its newline may be an append cut short: it is
+    skipped when it does not parse.  The mend is what the next append
+    must do first, so the file loads in full again: the offset to
+    truncate to and the bytes to write (None when the file ends cleanly).
+    Any other line that does not parse raises ValueError naming path:line.
+    """
+    data = path.read_bytes()
+    lines = data.split(b"\n")
+    records: list[T] = []
+    mend = None
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        unterminated = lineno == len(lines)
+        try:
+            records.append(parse(line))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            if not unterminated:
+                raise ValueError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from None
+            return records, (len(data) - len(line), b"")
+        if unterminated:
+            mend = (len(data), b"\n")
+    return records, mend
+
+
 class MemoryStore:
     """Append-only store of episodic records.
 
@@ -111,10 +142,8 @@ class MemoryStore:
     before the call returns, and existing lines are loaded eagerly.
     Reads are lock-free snapshots; appends are serialized.
 
-    An append cut short leaves a final line without its newline.  Loading
-    skips such a line when it does not parse, and the next append cuts it
-    off first, so the file loads in full again.  Any other line that does
-    not parse is an error naming its line number.
+    Loading is read_jsonl's: an append cut short is skipped, and the next
+    append mends the file first.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -122,27 +151,11 @@ class MemoryStore:
         self._lock = threading.Lock()
         self._records: list[EpisodicRecord] = []
         self._ids: set[str] = set()
-        # Set when the file's last line lacks its newline: the offset to
-        # truncate the file to, and the bytes to write, before the next record.
+        # read_jsonl's mend, made by the next append
         self._mend: Optional[tuple[int, bytes]] = None
         if self.path is not None and self.path.exists():
-            data = self.path.read_bytes()
-            lines = data.split(b"\n")
-            for lineno, line in enumerate(lines, 1):
-                if not line.strip():
-                    continue
-                unterminated = lineno == len(lines)
-                try:
-                    rec = EpisodicRecord.from_json(line)
-                except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                    if not unterminated:
-                        raise ValueError(f"{self.path}:{lineno}: not a memory record: {exc!r}") from None
-                    self._mend = (len(data) - len(line), b"")  # an append cut short
-                    break
-                if unterminated:
-                    self._mend = (len(data), b"\n")
-                self._records.append(rec)
-                self._ids.add(rec.id)
+            self._records, self._mend = read_jsonl(self.path, EpisodicRecord.from_json)
+            self._ids = {rec.id for rec in self._records}
 
     def __len__(self) -> int:
         return len(self._records)

@@ -1,12 +1,13 @@
 """The metacognitive governor.
 
 Verifies proposer output, renders template feedback, generates worked
-subgraph examples, tracks improvement trends, and decides when to stop
-trusting the fast path and hand the instance to the exact solver.  There
-is one loop, _run; the entry points are presets of it: solve_sofai_v2
-(full loop), solve_sofai_v1 (one shot then fallback), solve_mc_s1_iN
-(capped loop, no fallback), solve_s1 (one round, its NOT SOLVABLE final)
-and solve_s2 (no S1 rounds).
+subgraph examples, and decides when to stop trusting the fast path and
+hand the instance to the exact solver.  There is one loop, _run: each S1
+round records one IterationRecord, and every trial ends in one place
+after the loop.  The entry points are presets of it: solve_sofai_v2 (full
+loop), solve_sofai_v1 (one shot then fallback), solve_mc_s1_iN (capped
+loop, no fallback), solve_s1 (one round, its NOT SOLVABLE final) and
+solve_s2 (no S1 rounds).
 """
 
 from __future__ import annotations
@@ -102,11 +103,6 @@ def generate_example(graph: Graph) -> PromptExample:
     return PromptExample(sub, coloring)
 
 
-def _conflict_signature(conflicts: tuple[Conflict, ...]) -> tuple:
-    edges = sorted(tuple(sorted((c.u, c.v))) for c in conflicts)
-    return ("conflicts", tuple(edges))
-
-
 @dataclass(frozen=True)
 class OrchestratorConfig:
     """What a caller sets; a roster id's fixed facts, such as its round budget, are its preset's."""
@@ -179,12 +175,13 @@ def _run(
 ) -> tuple[SolveOutcome, SolveTrace]:
     """The one metacognitive loop; every solver entry point is a preset of it.
 
-    Runs up to max_iters S1 rounds with template feedback.  use_memory
-    seeds the prompt from cfg.store and records each solved instance
-    there.  fallback applies the escalation rule after each failed round
-    and hands an unsolved instance to S2; without it every round runs and
-    an unsolved instance ends as Failure("s1-exhausted").  accept_unsat
-    makes S1's NOT SOLVABLE final instead of feeding back that it is unproven.
+    Runs up to max_iters S1 rounds with template feedback while time is
+    left.  use_memory seeds the prompt from cfg.store and records each
+    solved instance there.  fallback applies the escalation rule after
+    each failed round.  accept_unsat makes S1's NOT SOLVABLE final
+    instead of feeding back that it is unproven.  The trial then ends
+    with S1's answer; else S2's, given fallback and time left; else a
+    timeout if no time is left; else Failure("s1-exhausted").
 
     A round whose call got no reply (kind error) adds nothing to the
     prompt history, but it counts toward max_iters and the escalation
@@ -200,16 +197,15 @@ def _run(
     examples = [PromptExample(rec.graph, rec.solution) for rec in hits]
     history: list[tuple[str, tuple[str, ...]]] = []
     iterations: list[IterationRecord] = []
-    outcome: Optional[SolveOutcome] = None  # set once S1 answers or time runs out
+    outcome: Optional[SolveOutcome] = None  # set once S1 answers
 
     for t in range(1, max_iters + 1):
+        if time.monotonic() >= deadline:
+            break
         if t == 2 and graph.vertices:  # rounds after a failed one show a worked example
             examples.append(generate_example(graph))
-        now = time.monotonic()
-        if now >= deadline:
-            outcome = SolveOutcome.timeout()
-            break
         prompt = render_prompt(graph, k, examples, history)
+        now = time.monotonic()
         response = proposer.propose(prompt, timeout=deadline - now)
         elapsed = time.monotonic() - now
 
@@ -218,54 +214,43 @@ def _run(
         score = float(not graph.edges)
         signature = (response.kind,)
         conflict_vertices: frozenset[str] = frozenset()
-        error = None
+        messages: tuple[str, ...] = ()
         if response.is_assignment:
             v = verdict(graph, response.assignment, k)
             score = float(v.score)
             if v.valid:
-                iterations.append(IterationRecord(t, "assignment", score, (), None, elapsed))
-                outcome = SolveOutcome.sat(response.assignment)
-                break
-            conflict_vertices = frozenset(u for c in v.conflicts for u in (c.u, c.v))
-            messages = tuple(item.message for item in _feedback(graph, response.assignment, v, k))
-            signature = _conflict_signature(v.conflicts)
-            attempt_text = format_assignment(response.assignment, graph.vertices)
+                signature, outcome = None, SolveOutcome.sat(response.assignment)
+            else:  # a failed assignment draws a conflict, over-budget or uncolored message
+                conflict_vertices = frozenset(u for c in v.conflicts for u in (c.u, c.v))
+                messages = tuple(item.message for item in _feedback(graph, response.assignment, v, k))
+                signature = ("conflicts", tuple((c.u, c.v) for c in v.conflicts))
+                history.append((format_assignment(response.assignment, graph.vertices), messages))
+        elif response.is_not_solvable and accept_unsat:
+            outcome = SolveOutcome.unsat()
         elif response.is_not_solvable:
-            if accept_unsat:
-                iterations.append(IterationRecord(t, response.kind, score, (), signature, elapsed))
-                outcome = SolveOutcome.unsat()
-                break
             messages = (NOT_SOLVABLE_REJECTED_MESSAGE,)
-            attempt_text = response.raw or NOT_SOLVABLE
+            history.append((response.raw or NOT_SOLVABLE, messages))
         elif response.kind == "unparseable":
             messages = (UNPARSEABLE_MESSAGE,)
-            attempt_text = response.raw or "(no response)"
-        else:  # kind error: no reply, so the next prompt shows nothing of this round
-            messages, error = (), response.error
-
-        if messages:  # every reply that failed drew at least one message
-            history.append((attempt_text, messages))
+            history.append((response.raw or "(no response)", messages))
+        # kind error got no reply, so the next prompt shows nothing of it
+        error = response.error if response.kind == "error" else None
         iterations.append(
             IterationRecord(t, response.kind, score, messages, signature, elapsed, conflict_vertices, error)
         )
-        if time.monotonic() >= deadline:
-            outcome = SolveOutcome.timeout()
-            break
-        if fallback and escalation_rule(iterations, max_iters):
+        if outcome is not None or (fallback and escalation_rule(iterations, max_iters)):
             break
 
-    source = None if outcome is None or outcome.is_timeout else "S1"
-    s2_invoked = False
-    if outcome is None and not fallback:
-        outcome = SolveOutcome.failure("s1-exhausted")
-    elif outcome is None:
-        remaining = deadline - time.monotonic()
-        s2_invoked = remaining > 0
-        if s2_invoked:
-            outcome = solve_decision(graph, k, time_limit=remaining)
-            source = None if outcome.is_timeout else "S2"
-        else:
-            outcome = SolveOutcome.timeout()
+    remaining = deadline - time.monotonic()
+    s2_invoked = outcome is None and fallback and remaining > 0
+    if outcome is not None:
+        source = "S1"
+    elif s2_invoked:
+        outcome = solve_decision(graph, k, time_limit=remaining)
+        source = None if outcome.is_timeout else "S2"
+    else:
+        source = None
+        outcome = SolveOutcome.timeout() if remaining <= 0 else SolveOutcome.failure("s1-exhausted")
     if store is not None and outcome.is_sat:
         try:
             update_memory(store, EpisodicRecord.make(graph, k, outcome.assignment, source))

@@ -2,7 +2,11 @@ import pytest
 
 from sofai_gc import (
     AggregateRow,
+    EpisodicRecord,
     GenSpec,
+    Graph,
+    MemoryStore,
+    OrchestratorConfig,
     ProposerConfig,
     RunConfig,
     TrialResult,
@@ -13,6 +17,7 @@ from sofai_gc import (
     run_benchmark,
     write_dataset,
 )
+from sofai_gc import bench
 from sofai_gc.bench import SOLVERS, load_results
 from sofai_gc.generate import Dataset, InstanceRecord
 
@@ -74,6 +79,37 @@ class TestRunConfig:
             "S1", "S2", "SOFAI-v1", "SOFAI-v2",
             "MC-S1-I1", "MC-S1-I2", "MC-S1-I3", "MC-S1-I4", "MC-S1-I5",
         )
+
+
+@pytest.mark.parametrize("solver", ["S2", "SOFAI-v1"])
+def test_solve_rejects_a_store_for_solvers_without_memory(solver, tmp_path):
+    path = tmp_path / "memory.jsonl"
+    store = MemoryStore(path)
+    cfg = OrchestratorConfig(proposer=ProposerConfig(kind="mock"), store=store)
+    with pytest.raises(ValueError, match=f"--memory is not used by {solver}, which reads no"):
+        bench.solve(solver, Graph(("A", "B"), (("A", "B"),)), 2, cfg)
+    assert len(store) == 0 and not path.exists()
+
+
+class TestLoadResults:
+    GOOD = [make_trial("a").to_json(), make_trial("b").to_json()]
+
+    @pytest.mark.parametrize("bad", [
+        EpisodicRecord.make(Graph(("A", "B"), (("A", "B"),)), 2, {"A": 1, "B": 2}, "S2").to_json(),
+        '{"instance_id": "a", "extra": 1}',
+        "[1, 2]",
+        '{"instance_id": "a", "solv',
+    ], ids=["memory-record", "other-keys", "json-list", "torn-mid-file"])
+    def test_bad_line_names_path_and_line(self, tmp_path, bad):
+        path = tmp_path / "results.jsonl"
+        path.write_text("\n".join([self.GOOD[0], bad, self.GOOD[1]]) + "\n")
+        with pytest.raises(ValueError, match=r"results\.jsonl:2: "):
+            load_results(path)
+
+    def test_torn_final_line_skipped(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        path.write_text(self.GOOD[0] + "\n" + self.GOOD[1] + "\n" + self.GOOD[1][:27])
+        assert [r.instance_id for r in load_results(path)] == ["a", "b"]
 
 
 class TestRunBenchmark:

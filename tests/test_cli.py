@@ -153,6 +153,25 @@ class TestBenchAndReport:
         with pytest.raises(SystemExit, match="no trial results"):
             main(["report", "--in", str(empty)])
 
+    def test_report_skips_a_torn_final_line(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        main(["bench", "--dataset", str(dataset_dir), "--solver", "S2", "--time-limit", "30",
+              "--trials", "1", "--workers", "1", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        out.write_text("\n".join(lines[:3]) + "\n" + lines[3][:27])  # a run killed mid-write
+        capsys.readouterr()
+        assert main(["report", "--in", str(out), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",3")
+
+    def test_report_on_a_memory_file_is_a_one_line_error(self, tmp_path):
+        inst, memory = tmp_path / "triangle.col", tmp_path / "memory.jsonl"
+        inst.write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+        main(["solve", "--solver", "SOFAI-v2", "--proposer", "mock", "--k", "3",
+              "--memory", str(memory), "--instance", str(inst)])
+        with pytest.raises(SystemExit, match=r"memory\.jsonl:1: TypeError") as exc:
+            main(["report", "--in", str(memory)])
+        assert "\n" not in str(exc.value.code)
+
     def test_report_on_missing_file_is_a_one_line_error(self, tmp_path):
         with pytest.raises(SystemExit, match="no such trial results file") as exc:
             main(["report", "--in", str(tmp_path / "missing.jsonl")])

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,13 +27,14 @@ from sofai_gc import (
     solve_sofai_v2,
     verdict,
 )
-from sofai_gc import metacognition
+from sofai_gc import bench, metacognition
 from sofai_gc.metacognition import (
     CONFLICT_TEMPLATE,
     MAX_ROUNDS,
     NOT_SOLVABLE_REJECTED_MESSAGE,
     OVER_COLOR_TEMPLATE,
 )
+from sofai_gc.proposer import ProposerResponse
 
 PERFECT = ProposerConfig(kind="mock")
 ALWAYS_UNSAT = ProposerConfig(kind="mock", unsat_rate=1.0)
@@ -464,3 +466,51 @@ class TestS2:
         assert built == []
         solve_sofai_v1(fig2_graph, 3, cfg_with())
         assert len(built) == 1
+
+
+class _FixedReply:
+    """Sleeps for delay seconds, then gives the same reply to every prompt."""
+
+    def __init__(self, reply, delay):
+        self.reply, self.delay = reply, delay
+
+    def propose(self, prompt, *, timeout=None):
+        time.sleep(self.delay)
+        return self.reply
+
+
+_BAD = ProposerResponse("assignment", raw="", assignment={"A": 1, "B": 1, "C": 1})
+_VALID = ProposerResponse("assignment", raw="", assignment={"A": 1, "B": 2, "C": 3})
+_NOT_SOLVABLE = ProposerResponse("not_solvable", raw="NOT SOLVABLE")
+
+
+@pytest.mark.parametrize(
+    "solver, reply, delay, status, source, s2_invoked, rounds",
+    [
+        # the reply lands after the 0.1 s deadline
+        ("SOFAI-v2", _BAD, 0.15, "timeout", None, False, 1),
+        ("MC-S1-I1", _BAD, 0.15, "timeout", None, False, 1),
+        ("MC-S1-I3", _BAD, 0.15, "timeout", None, False, 1),
+        ("SOFAI-v1", _BAD, 0.15, "timeout", None, False, 1),
+        ("SOFAI-v2", _VALID, 0.15, "sat", "S1", False, 1),
+        ("S1", _NOT_SOLVABLE, 0.15, "unsat", "S1", False, 1),
+        # the reply lands at once
+        ("MC-S1-I2", _BAD, 0.0, "failure", None, False, 2),
+        ("SOFAI-v1", _BAD, 0.0, "sat", "S2", True, 1),
+    ],
+)
+def test_every_way_a_trial_ends(triangle, monkeypatch, solver, reply, delay, status, source, s2_invoked, rounds):
+    monkeypatch.setattr(metacognition, "make_proposer", lambda config: _FixedReply(reply, delay))
+    outcome, trace = bench.solve(solver, triangle, 3, cfg_with(time_limit=0.1))
+    assert outcome.status == status
+    assert (trace.source, trace.s2_invoked, trace.s1_calls) == (source, s2_invoked, rounds)
+    if status == "failure":
+        assert outcome.reason == "s1-exhausted"
+
+
+@pytest.mark.parametrize("solver", bench.SOLVERS)
+def test_no_time_at_all_is_a_timeout_with_no_rounds(triangle, monkeypatch, solver):
+    monkeypatch.setattr(metacognition, "make_proposer", lambda config: _FixedReply(_VALID, 0.0))
+    outcome, trace = bench.solve(solver, triangle, 3, cfg_with(time_limit=1e-9))
+    assert outcome.is_timeout
+    assert (trace.source, trace.s2_invoked, trace.s1_calls) == (None, False, 0)

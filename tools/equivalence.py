@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Check that the working tree behaves exactly as a git revision does.
+
+Usage: python3 tools/equivalence.py [REV]        (REV defaults to HEAD)
+
+Exports REV's src/ with `git archive` into a temporary directory, so the
+repository and its .git are left untouched.  Then, on REV and on the
+working tree alike, it runs
+
+    sofai-gc gen --n 12 --p 0.5 --mix 50,50 --count 12 --seed 5
+    sofai-gc bench --proposer mock --noise 0.15 --noise-decay 0.7 \\
+        --unsat-rate 0.2 --trials 3 --workers 1 --seed 9 --solver ID
+
+for every roster id, with a fresh --memory file for each id that reads
+memory.  The two datasets must be byte-identical, and every trial record
+and memory record must be equal except wall_time and timestamp.  Prints
+the counts and exits 1 on any mismatch.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from sofai_gc.bench import MEMORYLESS, SOLVERS  # noqa: E402
+
+GEN = ["gen", "--n", "12", "--p", "0.5", "--mix", "50,50", "--count", "12", "--seed", "5"]
+BENCH = [
+    "bench", "--proposer", "mock", "--noise", "0.15", "--noise-decay", "0.7", "--unsat-rate", "0.2",
+    "--trials", "3", "--workers", "1", "--seed", "9",
+]
+
+
+def run_matrix(src: Path, out: Path) -> dict[str, list]:
+    """Run the matrix on the package in src, writing to out; returns what the two sides must share."""
+
+    def cli(*args: str) -> None:
+        subprocess.run(
+            [sys.executable, "-m", "sofai_gc.cli", *args],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=True,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+
+    data = out / "data"
+    cli(*GEN, "--out", str(data))
+    for solver in SOLVERS:
+        memory = [] if solver in MEMORYLESS else ["--memory", str(out / f"{solver}.memory.jsonl")]
+        cli(*BENCH, "--solver", solver, "--dataset", str(data), "--out", str(out / f"{solver}.jsonl"), *memory)
+    return {
+        "dataset files byte-identical": [
+            (p.relative_to(data).as_posix(), p.read_bytes()) for p in sorted(data.rglob("*")) if p.is_file()
+        ],
+        "trial records equal except wall_time": [
+            row for solver in SOLVERS for row in records(out / f"{solver}.jsonl", "wall_time")
+        ],
+        "memory records equal except timestamp": [
+            row for solver in SOLVERS for row in records(out / f"{solver}.memory.jsonl", "timestamp")
+        ],
+    }
+
+
+def records(path: Path, ignored: str) -> list[dict]:
+    """The JSON objects of a JSONL file (none if it is absent), each without its ignored key."""
+    if not path.exists():
+        return []
+    rows = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+    for row in rows:
+        row.pop(ignored, None)
+    return rows
+
+
+def main(argv: list[str]) -> int:
+    rev = argv[0] if argv else "HEAD"
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base, filter="data")
+        old = run_matrix(base / "src", base / "rev")
+        new = run_matrix(ROOT / "src", base / "tree")
+    print(f"working tree vs {rev}, {len(SOLVERS)} solver ids:")
+    failed = False
+    for name, rows in old.items():
+        same = sum(a == b for a, b in zip(rows, new[name]))
+        ok = same == len(rows) == len(new[name])
+        failed |= not ok
+        print(f"  {name}: {same}/{len(rows)}" + ("" if ok else f"  MISMATCH (the tree has {len(new[name])})"))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
