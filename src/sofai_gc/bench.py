@@ -15,7 +15,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,7 +90,24 @@ class TrialResult:
 
     @classmethod
     def from_json(cls, line: str | bytes) -> "TrialResult":
-        return cls(**json.loads(line))
+        """Parse one JSONL line; a missing or extra key, or a value of the wrong type, raises TypeError."""
+        row = cls(**json.loads(line))
+        for field in dataclasses.fields(cls):
+            value = getattr(row, field.name)
+            if type(value) not in _JSON_TYPES[field.type]:
+                raise TypeError(f"{field.name} must be {field.type}, not {type(value).__name__}")
+        return row
+
+
+# The JSON value types each TrialResult annotation accepts: a float field takes an int too, as JSON
+# has one number type; bool is a subclass of int, so the check compares types, not isinstance.
+_JSON_TYPES = {
+    "str": (str,),
+    "int": (int,),
+    "float": (float, int),
+    "bool": (bool,),
+    "Optional[str]": (str, type(None)),
+}
 
 
 def derive_seed(root_seed: int, instance_id: str, trial: int) -> int:
@@ -172,6 +188,9 @@ def _finished(jobs: list[_Trial], workers: int) -> Iterator[TrialResult]:
     if workers == 1:
         yield from map(_run_trial, jobs)
         return
+    # Imported here, not at the top: multiprocessing costs memory in every one-worker run.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for fut in as_completed([pool.submit(_run_trial, job) for job in jobs]):
             yield fut.result()

@@ -13,13 +13,20 @@ the search reaches.
 The next vertex comes from saturation buckets, not a scan.  Each vertex
 has a fixed bit, its place in (degree descending, index ascending) order,
 and one integer bitmask per saturation level holds the bits of the
-uncolored vertices at that level; assign and unassign move a neighbor
-between levels where its saturation changes, so the DSATUR choice is the
-lowest bit of the highest nonempty level.  Every graph of maximum degree
-D is (D + 1)-colorable and a search that may use D + 1 colors never
-backtracks, so the state holds min(k, D + 1) colors.  chromatic_number
-builds one state for its whole sweep over k: an Unsat proof unwinds the
-state back to empty, ready for k + 1, and the sweep ends by k = D + 1.
+uncolored vertices at that level, so the DSATUR choice is the lowest bit
+of the highest nonempty level.  Colors are bitsets too: forb[c] is the
+union of the neighbor masks of the vertices colored c, so v may take c
+iff forb[c] & bit[v] is 0, and coloring v with c raises exactly the
+uncolored neighbors outside forb[c] one level, a few mask operations
+however many neighbors v has.  The search unwinds LIFO, so undoing a
+color restores the forb[c] saved when it was set and lowers the same
+vertices back.  The search path, node for node, is plain DSATUR's.
+
+Every graph of maximum degree D is (D + 1)-colorable and a search that
+may use D + 1 colors never backtracks, so the state holds min(k, D + 1)
+colors.  chromatic_number builds one state for its whole sweep over k:
+an Unsat proof unwinds the state back to empty, ready for k + 1, and the
+sweep ends by k = D + 1.
 """
 
 from __future__ import annotations
@@ -83,38 +90,45 @@ class SolveOutcome:
 class _SearchState:
     """Mutable search state over vertex indices (positions in graph.vertices).
 
-    color[v] is v's color, 0 while uncolored.  counts[v][c] is the number
-    of colored neighbors of v holding color c, and sat[v] the number of
-    distinct colors among them: v's saturation.  bit[v] is 1 << v's place
-    in (degree descending, index ascending) order and order[place] is the
-    vertex there.  levels[s] is the union of the bits of the uncolored
-    vertices of saturation s; no level above top holds any.
+    color[v] is v's color, 0 while uncolored.  bit[v] is 1 << v's place in
+    (degree descending, index ascending) order and order[place] is the
+    vertex there; free is the union of the bits of the uncolored vertices.
+    nmask[v] is the union of the bits of v's neighbors, and forb[c] the
+    union of nmask over the vertices colored c: the vertices that may not
+    take color c.  So an uncolored vertex u's saturation is the number of
+    colors c with forb[c] & bit[u], and levels[s] is the union of the bits
+    of the uncolored vertices of saturation s; no level above top holds any.
 
-    counts and sat are kept only for uncolored vertices: assign and
-    unassign skip colored neighbors.  Undo is exact because the search
-    unwinds LIFO, so the neighbors colored when v is uncolored are the
-    ones that were colored when v was colored, and v gets back the
-    saturation it had.
+    Coloring v with c raises exactly the vertices of nmask[v] & free &
+    ~forb[c] one level.  Undo is exact because the search unwinds LIFO:
+    when v is uncolored, every later change has been undone, so free is
+    what it was when v was colored and restoring the forb[c] saved then
+    lowers the same vertices back one level.
     """
 
-    __slots__ = ("neighbors", "color", "counts", "sat", "bit", "order", "levels", "top")
+    __slots__ = ("nmask", "forb", "free", "color", "bit", "order", "levels", "top", "saved")
 
     def __init__(self, graph: Graph, k: int) -> None:
-        index = {v: i for i, v in enumerate(graph.vertices)}
-        self.neighbors = [list(map(index.__getitem__, graph.adjacency[v])) for v in graph.vertices]
-        n = len(graph.vertices)
+        adj = graph.adjacency
+        degree = [len(adj[v]) for v in graph.vertices]
+        n = len(degree)
         # With D + 1 colors every vertex has a free one, so no search needs more.
-        colors = min(k, max(map(len, self.neighbors), default=0) + 1)
-        self.color = [0] * n
-        self.counts = [[0] * (colors + 1) for _ in range(n)]
-        self.sat = [0] * n
+        colors = min(k, max(degree, default=0) + 1)
         # A stable sort keeps equal degrees in index order.
-        self.order = sorted(range(n), key=lambda v: len(self.neighbors[v]), reverse=True)
+        self.order = sorted(range(n), key=degree.__getitem__, reverse=True)
         self.bit = [0] * n
         for place, v in enumerate(self.order):
             self.bit[v] = 1 << place
+        bit_of = dict(zip(graph.vertices, self.bit))
+        # The bits are distinct, so their sum is their union.
+        self.nmask = [sum(map(bit_of.__getitem__, adj[v])) for v in graph.vertices]
+        self.forb = [0] * (colors + 1)
+        self.free = (1 << n) - 1
+        self.color = [0] * n
+        # saved[v]: (forb[color[v]] before v was colored, v's saturation then).
+        self.saved: list[tuple[int, int]] = [(0, 0)] * n
         self.levels = [0] * (colors + 1)
-        self.levels[0] = (1 << n) - 1
+        self.levels[0] = self.free
         self.top = 0
 
     @property
@@ -122,44 +136,50 @@ class _SearchState:
         return len(self.levels) - 1
 
     def assign(self, v: int, color: int) -> None:
-        colored, counts, sat, bit, levels = self.color, self.counts, self.sat, self.bit, self.levels
-        colored[v] = color
-        levels[sat[v]] ^= bit[v]
-        top = self.top
-        for u in self.neighbors[v]:
-            if colored[u]:
-                continue
-            row = counts[u]
-            if not row[color]:
-                s = sat[u]
-                sat[u] = s + 1
-                b = bit[u]
-                levels[s] ^= b
-                levels[s + 1] |= b
-                if s >= top:
-                    top = s + 1
-            row[color] += 1
-        self.top = top
+        levels, forb, b = self.levels, self.forb, self.bit[v]
+        s = self.top
+        while not levels[s] & b:
+            s -= 1
+        levels[s] ^= b
+        self.free = free = self.free ^ b
+        self.color[v] = color
+        before = forb[color]
+        self.saved[v] = (before, s)
+        mask = self.nmask[v]
+        forb[color] = before | mask
+        newly = mask & free & ~before
+        # Top down, so a vertex raised from level s is not seen again at s + 1.
+        s = top = self.top
+        while newly:
+            moved = levels[s] & newly
+            if moved:
+                levels[s] ^= moved
+                levels[s + 1] |= moved
+                newly ^= moved
+                if s == top:
+                    self.top = top + 1
+            s -= 1
 
     def unassign(self, v: int) -> None:
-        colored, counts, sat, bit, levels = self.color, self.counts, self.sat, self.bit, self.levels
-        color = colored[v]
-        colored[v] = 0
-        s = sat[v]
-        levels[s] |= bit[v]
-        if s > self.top:
-            self.top = s
-        for u in self.neighbors[v]:
-            if colored[u]:
-                continue
-            row = counts[u]
-            row[color] -= 1
-            if not row[color]:
-                s = sat[u]
-                sat[u] = s - 1
-                b = bit[u]
-                levels[s] ^= b
-                levels[s - 1] |= b
+        levels, forb, b = self.levels, self.forb, self.bit[v]
+        color = self.color[v]
+        self.color[v] = 0
+        before, level = self.saved[v]
+        forb[color] = before
+        newly = self.nmask[v] & self.free & ~before
+        # Bottom up, so a vertex lowered to level s - 1 is not seen again there.
+        s = 1
+        while newly:
+            moved = levels[s] & newly
+            if moved:
+                levels[s] ^= moved
+                levels[s - 1] |= moved
+                newly ^= moved
+            s += 1
+        self.free |= b
+        levels[level] |= b
+        if level > self.top:
+            self.top = level
 
 
 def select_vertex(state: _SearchState) -> int:
@@ -178,7 +198,7 @@ def _decide(graph: Graph, state: _SearchState, k: int, deadline: float) -> Solve
     """Search an empty state for a k-coloring; an Unsat answer leaves it empty again."""
     n = len(state.color)
     colors = min(k, state.colors)
-    counts = state.counts
+    forb, bit = state.forb, state.bit
     # One frame per colored vertex: [vertex, its current color, max color
     # used by the vertices colored before it].
     stack: list[list[int]] = []
@@ -195,10 +215,10 @@ def _decide(graph: Graph, state: _SearchState, k: int, deadline: float) -> Solve
             v, color, used = frame
             if color:
                 state.unassign(v)
-            row = counts[v]
+            b = bit[v]
             cap = min(colors, used + 1)
             color += 1
-            while color <= cap and row[color]:
+            while color <= cap and forb[color] & b:
                 color += 1
             if color <= cap:
                 break

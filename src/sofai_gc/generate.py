@@ -78,13 +78,11 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    rng = random.Random(seed)
-    vertices = tuple(str(i) for i in range(1, n + 1))
+    draw = random.Random(seed).random
+    vertices = tuple(map(str, range(1, n + 1)))
     edges = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if rng.random() < p:
-                edges.append((str(i), str(j)))
+    for i, u in enumerate(vertices, 1):
+        edges += [(u, v) for v in vertices[i:] if draw() < p]
     return Graph(vertices, tuple(edges))
 
 

@@ -8,13 +8,11 @@ can be exercised deterministically and offline.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import random
 import re
 import time
-import urllib.request
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -257,6 +255,10 @@ class RemoteProposer:
         self.config = config
 
     def propose(self, prompt: Prompt, *, timeout: Optional[float] = None) -> ProposerResponse:
+        # Imported here, not at the top: the network stack, ssl too, costs memory in every run without an endpoint.
+        import http.client
+        import urllib.request
+
         budget = self.config.timeout if timeout is None else min(self.config.timeout, timeout)
         if budget <= 0:
             return ProposerResponse("error", raw="", error="no time budget left")

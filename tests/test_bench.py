@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from sofai_gc import (
@@ -110,6 +115,16 @@ class TestLoadResults:
         path = tmp_path / "results.jsonl"
         path.write_text(self.GOOD[0] + "\n" + self.GOOD[1] + "\n" + self.GOOD[1][:27])
         assert [r.instance_id for r in load_results(path)] == ["a", "b"]
+
+
+def test_import_leaves_the_network_stack_and_the_process_pool_unloaded():
+    # Both are imported where they are used, so a run that needs neither pays no memory for them
+    code = "import sys, sofai_gc; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    unused = ["ssl", "http.client", "urllib.request", "multiprocessing"]
+    src = str(Path(bench.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, *unused], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == []
 
 
 class TestRunBenchmark:

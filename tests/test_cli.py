@@ -172,6 +172,16 @@ class TestBenchAndReport:
             main(["report", "--in", str(memory)])
         assert "\n" not in str(exc.value.code)
 
+    def test_report_on_a_value_of_the_wrong_type_is_a_one_line_error(self, dataset_dir, tmp_path):
+        out = tmp_path / "r.jsonl"
+        main(["bench", "--dataset", str(dataset_dir), "--solver", "S2", "--time-limit", "30",
+              "--trials", "1", "--workers", "1", "--out", str(out)])
+        row = json.loads(out.read_text().splitlines()[0])
+        out.write_text(json.dumps({**row, "wall_time": "fast"}) + "\n")
+        with pytest.raises(SystemExit, match=r"^sofai-gc: .*r\.jsonl:1: TypeError: wall_time ") as exc:
+            main(["report", "--in", str(out)])
+        assert "\n" not in str(exc.value.code)
+
     def test_report_on_missing_file_is_a_one_line_error(self, tmp_path):
         with pytest.raises(SystemExit, match="no such trial results file") as exc:
             main(["report", "--in", str(tmp_path / "missing.jsonl")])

@@ -1,5 +1,9 @@
+import hashlib
+import json
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,8 @@ from sofai_gc.dsatur import _SearchState, select_vertex
 from conftest import complete_graph, cycle_graph, myciel
 from oracles import brute_force_chromatic, brute_force_colorable, product_scan_colorable
 from strategies import er_graphs
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestSolveDecision:
@@ -200,17 +206,20 @@ class TestSelectVertex:
         # A-B, A-C, B-C, C-D, D-E
         state = _SearchState(fig2_graph, 3)
 
+        def forbidden(u):
+            return [bool(state.forb[c] & state.bit[u]) for c in range(1, state.colors + 1)]
+
         def snapshot():
-            return (list(state.color), list(state.sat), list(state.levels), [list(row) for row in state.counts])
+            return (list(state.color), list(state.levels), list(state.forb), state.free)
 
         empty = snapshot()
         assert state.levels[0] == sum(state.bit) and not any(state.levels[1:])
         state.assign(2, 1)  # "C": its neighbors A, B and D rise one level
-        assert [state.sat[u] for u in (0, 1, 3, 4)] == [1, 1, 1, 0]
+        assert [sum(forbidden(u)) for u in (0, 1, 3, 4)] == [1, 1, 1, 0]
         assert state.levels[1] == state.bit[0] | state.bit[1] | state.bit[3]
         assert state.levels[0] == state.bit[4]
-        state.assign(0, 2)  # "A": B rises again; C is colored and skipped
-        assert state.sat[1] == 2 and state.counts[1][1:] == [1, 1, 0]
+        state.assign(0, 2)  # "A": B rises again; C is colored, so no level holds it
+        assert forbidden(1) == [True, True, False]
         assert state.levels == [state.bit[4], state.bit[3], state.bit[1], 0]
         state.unassign(0)
         state.unassign(2)
@@ -235,3 +244,57 @@ class TestSelectVertex:
                     select_vertex(state)
             else:
                 assert select_vertex(state) == expected
+
+
+def count_nodes(monkeypatch):
+    """Counts search nodes: _decide calls select_vertex once per node."""
+    nodes = [0]
+
+    def counted(state):
+        nodes[0] += 1
+        return select_vertex(state)
+
+    monkeypatch.setattr(dsatur, "select_vertex", counted)
+    return nodes
+
+
+# gen_erdos_renyi(n, p, seed): chi, chromatic_number's nodes (None: not run),
+# solve_decision's nodes at chi - 1 (Unsat) and at chi (Sat), and a digest of
+# the Sat coloring.  Any change to the vertex choice or the color order moves them.
+SEARCH_PATHS = {
+    (30, 0.5, 0): (7, 139, 29, 90, "131fffc532ba"),
+    (30, 0.5, 1): (7, 259, 42, 194, "a297c9c75cef"),
+    (40, 0.5, 2): (8, 1963, 83, 1850, "62fbf986b22a"),
+    (60, 0.5, 1): (10, None, 22418, 34001, "1586ee479662"),
+}
+
+
+@pytest.mark.parametrize("args", SEARCH_PATHS, ids=str)
+def test_search_path_is_plain_dsatur(args, monkeypatch):
+    chi, sweep, unsat, sat, digest = SEARCH_PATHS[args]
+    graph = gen_erdos_renyi(*args)
+    nodes = count_nodes(monkeypatch)
+    if sweep is not None:
+        assert (chromatic_number(graph), nodes[0]) == (chi, sweep)
+    nodes[0] = 0
+    assert solve_decision(graph, chi - 1).is_unsat and nodes[0] == unsat
+    nodes[0] = 0
+    outcome = solve_decision(graph, chi)
+    assert outcome.is_sat and nodes[0] == sat
+    assert hashlib.sha256(json.dumps(outcome.assignment, sort_keys=True).encode()).hexdigest()[:12] == digest
+
+
+def test_chromatic_number_agrees_with_an_independent_solver():
+    # perfbench's pinning solver shares no code with the package; a wrong
+    # Unsat is the one answer no certificate check catches
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from pin_er_suite import k_colorable
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    rng = random.Random(2)
+    for _ in range(100):
+        graph = gen_erdos_renyi(rng.randint(20, 30), rng.choice([0.2, 0.35, 0.5, 0.65]), rng.getrandbits(32))
+        chi = chromatic_number(graph)
+        assert k_colorable(graph.vertices, graph.edges, chi)
+        assert chi == 1 or not k_colorable(graph.vertices, graph.edges, chi - 1)

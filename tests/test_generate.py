@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from sofai_gc import (
@@ -30,6 +32,16 @@ class TestGenErdosRenyi:
     def test_probability_extremes(self):
         assert gen_erdos_renyi(6, 0.0, seed=1).edges == ()
         assert len(gen_erdos_renyi(6, 1.0, seed=1).edges) == 15
+
+    @pytest.mark.parametrize("args, edges, digest", [
+        ((12, 0.5, 5), 32, "6a590d012883"),
+        ((300, 0.03, 0), 1396, "ea52be7c03a4"),
+    ], ids=str)
+    def test_draws_the_pinned_stream(self, args, edges, digest):
+        # datasets and perfbench's pinned er_suite.json name graphs by (n, p, seed)
+        graph = gen_erdos_renyi(*args)
+        assert len(graph.edges) == edges
+        assert hashlib.sha256(repr(graph.edges).encode()).hexdigest()[:12] == digest
 
     def test_validation(self):
         with pytest.raises(ValueError):
