@@ -24,9 +24,12 @@ vertices back.  The search path, node for node, is plain DSATUR's.
 
 Every graph of maximum degree D is (D + 1)-colorable and a search that
 may use D + 1 colors never backtracks, so the state holds min(k, D + 1)
-colors.  chromatic_number builds one state for its whole sweep over k:
-an Unsat proof unwinds the state back to empty, ready for k + 1, and the
-sweep ends by k = D + 1.
+colors.  chromatic_number builds one state for its whole sweep over k
+and starts the sweep at the size of a greedy clique grown on that state's
+masks and checked against the graph: a clique needs that many colors, so
+no smaller k is searched.  An Unsat proof unwinds the state back to
+empty, ready for k + 1, and the sweep ends by k = D + 1.  solve_decision
+answers Unsat only from an exhausted search.
 """
 
 from __future__ import annotations
@@ -199,36 +202,35 @@ def _decide(graph: Graph, state: _SearchState, k: int, deadline: float) -> Solve
     n = len(state.color)
     colors = min(k, state.colors)
     forb, bit = state.forb, state.bit
-    # One frame per colored vertex: [vertex, its current color, max color
-    # used by the vertices colored before it].
-    stack: list[list[int]] = []
-    max_used = 0
-    while len(stack) < n:
+    # The stack, flat: at each depth the vertex colored there, its color,
+    # and the max color used by the vertices colored above it.
+    stack_v, stack_color, stack_used = [0] * n, [0] * n, [0] * n
+    depth = used = 0
+    while depth < n:
         if time.monotonic() > deadline:
             return SolveOutcome.timeout()
         v = select_vertex(state)  # module global: one call per search node
-        frame = [v, 0, max_used]
-        stack.append(frame)
-        # Advance the top frame to its next feasible color, popping frames
-        # whose colors are exhausted; an empty stack means no coloring exists.
+        color = 0
+        # Advance the vertex at depth to its next feasible color, backing up
+        # past depths whose colors are exhausted; none left means no coloring.
         while True:
-            v, color, used = frame
-            if color:
-                state.unassign(v)
+            cap = used + 1 if used < colors else colors
             b = bit[v]
-            cap = min(colors, used + 1)
             color += 1
             while color <= cap and forb[color] & b:
                 color += 1
             if color <= cap:
                 break
-            stack.pop()
-            if not stack:
+            if not depth:
                 return SolveOutcome.unsat()
-            frame = stack[-1]
-        frame[1] = color
+            depth -= 1
+            v, color, used = stack_v[depth], stack_color[depth], stack_used[depth]
+            state.unassign(v)
+        stack_v[depth], stack_color[depth], stack_used[depth] = v, color, used
         state.assign(v, color)
-        max_used = max(used, color)
+        depth += 1
+        if color > used:
+            used = color
 
     assignment = dict(zip(graph.vertices, state.color))
     if not verdict(graph, assignment, k).valid:
@@ -246,10 +248,42 @@ def solve_decision(graph: Graph, k: int, time_limit: float = 200.0) -> SolveOutc
     return _decide(graph, _SearchState(graph, k), k, deadline)
 
 
+def _clique(graph: Graph, state: _SearchState) -> list[int]:
+    """A greedy clique of the graph, as vertex indices, checked against its adjacency.
+
+    Each step takes the candidate with the most neighbors among the
+    remaining candidates (the first in degree order on a tie), then keeps
+    only its neighbors as candidates.  The members are then checked
+    pairwise against graph.adjacency, not the masks they were grown from;
+    a failed check raises RuntimeError.
+    """
+    nmask, order = state.nmask, state.order
+    members: list[int] = []
+    cand = (1 << len(order)) - 1
+    while cand:
+        best, most, rest = 0, -1, cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = order[low.bit_length() - 1]
+            count = (nmask[u] & cand).bit_count()
+            if count > most:
+                best, most = u, count
+        members.append(best)
+        cand &= nmask[best]
+    names = [graph.vertices[v] for v in members]
+    for i, v in enumerate(names):
+        if not graph.adjacency[v].issuperset(names[:i]):
+            raise RuntimeError(f"greedy clique {names} is not a clique of the graph")
+    return members
+
+
 def chromatic_number(graph: Graph, time_limit: float = 200.0) -> int:
     """Smallest k for which the graph is k-colorable; 0 for the empty graph.
 
-    The whole sweep shares one deadline and one search state;
+    The sweep starts at k = the size of a checked clique (see _clique): a
+    clique certificate makes every smaller k Unsat, so those searches are
+    skipped.  The whole sweep shares one deadline and one search state;
     DeadlineExceeded is raised if it cannot finish in time.
     """
     n = len(graph.vertices)
@@ -257,7 +291,7 @@ def chromatic_number(graph: Graph, time_limit: float = 200.0) -> int:
         return 0
     deadline = time.monotonic() + time_limit
     state = _SearchState(graph, n)
-    for k in range(1, state.colors + 1):
+    for k in range(len(_clique(graph, state)), state.colors + 1):
         outcome = _decide(graph, state, k, deadline)
         if outcome.is_timeout:
             raise DeadlineExceeded(f"chromatic number search exceeded {time_limit}s")

@@ -23,7 +23,7 @@ _SOLVERS = ("S1", "S2")
 
 
 class MemoryRejected(ValueError):
-    """Record refused: invalid solution or duplicate id."""
+    """Record refused: invalid solution, duplicate id, or a label DIMACS cannot carry."""
 
 
 @dataclass(frozen=True)
@@ -188,10 +188,15 @@ def update_memory(store: MemoryStore, record: EpisodicRecord) -> str:
     A record carrying a solution must verify as a proper coloring of its
     own graph within its k, otherwise it is rejected.  A known id is
     rejected first, before that check; append checks it again under the
-    store's lock.
+    store's lock.  So is a vertex label that is empty or holds whitespace:
+    its DIMACS line would not parse back, and the store's file would no
+    longer load.
     """
     if record.id in store:
         raise MemoryRejected(f"duplicate record id {record.id}")
+    for v in record.graph.vertices:
+        if v.split() != [v]:
+            raise MemoryRejected(f"record {record.id}: vertex label {v!r} cannot be written as DIMACS")
     if record.solution is not None and not verdict(record.graph, record.solution, record.k).valid:
         raise MemoryRejected(f"record {record.id} carries an invalid solution")
     store.append(record)

@@ -255,7 +255,7 @@ def _run(
         try:
             update_memory(store, EpisodicRecord.make(graph, k, outcome.assignment, source))
         except MemoryRejected:
-            pass  # already known; nothing to add
+            pass  # already known, or not storable; the answer stands
     trace = SolveTrace(
         iterations=tuple(iterations),
         s2_invoked=s2_invoked,

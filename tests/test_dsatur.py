@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -258,13 +260,20 @@ def count_nodes(monkeypatch):
     return nodes
 
 
+def clique_size(graph: Graph) -> int:
+    """Size of the checked greedy clique chromatic_number starts its sweep at."""
+    return len(dsatur._clique(graph, _SearchState(graph, 1)))
+
+
 # gen_erdos_renyi(n, p, seed): chi, chromatic_number's nodes (None: not run),
 # solve_decision's nodes at chi - 1 (Unsat) and at chi (Sat), and a digest of
-# the Sat coloring.  Any change to the vertex choice or the color order moves them.
+# the Sat coloring.  Any change to the vertex choice or the color order moves
+# them.  The sweep searches only the k from its checked clique's size to chi,
+# so its nodes are solve_decision's summed over those k, fewer than over 1..chi.
 SEARCH_PATHS = {
-    (30, 0.5, 0): (7, 139, 29, 90, "131fffc532ba"),
-    (30, 0.5, 1): (7, 259, 42, 194, "a297c9c75cef"),
-    (40, 0.5, 2): (8, 1963, 83, 1850, "62fbf986b22a"),
+    (30, 0.5, 0): (7, 119, 29, 90, "131fffc532ba"),
+    (30, 0.5, 1): (7, 245, 42, 194, "a297c9c75cef"),
+    (40, 0.5, 2): (8, 1933, 83, 1850, "62fbf986b22a"),
     (60, 0.5, 1): (10, None, 22418, 34001, "1586ee479662"),
 }
 
@@ -276,12 +285,67 @@ def test_search_path_is_plain_dsatur(args, monkeypatch):
     nodes = count_nodes(monkeypatch)
     if sweep is not None:
         assert (chromatic_number(graph), nodes[0]) == (chi, sweep)
+        per_k = {}
+        for k in range(1, chi + 1):
+            nodes[0] = 0
+            solve_decision(graph, k)
+            per_k[k] = nodes[0]
+        assert sweep == sum(per_k[k] for k in range(clique_size(graph), chi + 1)) < sum(per_k.values())
     nodes[0] = 0
     assert solve_decision(graph, chi - 1).is_unsat and nodes[0] == unsat
     nodes[0] = 0
     outcome = solve_decision(graph, chi)
     assert outcome.is_sat and nodes[0] == sat
     assert hashlib.sha256(json.dumps(outcome.assignment, sort_keys=True).encode()).hexdigest()[:12] == digest
+
+
+# Vertex "1" of a 5-cycle claims every other vertex as a neighbor in the
+# sweep's masks, so the greedy clique grown from them is no clique.
+NON_CLIQUE = """
+from sofai_gc import Graph, chromatic_number, dsatur
+
+built = dsatur._SearchState
+
+def corrupted(graph, k):
+    state = built(graph, k)
+    state.nmask[0] = sum(state.bit) ^ state.bit[0]
+    return state
+
+dsatur._SearchState = corrupted
+try:
+    chromatic_number(Graph(tuple("12345"), (("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "1"))))
+finally:
+    dsatur._SearchState = built
+"""
+
+
+class TestClique:
+    def test_a_non_clique_fails_the_check(self):
+        with pytest.raises(RuntimeError, match="not a clique"):
+            exec(NON_CLIQUE, {})
+
+    def test_the_check_holds_under_python_O(self):
+        # the check must hold under `python -O`, so it cannot be an assert
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-O", "-c", NON_CLIQUE], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert proc.returncode == 1
+        assert "RuntimeError: greedy clique" in proc.stderr and "not a clique" in proc.stderr
+
+    @pytest.mark.parametrize("graph", [complete_graph(n) for n in range(1, 7)] + [
+        gen_erdos_renyi(30, 0.5, 2),  # greedy clique 7 = chi
+        gen_erdos_renyi(30, 0.5, 7),  # greedy clique 8 = chi
+    ], ids=["K1", "K2", "K3", "K4", "K5", "K6", "er30-seed2", "er30-seed7"])
+    def test_a_clique_of_size_chi_leaves_one_search(self, graph, monkeypatch):
+        decide, ks = dsatur._decide, []
+        monkeypatch.setattr(dsatur, "_decide", lambda *args: ks.append(args[2]) or decide(*args))  # args[2] is k
+        chi = chromatic_number(graph)
+        assert ks == [chi] == [clique_size(graph)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(er_graphs(max_n=7))
+    def test_clique_bounds_chi_from_below(self, graph):
+        assert clique_size(graph) <= chromatic_number(graph) == brute_force_chromatic(graph)
 
 
 def test_chromatic_number_agrees_with_an_independent_solver():

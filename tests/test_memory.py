@@ -7,7 +7,10 @@ from sofai_gc import (
     Graph,
     MemoryRejected,
     MemoryStore,
+    OrchestratorConfig,
+    ProposerConfig,
     retrieve_memory,
+    solve_sofai_v2,
     update_memory,
 )
 
@@ -121,6 +124,24 @@ class TestPersistence:
 
         reopened = MemoryStore(path)
         assert reopened.records() == store.records()
+
+    @pytest.mark.parametrize("label", ["a b", "", "a\tb", " a"])
+    def test_label_dimacs_cannot_carry_is_rejected_before_writing(self, tmp_path, label):
+        path = tmp_path / "memory.jsonl"
+        graph = Graph((label, "c"), ((label, "c"),))
+        with pytest.raises(MemoryRejected, match="DIMACS"):
+            update_memory(MemoryStore(path), record_for(graph, 2, {label: 1, "c": 2}))
+        assert not path.exists()
+
+    def test_solving_a_graph_with_a_spaced_label_leaves_the_file_loadable(self, tmp_path, triangle):
+        path = tmp_path / "memory.jsonl"
+        store = MemoryStore(path)
+        known = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
+        update_memory(store, known)
+        spaced = Graph(("a b", "c"), (("a b", "c"),))
+        outcome, _ = solve_sofai_v2(spaced, 2, OrchestratorConfig(proposer=ProposerConfig(kind="mock"), store=store))
+        assert outcome.is_sat  # the trial keeps its answer
+        assert MemoryStore(path).records() == (known,)
 
     def test_torn_final_line_skipped_then_cut_off(self, tmp_path, triangle, fig2_graph, petersen):
         path = tmp_path / "memory.jsonl"

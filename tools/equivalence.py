@@ -8,13 +8,17 @@ repository and its .git are left untouched.  Then, on REV and on the
 working tree alike, it runs
 
     sofai-gc gen --n 12 --p 0.5 --mix 50,50 --count 12 --seed 5
+    sofai-gc gen --n 30 --p 0.5 --mix 50,50 --count 12 --seed 5
     sofai-gc bench --proposer mock --noise 0.15 --noise-decay 0.7 \\
         --unsat-rate 0.2 --trials 3 --workers 1 --seed 9 --solver ID
 
-for every roster id, with a fresh --memory file for each id that reads
-memory.  The two datasets must be byte-identical, and every trial record
-and memory record must be equal except wall_time and timestamp.  Prints
-the counts and exits 1 on any mismatch.  Standard library only.
+and the bench line on the n = 12 dataset for every roster id, with a
+fresh --memory file for each id that reads memory.  The G(30, 0.5)
+dataset is labeled only: its chromatic numbers take real S2 sweeps, which
+n = 12 graphs barely need.  The datasets must be byte-identical, and every
+trial record and memory record must be equal except wall_time and
+timestamp.  Prints the counts and exits 1 on any mismatch.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from sofai_gc.bench import MEMORYLESS, SOLVERS  # noqa: E402
 
-GEN = ["gen", "--n", "12", "--p", "0.5", "--mix", "50,50", "--count", "12", "--seed", "5"]
+GEN = ["gen", "--p", "0.5", "--mix", "50,50", "--count", "12", "--seed", "5"]
 BENCH = [
     "bench", "--proposer", "mock", "--noise", "0.15", "--noise-decay", "0.7", "--unsat-rate", "0.2",
     "--trials", "3", "--workers", "1", "--seed", "9",
@@ -52,14 +56,16 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
             stderr=subprocess.DEVNULL,
         )
 
-    data = out / "data"
-    cli(*GEN, "--out", str(data))
+    data, dense = out / "data", out / "dense"
+    cli(*GEN, "--n", "12", "--out", str(data))
+    cli(*GEN, "--n", "30", "--out", str(dense))
     for solver in SOLVERS:
         memory = [] if solver in MEMORYLESS else ["--memory", str(out / f"{solver}.memory.jsonl")]
         cli(*BENCH, "--solver", solver, "--dataset", str(data), "--out", str(out / f"{solver}.jsonl"), *memory)
     return {
         "dataset files byte-identical": [
-            (p.relative_to(data).as_posix(), p.read_bytes()) for p in sorted(data.rglob("*")) if p.is_file()
+            (p.relative_to(out).as_posix(), p.read_bytes())
+            for root in (data, dense) for p in sorted(root.rglob("*")) if p.is_file()
         ],
         "trial records equal except wall_time": [
             row for solver in SOLVERS for row in records(out / f"{solver}.jsonl", "wall_time")
