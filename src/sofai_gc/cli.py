@@ -83,7 +83,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     graph, file_k, _ = parse_dimacs_instance(text)
     k = args.k if args.k is not None else file_k
     if k is None:
-        raise SystemExit("no color bound: pass --k or use an instance with a 'c k' comment")
+        raise ValueError("no color bound: pass --k or use an instance with a 'c k' comment")
 
     store = MemoryStore(args.memory) if args.memory else None
     cfg = OrchestratorConfig(proposer=_proposer_config(args), time_limit=args.time_limit, store=store)
@@ -128,9 +128,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     try:
         results = load_results(path)
     except FileNotFoundError:
-        raise SystemExit(f"no such trial results file: {path}") from None
+        raise ValueError(f"no such trial results file: {path}") from None
     if not results:
-        raise SystemExit(f"no trial results in {path}")
+        raise ValueError(f"no trial results in {path}")
     print(report(aggregate(results), format=args.format))
     return 0
 

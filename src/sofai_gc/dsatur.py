@@ -273,7 +273,7 @@ def _clique(graph: Graph, state: _SearchState) -> list[int]:
         cand &= nmask[best]
     names = [graph.vertices[v] for v in members]
     for i, v in enumerate(names):
-        if not graph.adjacency[v].issuperset(names[:i]):
+        if not set(names[:i]).issubset(graph.adjacency[v]):
             raise RuntimeError(f"greedy clique {names} is not a clique of the graph")
     return members
 

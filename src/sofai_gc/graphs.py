@@ -5,9 +5,10 @@ immutable labeled graph, partial color assignments, and the correctness
 verdict used to accept or reject proposed colorings.
 
 A graph is validated once, when the `Graph` is built, in the same pass
-that builds its neighbour sets.  The DIMACS parser checks only the text's
+that builds its neighbour lists.  The DIMACS parser checks only the text's
 own structure and leaves the edges to `Graph`, adding the line number to
-the error for the edge it rejects.
+the error for the edge it rejects.  A parsed graph holds one string object
+per vertex label: every edge endpoint is the object in `vertices`.
 """
 
 from __future__ import annotations
@@ -44,22 +45,25 @@ class Graph:
 
     Vertex order is stable (source or generator order) and edges keep
     their insertion order and endpoint orientation; equality compares
-    both tuples, so a parse/serialize round trip is exact.  Building one
-    rejects duplicate vertex labels, self-loops, duplicate edges in either
-    orientation and edges to unknown vertices, raising ValueError.
+    both tuples, so a parse/serialize round trip is exact.  adjacency[v]
+    lists v's neighbours in edge order.  Building one rejects duplicate
+    vertex labels, self-loops, duplicate edges in either orientation and
+    edges to unknown vertices, raising ValueError.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
-    adjacency: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    adjacency: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # One pass builds the neighbour sets and validates each edge against
-        # them: an edge is a duplicate, in either orientation, exactly when
-        # one endpoint is already a neighbour of the other.
+        # One pass builds the neighbour lists and validates each edge against
+        # sets of the same neighbours: an edge is a duplicate, in either
+        # orientation, exactly when one endpoint is already a neighbour of
+        # the other.  The sets are dropped once the lists are built.
         adj: dict[str, set[str]] = {v: set() for v in self.vertices}
         if len(adj) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
+        lists: dict[str, list[str]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
             if u == v:
                 raise _EdgeError(adj, f"self-loop at vertex {u!r}")
@@ -71,7 +75,9 @@ class Graph:
                 raise _EdgeError(adj, f"duplicate edge ({u!r}, {v!r})")
             nu.add(v)
             nv.add(u)
-        object.__setattr__(self, "adjacency", {v: frozenset(ns) for v, ns in adj.items()})
+            lists[u].append(v)
+            lists[v].append(u)
+        object.__setattr__(self, "adjacency", {v: tuple(ns) for v, ns in lists.items()})
 
     @property
     def density(self) -> float:
@@ -195,7 +201,8 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
     vertex list is taken from a `c vertices ...` comment when present;
     otherwise from edge-endpoint first-appearance order; otherwise, for
     classic integer instances with isolated vertices, it is filled in as
-    1..nv.  Self-loops, duplicate edges and endpoints missing from a
+    1..nv.  Every edge endpoint is the very string object in the vertex
+    list.  Self-loops, duplicate edges and endpoints missing from a
     `c vertices` list are rejected by `Graph`; the DimacsError names the
     offending edge's line.
     """
@@ -203,6 +210,10 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
     edges: list[tuple[str, str]] = []
     edge_lines: list[int] = []
     declared: list[str] | None = None
+    # Each label maps to the first token object seen for it, in `c vertices`
+    # or an edge line, so a label is one string however many lines name it.
+    labels: dict[str, str] = {}
+    own = labels.setdefault
     k: int | None = None
     label: str | None = None
 
@@ -217,7 +228,7 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
             elif len(tokens) == 3 and tokens[1] == "label" and tokens[2] in _LABELS:
                 label = tokens[2]
             elif len(tokens) >= 2 and tokens[1] == "vertices":
-                declared = (declared or []) + tokens[2:]
+                declared = (declared or []) + [own(t, t) for t in tokens[2:]]
             continue
         if tag == "p":
             if counts is not None:
@@ -236,7 +247,8 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
                 raise DimacsError(f"line {lineno}: edge line before problem line")
             if len(tokens) != 3:
                 raise DimacsError(f"line {lineno}: expected 'e <u> <v>'")
-            edges.append((tokens[1], tokens[2]))
+            _, u, v = tokens
+            edges.append((own(u, u), own(v, v)))
             edge_lines.append(lineno)
         else:
             raise DimacsError(f"line {lineno}: unrecognized line {raw!r}")
@@ -259,7 +271,7 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
             _INT_RE.match(t) and t == str(int(t)) and 1 <= int(t) <= nv for t in endpoints
         ):
             # Classic integer DIMACS: isolated vertices are implied by the header.
-            vertices = tuple(str(i) for i in range(1, nv + 1))
+            vertices = tuple(labels.get(t, t) for t in map(str, range(1, nv + 1)))
         else:
             raise DimacsError(f"problem line declares {nv} vertices, edges mention {len(endpoints)}")
 

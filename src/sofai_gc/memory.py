@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -140,7 +139,6 @@ class MemoryStore:
 
     With a path, every accepted record is appended to the JSONL file
     before the call returns, and existing lines are loaded eagerly.
-    Reads are lock-free snapshots; appends are serialized.
 
     Loading is read_jsonl's: an append cut short is skipped, and the next
     append mends the file first.
@@ -148,7 +146,6 @@ class MemoryStore:
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
-        self._lock = threading.Lock()
         self._records: list[EpisodicRecord] = []
         self._ids: set[str] = set()
         # read_jsonl's mend, made by the next append
@@ -167,19 +164,18 @@ class MemoryStore:
         return tuple(self._records)
 
     def append(self, record: EpisodicRecord) -> None:
-        with self._lock:
-            if record.id in self._ids:
-                raise MemoryRejected(f"duplicate record id {record.id}")
-            if self.path is not None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with self.path.open("ab") as fh:
-                    if self._mend is not None:
-                        fh.truncate(self._mend[0])
-                        fh.write(self._mend[1])
-                        self._mend = None
-                    fh.write(record.to_json().encode() + b"\n")
-            self._records.append(record)
-            self._ids.add(record.id)
+        if record.id in self._ids:
+            raise MemoryRejected(f"duplicate record id {record.id}")
+        if self.path is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with self.path.open("ab") as fh:
+                if self._mend is not None:
+                    fh.truncate(self._mend[0])
+                    fh.write(self._mend[1])
+                    self._mend = None
+                fh.write(record.to_json().encode() + b"\n")
+        self._records.append(record)
+        self._ids.add(record.id)
 
 
 def update_memory(store: MemoryStore, record: EpisodicRecord) -> str:
@@ -187,10 +183,9 @@ def update_memory(store: MemoryStore, record: EpisodicRecord) -> str:
 
     A record carrying a solution must verify as a proper coloring of its
     own graph within its k, otherwise it is rejected.  A known id is
-    rejected first, before that check; append checks it again under the
-    store's lock.  So is a vertex label that is empty or holds whitespace:
-    its DIMACS line would not parse back, and the store's file would no
-    longer load.
+    rejected first, before that check; append checks it again.  So is a
+    vertex label that is empty or holds whitespace: its DIMACS line would
+    not parse back, and the store's file would no longer load.
     """
     if record.id in store:
         raise MemoryRejected(f"duplicate record id {record.id}")

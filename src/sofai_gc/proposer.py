@@ -194,12 +194,15 @@ def parse_response(text: str, graph: Graph) -> ProposerResponse:
     """Extract "(vertex color)" pairs from free-form proposer text.
 
     Pairs naming unknown vertices or color 0 are ignored; the last pair
-    for a vertex wins.  With no usable pairs, the text is scanned for a
-    NOT SOLVABLE declaration; anything else is unparseable.
+    for a vertex wins.  The assignment is keyed by the graph's own vertex
+    strings, not the reply's copies.  With no usable pairs, the text is
+    scanned for a NOT SOLVABLE declaration; anything else is unparseable.
     """
+    own = dict(zip(graph.vertices, graph.vertices)).get
     assignment: ColorAssignment = {}
-    for v, c in _PAIR_RE.findall(text):
-        if v in graph.adjacency and int(c) >= 1:
+    for label, c in _PAIR_RE.findall(text):
+        v = own(label)
+        if v is not None and int(c) >= 1:
             assignment[v] = int(c)
     if assignment:
         return ProposerResponse("assignment", raw=text, assignment=assignment)

@@ -197,18 +197,24 @@ class TestBenchAndReport:
     ("solve", ["--instance", "missing.col"], "No such file"),
     ("gen", ["--time-limit", "0"], "time_limit_per_instance must be positive"),
     ("solve", ["--solver", "SOFAI-v2", "--proposer", "remote"], "remote proposer requires an endpoint"),
+    ("solve", ["--instance", "bare.col"], "no color bound"),
+    ("report", ["--in", "missing.jsonl"], "no such trial results file"),
+    ("report", ["--in", "empty.jsonl"], "no trial results in"),
 ], ids=[
     "k-0", "time-limit-0", "trials-0", "n-0", "duplicate-edge", "missing-instance", "gen-time-limit-0",
-    "remote-without-endpoint",
+    "remote-without-endpoint", "no-color-bound", "missing-results", "empty-results",
 ])
 def test_input_errors_end_in_one_line(command, flags, fragment, dataset_dir, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("S1_ENDPOINT", raising=False)
     (tmp_path / "dup.col").write_text("c k 2\np edge 2 2\ne A B\ne B A\n")
+    (tmp_path / "bare.col").write_text("p edge 2 1\ne A B\n")
+    (tmp_path / "empty.jsonl").write_text("")
     base = {
         "solve": ["--solver", "S2", "--instance", str(dataset_dir / "instances" / "er_n5_p0.5_0000.col")],
         "bench": ["--solver", "S2", "--dataset", str(dataset_dir)],
         "gen": ["--n", "5", "--p", "0.5", "--count", "1", "--out", "ds"],
+        "report": [],
     }[command]
     with pytest.raises(SystemExit) as exc:
         main([command, *base, *flags])  # a repeated flag's last value wins

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from sofai_gc import (
     Conflict,
     DimacsError,
     Graph,
+    gen_erdos_renyi,
     parse_dimacs,
     parse_dimacs_instance,
     serialize_dimacs,
@@ -28,13 +33,40 @@ class _CountingEdges(tuple):
         return super().__iter__()
 
 
+def _neighbours_in_edge_order(graph):
+    neighbours = {v: [] for v in graph.vertices}
+    for u, v in graph.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    return {v: tuple(ns) for v, ns in neighbours.items()}
+
+
 class TestGraphConstruction:
     def test_adjacency_is_symmetric(self, fig2_graph):
-        assert fig2_graph.adjacency["A"] == frozenset({"B", "C"})
-        assert fig2_graph.adjacency["E"] == frozenset({"D"})
+        assert fig2_graph.adjacency["A"] == ("B", "C")
+        assert fig2_graph.adjacency["E"] == ("D",)
         for u, v in fig2_graph.edges:
             assert u in fig2_graph.adjacency[v]
             assert v in fig2_graph.adjacency[u]
+
+    def test_adjacency_does_not_depend_on_the_hash_seed(self):
+        # String hashes, and so set iteration order, change with PYTHONHASHSEED.
+        script = (
+            "from sofai_gc import gen_erdos_renyi, parse_dimacs, serialize_dimacs\n"
+            "g = parse_dimacs(serialize_dimacs(gen_erdos_renyi(40, 0.3, 7)))\n"
+            "print([g.adjacency[v] for v in g.vertices])"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                check=True, capture_output=True, text=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        graph = parse_dimacs(serialize_dimacs(gen_erdos_renyi(40, 0.3, 7)))
+        assert outputs[0] == outputs[1] == f"{[_neighbours_in_edge_order(graph)[v] for v in graph.vertices]}\n"
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -75,6 +107,22 @@ class TestGraphConstruction:
 
 
 class TestParseDimacs:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "c vertices v3 v2 v1 v4\np edge 4 2\ne v1 v2\ne v2 v3",
+            "p edge 4 2\ne v1 v2\ne v2 v3\nc vertices v3 v2 v1 v4",  # the list after the edges
+            "p edge 3 3\ne v1 v2\ne v2 v3\ne v3 v1",  # first appearance
+            "p edge 40 3\ne 12 23\ne 23 34\ne 34 12",  # filled in as 1..40
+        ],
+        ids=["vertices-comment", "vertices-comment-last", "first-appearance", "filled-from-header"],
+    )
+    def test_one_string_object_per_label(self, text):
+        graph = parse_dimacs(text)
+        own = {id(v) for v in graph.vertices}
+        assert all(id(u) in own and id(v) in own for u, v in graph.edges)
+        assert all(id(u) in own for ns in graph.adjacency.values() for u in ns)
+
     def test_parses_standard_instance(self):
         text = "c a comment\np edge 3 2\ne 1 2\ne 2 3"
         graph = parse_dimacs(text)
@@ -149,6 +197,8 @@ class TestParseDimacs:
                 "c vertices A B C\n\np edge 3 3\ne A B\nc note\ne C A\ne A B",
                 "line 7: duplicate edge ('A', 'B')",
             ),
+            # the first bad edge is named, not a later self-loop
+            ("p edge 3 3\ne A B\ne B A\ne C C", "line 3: duplicate edge ('B', 'A')"),
         ],
     )
     def test_bad_edge_names_its_line(self, text, message):
@@ -207,6 +257,15 @@ class TestSerializeDimacs:
         shuffled = Graph(tuple(vertices), tuple(edges))
         assert parse_dimacs(serialize_dimacs(shuffled)) == shuffled
         assert parse_dimacs_instance(serialize_dimacs(shuffled, k=2, label="SAT")) == (shuffled, 2, "SAT")
+
+    @settings(max_examples=150)
+    @given(er_graphs(), st.randoms(use_true_random=False))
+    def test_round_trip_keeps_adjacency_in_edge_order(self, graph, rng):
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges]
+        rng.shuffle(edges)
+        graph = Graph(graph.vertices, tuple(edges))
+        parsed = parse_dimacs(serialize_dimacs(graph))
+        assert parsed.adjacency == graph.adjacency == _neighbours_in_edge_order(graph)
 
     def test_second_serialization_walks_no_edges(self, fig2_graph):
         edges = _CountingEdges(fig2_graph.edges[::-1])  # edge order differs from vertex order

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -12,9 +14,14 @@ from sofai_gc import (
     PromptExample,
     ProposerConfig,
     RemoteProposer,
+    derive_seed,
+    format_feedback,
+    gen_erdos_renyi,
     make_proposer,
+    parse_dimacs,
     parse_response,
     render_prompt,
+    serialize_dimacs,
     solve_sofai_v2,
     verdict,
 )
@@ -139,6 +146,13 @@ class TestParseResponse:
         resp = parse_response("(A 1) but maybe NOT SOLVABLE", triangle)
         assert resp.is_assignment
 
+    def test_keys_are_the_graphs_own_strings(self):
+        graph = parse_dimacs("p edge 3 2\ne v10 v20\ne v20 v30")
+        resp = parse_response("(v30 1)\n(v10 1)\n(v20 2)\n(v30 3)", graph)
+        assert resp.assignment == {"v30": 3, "v10": 1, "v20": 2}
+        own = {id(v) for v in graph.vertices}
+        assert all(id(v) in own for v in resp.assignment)
+
 
 class TestMockProposer:
     def test_greedy_is_proper_and_deterministic(self, fig2_graph):
@@ -169,6 +183,28 @@ class TestMockProposer:
         history = [("(A 1)", ("Error: something",))]
         resp = MockProposer(cfg).propose(render_prompt(fig2_graph, 3, feedback_history=history))
         assert verdict(fig2_graph, resp.assignment, 3).valid
+
+    def test_replies_on_a_sparse_graph_are_pinned(self):
+        # The first G(300, 0.03) of perfbench's s1-memory suite, loaded from
+        # DIMACS as a dataset is, at k = greedy colors + 1, with that
+        # workload's noise: three rounds, each prompt carrying the feedback
+        # so far.  Trial 2's replies fail twice and then succeed, so all
+        # three reach the controller.  The replies must not depend on the
+        # order of graph.adjacency or on which string objects hold the labels.
+        graph = parse_dimacs(serialize_dimacs(gen_erdos_renyi(300, 0.03, random.Random(0).getrandbits(63))))
+        greedy = MockProposer(ProposerConfig()).propose(render_prompt(graph, len(graph.vertices))).assignment
+        k = max(greedy.values()) + 1
+        seed = derive_seed(1, f"sp000_k{k}", 2)
+        proposer = MockProposer(ProposerConfig(kind="mock", noise=0.02, noise_decay=0.5, seed=seed))
+        history = []
+        digest = hashlib.sha256()
+        for _ in range(3):
+            reply = proposer.propose(render_prompt(graph, k, (), history))
+            messages = tuple(item.message for item in format_feedback(graph, reply.assignment, k))
+            digest.update(reply.raw.encode() + b"\n\n" + "\n".join(messages).encode() + b"\n\n")
+            history.append((reply.raw, messages))
+        assert [bool(m) for _, m in history] == [True, True, False]
+        assert digest.hexdigest() == "39dd90828ab33f9de5df97e583eead5560220239ce4dbde2951d02aba5d5f1f8"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

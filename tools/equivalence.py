@@ -15,10 +15,14 @@ working tree alike, it runs
 and the bench line on the n = 12 dataset for every roster id, with a
 fresh --memory file for each id that reads memory.  The G(30, 0.5)
 dataset is labeled only: its chromatic numbers take real S2 sweeps, which
-n = 12 graphs barely need.  The datasets must be byte-identical, and every
+n = 12 graphs barely need.  The datasets must be byte-identical, every
 trial record and memory record must be equal except wall_time and
-timestamp.  Prints the counts and exits 1 on any mismatch.  Standard
-library only.
+timestamp, and every prompt the bench lines render must have the same
+text, compared by sha256 in the order rendered (the mock proposer ignores
+prompt text, so nothing else would see it change).  Each command runs
+in-process in a fresh interpreter that first wraps
+metacognition.render_prompt to record those digests.  Prints the counts
+and exits 1 on any mismatch.  Standard library only.
 """
 
 from __future__ import annotations
@@ -44,12 +48,32 @@ BENCH = [
 ]
 
 
+# `python -c RUNNER DIGESTS ARGS...`: sofai_gc.cli.main(ARGS) with each
+# rendered prompt's sha256 appended to the file DIGESTS.
+RUNNER = """
+import hashlib, sys
+from sofai_gc import cli, metacognition
+
+render = metacognition.render_prompt
+
+def recording(*args, **kwargs):
+    prompt = render(*args, **kwargs)
+    with open(sys.argv[1], "a") as fh:
+        fh.write(hashlib.sha256(prompt.text.encode()).hexdigest() + "\\n")
+    return prompt
+
+metacognition.render_prompt = recording
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
 def run_matrix(src: Path, out: Path) -> dict[str, list]:
     """Run the matrix on the package in src, writing to out; returns what the two sides must share."""
+    digests = out / "prompts.sha256"
 
     def cli(*args: str) -> None:
         subprocess.run(
-            [sys.executable, "-m", "sofai_gc.cli", *args],
+            [sys.executable, "-c", RUNNER, str(digests), *args],
             env={**os.environ, "PYTHONPATH": str(src)},
             check=True,
             stdout=subprocess.DEVNULL,
@@ -73,6 +97,7 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
         "memory records equal except timestamp": [
             row for solver in SOLVERS for row in records(out / f"{solver}.memory.jsonl", "timestamp")
         ],
+        "prompt texts equal by sha256": digests.read_text().split(),
     }
 
 
