@@ -20,6 +20,7 @@ from .graphs import Graph, parse_dimacs_instance, serialize_dimacs
 PRNG_NAME = "python-random-mt19937"
 
 _MAX_REGEN_ATTEMPTS = 1000
+_MANIFEST_COLUMNS = ("id", "n", "p", "seed", "chi", "k", "label", "filename")
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
         fh.write(f"# seed: {spec.seed}\n")
         fh.write(f"# complete: {str(dataset.complete).lower()}\n")
         writer = csv.writer(fh)
-        writer.writerow(["id", "n", "p", "seed", "chi", "k", "label", "filename"])
+        writer.writerow(_MANIFEST_COLUMNS)
         for rec in dataset.instances:
             filename = f"instances/{rec.id}.col"
             writer.writerow([rec.id, rec.n, f"{rec.p:g}", rec.seed, rec.chi, rec.k, rec.label, filename])
@@ -179,7 +180,10 @@ def load_dataset(path: str | Path) -> list[InstanceRecord]:
     records: list[InstanceRecord] = []
     with manifest.open(newline="") as fh:
         rows = csv.DictReader(line for line in fh if not line.startswith("#"))
-        for row in rows:
+        for rowno, row in enumerate(rows, 1):
+            missing = next((c for c in _MANIFEST_COLUMNS if row.get(c) is None), None)
+            if missing is not None:
+                raise ValueError(f"{manifest}: row {rowno} has no {missing!r} field")
             text = (base / row["filename"]).read_text()
             graph, k, label = parse_dimacs_instance(text)
             if k is None or label is None:

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 # Vertex label -> color index (>= 1).  May be partial.
 ColorAssignment = dict[str, int]
@@ -103,16 +103,6 @@ class Graph:
 
     def degree(self, v: str) -> int:
         return len(self.adjacency[v])
-
-    def induced_subgraph(self, keep: Iterable[str]) -> Graph:
-        """Subgraph induced by `keep`, preserving the stable vertex/edge order."""
-        kept = set(keep)
-        unknown = kept - set(self.vertices)
-        if unknown:
-            raise ValueError(f"unknown vertices: {sorted(unknown)}")
-        vertices = tuple(v for v in self.vertices if v in kept)
-        edges = tuple((u, v) for u, v in self.edges if u in kept and v in kept)
-        return Graph(vertices, edges)
 
 
 @dataclass(frozen=True)

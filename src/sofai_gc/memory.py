@@ -36,6 +36,10 @@ class EpisodicRecord:
     solver: str
     timestamp: float
 
+    def __post_init__(self) -> None:
+        if self.solver not in _SOLVERS:
+            raise ValueError(f"solver must be one of {_SOLVERS}")
+
     @property
     def n(self) -> int:
         return len(self.graph.vertices)
@@ -58,8 +62,6 @@ class EpisodicRecord:
         timestamp: Optional[float] = None,
     ) -> "EpisodicRecord":
         """Build a record from a graph; the id is a digest of (DIMACS text, k)."""
-        if solver not in _SOLVERS:
-            raise ValueError(f"solver must be one of {_SOLVERS}")
         digest = hashlib.sha256(f"{serialize_dimacs(graph)}\nk={k}".encode()).hexdigest()[:16]
         return cls(
             id=digest,
@@ -88,12 +90,12 @@ class EpisodicRecord:
 
     @classmethod
     def from_json(cls, line: str | bytes) -> "EpisodicRecord":
-        """Parse one JSONL line; its n, e and density are not read back, the graph has them."""
+        """Parse one JSONL line and check it as update_memory would; n, e and density are not read back."""
         obj = json.loads(line)
         solution = obj["solution"]
         if solution is not None:
             solution = {str(v): int(c) for v, c in solution.items()}
-        return cls(
+        record = cls(
             id=obj["id"],
             k=int(obj["k"]),
             graph=parse_dimacs(obj["dimacs"]),
@@ -101,6 +103,13 @@ class EpisodicRecord:
             solver=obj["solver"],
             timestamp=float(obj["timestamp"]),
         )
+        record._check_solution()
+        return record
+
+    def _check_solution(self) -> None:
+        """Refuse a solution that is not a proper coloring of the graph within k."""
+        if self.solution is not None and not verdict(self.graph, self.solution, self.k).valid:
+            raise MemoryRejected(f"record {self.id} carries an invalid solution")
 
 
 T = TypeVar("T")
@@ -182,18 +191,18 @@ def update_memory(store: MemoryStore, record: EpisodicRecord) -> str:
     """Validate and durably append a record; returns its id.
 
     A record carrying a solution must verify as a proper coloring of its
-    own graph within its k, otherwise it is rejected.  A known id is
-    rejected first, before that check; append checks it again.  So is a
-    vertex label that is empty or holds whitespace: its DIMACS line would
-    not parse back, and the store's file would no longer load.
+    own graph within its k, otherwise it is rejected; from_json checks a
+    loaded line the same way.  A known id is rejected first, before that
+    check; append checks it again.  So is a vertex label that is empty or
+    holds whitespace: its DIMACS line would not parse back, and the
+    store's file would no longer load.
     """
     if record.id in store:
         raise MemoryRejected(f"duplicate record id {record.id}")
     for v in record.graph.vertices:
         if v.split() != [v]:
             raise MemoryRejected(f"record {record.id}: vertex label {v!r} cannot be written as DIMACS")
-    if record.solution is not None and not verdict(record.graph, record.solution, record.k).valid:
-        raise MemoryRejected(f"record {record.id} carries an invalid solution")
+    record._check_solution()
     store.append(record)
     return record.id
 

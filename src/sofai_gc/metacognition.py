@@ -91,8 +91,10 @@ def generate_example(graph: Graph) -> PromptExample:
     if not graph.vertices:
         raise ValueError("graph must have at least one vertex")
     # A stable sort keeps vertex order among equal degrees.
-    ranked = sorted(graph.vertices, key=graph.degree, reverse=True)
-    sub = graph.induced_subgraph(ranked[:3])
+    kept = set(sorted(graph.vertices, key=graph.degree, reverse=True)[:3])
+    # graph.edges, not graph.adjacency: only the edges keep each edge's orientation.
+    edges = tuple((u, v) for u, v in graph.edges if u in kept and v in kept)
+    sub = Graph(tuple(v for v in graph.vertices if v in kept), edges)
     coloring: ColorAssignment = {}
     for v in sub.vertices:
         used = {coloring[u] for u in sub.adjacency[v] if u in coloring}

@@ -170,10 +170,10 @@ def render_prompt(
 class ProposerResponse:
     """Parsed proposer output.
 
-    kind: "assignment" (assignment holds the parsed pairs, possibly
-    partial), "not_solvable", "unparseable" (a reply with no pairs), or
-    "error" (no reply: a transport, HTTP or JSON failure, or no time
-    left).  error says why for the last two.
+    kind: "assignment" (a text reply's parsed pairs, possibly partial, or
+    the mock's own coloring), "not_solvable", "unparseable" (a reply with
+    no pairs), or "error" (no reply: a transport, HTTP or JSON failure, or
+    no time left).  error says why for the last two.
     """
 
     kind: str
@@ -241,8 +241,7 @@ class MockProposer:
             if effective_noise and rng.random() < effective_noise:
                 color = rng.randint(1, k)
             assignment[v] = color
-        raw = format_assignment(assignment, graph.vertices)
-        return parse_response(raw, graph) if raw else ProposerResponse("assignment", raw="", assignment={})
+        return ProposerResponse("assignment", raw=format_assignment(assignment, graph.vertices), assignment=assignment)
 
 
 class RemoteProposer:

@@ -200,9 +200,12 @@ class TestBenchAndReport:
     ("solve", ["--instance", "bare.col"], "no color bound"),
     ("report", ["--in", "missing.jsonl"], "no such trial results file"),
     ("report", ["--in", "empty.jsonl"], "no trial results in"),
+    ("bench", ["--dataset", "no-column"], "manifest.csv: row 1 has no 'filename' field"),
+    ("bench", ["--dataset", "short-row"], "manifest.csv: row 1 has no 'chi' field"),
 ], ids=[
     "k-0", "time-limit-0", "trials-0", "n-0", "duplicate-edge", "missing-instance", "gen-time-limit-0",
     "remote-without-endpoint", "no-color-bound", "missing-results", "empty-results",
+    "manifest-missing-column", "manifest-short-row",
 ])
 def test_input_errors_end_in_one_line(command, flags, fragment, dataset_dir, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -210,6 +213,14 @@ def test_input_errors_end_in_one_line(command, flags, fragment, dataset_dir, tmp
     (tmp_path / "dup.col").write_text("c k 2\np edge 2 2\ne A B\ne B A\n")
     (tmp_path / "bare.col").write_text("p edge 2 1\ne A B\n")
     (tmp_path / "empty.jsonl").write_text("")
+    lines = (dataset_dir / "manifest.csv").read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    for name, manifest in [
+        ("no-column", lines[:header] + [line.rsplit(",", 1)[0] for line in lines[header:]]),
+        ("short-row", lines[:header + 1] + [",".join(lines[header + 1].split(",")[:4])]),
+    ]:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "manifest.csv").write_text("\n".join(manifest) + "\n")
     base = {
         "solve": ["--solver", "S2", "--instance", str(dataset_dir / "instances" / "er_n5_p0.5_0000.col")],
         "bench": ["--solver", "S2", "--dataset", str(dataset_dir)],

@@ -96,15 +96,6 @@ class TestGraphConstruction:
         assert Graph(("A",), ()).density == 0.0
         assert Graph((), ()).density == 0.0
 
-    def test_induced_subgraph_preserves_order(self, fig2_graph):
-        sub = fig2_graph.induced_subgraph({"C", "A", "B"})
-        assert sub.vertices == ("A", "B", "C")
-        assert sub.edges == (("A", "B"), ("A", "C"), ("B", "C"))
-
-    def test_induced_subgraph_unknown_vertex(self, fig2_graph):
-        with pytest.raises(ValueError, match="unknown"):
-            fig2_graph.induced_subgraph({"Z"})
-
 
 class TestParseDimacs:
     @pytest.mark.parametrize(

@@ -179,6 +179,26 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"memory\.jsonl:3: "):
             MemoryStore(path)
 
+    @pytest.mark.parametrize("key, value, fragment", [
+        ("solver", "S9", "solver must be one of"),
+        ("solution", {"A": 1, "B": 1, "C": 1}, "invalid solution"),
+        ("k", 2, "invalid solution"),  # three colours over a budget of two
+        ("solution", {"A": 1, "B": 2, "C": 3, "Z": 1}, "unknown vertex 'Z'"),
+    ], ids=["unknown-solver", "improper", "over-budget", "unknown-vertex"])
+    def test_line_no_append_would_accept_is_refused(self, tmp_path, triangle, petersen, key, value, fragment):
+        obj = json.loads(record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}).to_json())
+        obj[key] = value
+        bad = json.dumps(obj)
+        with pytest.raises(ValueError, match=fragment):
+            EpisodicRecord.from_json(bad)
+        path = tmp_path / "memory.jsonl"
+        good = record_for(petersen, 3, None)
+        path.write_text(good.to_json() + "\n" + bad + "\n")
+        with pytest.raises(ValueError, match=rf"memory\.jsonl:2: \w+: .*{fragment}"):
+            MemoryStore(path)
+        path.write_text(good.to_json() + "\n" + bad)  # as a torn final line it is skipped
+        assert MemoryStore(path).records() == (good,)
+
     def test_reopened_store_still_rejects_duplicates(self, tmp_path, triangle):
         path = tmp_path / "memory.jsonl"
         update_memory(MemoryStore(path), record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}))

@@ -120,12 +120,20 @@ class TestGenerateExample:
     @settings(max_examples=150)
     @given(er_graphs(min_n=1), st.randoms(use_true_random=False))
     def test_matches_a_rank_by_degree_then_position(self, graph, rng):
-        # Permuting the vertex list puts degree ties out of label order.
+        # Permuting the vertex list puts degree ties out of label order;
+        # shuffling the edges and flipping some of them makes edge order and
+        # orientation differ from vertex order, so only graph.edges keeps them.
         order = list(graph.vertices)
         rng.shuffle(order)
-        graph = Graph(tuple(order), graph.edges)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges]
+        rng.shuffle(edges)
+        graph = Graph(tuple(order), tuple(edges))
         ranked = sorted(enumerate(graph.vertices), key=lambda iv: (-graph.degree(iv[1]), iv[0]))
-        sub = graph.induced_subgraph(v for _, v in ranked[:3])
+        kept = {v for _, v in ranked[:3]}
+        sub = Graph(
+            tuple(v for v in graph.vertices if v in kept),
+            tuple((u, v) for u, v in graph.edges if u in kept and v in kept),
+        )
         coloring = {}
         for v in sub.vertices:
             used = {coloring[u] for u in sub.adjacency[v] if u in coloring}

@@ -184,6 +184,15 @@ class TestMockProposer:
         resp = MockProposer(cfg).propose(render_prompt(fig2_graph, 3, feedback_history=history))
         assert verdict(fig2_graph, resp.assignment, 3).valid
 
+    def test_colours_a_label_a_text_reply_cannot_carry(self):
+        # "(v(1) 1)" does not parse as a pair, so the mock must hand over the
+        # colouring it built, not read its own reply back.
+        graph = Graph(("v(1)", "B"), (("v(1)", "B"),))
+        resp = MockProposer(ProposerConfig()).propose(render_prompt(graph, 2))
+        assert resp.raw == "(v(1) 1)\n(B 2)"
+        assert resp.assignment == {"v(1)": 1, "B": 2}
+        assert verdict(graph, resp.assignment, 2).valid
+
     def test_replies_on_a_sparse_graph_are_pinned(self):
         # The first G(300, 0.03) of perfbench's s1-memory suite, loaded from
         # DIMACS as a dataset is, at k = greedy colors + 1, with that

@@ -15,14 +15,23 @@ working tree alike, it runs
 and the bench line on the n = 12 dataset for every roster id, with a
 fresh --memory file for each id that reads memory.  The G(30, 0.5)
 dataset is labeled only: its chromatic numbers take real S2 sweeps, which
-n = 12 graphs barely need.  The datasets must be byte-identical, every
-trial record and memory record must be equal except wall_time and
-timestamp, and every prompt the bench lines render must have the same
-text, compared by sha256 in the order rendered (the mock proposer ignores
-prompt text, so nothing else would see it change).  Each command runs
-in-process in a fresh interpreter that first wraps
-metacognition.render_prompt to record those digests.  Prints the counts
-and exits 1 on any mismatch.  Standard library only.
+n = 12 graphs barely need.  Every generated graph is labeled 1..n with
+each edge written low to high, so last it runs
+
+    sofai-gc solve --solver SOFAI-v2 --proposer mock --noise 1 \
+        --noise-decay 0.5 --seed 3 --instance letters.col --memory ...
+
+on LETTERS, an instance written here with letter labels, a `c vertices`
+line and its edges written high to low, out of order; its first round
+fails, so later prompts carry a worked example.  The datasets must be
+byte-identical, every trial record and memory record must be equal
+except wall_time and timestamp, and every prompt the bench lines and the
+solve line render must have the same text, compared by sha256 in the
+order rendered (the mock proposer ignores prompt text, so nothing else
+would see it change).  Each command runs in-process in a fresh
+interpreter that first wraps metacognition.render_prompt to record those
+digests.  Prints the counts and exits 1 on any mismatch.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -47,6 +56,28 @@ BENCH = [
     "--trials", "3", "--workers", "1", "--seed", "9",
 ]
 
+SOLVE = [
+    "solve", "--solver", "SOFAI-v2", "--proposer", "mock", "--noise", "1", "--noise-decay", "0.5", "--seed", "3",
+]
+# A, B and C have the highest degrees, so they make the worked example.
+LETTERS = """c k 3
+c vertices A B C D E F G H
+p edge 8 13
+e G C
+e C B
+e H E
+e E A
+e B A
+e F B
+e H D
+e G F
+e C A
+e D A
+e H G
+e F C
+e E B
+"""
+
 
 # `python -c RUNNER DIGESTS ARGS...`: sofai_gc.cli.main(ARGS) with each
 # rendered prompt's sha256 appended to the file DIGESTS.
@@ -69,9 +100,9 @@ sys.exit(cli.main(sys.argv[2:]))
 
 def run_matrix(src: Path, out: Path) -> dict[str, list]:
     """Run the matrix on the package in src, writing to out; returns what the two sides must share."""
-    digests = out / "prompts.sha256"
+    digests, solve_digests = out / "prompts.sha256", out / "solve-prompts.sha256"
 
-    def cli(*args: str) -> None:
+    def cli(*args: str, digests: Path = digests) -> None:
         subprocess.run(
             [sys.executable, "-c", RUNNER, str(digests), *args],
             env={**os.environ, "PYTHONPATH": str(src)},
@@ -86,6 +117,9 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
     for solver in SOLVERS:
         memory = [] if solver in MEMORYLESS else ["--memory", str(out / f"{solver}.memory.jsonl")]
         cli(*BENCH, "--solver", solver, "--dataset", str(data), "--out", str(out / f"{solver}.jsonl"), *memory)
+    letters = out / "letters.col"
+    letters.write_text(LETTERS)
+    cli(*SOLVE, "--instance", str(letters), "--memory", str(out / "solve.memory.jsonl"), digests=solve_digests)
     return {
         "dataset files byte-identical": [
             (p.relative_to(out).as_posix(), p.read_bytes())
@@ -98,6 +132,7 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
             row for solver in SOLVERS for row in records(out / f"{solver}.memory.jsonl", "timestamp")
         ],
         "prompt texts equal by sha256": digests.read_text().split(),
+        "solve on letters.col, prompt texts equal by sha256": solve_digests.read_text().split(),
     }
 
 
