@@ -21,6 +21,7 @@ PRNG_NAME = "python-random-mt19937"
 
 _MAX_REGEN_ATTEMPTS = 1000
 _MANIFEST_COLUMNS = ("id", "n", "p", "seed", "chi", "k", "label", "filename")
+_MANIFEST_NUMBERS = (("n", int), ("p", float), ("seed", int), ("chi", int), ("k", int))
 
 
 @dataclass(frozen=True)
@@ -184,22 +185,19 @@ def load_dataset(path: str | Path) -> list[InstanceRecord]:
             missing = next((c for c in _MANIFEST_COLUMNS if row.get(c) is None), None)
             if missing is not None:
                 raise ValueError(f"{manifest}: row {rowno} has no {missing!r} field")
+            values = {}
+            for column, convert in _MANIFEST_NUMBERS:
+                try:
+                    values[column] = convert(row[column])
+                except ValueError:
+                    raise ValueError(
+                        f"{manifest}: row {rowno} has a malformed {column!r} field: {row[column]!r}"
+                    ) from None
             text = (base / row["filename"]).read_text()
             graph, k, label = parse_dimacs_instance(text)
             if k is None or label is None:
                 raise ValueError(f"instance {row['id']} is missing its k or label comment")
-            if k != int(row["k"]) or label != row["label"]:
+            if k != values["k"] or label != row["label"]:
                 raise ValueError(f"instance {row['id']} disagrees with the manifest")
-            records.append(
-                InstanceRecord(
-                    id=row["id"],
-                    graph=graph,
-                    n=int(row["n"]),
-                    p=float(row["p"]),
-                    seed=int(row["seed"]),
-                    chi=int(row["chi"]),
-                    k=k,
-                    label=label,
-                )
-            )
+            records.append(InstanceRecord(id=row["id"], graph=graph, label=label, **values))
     return records

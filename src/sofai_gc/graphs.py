@@ -4,10 +4,11 @@ Everything else in the package is built on the value types here: an
 immutable labeled graph, partial color assignments, and the correctness
 verdict used to accept or reject proposed colorings.
 
-A graph is validated once, when the `Graph` is built, in the same pass
-that builds its neighbour lists.  The DIMACS parser checks only the text's
-own structure and leaves the edges to `Graph`, adding the line number to
-the error for the edge it rejects.  A parsed graph holds one string object
+A graph is validated once, when the `Graph` is built: one count over its
+neighbour lists checks every edge, and only a graph that fails is walked
+edge by edge to name the bad one.  The DIMACS parser checks only the
+text's own structure and leaves the edges to `Graph`, adding the line
+number to the error for the edge it rejects.  A parsed graph holds one string object
 per vertex label: every edge endpoint is the object in `vertices`.
 """
 
@@ -56,27 +57,22 @@ class Graph:
     adjacency: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # One pass builds the neighbour lists and validates each edge against
-        # sets of the same neighbours: an edge is a duplicate, in either
-        # orientation, exactly when one endpoint is already a neighbour of
-        # the other.  The sets are dropped once the lists are built.
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        if len(adj) != len(self.vertices):
-            raise ValueError("duplicate vertex labels")
+        # The neighbour lists are built with appends alone.  A list names a
+        # neighbour twice exactly when an edge repeats, in either orientation,
+        # or is a self-loop, so one count over their sets checks every edge;
+        # an unknown endpoint has no list.  Only a graph that fails is walked
+        # again, to name its first bad edge.
         lists: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            if u == v:
-                raise _EdgeError(adj, f"self-loop at vertex {u!r}")
-            nu = adj.get(u)
-            nv = adj.get(v)
-            if nu is None or nv is None:
-                raise _EdgeError(adj, f"edge ({u!r}, {v!r}) references unknown vertex")
-            if v in nu:
-                raise _EdgeError(adj, f"duplicate edge ({u!r}, {v!r})")
-            nu.add(v)
-            nv.add(u)
-            lists[u].append(v)
-            lists[v].append(u)
+        if len(lists) != len(self.vertices):
+            raise ValueError("duplicate vertex labels")
+        try:
+            for u, v in self.edges:
+                lists[u].append(v)
+                lists[v].append(u)
+        except KeyError:
+            _raise_first_bad_edge(self)
+        if sum(map(len, map(set, lists.values()))) != 2 * len(self.edges):
+            _raise_first_bad_edge(self)
         object.__setattr__(self, "adjacency", {v: tuple(ns) for v, ns in lists.items()})
 
     @property
@@ -103,6 +99,22 @@ class Graph:
 
     def degree(self, v: str) -> int:
         return len(self.adjacency[v])
+
+
+def _raise_first_bad_edge(graph: Graph) -> None:
+    """Raise the _EdgeError of the first edge, in edge order, that breaks the graph."""
+    adj: dict[str, set[str]] = {v: set() for v in graph.vertices}
+    for u, v in graph.edges:
+        if u == v:
+            raise _EdgeError(adj, f"self-loop at vertex {u!r}")
+        nu = adj.get(u)
+        nv = adj.get(v)
+        if nu is None or nv is None:
+            raise _EdgeError(adj, f"edge ({u!r}, {v!r}) references unknown vertex")
+        if v in nu:
+            raise _EdgeError(adj, f"duplicate edge ({u!r}, {v!r})")
+        nu.add(v)
+        nv.add(u)
 
 
 @dataclass(frozen=True)
@@ -146,22 +158,26 @@ def verdict(graph: Graph, assignment: Mapping[str, int], k: int) -> Verdict:
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_assignment(graph, assignment)
-    conflicts = []
-    satisfied = 0
-    get = assignment.get
-    for u, v in graph.edges:
-        cu = get(u)
-        cv = get(v)
-        if cu is None or cv is None:
-            continue
-        if cu == cv:
-            conflicts.append(Conflict(u, v, cu))
-        else:
-            satisfied += 1
     m = len(graph.edges)
-    score = Fraction(satisfied, m) if m else Fraction(1)
     # Every key names a vertex (checked above), so all are assigned iff the counts match.
     complete = len(assignment) == len(graph.vertices)
+    if complete:  # the usual case: no endpoint to skip, so plain subscripts do
+        conflicts = [Conflict(u, v, c) for u, v in graph.edges if (c := assignment[u]) == assignment[v]]
+        satisfied = m - len(conflicts)
+    else:
+        conflicts = []
+        satisfied = 0
+        get = assignment.get
+        for u, v in graph.edges:
+            cu = get(u)
+            cv = get(v)
+            if cu is None or cv is None:
+                continue
+            if cu == cv:
+                conflicts.append(Conflict(u, v, cu))
+            else:
+                satisfied += 1
+    score = Fraction(satisfied, m) if m else Fraction(1)
     colors_used = len(set(assignment.values()))
     valid = score == 1 and complete and colors_used <= k
     return Verdict(score, tuple(conflicts), colors_used, complete, valid)

@@ -1,7 +1,8 @@
 """Episodic memory: solved instances stored by attribute, retrieved by similarity.
 
 A record holds the solved Graph; it becomes DIMACS text only in its line
-of the append-only JSONL file (a store may also live purely in memory).
+of the append-only JSONL file (a store may also live purely in memory)
+and in its prompt example, which is rendered once, on first retrieval.
 Retrieval compares (n, e, density, k) attribute vectors; the raw
 chromatic number of a fresh instance is unknown before solving, so the
 color bound k stands in for it.
@@ -13,10 +14,12 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, TypeVar
 
 from .graphs import ColorAssignment, Graph, parse_dimacs, serialize_dimacs, verdict
+from .proposer import PromptExample
 
 _SOLVERS = ("S1", "S2")
 
@@ -51,6 +54,11 @@ class EpisodicRecord:
     @property
     def density(self) -> float:
         return self.graph.density
+
+    @cached_property
+    def example(self) -> PromptExample:
+        """The record as a prompt example; kept with the record, so its text is rendered once."""
+        return PromptExample(self.graph, self.solution)
 
     @classmethod
     def make(

@@ -196,7 +196,7 @@ def _run(
     store = cfg.store if use_memory else None
     proposer = make_proposer(cfg.proposer) if max_iters else None
     hits = retrieve_memory(store, graph, k) if store is not None else []
-    examples = [PromptExample(rec.graph, rec.solution) for rec in hits]
+    examples = [rec.example for rec in hits]
     history: list[tuple[str, tuple[str, ...]]] = []
     iterations: list[IterationRecord] = []
     outcome: Optional[SolveOutcome] = None  # set once S1 answers

@@ -14,6 +14,7 @@ import random
 import re
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .graphs import ColorAssignment, Graph, serialize_dimacs
@@ -85,7 +86,9 @@ class PromptExample:
     graph: Graph
     solution: Optional[ColorAssignment]
 
-    def render(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """The example's prompt block, rendered on first use and then kept with the example."""
         lines = ["Problem:", serialize_dimacs(self.graph), "", "Correct Solution:"]
         if self.solution is None:
             lines.append(NOT_SOLVABLE)
@@ -110,7 +113,7 @@ class Prompt:
 
 def format_assignment(assignment: Mapping[str, int], vertex_order: Sequence[str]) -> str:
     """Render an assignment as "(A 1)" lines in the given vertex order."""
-    return "\n".join(f"({v} {assignment[v]})" for v in vertex_order if v in assignment)
+    return "\n".join([f"({v} {assignment[v]})" for v in vertex_order if v in assignment])
 
 
 def render_prompt(
@@ -149,7 +152,7 @@ def render_prompt(
         "(Vertex Color)",
         "Example Format:\n(A 1)\n(B 2)\n(C 1)",
     ]
-    sections.extend(ex.render() for ex in examples)
+    sections.extend(ex.text for ex in examples)
     for attempt, messages in feedback_history:
         sections.append("Incorrect Coloring Submitted:\n" + attempt)
         sections.append("Feedback Provided:\n" + "\n".join(messages))

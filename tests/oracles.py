@@ -76,3 +76,17 @@ def conflicts_by_edge_enumeration(graph: Graph, assignment: dict[str, int]) -> l
         if u in assignment and v in assignment and assignment[u] == assignment[v]:
             out.append((u, v, assignment[u]))
     return out
+
+
+def complete_by_vertex_scan(graph: Graph, assignment: dict[str, int]) -> bool:
+    """Every vertex of the graph has a color."""
+    return all(v in assignment for v in graph.vertices)
+
+
+def valid_by_edge_enumeration(graph: Graph, assignment: dict[str, int], k: int) -> bool:
+    """A complete coloring with no edge inside a color and at most k distinct colors."""
+    return (
+        complete_by_vertex_scan(graph, assignment)
+        and all(assignment[u] != assignment[v] for u, v in graph.edges)
+        and len(set(assignment.values())) <= k
+    )

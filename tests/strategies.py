@@ -20,10 +20,11 @@ def er_graphs(draw, min_n: int = 0, max_n: int = 8) -> Graph:
 
 @st.composite
 def graphs_with_assignments(draw, max_n: int = 8, max_color: int = 5):
-    """A random graph plus a random partial assignment over its vertices."""
+    """A random graph plus a random assignment over its vertices: complete half the time, else partial."""
     graph = draw(er_graphs(max_n=max_n))
+    complete = draw(st.booleans())
     assignment = {}
     for v in graph.vertices:
-        if draw(st.booleans()):
+        if complete or draw(st.booleans()):
             assignment[v] = draw(st.integers(1, max_color))
     return graph, assignment

@@ -202,10 +202,11 @@ class TestBenchAndReport:
     ("report", ["--in", "empty.jsonl"], "no trial results in"),
     ("bench", ["--dataset", "no-column"], "manifest.csv: row 1 has no 'filename' field"),
     ("bench", ["--dataset", "short-row"], "manifest.csv: row 1 has no 'chi' field"),
+    ("bench", ["--dataset", "bad-value"], "manifest.csv: row 1 has a malformed 'p' field: 'x'"),
 ], ids=[
     "k-0", "time-limit-0", "trials-0", "n-0", "duplicate-edge", "missing-instance", "gen-time-limit-0",
     "remote-without-endpoint", "no-color-bound", "missing-results", "empty-results",
-    "manifest-missing-column", "manifest-short-row",
+    "manifest-missing-column", "manifest-short-row", "manifest-bad-value",
 ])
 def test_input_errors_end_in_one_line(command, flags, fragment, dataset_dir, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -215,9 +216,11 @@ def test_input_errors_end_in_one_line(command, flags, fragment, dataset_dir, tmp
     (tmp_path / "empty.jsonl").write_text("")
     lines = (dataset_dir / "manifest.csv").read_text().splitlines()
     header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    first = lines[header + 1].split(",")
     for name, manifest in [
         ("no-column", lines[:header] + [line.rsplit(",", 1)[0] for line in lines[header:]]),
         ("short-row", lines[:header + 1] + [",".join(lines[header + 1].split(",")[:4])]),
+        ("bad-value", lines[:header + 1] + [",".join([*first[:2], "x", *first[3:]])]),  # a p of x
     ]:
         (tmp_path / name).mkdir()
         (tmp_path / name / "manifest.csv").write_text("\n".join(manifest) + "\n")

@@ -19,7 +19,12 @@ from sofai_gc import (
     verdict,
 )
 
-from oracles import conflicts_by_edge_enumeration, score_by_edge_enumeration
+from oracles import (
+    complete_by_vertex_scan,
+    conflicts_by_edge_enumeration,
+    score_by_edge_enumeration,
+    valid_by_edge_enumeration,
+)
 from strategies import er_graphs, graphs_with_assignments
 
 
@@ -333,6 +338,8 @@ class TestVerdict:
         assert [(c.u, c.v, c.color) for c in v.conflicts] == conflicts_by_edge_enumeration(
             graph, assignment
         )
+        assert v.complete == complete_by_vertex_scan(graph, assignment)
+        assert v.valid == valid_by_edge_enumeration(graph, assignment, k)
 
     @settings(max_examples=200)
     @given(graphs_with_assignments(), st.integers(1, 5))

@@ -27,7 +27,7 @@ from sofai_gc import (
     solve_sofai_v2,
     verdict,
 )
-from sofai_gc import bench, metacognition
+from sofai_gc import bench, metacognition, proposer
 from sofai_gc.metacognition import (
     CONFLICT_TEMPLATE,
     MAX_ROUNDS,
@@ -140,20 +140,20 @@ class TestGenerateExample:
             coloring[v] = min(set(range(1, len(used) + 2)) - used)
         ex = generate_example(graph)
         assert ex.graph == sub and ex.solution == coloring
-        assert ex.render() == PromptExample(sub, coloring).render()
+        assert ex.text == PromptExample(sub, coloring).text
 
     def test_degree_ties_keep_vertex_order(self):
         # Every vertex of a 6-cycle has degree 2: the example is the first three listed.
         edges = (("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "F"), ("F", "A"))
         ex = generate_example(Graph(tuple("FBDACE"), edges))
         assert ex.graph == Graph(("F", "B", "D"), ())
-        assert ex.render() == (
+        assert ex.text == (
             "Problem:\nc vertices F B D\np edge 3 0\n\n"
             "Correct Solution:\n(F 1)\n(B 1)\n(D 1)\n\nEnd of Example"
         )
 
     def test_prompt_example_renders_fig_block(self, fig2_graph):
-        rendered = generate_example(fig2_graph).render()
+        rendered = generate_example(fig2_graph).text
         assert rendered.startswith("Problem:\np edge 3 3\ne A B\ne A C\ne B C")
         assert "Correct Solution:\n(A 1)\n(B 2)\n(C 3)" in rendered
         assert rendered.endswith("End of Example")
@@ -301,6 +301,28 @@ class TestSofaiV2:
         outcome, trace = solve_sofai_v2(bipartite, 2, cfg_with(store=store))
         assert outcome.is_sat
         assert len(store) == 1  # duplicate id rejected quietly
+
+    def test_memory_example_is_rendered_once_per_record(self, monkeypatch):
+        graph, k = gen_erdos_renyi(12, 0.4, 3), 4
+        record = EpisodicRecord.make(graph, k, solve_decision(graph, k, time_limit=10.0).assignment, "S2")
+        store = MemoryStore()
+        store.append(record)
+        formatted, prompts = [], []
+        fmt = proposer.format_assignment
+        monkeypatch.setattr(proposer, "format_assignment", lambda *a: formatted.append(a) or fmt(*a))
+        render = metacognition.render_prompt
+        monkeypatch.setattr(metacognition, "render_prompt", lambda *a: prompts.append(render(*a)) or prompts[-1])
+        noisy = ProposerConfig(kind="mock", noise=1.0, noise_decay=0.5)
+        for seed in (1, 2):
+            _, trace = solve_sofai_v2(graph, k, cfg_with(dataclasses.replace(noisy, seed=seed), store=store))
+            assert trace.s1_calls >= 2
+        assert len(store) == 1 and all(p.examples[0] is record.example for p in prompts)
+        # the record's solution once in all, the worked example (a 3-vertex graph) once per trial
+        assert sum(a is record.solution for a, _ in formatted) == 1
+        assert sum(order is not graph.vertices for _, order in formatted) == 2
+        for p in prompts:
+            fresh = [PromptExample(ex.graph, dict(ex.solution)) for ex in p.examples]
+            assert p.text == proposer.render_prompt(p.graph, p.k, fresh, p.feedback_history).text
 
     def test_accept_s1_unsat_flag(self, fig2_graph):
         # SOFAI-v2 rejects the declaration; only the S1 preset takes it as final.

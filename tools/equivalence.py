@@ -23,11 +23,13 @@ each edge written low to high, so last it runs
 
 on LETTERS, an instance written here with letter labels, a `c vertices`
 line and its edges written high to low, out of order; its first round
-fails, so later prompts carry a worked example.  The datasets must be
-byte-identical, every trial record and memory record must be equal
-except wall_time and timestamp, and every prompt the bench lines and the
-solve line render must have the same text, compared by sha256 in the
-order rendered (the mock proposer ignores prompt text, so nothing else
+fails, so later prompts carry a worked example.  Then it runs that line
+again against the memory file the first one wrote, so its prompts carry
+an example read back from JSONL, rendered from a parsed graph.  The
+datasets must be byte-identical, every trial record and memory record
+must be equal except wall_time and timestamp, and every prompt the bench
+lines and the solve lines render must have the same text, compared by
+sha256 in the order rendered (the mock proposer ignores prompt text, so nothing else
 would see it change).  Each command runs in-process in a fresh
 interpreter that first wraps metacognition.render_prompt to record those
 digests.  Prints the counts and exits 1 on any mismatch.  Standard
@@ -101,6 +103,7 @@ sys.exit(cli.main(sys.argv[2:]))
 def run_matrix(src: Path, out: Path) -> dict[str, list]:
     """Run the matrix on the package in src, writing to out; returns what the two sides must share."""
     digests, solve_digests = out / "prompts.sha256", out / "solve-prompts.sha256"
+    again_digests = out / "solve-again-prompts.sha256"
 
     def cli(*args: str, digests: Path = digests) -> None:
         subprocess.run(
@@ -119,7 +122,9 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
         cli(*BENCH, "--solver", solver, "--dataset", str(data), "--out", str(out / f"{solver}.jsonl"), *memory)
     letters = out / "letters.col"
     letters.write_text(LETTERS)
-    cli(*SOLVE, "--instance", str(letters), "--memory", str(out / "solve.memory.jsonl"), digests=solve_digests)
+    solve = [*SOLVE, "--instance", str(letters), "--memory", str(out / "solve.memory.jsonl")]
+    cli(*solve, digests=solve_digests)
+    cli(*solve, digests=again_digests)
     return {
         "dataset files byte-identical": [
             (p.relative_to(out).as_posix(), p.read_bytes())
@@ -133,6 +138,7 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
         ],
         "prompt texts equal by sha256": digests.read_text().split(),
         "solve on letters.col, prompt texts equal by sha256": solve_digests.read_text().split(),
+        "solve again from its memory file, prompt texts equal by sha256": again_digests.read_text().split(),
     }
 
 
