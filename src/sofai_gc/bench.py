@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 from .dsatur import SolveOutcome
 from .generate import InstanceRecord, load_dataset, read_manifest_meta
 from .graphs import Graph
-from .memory import MemoryStore, read_jsonl
+from .memory import MemoryStore, check_json_types, read_jsonl
 from .metacognition import (
     MAX_ROUNDS,
     OrchestratorConfig,
@@ -59,7 +59,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # NaN too
             raise ValueError("time_limit must be positive")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -91,23 +91,19 @@ class TrialResult:
     @classmethod
     def from_json(cls, line: str | bytes) -> "TrialResult":
         """Parse one JSONL line; a missing or extra key, or a value of the wrong type, raises TypeError."""
-        row = cls(**json.loads(line))
-        for field in dataclasses.fields(cls):
-            value = getattr(row, field.name)
-            if type(value) not in _JSON_TYPES[field.type]:
-                raise TypeError(f"{field.name} must be {field.type}, not {type(value).__name__}")
+        obj = json.loads(line)
+        row = cls(**obj)
+        check_json_types(obj, cls.__annotations__)
         return row
 
 
-# The JSON value types each TrialResult annotation accepts: a float field takes an int too, as JSON
-# has one number type; bool is a subclass of int, so the check compares types, not isinstance.
-_JSON_TYPES = {
-    "str": (str,),
-    "int": (int,),
-    "float": (float, int),
-    "bool": (bool,),
-    "Optional[str]": (str, type(None)),
-}
+def _trace_columns(trace: SolveTrace) -> dict:
+    """TrialResult's fields that come from a trial's trace."""
+    return {"s1_iterations": trace.s1_calls, "s2_invoked": trace.s2_invoked}
+
+
+# A crashed trial's trace: it ran no S1 round and did not reach S2.
+_NO_TRACE = SolveTrace(iterations=(), s2_invoked=False, source=None)
 
 
 def derive_seed(root_seed: int, instance_id: str, trial: int) -> int:
@@ -160,9 +156,9 @@ def _run_trial(job: _Trial) -> TrialResult:
     error = None
     try:
         outcome, trace = solve(job.solver, inst.graph, inst.k, job.cfg)
-        status, s1_iters, s2_invoked = outcome.status, trace.s1_calls, trace.s2_invoked
+        status = outcome.status
     except Exception as exc:  # a crashed trial is data, not a crashed run
-        status, s1_iters, s2_invoked = "failure", 0, False
+        status, trace = "failure", _NO_TRACE
         error = f"{type(exc).__name__}: {exc}"
     wall = time.monotonic() - start
     correct = (status == "sat" and inst.label == "SAT") or (status == "unsat" and inst.label == "UNSAT")
@@ -173,13 +169,12 @@ def _run_trial(job: _Trial) -> TrialResult:
         status=status,
         correct=correct,
         wall_time=wall,
-        s1_iterations=s1_iters,
-        s2_invoked=s2_invoked,
         n=inst.n,
         p=inst.p,
         mix=job.mix,
         label=inst.label,
         error=error,
+        **_trace_columns(trace),
     )
 
 

@@ -242,7 +242,7 @@ def solve_decision(graph: Graph, k: int, time_limit: float = 200.0) -> SolveOutc
     """Decide whether the graph admits a proper coloring with at most k colors."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if time_limit <= 0:
+    if not time_limit > 0:  # NaN too: a NaN deadline never passes
         return SolveOutcome.timeout()
     deadline = time.monotonic() + time_limit
     return _decide(graph, _SearchState(graph, k), k, deadline)
@@ -284,11 +284,14 @@ def chromatic_number(graph: Graph, time_limit: float = 200.0) -> int:
     The sweep starts at k = the size of a checked clique (see _clique): a
     clique certificate makes every smaller k Unsat, so those searches are
     skipped.  The whole sweep shares one deadline and one search state;
-    DeadlineExceeded is raised if it cannot finish in time.
+    DeadlineExceeded is raised if it cannot finish in time, and at once
+    for a time limit that is not positive (NaN too).
     """
     n = len(graph.vertices)
     if n == 0:
         return 0
+    if not time_limit > 0:
+        raise DeadlineExceeded(f"chromatic number search has no time: {time_limit}s")
     deadline = time.monotonic() + time_limit
     state = _SearchState(graph, n)
     for k in range(len(_clique(graph, state)), state.colors + 1):

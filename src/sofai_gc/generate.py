@@ -96,7 +96,7 @@ def build_dataset(spec: GenSpec, time_limit_per_instance: float = 200.0) -> Data
     is redrawn with a fresh seed (k = 0 is meaningless).  A slot whose
     labeling times out is dropped and the dataset is marked incomplete.
     """
-    if time_limit_per_instance <= 0:
+    if not time_limit_per_instance > 0:  # NaN too
         raise ValueError("time_limit_per_instance must be positive")
     rng = random.Random(spec.seed)
     n_sat = spec.count * spec.mix[0] // 100

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Mapping, Optional, TypeVar
 
 from .graphs import ColorAssignment, Graph, parse_dimacs, serialize_dimacs, verdict
 from .proposer import PromptExample
@@ -100,12 +100,13 @@ class EpisodicRecord:
     def from_json(cls, line: str | bytes) -> "EpisodicRecord":
         """Parse one JSONL line and check it as update_memory would; n, e and density are not read back."""
         obj = json.loads(line)
+        check_json_types(obj, _LINE_TYPES)
         solution = obj["solution"]
         if solution is not None:
-            solution = {str(v): int(c) for v, c in solution.items()}
+            check_json_types(solution, dict.fromkeys(solution, "int"), "the color of ")
         record = cls(
             id=obj["id"],
-            k=int(obj["k"]),
+            k=obj["k"],
             graph=parse_dimacs(obj["dimacs"]),
             solution=solution,
             solver=obj["solver"],
@@ -118,6 +119,29 @@ class EpisodicRecord:
         """Refuse a solution that is not a proper coloring of the graph within k."""
         if self.solution is not None and not verdict(self.graph, self.solution, self.k).valid:
             raise MemoryRejected(f"record {self.id} carries an invalid solution")
+
+
+# The keys of a memory line that EpisodicRecord.from_json reads, with their types.
+_LINE_TYPES = dict(id="str", k="int", dimacs="str", solution="Optional[dict]", solver="str", timestamp="float")
+
+# The JSON value types each annotation accepts: a float takes an int too, as JSON has one number
+# type; bool is a subclass of int, so the check compares types, not isinstance.
+_JSON_TYPES = {
+    "str": (str,),
+    "int": (int,),
+    "float": (float, int),
+    "bool": (bool,),
+    "Optional[str]": (str, type(None)),
+    "Optional[dict]": (dict, type(None)),
+}
+
+
+def check_json_types(obj: dict, types: Mapping[str, str], what: str = "") -> None:
+    """Raise TypeError unless each obj[name] has a type its annotation types[name] accepts (KeyError if absent)."""
+    for name, annotation in types.items():
+        value = obj[name]
+        if type(value) not in _JSON_TYPES[annotation]:
+            raise TypeError(f"{what}{name} must be {annotation}, not {type(value).__name__}")
 
 
 T = TypeVar("T")

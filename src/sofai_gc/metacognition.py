@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .dsatur import SolveOutcome, solve_decision
-from .graphs import ColorAssignment, Conflict, Graph, Verdict, verdict
+from .graphs import ColorAssignment, Graph, Verdict, verdict
 from .memory import EpisodicRecord, MemoryRejected, MemoryStore, retrieve_memory, update_memory
 from .proposer import (
     NOT_SOLVABLE,
@@ -50,7 +50,6 @@ class FeedbackItem:
 
     kind: str
     message: str
-    conflicts: tuple[Conflict, ...] = ()
 
 
 def format_feedback(graph: Graph, assignment: ColorAssignment, k: int) -> list[FeedbackItem]:
@@ -59,14 +58,7 @@ def format_feedback(graph: Graph, assignment: ColorAssignment, k: int) -> list[F
 
 
 def _feedback(graph: Graph, assignment: ColorAssignment, result: Verdict, k: int) -> list[FeedbackItem]:
-    items = [
-        FeedbackItem(
-            kind="conflict",
-            message=CONFLICT_TEMPLATE.format(u=c.u, v=c.v),
-            conflicts=(c,),
-        )
-        for c in result.conflicts
-    ]
+    items = [FeedbackItem(kind="conflict", message=CONFLICT_TEMPLATE.format(u=c.u, v=c.v)) for c in result.conflicts]
     if result.colors_used > k:
         items.append(
             FeedbackItem(
@@ -114,7 +106,7 @@ class OrchestratorConfig:
     store: Optional[MemoryStore] = None
 
     def __post_init__(self) -> None:
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # NaN too
             raise ValueError("time_limit must be positive")
 
 
@@ -122,13 +114,11 @@ class OrchestratorConfig:
 class IterationRecord:
     """What one S1 round produced, for post-hoc analysis."""
 
-    index: int
     kind: str  # assignment | not_solvable | unparseable | error
     score: float
     feedback: tuple[str, ...]
     signature: Optional[tuple]
     elapsed: float
-    conflict_vertices: frozenset[str] = frozenset()  # endpoints of the round's conflicting edges
     error: Optional[str] = None  # why an error round got no reply
 
 
@@ -154,15 +144,10 @@ class SolveTrace:
     iterations: tuple[IterationRecord, ...]
     s2_invoked: bool
     source: Optional[str]  # S1 | S2 | None
-    total_time: float
 
     @property
     def s1_calls(self) -> int:
         return len(self.iterations)
-
-    @property
-    def s1_declared_unsat(self) -> bool:
-        return any(it.kind == "not_solvable" for it in self.iterations)
 
 
 def _run(
@@ -191,8 +176,7 @@ def _run(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    start = time.monotonic()
-    deadline = start + cfg.time_limit
+    deadline = time.monotonic() + cfg.time_limit
     store = cfg.store if use_memory else None
     proposer = make_proposer(cfg.proposer) if max_iters else None
     hits = retrieve_memory(store, graph, k) if store is not None else []
@@ -215,7 +199,6 @@ def _run(
         # does: every edge unsatisfied, unless there are none.
         score = float(not graph.edges)
         signature = (response.kind,)
-        conflict_vertices: frozenset[str] = frozenset()
         messages: tuple[str, ...] = ()
         if response.is_assignment:
             v = verdict(graph, response.assignment, k)
@@ -223,7 +206,6 @@ def _run(
             if v.valid:
                 signature, outcome = None, SolveOutcome.sat(response.assignment)
             else:  # a failed assignment draws a conflict, over-budget or uncolored message
-                conflict_vertices = frozenset(u for c in v.conflicts for u in (c.u, c.v))
                 messages = tuple(item.message for item in _feedback(graph, response.assignment, v, k))
                 signature = ("conflicts", tuple((c.u, c.v) for c in v.conflicts))
                 history.append((format_assignment(response.assignment, graph.vertices), messages))
@@ -237,9 +219,7 @@ def _run(
             history.append((response.raw or "(no response)", messages))
         # kind error got no reply, so the next prompt shows nothing of it
         error = response.error if response.kind == "error" else None
-        iterations.append(
-            IterationRecord(t, response.kind, score, messages, signature, elapsed, conflict_vertices, error)
-        )
+        iterations.append(IterationRecord(response.kind, score, messages, signature, elapsed, error))
         if outcome is not None or (fallback and escalation_rule(iterations, max_iters)):
             break
 
@@ -258,13 +238,7 @@ def _run(
             update_memory(store, EpisodicRecord.make(graph, k, outcome.assignment, source))
         except MemoryRejected:
             pass  # already known, or not storable; the answer stands
-    trace = SolveTrace(
-        iterations=tuple(iterations),
-        s2_invoked=s2_invoked,
-        source=source,
-        total_time=time.monotonic() - start,
-    )
-    return outcome, trace
+    return outcome, SolveTrace(iterations=tuple(iterations), s2_invoked=s2_invoked, source=source)
 
 
 def solve_sofai_v2(graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[SolveOutcome, SolveTrace]:

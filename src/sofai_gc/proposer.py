@@ -21,7 +21,7 @@ from .graphs import ColorAssignment, Graph, serialize_dimacs
 
 NOT_SOLVABLE = "NOT SOLVABLE"
 
-_PAIR_RE = re.compile(r"\(\s*([^\s()]+)\s+(\d+)\s*\)")
+_PAIR_RE = re.compile(r"\(\s*((?:[^\s()]|\([^\s()]*\))+)\s+(\d+)\s*\)")
 
 _DEFAULT_TIMEOUT = 30.0
 _RETRY_BACKOFF = 0.5
@@ -196,6 +196,8 @@ class ProposerResponse:
 def parse_response(text: str, graph: Graph) -> ProposerResponse:
     """Extract "(vertex color)" pairs from free-form proposer text.
 
+    A label holds no whitespace; it may hold parentheses in balanced
+    pairs that do not nest, as in v(1), so v(1 or v((1)) cannot be read.
     Pairs naming unknown vertices or color 0 are ignored; the last pair
     for a vertex wins.  The assignment is keyed by the graph's own vertex
     strings, not the reply's copies.  With no usable pairs, the text is

@@ -220,6 +220,23 @@ class TestRunBenchmark:
         results = run_benchmark(cfg)
         assert all(r.status == "failure" and not r.correct for r in results)
 
+    def test_raising_preset_recorded_as_a_failure(self, small_dataset, tmp_path, monkeypatch):
+        # a preset that raises, not one that gets no reply: the trial records the
+        # exception, no S1 round and no S2, and its line loads back as written
+        def crash(graph, k, cfg):
+            raise RuntimeError("preset crashed")
+
+        monkeypatch.setattr(bench, "solve_sofai_v2", crash)
+        out = tmp_path / "trials.jsonl"
+        cfg = RunConfig(solver="SOFAI-v2", dataset=str(small_dataset), time_limit=5, trials=2, workers=1,
+                        proposer=ProposerConfig(kind="mock"), out=str(out))
+        results = run_benchmark(cfg)
+        assert len(results) == 12
+        for r in results:
+            assert (r.status, r.correct, r.error) == ("failure", False, "RuntimeError: preset crashed")
+            assert r.s1_iterations == 0 and r.s2_invoked is False
+        assert sorted(load_results(out), key=lambda r: (r.instance_id, r.trial)) == results
+
     def test_shared_memory_store_runs_and_persists(self, small_dataset, tmp_path):
         mem = tmp_path / "memory.jsonl"
         cfg = RunConfig(solver="SOFAI-v2", dataset=str(small_dataset), time_limit=30,

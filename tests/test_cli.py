@@ -191,11 +191,14 @@ class TestBenchAndReport:
 @pytest.mark.parametrize("command, flags, fragment", [
     ("solve", ["--k", "0"], "k must be >= 1"),
     ("solve", ["--time-limit", "0"], "time_limit must be positive"),
+    ("solve", ["--time-limit", "nan"], "time_limit must be positive"),
+    ("bench", ["--time-limit", "nan"], "time_limit must be positive"),
     ("bench", ["--trials", "0"], "trials must be >= 1"),
     ("gen", ["--n", "0"], "n must be >= 1"),
     ("solve", ["--instance", "dup.col"], "duplicate edge"),
     ("solve", ["--instance", "missing.col"], "No such file"),
     ("gen", ["--time-limit", "0"], "time_limit_per_instance must be positive"),
+    ("gen", ["--time-limit", "nan"], "time_limit_per_instance must be positive"),
     ("solve", ["--solver", "SOFAI-v2", "--proposer", "remote"], "remote proposer requires an endpoint"),
     ("solve", ["--instance", "bare.col"], "no color bound"),
     ("report", ["--in", "missing.jsonl"], "no such trial results file"),
@@ -204,7 +207,8 @@ class TestBenchAndReport:
     ("bench", ["--dataset", "short-row"], "manifest.csv: row 1 has no 'chi' field"),
     ("bench", ["--dataset", "bad-value"], "manifest.csv: row 1 has a malformed 'p' field: 'x'"),
 ], ids=[
-    "k-0", "time-limit-0", "trials-0", "n-0", "duplicate-edge", "missing-instance", "gen-time-limit-0",
+    "k-0", "time-limit-0", "time-limit-nan", "bench-time-limit-nan", "trials-0", "n-0", "duplicate-edge",
+    "missing-instance", "gen-time-limit-0", "gen-time-limit-nan",
     "remote-without-endpoint", "no-color-bound", "missing-results", "empty-results",
     "manifest-missing-column", "manifest-short-row", "manifest-bad-value",
 ])

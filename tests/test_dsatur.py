@@ -55,6 +55,7 @@ class TestSolveDecision:
 
     def test_nonpositive_limit_is_timeout(self, triangle):
         assert solve_decision(triangle, 3, time_limit=0).is_timeout
+        assert solve_decision(triangle, 3, time_limit=float("nan")).is_timeout  # not a search without a deadline
 
     def test_hard_instance_times_out_quickly(self):
         # myciel6 at k=6 sits just below chi=7: the search neither finds a
@@ -167,6 +168,11 @@ class TestChromaticNumber:
         graph = myciel(6)
         with pytest.raises(DeadlineExceeded):
             chromatic_number(graph, time_limit=0.2)
+
+    @pytest.mark.parametrize("limit", [0, -1, float("nan")])
+    def test_no_time_raises_at_once(self, triangle, limit):
+        with pytest.raises(DeadlineExceeded):
+            chromatic_number(triangle, time_limit=limit)
 
 
 def scan_choice(graph: Graph, color: list[int]):

@@ -179,17 +179,22 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"memory\.jsonl:3: "):
             MemoryStore(path)
 
-    @pytest.mark.parametrize("key, value, fragment", [
-        ("solver", "S9", "solver must be one of"),
-        ("solution", {"A": 1, "B": 1, "C": 1}, "invalid solution"),
-        ("k", 2, "invalid solution"),  # three colours over a budget of two
-        ("solution", {"A": 1, "B": 2, "C": 3, "Z": 1}, "unknown vertex 'Z'"),
-    ], ids=["unknown-solver", "improper", "over-budget", "unknown-vertex"])
-    def test_line_no_append_would_accept_is_refused(self, tmp_path, triangle, petersen, key, value, fragment):
+    @pytest.mark.parametrize("key, value, error, fragment", [
+        ("solver", "S9", ValueError, "solver must be one of"),
+        ("solution", {"A": 1, "B": 1, "C": 1}, ValueError, "invalid solution"),
+        ("k", 2, ValueError, "invalid solution"),  # three colours over a budget of two
+        ("solution", {"A": 1, "B": 2, "C": 3, "Z": 1}, ValueError, "unknown vertex 'Z'"),
+        ("k", 2.9, TypeError, "k must be int, not float"),  # not truncated to 2
+        ("solution", {"A": True, "B": 2, "C": 3}, TypeError, "the color of A must be int, not bool"),
+        ("solution", {"A": 1, "B": 2.7, "C": 3}, TypeError, "the color of B must be int, not float"),
+        ("timestamp", "1e3", TypeError, "timestamp must be float, not str"),
+    ], ids=["unknown-solver", "improper", "over-budget", "unknown-vertex", "float-k", "bool-color", "float-color",
+            "string-timestamp"])
+    def test_line_no_append_would_accept_is_refused(self, tmp_path, triangle, petersen, key, value, error, fragment):
         obj = json.loads(record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}).to_json())
         obj[key] = value
         bad = json.dumps(obj)
-        with pytest.raises(ValueError, match=fragment):
+        with pytest.raises(error, match=fragment):
             EpisodicRecord.from_json(bad)
         path = tmp_path / "memory.jsonl"
         good = record_for(petersen, 3, None)

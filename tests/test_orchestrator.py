@@ -53,7 +53,6 @@ class TestFormatFeedback:
             "Error: Vertices C and D are adjacent but have the same color.",
         ]
         assert all(i.kind == "conflict" for i in items)
-        assert [(c.u, c.v) for i in items for c in i.conflicts] == [("A", "B"), ("C", "D")]
 
     def test_over_color_message_worked_example(self, triangle):
         items = format_feedback(triangle, {"A": 1, "B": 2, "C": 3}, 2)
@@ -172,7 +171,7 @@ class TestGenerateExample:
 
 
 def failed_round(score, signature):
-    return IterationRecord(1, "assignment", score, (), signature, 0.0)
+    return IterationRecord("assignment", score, (), signature, 0.0)
 
 
 class TestEscalationRule:
@@ -245,7 +244,7 @@ class TestSofaiV2:
         assert trace.s2_invoked
         assert trace.source == "S2"
         assert trace.s1_calls <= 5
-        assert trace.s1_declared_unsat
+        assert all(it.kind == "not_solvable" for it in trace.iterations)
 
     def test_infeasible_instance_certified_unsat(self, triangle):
         outcome, trace = solve_sofai_v2(triangle, 2, cfg_with())
@@ -253,9 +252,10 @@ class TestSofaiV2:
         assert trace.s2_invoked
 
     def test_timeout_propagates(self):
-        outcome, trace = solve_sofai_v2(myciel(6), 6, cfg_with(ALWAYS_UNSAT, time_limit=0.3))
+        start = time.monotonic()
+        outcome, _ = solve_sofai_v2(myciel(6), 6, cfg_with(ALWAYS_UNSAT, time_limit=0.3))
         assert outcome.is_timeout
-        assert trace.total_time < 1.3
+        assert time.monotonic() - start < 1.3
 
     def test_s1_success_stored_in_memory(self):
         store = MemoryStore()
@@ -332,7 +332,7 @@ class TestSofaiV2:
         assert outcome.is_unsat  # declaration accepted as final
         assert not trace.s2_invoked
         assert trace.source == "S1"
-        assert trace.s1_declared_unsat
+        assert [it.kind for it in trace.iterations] == ["not_solvable"]
 
     def test_transport_failure_is_survivable(self, triangle):
         dead = ProposerConfig(kind="remote", endpoint="http://127.0.0.1:1/v1", retries=0, timeout=0.3)
@@ -365,14 +365,14 @@ class TestSofaiV2:
         c5 = Graph(tuple("ABCDE"), (("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "A")))
         noisy = ProposerConfig(kind="mock", noise=1.0, seed=3)
         _, trace = solve_sofai_v2(c5, 2, cfg_with(noisy))
-        with_conflicts = [
-            it for it in trace.iterations if it.kind == "assignment" and it.conflict_vertices
-        ]
-        assert with_conflicts
+        with_conflicts = [it for it in trace.iterations if it.signature and it.signature[0] == "conflicts"]
+        assert any(it.signature[1] for it in with_conflicts)
         for it in with_conflicts:
-            assert it.conflict_vertices <= set(c5.vertices)
-            # exactly the endpoints of the conflicting edges the round's feedback named
-            assert it.conflict_vertices == {v for edge in it.signature[1] for v in edge}
+            edges = it.signature[1]
+            assert set(edges) <= set(c5.edges)
+            # the round's feedback names exactly those edges, in edge order, before any other message
+            assert it.feedback[: len(edges)] == tuple(CONFLICT_TEMPLATE.format(u=u, v=v) for u, v in edges)
+            assert not any(m.startswith("Error: Vertices") for m in it.feedback[len(edges):])
 
     def test_one_verdict_per_assignment_round(self, monkeypatch):
         import sofai_gc.metacognition as metacognition

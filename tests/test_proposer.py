@@ -153,6 +153,15 @@ class TestParseResponse:
         own = {id(v) for v in graph.vertices}
         assert all(id(v) in own for v in resp.assignment)
 
+    def test_labels_with_balanced_parentheses(self):
+        graph = Graph(("v(1)", "B"), (("v(1)", "B"),))
+        assert parse_response("(v(1) 1)\n(B 2)", graph).assignment == {"v(1)": 1, "B": 2}
+        assert parse_response("((B 1))", graph).assignment == {"B": 1}
+
+    def test_labels_with_unbalanced_or_nested_parentheses_are_unreadable(self):
+        graph = Graph(("v(1", "w)", "v((1))"), ())
+        assert parse_response("(v(1 1)\n(w) 2)\n(v((1)) 3)", graph).kind == "unparseable"
+
 
 class TestMockProposer:
     def test_greedy_is_proper_and_deterministic(self, fig2_graph):
@@ -185,8 +194,9 @@ class TestMockProposer:
         assert verdict(fig2_graph, resp.assignment, 3).valid
 
     def test_colours_a_label_a_text_reply_cannot_carry(self):
-        # "(v(1) 1)" does not parse as a pair, so the mock must hand over the
-        # colouring it built, not read its own reply back.
+        # The mock hands over the colouring it built, not its own reply read
+        # back, so it colours any label, such as "v(1)", whether or not
+        # parse_response can read it.
         graph = Graph(("v(1)", "B"), (("v(1)", "B"),))
         resp = MockProposer(ProposerConfig()).propose(render_prompt(graph, 2))
         assert resp.raw == "(v(1) 1)\n(B 2)"

@@ -30,10 +30,16 @@ datasets must be byte-identical, every trial record and memory record
 must be equal except wall_time and timestamp, and every prompt the bench
 lines and the solve lines render must have the same text, compared by
 sha256 in the order rendered (the mock proposer ignores prompt text, so nothing else
-would see it change).  Each command runs in-process in a fresh
-interpreter that first wraps metacognition.render_prompt to record those
-digests.  Prints the counts and exits 1 on any mismatch.  Standard
-library only.
+would see it change).  The S1 rounds of every solve call, each round's
+IterationRecord as a dict without its elapsed time, must be equal on the
+keys that both sides write: a field one side dropped or added is listed,
+not counted as a mismatch, so a change to the record's fields can still
+be checked on every fact the two sides share.  Each command runs
+in-process in a fresh interpreter that first wraps
+metacognition.render_prompt to record those digests, and bench.solve and
+cli.solve (the bench lines and the solve lines look a roster id up
+through one of them) to record those rounds.  Prints the counts and the
+keys compared, and exits 1 on any mismatch.  Standard library only.
 """
 
 from __future__ import annotations
@@ -81,13 +87,14 @@ e E B
 """
 
 
-# `python -c RUNNER DIGESTS ARGS...`: sofai_gc.cli.main(ARGS) with each
-# rendered prompt's sha256 appended to the file DIGESTS.
+# `python -c RUNNER DIGESTS ROUNDS ARGS...`: sofai_gc.cli.main(ARGS) with each
+# rendered prompt's sha256 appended to the file DIGESTS, and each solve
+# call's S1 rounds appended to ROUNDS as one JSON list of dicts.
 RUNNER = """
-import hashlib, sys
-from sofai_gc import cli, metacognition
+import dataclasses, hashlib, json, sys
+from sofai_gc import bench, cli, metacognition
 
-render = metacognition.render_prompt
+render, solve = metacognition.render_prompt, bench.solve
 
 def recording(*args, **kwargs):
     prompt = render(*args, **kwargs)
@@ -95,19 +102,31 @@ def recording(*args, **kwargs):
         fh.write(hashlib.sha256(prompt.text.encode()).hexdigest() + "\\n")
     return prompt
 
+def recording_rounds(*args, **kwargs):
+    outcome, trace = solve(*args, **kwargs)
+    rounds = [dataclasses.asdict(it) for it in trace.iterations]
+    for row in rounds:
+        del row["elapsed"]
+    with open(sys.argv[2], "a") as fh:
+        fh.write(json.dumps(rounds, default=sorted) + "\\n")
+    return outcome, trace
+
 metacognition.render_prompt = recording
-sys.exit(cli.main(sys.argv[2:]))
+bench.solve = cli.solve = recording_rounds
+sys.exit(cli.main(sys.argv[3:]))
 """
+
+ROUNDS = "S1 rounds of each solve call, equal on the keys both sides write"
 
 
 def run_matrix(src: Path, out: Path) -> dict[str, list]:
     """Run the matrix on the package in src, writing to out; returns what the two sides must share."""
     digests, solve_digests = out / "prompts.sha256", out / "solve-prompts.sha256"
-    again_digests = out / "solve-again-prompts.sha256"
+    again_digests, rounds = out / "solve-again-prompts.sha256", out / "rounds.jsonl"
 
     def cli(*args: str, digests: Path = digests) -> None:
         subprocess.run(
-            [sys.executable, "-c", RUNNER, str(digests), *args],
+            [sys.executable, "-c", RUNNER, str(digests), str(rounds), *args],
             env={**os.environ, "PYTHONPATH": str(src)},
             check=True,
             stdout=subprocess.DEVNULL,
@@ -139,6 +158,7 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
         "prompt texts equal by sha256": digests.read_text().split(),
         "solve on letters.col, prompt texts equal by sha256": solve_digests.read_text().split(),
         "solve again from its memory file, prompt texts equal by sha256": again_digests.read_text().split(),
+        ROUNDS: [json.loads(line) for line in rounds.read_text().splitlines()],
     }
 
 
@@ -162,12 +182,19 @@ def main(argv: list[str]) -> int:
         old = run_matrix(base / "src", base / "rev")
         new = run_matrix(ROOT / "src", base / "tree")
     print(f"working tree vs {rev}, {len(SOLVERS)} solver ids:")
+    keys = [{key for call in side[ROUNDS] for row in call for key in row} for side in (old, new)]
+    shared = keys[0] & keys[1]
+    for side in (old, new):
+        side[ROUNDS] = [[{key: row.get(key) for key in sorted(shared)} for row in call] for call in side[ROUNDS]]
     failed = False
     for name, rows in old.items():
         same = sum(a == b for a, b in zip(rows, new[name]))
         ok = same == len(rows) == len(new[name])
         failed |= not ok
         print(f"  {name}: {same}/{len(rows)}" + ("" if ok else f"  MISMATCH (the tree has {len(new[name])})"))
+    print(f"  S1 round keys compared: {', '.join(sorted(shared))}")
+    print(f"  only {rev} writes: {', '.join(sorted(keys[0] - shared)) or '-'}")
+    print(f"  only the tree writes: {', '.join(sorted(keys[1] - shared)) or '-'}")
     return 1 if failed else 0
 
 
