@@ -23,13 +23,14 @@ color restores the forb[c] saved when it was set and lowers the same
 vertices back.  The search path, node for node, is plain DSATUR's.
 
 Every graph of maximum degree D is (D + 1)-colorable and a search that
-may use D + 1 colors never backtracks, so the state holds min(k, D + 1)
-colors.  chromatic_number builds one state for its whole sweep over k
-and starts the sweep at the size of a greedy clique grown on that state's
-masks and checked against the graph: a clique needs that many colors, so
-no smaller k is searched.  An Unsat proof unwinds the state back to
-empty, ready for k + 1, and the sweep ends by k = D + 1.  solve_decision
-answers Unsat only from an exhausted search.
+may use D + 1 colors never backtracks, so a search holds min(k, D + 1)
+colors.  The search state is the graph's encoding only (order, bits,
+neighbor masks and that color count); each search starts empty on it and
+keeps everything it changes to itself.  chromatic_number builds one
+encoding for its whole sweep over k and starts the sweep at the size of a
+greedy clique grown on its masks and checked against the graph: a clique
+needs that many colors, so no smaller k is searched, and the sweep ends
+by k = D + 1.  solve_decision answers Unsat only from an exhausted search.
 """
 
 from __future__ import annotations
@@ -91,32 +92,21 @@ class SolveOutcome:
 
 
 class _SearchState:
-    """Mutable search state over vertex indices (positions in graph.vertices).
+    """What the graph and k fix for a search, over vertex indices (positions in graph.vertices).
 
-    color[v] is v's color, 0 while uncolored.  bit[v] is 1 << v's place in
-    (degree descending, index ascending) order and order[place] is the
-    vertex there; free is the union of the bits of the uncolored vertices.
-    nmask[v] is the union of the bits of v's neighbors, and forb[c] the
-    union of nmask over the vertices colored c: the vertices that may not
-    take color c.  So an uncolored vertex u's saturation is the number of
-    colors c with forb[c] & bit[u], and levels[s] is the union of the bits
-    of the uncolored vertices of saturation s; no level above top holds any.
-
-    Coloring v with c raises exactly the vertices of nmask[v] & free &
-    ~forb[c] one level.  Undo is exact because the search unwinds LIFO:
-    when v is uncolored, every later change has been undone, so free is
-    what it was when v was colored and restoring the forb[c] saved then
-    lowers the same vertices back one level.
+    bit[v] is 1 << v's place in (degree descending, index ascending) order
+    and order[place] is the vertex there.  nmask[v] is the union of the
+    bits of v's neighbors.  colors is min(k, D + 1) for maximum degree D:
+    with D + 1 colors every vertex has a free one, so no search needs more.
     """
 
-    __slots__ = ("nmask", "forb", "free", "color", "bit", "order", "levels", "top", "saved")
+    __slots__ = ("order", "bit", "nmask", "colors")
 
     def __init__(self, graph: Graph, k: int) -> None:
         adj = graph.adjacency
         degree = [len(adj[v]) for v in graph.vertices]
         n = len(degree)
-        # With D + 1 colors every vertex has a free one, so no search needs more.
-        colors = min(k, max(degree, default=0) + 1)
+        self.colors = min(k, max(degree, default=0) + 1)
         # A stable sort keeps equal degrees in index order.
         self.order = sorted(range(n), key=degree.__getitem__, reverse=True)
         self.bit = [0] * n
@@ -125,91 +115,39 @@ class _SearchState:
         bit_of = dict(zip(graph.vertices, self.bit))
         # The bits are distinct, so their sum is their union.
         self.nmask = [sum(map(bit_of.__getitem__, adj[v])) for v in graph.vertices]
-        self.forb = [0] * (colors + 1)
-        self.free = (1 << n) - 1
-        self.color = [0] * n
-        # saved[v]: (forb[color[v]] before v was colored, v's saturation then).
-        self.saved: list[tuple[int, int]] = [(0, 0)] * n
-        self.levels = [0] * (colors + 1)
-        self.levels[0] = self.free
-        self.top = 0
-
-    @property
-    def colors(self) -> int:
-        return len(self.levels) - 1
-
-    def assign(self, v: int, color: int) -> None:
-        levels, forb, b = self.levels, self.forb, self.bit[v]
-        s = self.top
-        while not levels[s] & b:
-            s -= 1
-        levels[s] ^= b
-        self.free = free = self.free ^ b
-        self.color[v] = color
-        before = forb[color]
-        self.saved[v] = (before, s)
-        mask = self.nmask[v]
-        forb[color] = before | mask
-        newly = mask & free & ~before
-        # Top down, so a vertex raised from level s is not seen again at s + 1.
-        s = top = self.top
-        while newly:
-            moved = levels[s] & newly
-            if moved:
-                levels[s] ^= moved
-                levels[s + 1] |= moved
-                newly ^= moved
-                if s == top:
-                    self.top = top + 1
-            s -= 1
-
-    def unassign(self, v: int) -> None:
-        levels, forb, b = self.levels, self.forb, self.bit[v]
-        color = self.color[v]
-        self.color[v] = 0
-        before, level = self.saved[v]
-        forb[color] = before
-        newly = self.nmask[v] & self.free & ~before
-        # Bottom up, so a vertex lowered to level s - 1 is not seen again there.
-        s = 1
-        while newly:
-            moved = levels[s] & newly
-            if moved:
-                levels[s] ^= moved
-                levels[s - 1] |= moved
-                newly ^= moved
-            s += 1
-        self.free |= b
-        levels[level] |= b
-        if level > self.top:
-            self.top = level
 
 
-def select_vertex(state: _SearchState) -> int:
-    """Next vertex to color: max saturation, then max degree, then lowest index."""
-    levels, top = state.levels, state.top
-    while top and not levels[top]:
-        top -= 1
-    state.top = top
-    bits = levels[top]
-    if not bits:
-        raise ValueError("all vertices are already colored")
-    return state.order[(bits & -bits).bit_length() - 1]
+def select_vertex(bits: int, order: list[int]) -> int:
+    """Next vertex to color, given the top saturation level's bits: the first of them in degree order."""
+    return order[(bits & -bits).bit_length() - 1]
 
 
 def _decide(graph: Graph, state: _SearchState, k: int, deadline: float) -> SolveOutcome:
-    """Search an empty state for a k-coloring; an Unsat answer leaves it empty again."""
-    n = len(state.color)
+    """Search for a k-coloring, starting from no vertex colored.
+
+    free holds the bits of the uncolored vertices and levels[s] those of
+    saturation s; no level above top holds any.  When v is uncolored every
+    later change is undone, so free is what it was when v was colored.
+    """
+    order, bit, nmask = state.order, state.bit, state.nmask
+    n = len(order)
     colors = min(k, state.colors)
-    forb, bit = state.forb, state.bit
+    forb = [0] * (colors + 1)
+    free = (1 << n) - 1
+    levels = [0] * (colors + 1)
+    levels[0] = free
+    top = 0
     # The stack, flat: at each depth the vertex colored there, its color,
-    # and the max color used by the vertices colored above it.
-    stack_v, stack_color, stack_used = [0] * n, [0] * n, [0] * n
+    # the max color used by the vertices colored above it, forb[color]
+    # before it, and its saturation level before it.
+    stack_v, stack_color, stack_used, stack_forb, stack_level = ([0] * n for _ in range(5))
     depth = used = 0
     while depth < n:
         if time.monotonic() > deadline:
             return SolveOutcome.timeout()
-        v = select_vertex(state)  # module global: one call per search node
+        while not levels[top]:
+            top -= 1
+        v = select_vertex(levels[top], order)  # module global: one call per search node
         color = 0
         # Advance the vertex at depth to its next feasible color, backing up
         # past depths whose colors are exhausted; none left means no coloring.
@@ -225,14 +163,54 @@ def _decide(graph: Graph, state: _SearchState, k: int, deadline: float) -> Solve
                 return SolveOutcome.unsat()
             depth -= 1
             v, color, used = stack_v[depth], stack_color[depth], stack_used[depth]
-            state.unassign(v)
+            # Uncolor v, lowering its neighbors bottom up, so a vertex
+            # lowered to level s - 1 is not seen again there.
+            forb[color] = before = stack_forb[depth]
+            newly = nmask[v] & free & ~before
+            s = 1
+            while newly:
+                moved = levels[s] & newly
+                if moved:
+                    levels[s] ^= moved
+                    levels[s - 1] |= moved
+                    newly ^= moved
+                s += 1
+            # top needs no raise: a search backs up only from a vertex with
+            # every color forbidden, so top is colors until the next choice.
+            b = bit[v]
+            free |= b
+            levels[stack_level[depth]] |= b
+        # Color v, raising its neighbors top down, so a vertex raised
+        # from level s is not seen again at s + 1.
+        s = top
+        while not levels[s] & b:
+            s -= 1
+        levels[s] ^= b
+        free ^= b
+        before = forb[color]
         stack_v[depth], stack_color[depth], stack_used[depth] = v, color, used
-        state.assign(v, color)
+        stack_forb[depth], stack_level[depth] = before, s
+        mask = nmask[v]
+        forb[color] = before | mask
+        newly = mask & free & ~before
+        s = top
+        while newly:
+            moved = levels[s] & newly
+            if moved:
+                levels[s] ^= moved
+                levels[s + 1] |= moved
+                newly ^= moved
+                if s == top:
+                    top += 1
+            s -= 1
         depth += 1
         if color > used:
             used = color
 
-    assignment = dict(zip(graph.vertices, state.color))
+    coloring = [0] * n
+    for v, color in zip(stack_v, stack_color):
+        coloring[v] = color
+    assignment = dict(zip(graph.vertices, coloring))
     if not verdict(graph, assignment, k).valid:
         return SolveOutcome.failure("search produced an improper coloring")
     return SolveOutcome.sat(assignment)

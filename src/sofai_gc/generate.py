@@ -174,17 +174,25 @@ def read_manifest_meta(path: str | Path) -> dict[str, str]:
 
 
 def load_dataset(path: str | Path) -> list[InstanceRecord]:
-    """Load instance records from a dataset directory (or its manifest.csv)."""
+    """Load instance records from a dataset directory (or its manifest.csv).
+
+    ValueError names the manifest row that repeats an instance id or that
+    its instance file disagrees with on k, label or vertex count n.
+    """
     path = Path(path)
     manifest = path / "manifest.csv" if path.is_dir() else path
     base = manifest.parent
     records: list[InstanceRecord] = []
+    ids: set[str] = set()
     with manifest.open(newline="") as fh:
         rows = csv.DictReader(line for line in fh if not line.startswith("#"))
         for rowno, row in enumerate(rows, 1):
             missing = next((c for c in _MANIFEST_COLUMNS if row.get(c) is None), None)
             if missing is not None:
                 raise ValueError(f"{manifest}: row {rowno} has no {missing!r} field")
+            if row["id"] in ids:
+                raise ValueError(f"{manifest}: row {rowno} repeats instance id {row['id']!r}")
+            ids.add(row["id"])
             values = {}
             for column, convert in _MANIFEST_NUMBERS:
                 try:
@@ -197,7 +205,7 @@ def load_dataset(path: str | Path) -> list[InstanceRecord]:
             graph, k, label = parse_dimacs_instance(text)
             if k is None or label is None:
                 raise ValueError(f"instance {row['id']} is missing its k or label comment")
-            if k != values["k"] or label != row["label"]:
+            if k != values["k"] or label != row["label"] or len(graph.vertices) != values["n"]:
                 raise ValueError(f"instance {row['id']} disagrees with the manifest")
             records.append(InstanceRecord(id=row["id"], graph=graph, label=label, **values))
     return records

@@ -253,7 +253,7 @@ def retrieve_memory(
     attribute (density is already in [0, 1]; scales floor at 1 so a
     degenerate store cannot divide by zero).
     """
-    if alpha < 0:
+    if not alpha >= 0:  # NaN too: no distance is below a NaN alpha
         raise ValueError("alpha must be >= 0")
     records = store.records()
     if not records:

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: plain exhaustive search over
 assignments with no ordering heuristics, no saturation bookkeeping, and
 no symmetry breaking, so agreement with the production solver is
-meaningful.
+meaningful.  The one exception, reference_dsatur, follows DSATUR's rules
+but recomputes every choice by a scan from scratch, with no saturation
+bookkeeping and no bitmasks, so it can check the solver's search path.
 """
 
 from __future__ import annotations
@@ -90,3 +92,41 @@ def valid_by_edge_enumeration(graph: Graph, assignment: dict[str, int], k: int) 
         and all(assignment[u] != assignment[v] for u, v in graph.edges)
         and len(set(assignment.values())) <= k
     )
+
+
+def reference_dsatur(graph: Graph, k: int) -> tuple[list[int], dict[str, int] | None]:
+    """Plain recursive DSATUR: its vertex choices, one per node, and a k-coloring or None.
+
+    At every node the next vertex comes from a scan from scratch over the
+    uncolored vertices: highest saturation (distinct colors among colored
+    neighbors), then highest degree, then lowest index.  The choice is
+    recorded as that index, after a backtrack too.  Colors are tried in
+    order 1..min(k, D + 1, used + 1), D the maximum degree and used the
+    largest color in use.
+    """
+    vertices, adjacency = graph.vertices, graph.adjacency
+    colors = min(k, max(map(graph.degree, vertices), default=0) + 1)
+    coloring: dict[str, int] = {}
+    choices: list[int] = []
+
+    def key(i: int) -> tuple[int, int, int]:
+        v = vertices[i]
+        return len({coloring[u] for u in adjacency[v] if u in coloring}), graph.degree(v), -i
+
+    def extend(used: int) -> bool:
+        uncolored = [i for i, v in enumerate(vertices) if v not in coloring]
+        if not uncolored:
+            return True
+        i = max(uncolored, key=key)
+        choices.append(i)
+        v = vertices[i]
+        for c in range(1, min(colors, used + 1) + 1):
+            if any(coloring.get(u) == c for u in adjacency[v]):
+                continue
+            coloring[v] = c
+            if extend(max(used, c)):
+                return True
+            del coloring[v]
+        return False
+
+    return choices, (coloring if extend(0) else None)

@@ -16,6 +16,8 @@ from sofai_gc import (
     Graph,
     chromatic_number,
     gen_erdos_renyi,
+    parse_dimacs_instance,
+    serialize_dimacs,
     solve_decision,
     verdict,
 )
@@ -23,7 +25,7 @@ from sofai_gc import dsatur
 from sofai_gc.dsatur import _SearchState, select_vertex
 
 from conftest import complete_graph, cycle_graph, myciel
-from oracles import brute_force_chromatic, brute_force_colorable, product_scan_colorable
+from oracles import brute_force_chromatic, brute_force_colorable, product_scan_colorable, reference_dsatur
 from strategies import er_graphs
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -175,95 +177,55 @@ class TestChromaticNumber:
             chromatic_number(triangle, time_limit=limit)
 
 
-def scan_choice(graph: Graph, color: list[int]):
-    """DSATUR's choice by a scan from scratch: max saturation, then max degree, then lowest index."""
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    keys = [
-        (len({color[index[u]] for u in graph.adjacency[v]} - {0}), graph.degree(v), -i)
-        for i, v in enumerate(graph.vertices)
-        if not color[i]
-    ]
-    return -max(keys)[2] if keys else None
-
-
-class TestSelectVertex:
-    def test_prefers_saturation_then_degree_then_order(self):
-        # "1"-"2" is an edge; "3" is the center of a star on "4", "5", "6"
-        graph = Graph(tuple("123456"), (("1", "2"), ("3", "4"), ("3", "5"), ("3", "6")))
-        state = _SearchState(graph, 3)
-        assert state.order == [2, 0, 1, 3, 4, 5]  # degree descending, then index
-        assert select_vertex(state) == 2  # "3": degree 3 beats an earlier position
-        state.assign(0, 1)
-        assert select_vertex(state) == 1  # "2": saturation 1 beats degree 3
-        state.assign(1, 2)
-        assert select_vertex(state) == 2
-        state.assign(2, 1)
-        # "4", "5", "6" tie on saturation and degree: lowest index wins
-        assert select_vertex(state) == 3
-
-    def test_all_colored_raises(self, triangle):
-        state = _SearchState(triangle, 3)
-        for v in range(3):
-            state.assign(v, v + 1)
-        with pytest.raises(ValueError, match="already colored"):
-            select_vertex(state)
-        with pytest.raises(ValueError, match="already colored"):
-            select_vertex(_SearchState(Graph((), ()), 1))
-
-    def test_undo_restores_saturation(self, fig2_graph):
-        # A-B, A-C, B-C, C-D, D-E
-        state = _SearchState(fig2_graph, 3)
-
-        def forbidden(u):
-            return [bool(state.forb[c] & state.bit[u]) for c in range(1, state.colors + 1)]
-
-        def snapshot():
-            return (list(state.color), list(state.levels), list(state.forb), state.free)
-
-        empty = snapshot()
-        assert state.levels[0] == sum(state.bit) and not any(state.levels[1:])
-        state.assign(2, 1)  # "C": its neighbors A, B and D rise one level
-        assert [sum(forbidden(u)) for u in (0, 1, 3, 4)] == [1, 1, 1, 0]
-        assert state.levels[1] == state.bit[0] | state.bit[1] | state.bit[3]
-        assert state.levels[0] == state.bit[4]
-        state.assign(0, 2)  # "A": B rises again; C is colored, so no level holds it
-        assert forbidden(1) == [True, True, False]
-        assert state.levels == [state.bit[4], state.bit[3], state.bit[1], 0]
-        state.unassign(0)
-        state.unassign(2)
-        assert snapshot() == empty
-
-    @settings(max_examples=200, deadline=None)
-    @given(er_graphs(max_n=9), st.integers(1, 5), st.data())
-    def test_matches_a_scan_from_scratch_under_lifo_steps(self, graph, k, data):
-        state = _SearchState(graph, k)
-        stack: list[int] = []
-        for _ in range(data.draw(st.integers(0, 25), label="steps")):
-            uncolored = [v for v, c in enumerate(state.color) if not c]
-            if stack and (not uncolored or data.draw(st.booleans(), label="undo")):
-                state.unassign(stack.pop())
-            elif uncolored:
-                v = data.draw(st.sampled_from(uncolored), label="vertex")
-                state.assign(v, data.draw(st.integers(1, state.colors), label="color"))
-                stack.append(v)
-            expected = scan_choice(graph, state.color)
-            if expected is None:
-                with pytest.raises(ValueError):
-                    select_vertex(state)
-            else:
-                assert select_vertex(state) == expected
-
-
 def count_nodes(monkeypatch):
     """Counts search nodes: _decide calls select_vertex once per node."""
     nodes = [0]
 
-    def counted(state):
+    def counted(*args):
         nodes[0] += 1
-        return select_vertex(state)
+        return select_vertex(*args)
 
     monkeypatch.setattr(dsatur, "select_vertex", counted)
     return nodes
+
+
+def search_path(graph: Graph, k: int):
+    """solve_decision's outcome, and the vertex index select_vertex returned at each node, in order."""
+    choices: list[int] = []
+    real = dsatur.select_vertex
+    dsatur.select_vertex = lambda *args: choices.append(real(*args)) or choices[-1]
+    try:
+        return solve_decision(graph, k), choices
+    finally:
+        dsatur.select_vertex = real
+
+
+def coloring_digest(assignment: dict[str, int]) -> str:
+    return hashlib.sha256(json.dumps(assignment, sort_keys=True).encode()).hexdigest()[:12]
+
+
+class TestSelectVertex:
+    def test_prefers_saturation_then_degree_then_order(self):
+        # "1"-"2" is an edge; "3" is the center of a star on "4", "5", "6".
+        # "3" goes first (degree 3 beats an earlier position), then its
+        # leaves (saturation 1 beats a lower index), which tie on saturation
+        # and degree, so the lowest index wins, as it does for "1" over "2".
+        graph = Graph(tuple("123456"), (("1", "2"), ("3", "4"), ("3", "5"), ("3", "6")))
+        assert _SearchState(graph, 3).order == [2, 0, 1, 3, 4, 5]  # degree descending, then index
+        expected = [2, 3, 4, 5, 0, 1]
+        assert reference_dsatur(graph, 3)[0] == expected
+        outcome, choices = search_path(graph, 3)
+        assert outcome.is_sat and choices == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(er_graphs(max_n=9), st.integers(1, 5))
+    def test_matches_a_reference_dsatur(self, graph, k):
+        # every node's choice, after backtracks too, then the answer and its coloring
+        expected, coloring = reference_dsatur(graph, k)
+        outcome, choices = search_path(graph, k)
+        assert choices == expected
+        assert outcome.status == ("unsat" if coloring is None else "sat")
+        assert outcome.assignment == coloring
 
 
 def clique_size(graph: Graph) -> int:
@@ -302,7 +264,19 @@ def test_search_path_is_plain_dsatur(args, monkeypatch):
     nodes[0] = 0
     outcome = solve_decision(graph, chi)
     assert outcome.is_sat and nodes[0] == sat
-    assert hashlib.sha256(json.dumps(outcome.assignment, sort_keys=True).encode()).hexdigest()[:12] == digest
+    assert coloring_digest(outcome.assignment) == digest
+
+
+def test_sparse_search_path_never_backtracks(monkeypatch):
+    # The first graph of perfbench's s1-memory suite, a G(300, 0.03), at
+    # k = its first-fit colors + 1, parsed from DIMACS as the decide path
+    # loads it: one node per vertex, none revisited.
+    text = serialize_dimacs(gen_erdos_renyi(300, 0.03, 3553260803050964941), 8)
+    graph, k, _ = parse_dimacs_instance(text)
+    nodes = count_nodes(monkeypatch)
+    outcome = solve_decision(graph, k)
+    assert outcome.is_sat and nodes[0] == 300 == len(graph.vertices)
+    assert coloring_digest(outcome.assignment) == "9b718cb9fbe7"
 
 
 # Vertex "1" of a 5-cycle claims every other vertex as a neighbor in the

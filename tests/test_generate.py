@@ -139,11 +139,23 @@ class TestDatasetIO:
         text = (tmp_path / "instances" / "er_n5_p0.5_0000.col").read_text()
         assert text.startswith(f"c k {ds.instances[0].k}\nc label SAT\n")
 
-    def test_load_rejects_manifest_disagreement(self, tmp_path):
+    @pytest.mark.parametrize("edit", ["instance_k", "manifest_n"])
+    def test_load_rejects_manifest_disagreement(self, tmp_path, edit):
         ds = build_dataset(GenSpec(n=5, p=0.5, count=1, seed=0), 30)
         write_dataset(ds, tmp_path)
-        path = tmp_path / "instances" / "er_n5_p0.5_0000.col"
-        text = path.read_text().replace(f"c k {ds.instances[0].k}", "c k 99")
-        path.write_text(text)
+        if edit == "instance_k":
+            path, old, new = tmp_path / "instances" / "er_n5_p0.5_0000.col", f"c k {ds.instances[0].k}", "c k 99"
+        else:  # the row's n, 5, becomes 6
+            path, old, new = tmp_path / "manifest.csv", "er_n5_p0.5_0000,5,", "er_n5_p0.5_0000,6,"
+        assert old in path.read_text()
+        path.write_text(path.read_text().replace(old, new))
         with pytest.raises(ValueError, match="disagrees with the manifest"):
+            load_dataset(tmp_path)
+
+    def test_load_rejects_a_repeated_instance_id(self, tmp_path):
+        # two rows, two files, one id: a report would merge them into one instance
+        ds = build_dataset(GenSpec(n=5, p=0.5, count=2, seed=0), 30)
+        manifest = write_dataset(ds, tmp_path)
+        manifest.write_text(manifest.read_text().replace("er_n5_p0.5_0001,", "er_n5_p0.5_0000,"))
+        with pytest.raises(ValueError, match=r"manifest\.csv: row 2 repeats instance id 'er_n5_p0\.5_0000'"):
             load_dataset(tmp_path)

@@ -254,6 +254,8 @@ class TestRetrieveMemory:
     def test_alpha_validation(self, triangle):
         with pytest.raises(ValueError):
             retrieve_memory(MemoryStore(), triangle, 3, alpha=-0.1)
+        with pytest.raises(ValueError):  # a NaN alpha retrieved nothing
+            retrieve_memory(MemoryStore(), triangle, 3, alpha=float("nan"))
 
     def test_insertion_order_breaks_distance_ties(self):
         store = MemoryStore()

@@ -34,12 +34,17 @@ would see it change).  The S1 rounds of every solve call, each round's
 IterationRecord as a dict without its elapsed time, must be equal on the
 keys that both sides write: a field one side dropped or added is listed,
 not counted as a mismatch, so a change to the record's fields can still
-be checked on every fact the two sides share.  Each command runs
-in-process in a fresh interpreter that first wraps
-metacognition.render_prompt to record those digests, and bench.solve and
+be checked on every fact the two sides share.  Every top-level S2 call
+(the controller's solve_decision, gen's chromatic_number) must visit the
+same number of search nodes, call for call, so a change to how S2
+branches or backtracks shows which searches it changed.  Each command
+runs in-process in a fresh interpreter that first wraps
+metacognition.render_prompt to record those digests, bench.solve and
 cli.solve (the bench lines and the solve lines look a roster id up
-through one of them) to record those rounds.  Prints the counts and the
-keys compared, and exits 1 on any mismatch.  Standard library only.
+through one of them) to record those rounds, and dsatur.select_vertex,
+which the search calls once per node with any arguments, to count those
+nodes.  Prints the counts and the keys compared, and exits 1 on any
+mismatch.  Standard library only.
 """
 
 from __future__ import annotations
@@ -87,14 +92,16 @@ e E B
 """
 
 
-# `python -c RUNNER DIGESTS ROUNDS ARGS...`: sofai_gc.cli.main(ARGS) with each
-# rendered prompt's sha256 appended to the file DIGESTS, and each solve
-# call's S1 rounds appended to ROUNDS as one JSON list of dicts.
+# `python -c RUNNER DIGESTS ROUNDS NODES ARGS...`: sofai_gc.cli.main(ARGS) with
+# each rendered prompt's sha256 appended to the file DIGESTS, each solve
+# call's S1 rounds appended to ROUNDS as one JSON list of dicts, and each
+# top-level S2 call's name and search nodes appended to NODES as one line.
 RUNNER = """
 import dataclasses, hashlib, json, sys
-from sofai_gc import bench, cli, metacognition
+from sofai_gc import bench, cli, dsatur, generate, metacognition
 
-render, solve = metacognition.render_prompt, bench.solve
+render, solve, select = metacognition.render_prompt, bench.solve, dsatur.select_vertex
+nodes = [0]
 
 def recording(*args, **kwargs):
     prompt = render(*args, **kwargs)
@@ -111,9 +118,26 @@ def recording_rounds(*args, **kwargs):
         fh.write(json.dumps(rounds, default=sorted) + "\\n")
     return outcome, trace
 
+def counting(*args):
+    nodes[0] += 1
+    return select(*args)
+
+def counting_s2(name, search):
+    def call(*args, **kwargs):
+        nodes[0] = 0
+        try:
+            return search(*args, **kwargs)
+        finally:
+            with open(sys.argv[3], "a") as fh:
+                fh.write(f"{name} {nodes[0]}\\n")
+    return call
+
 metacognition.render_prompt = recording
 bench.solve = cli.solve = recording_rounds
-sys.exit(cli.main(sys.argv[3:]))
+dsatur.select_vertex = counting
+metacognition.solve_decision = counting_s2("solve_decision", metacognition.solve_decision)
+generate.chromatic_number = counting_s2("chromatic_number", generate.chromatic_number)
+sys.exit(cli.main(sys.argv[4:]))
 """
 
 ROUNDS = "S1 rounds of each solve call, equal on the keys both sides write"
@@ -122,11 +146,12 @@ ROUNDS = "S1 rounds of each solve call, equal on the keys both sides write"
 def run_matrix(src: Path, out: Path) -> dict[str, list]:
     """Run the matrix on the package in src, writing to out; returns what the two sides must share."""
     digests, solve_digests = out / "prompts.sha256", out / "solve-prompts.sha256"
-    again_digests, rounds = out / "solve-again-prompts.sha256", out / "rounds.jsonl"
+    again_digests, rounds, nodes = out / "solve-again-prompts.sha256", out / "rounds.jsonl", out / "s2-nodes.txt"
+    out.mkdir(parents=True)  # gen's S2 calls write their nodes before it writes its dataset
 
     def cli(*args: str, digests: Path = digests) -> None:
         subprocess.run(
-            [sys.executable, "-c", RUNNER, str(digests), str(rounds), *args],
+            [sys.executable, "-c", RUNNER, str(digests), str(rounds), str(nodes), *args],
             env={**os.environ, "PYTHONPATH": str(src)},
             check=True,
             stdout=subprocess.DEVNULL,
@@ -159,6 +184,7 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
         "solve on letters.col, prompt texts equal by sha256": solve_digests.read_text().split(),
         "solve again from its memory file, prompt texts equal by sha256": again_digests.read_text().split(),
         ROUNDS: [json.loads(line) for line in rounds.read_text().splitlines()],
+        "S2 nodes per call": nodes.read_text().splitlines(),
     }
 
 
