@@ -94,7 +94,9 @@ def valid_by_edge_enumeration(graph: Graph, assignment: dict[str, int], k: int) 
     )
 
 
-def reference_dsatur(graph: Graph, k: int) -> tuple[list[int], dict[str, int] | None]:
+def reference_dsatur(
+    graph: Graph, k: int, tops: list[frozenset[int]] | None = None
+) -> tuple[list[int], dict[str, int] | None]:
     """Plain recursive DSATUR: its vertex choices, one per node, and a k-coloring or None.
 
     At every node the next vertex comes from a scan from scratch over the
@@ -102,7 +104,8 @@ def reference_dsatur(graph: Graph, k: int) -> tuple[list[int], dict[str, int] | 
     neighbors), then highest degree, then lowest index.  The choice is
     recorded as that index, after a backtrack too.  Colors are tried in
     order 1..min(k, D + 1, used + 1), D the maximum degree and used the
-    largest color in use.
+    largest color in use.  Given a list as tops, it is appended, at every
+    node, the uncolored vertices of the highest saturation present.
     """
     vertices, adjacency = graph.vertices, graph.adjacency
     colors = min(k, max(map(graph.degree, vertices), default=0) + 1)
@@ -118,6 +121,8 @@ def reference_dsatur(graph: Graph, k: int) -> tuple[list[int], dict[str, int] | 
         if not uncolored:
             return True
         i = max(uncolored, key=key)
+        if tops is not None:
+            tops.append(frozenset(u for u in uncolored if key(u)[0] == key(i)[0]))
         choices.append(i)
         v = vertices[i]
         for c in range(1, min(colors, used + 1) + 1):

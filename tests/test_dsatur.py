@@ -200,6 +200,23 @@ def search_path(graph: Graph, k: int):
         dsatur.select_vertex = real
 
 
+def search_tops(graph: Graph, k: int) -> list[frozenset[int]]:
+    """The vertex indices in the top saturation level _decide hands select_vertex at each node, in order."""
+    tops: list[frozenset[int]] = []
+    real = dsatur.select_vertex
+
+    def recorded(bits: int, order: list[int]) -> int:
+        tops.append(frozenset(v for place, v in enumerate(order) if bits >> place & 1))
+        return real(bits, order)
+
+    dsatur.select_vertex = recorded
+    try:
+        solve_decision(graph, k)
+        return tops
+    finally:
+        dsatur.select_vertex = real
+
+
 def coloring_digest(assignment: dict[str, int]) -> str:
     return hashlib.sha256(json.dumps(assignment, sort_keys=True).encode()).hexdigest()[:12]
 
@@ -226,6 +243,30 @@ class TestSelectVertex:
         assert choices == expected
         assert outcome.status == ("unsat" if coloring is None else "sat")
         assert outcome.assignment == coloring
+
+    def test_undo_restores_saturation(self):
+        # Uncoloring lowers each neighbor back to its level, so every node,
+        # after a backtrack too, sees the top level a scan from scratch finds.
+        # A path that never backs up has at most one node per vertex, so
+        # more nodes than vertices means the search uncolored some.
+        for graph, k in [
+            (myciel(3), 3),  # the Grötzsch graph, chi 4: Unsat after backtracks
+            (gen_erdos_renyi(30, 0.5, 0), 7),  # chi 7: Sat after backtracks
+        ]:
+            expected: list[frozenset[int]] = []
+            reference_dsatur(graph, k, expected)
+            tops = search_tops(graph, k)
+            assert tops == expected
+            assert len(tops) > len(graph.vertices)
+
+    @settings(max_examples=200, deadline=None)
+    @given(er_graphs(max_n=9), st.integers(1, 5))
+    def test_matches_a_scan_from_scratch_under_lifo_steps(self, graph, k):
+        # the search colors and uncolors LIFO; at every node the top level
+        # holds exactly the uncolored vertices of the highest saturation
+        expected: list[frozenset[int]] = []
+        reference_dsatur(graph, k, expected)
+        assert search_tops(graph, k) == expected
 
 
 def clique_size(graph: Graph) -> int:
