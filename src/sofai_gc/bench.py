@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import os
@@ -23,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 from .dsatur import SolveOutcome
 from .generate import InstanceRecord, load_dataset, read_manifest_meta
 from .graphs import Graph
-from .memory import MemoryStore, check_json_types, read_jsonl
+from .memory import MemoryStore, check_json_types, read_jsonl, sha256
 from .metacognition import (
     MAX_ROUNDS,
     OrchestratorConfig,
@@ -113,7 +112,7 @@ def derive_seed(root_seed: int, instance_id: str, trial: int) -> int:
     solver sees the same proposer randomness on the same trial, so
     iteration-budget comparisons are prefix comparisons, not reruns.
     """
-    digest = hashlib.sha256(f"{root_seed}:{instance_id}:{trial}".encode()).digest()
+    digest = sha256(f"{root_seed}:{instance_id}:{trial}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

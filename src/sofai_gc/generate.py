@@ -29,6 +29,7 @@ class GenSpec:
     """Parameters for one dataset cell.
 
     mix = (a, b): a percent of instances labeled SAT, b percent UNSAT.
+    An UNSAT slot needs an edge (k = chi - 1 >= 1), so b > 0 needs n >= 2 and p > 0.
     """
 
     n: int
@@ -47,6 +48,11 @@ class GenSpec:
         a, b = self.mix
         if a < 0 or b < 0 or a + b != 100:
             raise ValueError("mix percentages must be non-negative and sum to 100")
+        if a < 100 and (self.n < 2 or self.p == 0):
+            raise ValueError(
+                f"mix {a},{b} has an UNSAT slot, which needs chi >= 2, "
+                f"but G(n={self.n}, p={self.p:g}) has no edge"
+            )
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,9 @@ def build_dataset(spec: GenSpec, time_limit_per_instance: float = 200.0) -> Data
 
     The first a% of slots are SAT (k = chi), the rest UNSAT (k = chi - 1).
     A slot that draws a 1-chromatic graph when an UNSAT label is required
-    is redrawn with a fresh seed (k = 0 is meaningless).  A slot whose
-    labeling times out is dropped and the dataset is marked incomplete.
+    is redrawn with a fresh seed (k = 0 is meaningless), at most 1000 times
+    before a ValueError.  A slot whose labeling times out is dropped and the
+    dataset is marked incomplete.
     """
     if not time_limit_per_instance > 0:  # NaN too
         raise ValueError("time_limit_per_instance must be positive")
@@ -128,7 +135,7 @@ def build_dataset(spec: GenSpec, time_limit_per_instance: float = 200.0) -> Data
             )
             break
         else:
-            raise RuntimeError(
+            raise ValueError(
                 f"could not draw a graph with chi >= 2 for an UNSAT slot "
                 f"after {_MAX_REGEN_ATTEMPTS} attempts (n={spec.n}, p={spec.p})"
             )

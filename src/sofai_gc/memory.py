@@ -10,7 +10,6 @@ color bound k stands in for it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass
@@ -20,6 +19,16 @@ from typing import Callable, Mapping, Optional, TypeVar
 
 from .graphs import ColorAssignment, Graph, parse_dimacs, serialize_dimacs, verdict
 from .proposer import PromptExample
+
+# The interpreter's own SHA-256, as CPython's random module takes its SHA-512:
+# hashlib would map OpenSSL's libcrypto, 3.5 MB resident, for the same bytes.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 _SOLVERS = ("S1", "S2")
 
@@ -70,7 +79,7 @@ class EpisodicRecord:
         timestamp: Optional[float] = None,
     ) -> "EpisodicRecord":
         """Build a record from a graph; the id is a digest of (DIMACS text, k)."""
-        digest = hashlib.sha256(f"{serialize_dimacs(graph)}\nk={k}".encode()).hexdigest()[:16]
+        digest = sha256(f"{serialize_dimacs(graph)}\nk={k}".encode()).hexdigest()[:16]
         return cls(
             id=digest,
             k=k,

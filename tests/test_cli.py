@@ -199,6 +199,8 @@ class TestBenchAndReport:
     ("solve", ["--instance", "missing.col"], "No such file"),
     ("gen", ["--time-limit", "0"], "time_limit_per_instance must be positive"),
     ("gen", ["--time-limit", "nan"], "time_limit_per_instance must be positive"),
+    ("gen", ["--n", "1", "--mix", "0,100"], "mix 0,100 has an UNSAT slot"),
+    ("gen", ["--p", "0", "--mix", "50,50"], "mix 50,50 has an UNSAT slot"),
     ("solve", ["--solver", "SOFAI-v2", "--proposer", "remote"], "remote proposer requires an endpoint"),
     ("solve", ["--instance", "bare.col"], "no color bound"),
     ("report", ["--in", "missing.jsonl"], "no such trial results file"),
@@ -208,7 +210,7 @@ class TestBenchAndReport:
     ("bench", ["--dataset", "bad-value"], "manifest.csv: row 1 has a malformed 'p' field: 'x'"),
 ], ids=[
     "k-0", "time-limit-0", "time-limit-nan", "bench-time-limit-nan", "trials-0", "n-0", "duplicate-edge",
-    "missing-instance", "gen-time-limit-0", "gen-time-limit-nan",
+    "missing-instance", "gen-time-limit-0", "gen-time-limit-nan", "gen-unsat-one-vertex", "gen-unsat-no-edges",
     "remote-without-endpoint", "no-color-bound", "missing-results", "empty-results",
     "manifest-missing-column", "manifest-short-row", "manifest-bad-value",
 ])

@@ -102,9 +102,17 @@ class TestBuildDataset:
         assert all(r.chi >= 2 for r in ds.instances)
 
     def test_unsat_impossible_raises(self):
-        # p=0 can never produce chi >= 2
-        with pytest.raises(RuntimeError, match="UNSAT slot"):
-            build_dataset(GenSpec(n=3, p=0.0, count=1, seed=0, mix=(0, 100)), 30)
+        # p=0 or a single vertex can never produce chi >= 2; refused before any draw
+        with pytest.raises(ValueError, match="mix 0,100 has an UNSAT slot"):
+            GenSpec(n=3, p=0.0, count=1, seed=0, mix=(0, 100))
+        with pytest.raises(ValueError, match="UNSAT slot"):
+            GenSpec(n=1, p=0.5, count=4, seed=0, mix=(99, 1))
+        assert GenSpec(n=1, p=0.0, count=1, seed=0).mix == (100, 0)  # SAT-only needs no edge
+
+    def test_unsat_exhaustion_raises(self):
+        # Possible but 1000 draws in a row without the one edge
+        with pytest.raises(ValueError, match="UNSAT slot after 1000 attempts"):
+            build_dataset(GenSpec(n=2, p=1e-12, count=1, seed=0, mix=(0, 100)), 30)
 
     def test_ids_are_stable(self):
         ds = build_dataset(GenSpec(n=5, p=0.25, count=2, seed=3), 30)

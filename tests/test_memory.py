@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from sofai_gc import (
     solve_sofai_v2,
     update_memory,
 )
+from sofai_gc import memory
 
 
 def record_for(graph, k, solution, solver="S2", timestamp=0.0):
@@ -54,6 +59,23 @@ class TestEpisodicRecord:
     def test_solver_validation(self, triangle):
         with pytest.raises(ValueError, match="solver"):
             record_for(triangle, 3, None, solver="S3")
+
+    def test_sha256_is_the_standard_digest(self):
+        # FIPS 180-2, appendix B.1
+        assert memory.sha256(b"abc").hexdigest() == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+    def test_hashlib_fallback_gives_the_same_ids_and_seeds(self):
+        # Without the interpreter's own SHA-256 modules the package falls back to hashlib
+        code = (
+            'import sys; sys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
+            "from sofai_gc import EpisodicRecord, Graph, derive_seed\n"
+            'graph = Graph(("A", "B", "C", "D"), (("A", "B"), ("B", "C"), ("A", "C")))\n'
+            'print("hashlib" in sys.modules, derive_seed(0, "x", 1), EpisodicRecord.make(graph, 3, None, "S2").id)'
+        )
+        src = str(Path(memory.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.split() == ["True", "3243668993462905595", json.loads(FROZEN_LINE)["id"]]
 
 
 class TestUpdateMemory:
