@@ -25,7 +25,7 @@ vertices back.  The search path, node for node, is plain DSATUR's.
 Every graph of maximum degree D is (D + 1)-colorable and a search that
 may use D + 1 colors never backtracks, so a search holds min(k, D + 1)
 colors.  The search state is the graph's encoding only (order, bits,
-neighbor masks and that color count); each search starts empty on it and
+neighbor masks and D + 1); each search starts empty on it and
 keeps everything it changes to itself.  chromatic_number builds one
 encoding for its whole sweep over k and starts the sweep at the size of a
 greedy clique grown on its masks and checked against the graph: a clique
@@ -92,21 +92,21 @@ class SolveOutcome:
 
 
 class _SearchState:
-    """What the graph and k fix for a search, over vertex indices (positions in graph.vertices).
+    """What the graph fixes for a search, over vertex indices (positions in graph.vertices).
 
     bit[v] is 1 << v's place in (degree descending, index ascending) order
     and order[place] is the vertex there.  nmask[v] is the union of the
-    bits of v's neighbors.  colors is min(k, D + 1) for maximum degree D:
-    with D + 1 colors every vertex has a free one, so no search needs more.
+    bits of v's neighbors.  colors is D + 1 for maximum degree D: with
+    D + 1 colors every vertex has a free one, so no search needs more.
     """
 
     __slots__ = ("order", "bit", "nmask", "colors")
 
-    def __init__(self, graph: Graph, k: int) -> None:
+    def __init__(self, graph: Graph) -> None:
         adj = graph.adjacency
         degree = [len(adj[v]) for v in graph.vertices]
         n = len(degree)
-        self.colors = min(k, max(degree, default=0) + 1)
+        self.colors = max(degree, default=0) + 1
         # A stable sort keeps equal degrees in index order.
         self.order = sorted(range(n), key=degree.__getitem__, reverse=True)
         self.bit = [0] * n
@@ -223,7 +223,7 @@ def solve_decision(graph: Graph, k: int, time_limit: float = 200.0) -> SolveOutc
     if not time_limit > 0:  # NaN too: a NaN deadline never passes
         return SolveOutcome.timeout()
     deadline = time.monotonic() + time_limit
-    return _decide(graph, _SearchState(graph, k), k, deadline)
+    return _decide(graph, _SearchState(graph), k, deadline)
 
 
 def _clique(graph: Graph, state: _SearchState) -> list[int]:
@@ -265,13 +265,12 @@ def chromatic_number(graph: Graph, time_limit: float = 200.0) -> int:
     DeadlineExceeded is raised if it cannot finish in time, and at once
     for a time limit that is not positive (NaN too).
     """
-    n = len(graph.vertices)
-    if n == 0:
+    if not graph.vertices:
         return 0
     if not time_limit > 0:
         raise DeadlineExceeded(f"chromatic number search has no time: {time_limit}s")
     deadline = time.monotonic() + time_limit
-    state = _SearchState(graph, n)
+    state = _SearchState(graph)
     for k in range(len(_clique(graph, state)), state.colors + 1):
         outcome = _decide(graph, state, k, deadline)
         if outcome.is_timeout:

@@ -33,11 +33,9 @@ class DimacsError(ValueError):
 class _EdgeError(ValueError):
     """A bad edge in a Graph; `index` is its position in `edges`, so a parser can name its line."""
 
-    def __init__(self, adj: Mapping[str, set[str]], message: str) -> None:
+    def __init__(self, index: int, message: str) -> None:
         super().__init__(message)
-        # Every edge before the bad one is in adj, once from each end; the
-        # count is paid only on this error path, not per edge.
-        self.index = sum(map(len, adj.values())) // 2
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -104,15 +102,15 @@ class Graph:
 def _raise_first_bad_edge(graph: Graph) -> None:
     """Raise the _EdgeError of the first edge, in edge order, that breaks the graph."""
     adj: dict[str, set[str]] = {v: set() for v in graph.vertices}
-    for u, v in graph.edges:
+    for i, (u, v) in enumerate(graph.edges):
         if u == v:
-            raise _EdgeError(adj, f"self-loop at vertex {u!r}")
+            raise _EdgeError(i, f"self-loop at vertex {u!r}")
         nu = adj.get(u)
         nv = adj.get(v)
         if nu is None or nv is None:
-            raise _EdgeError(adj, f"edge ({u!r}, {v!r}) references unknown vertex")
+            raise _EdgeError(i, f"edge ({u!r}, {v!r}) references unknown vertex")
         if v in nu:
-            raise _EdgeError(adj, f"duplicate edge ({u!r}, {v!r})")
+            raise _EdgeError(i, f"duplicate edge ({u!r}, {v!r})")
         nu.add(v)
         nv.add(u)
 

@@ -39,7 +39,12 @@ class MemoryRejected(ValueError):
 
 @dataclass(frozen=True)
 class EpisodicRecord:
-    """A solved instance: the graph, its color bound k, and the answer."""
+    """A solved instance: the graph, its color bound k, and the answer.
+
+    However it is built (make, from_json, replace, the constructor), a
+    record checks itself: a known solver, labels DIMACS can carry, and a
+    solution that properly colors the graph within k.
+    """
 
     id: str
     k: int
@@ -51,6 +56,11 @@ class EpisodicRecord:
     def __post_init__(self) -> None:
         if self.solver not in _SOLVERS:
             raise ValueError(f"solver must be one of {_SOLVERS}")
+        for v in self.graph.vertices:
+            if v.split() != [v]:  # empty or holds whitespace: its DIMACS line would not parse back
+                raise MemoryRejected(f"record {self.id}: vertex label {v!r} cannot be written as DIMACS")
+        if self.solution is not None and not verdict(self.graph, self.solution, self.k).valid:
+            raise MemoryRejected(f"record {self.id} carries an invalid solution")
 
     @property
     def n(self) -> int:
@@ -70,15 +80,8 @@ class EpisodicRecord:
         return PromptExample(self.graph, self.solution)
 
     @classmethod
-    def make(
-        cls,
-        graph: Graph,
-        k: int,
-        solution: Optional[ColorAssignment],
-        solver: str,
-        timestamp: Optional[float] = None,
-    ) -> "EpisodicRecord":
-        """Build a record from a graph; the id is a digest of (DIMACS text, k)."""
+    def make(cls, graph: Graph, k: int, solution: Optional[ColorAssignment], solver: str) -> "EpisodicRecord":
+        """Build a record from a graph, stamped now; the id is a digest of (DIMACS text, k)."""
         digest = sha256(f"{serialize_dimacs(graph)}\nk={k}".encode()).hexdigest()[:16]
         return cls(
             id=digest,
@@ -86,7 +89,7 @@ class EpisodicRecord:
             graph=graph,
             solution=dict(solution) if solution is not None else None,
             solver=solver,
-            timestamp=time.time() if timestamp is None else timestamp,
+            timestamp=time.time(),
         )
 
     def to_json(self) -> str:
@@ -107,13 +110,13 @@ class EpisodicRecord:
 
     @classmethod
     def from_json(cls, line: str | bytes) -> "EpisodicRecord":
-        """Parse one JSONL line and check it as update_memory would; n, e and density are not read back."""
+        """Parse one JSONL line into a record, which checks itself; n, e and density are not read back."""
         obj = json.loads(line)
         check_json_types(obj, _LINE_TYPES)
         solution = obj["solution"]
         if solution is not None:
             check_json_types(solution, dict.fromkeys(solution, "int"), "the color of ")
-        record = cls(
+        return cls(
             id=obj["id"],
             k=obj["k"],
             graph=parse_dimacs(obj["dimacs"]),
@@ -121,13 +124,6 @@ class EpisodicRecord:
             solver=obj["solver"],
             timestamp=float(obj["timestamp"]),
         )
-        record._check_solution()
-        return record
-
-    def _check_solution(self) -> None:
-        """Refuse a solution that is not a proper coloring of the graph within k."""
-        if self.solution is not None and not verdict(self.graph, self.solution, self.k).valid:
-            raise MemoryRejected(f"record {self.id} carries an invalid solution")
 
 
 # The keys of a memory line that EpisodicRecord.from_json reads, with their types.
@@ -207,13 +203,11 @@ class MemoryStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    def __contains__(self, record_id: object) -> bool:
-        return record_id in self._ids
-
     def records(self) -> tuple[EpisodicRecord, ...]:
         return tuple(self._records)
 
     def append(self, record: EpisodicRecord) -> None:
+        """Add a record, refusing a known id; with a path, the line is written before this returns."""
         if record.id in self._ids:
             raise MemoryRejected(f"duplicate record id {record.id}")
         if self.path is not None:
@@ -229,21 +223,7 @@ class MemoryStore:
 
 
 def update_memory(store: MemoryStore, record: EpisodicRecord) -> str:
-    """Validate and durably append a record; returns its id.
-
-    A record carrying a solution must verify as a proper coloring of its
-    own graph within its k, otherwise it is rejected; from_json checks a
-    loaded line the same way.  A known id is rejected first, before that
-    check; append checks it again.  So is a vertex label that is empty or
-    holds whitespace: its DIMACS line would not parse back, and the
-    store's file would no longer load.
-    """
-    if record.id in store:
-        raise MemoryRejected(f"duplicate record id {record.id}")
-    for v in record.graph.vertices:
-        if v.split() != [v]:
-            raise MemoryRejected(f"record {record.id}: vertex label {v!r} cannot be written as DIMACS")
-    record._check_solution()
+    """Durably append a record to the store; returns its id, or raises MemoryRejected for a known one."""
     store.append(record)
     return record.id
 

@@ -233,7 +233,8 @@ def _run(
     else:
         source = None
         outcome = SolveOutcome.timeout() if remaining <= 0 else SolveOutcome.failure("s1-exhausted")
-    if store is not None and outcome.is_sat:
+    # The nearest hit at this k with an equal graph is this instance's record: equal graphs have one id.
+    if store is not None and outcome.is_sat and not (hits and hits[0].k == k and hits[0].graph == graph):
         try:
             update_memory(store, EpisodicRecord.make(graph, k, outcome.assignment, source))
         except MemoryRejected:

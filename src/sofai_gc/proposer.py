@@ -179,8 +179,9 @@ class ProposerResponse:
 
     kind: "assignment" (a text reply's parsed pairs, possibly partial, or
     the mock's own coloring), "not_solvable", "unparseable" (a reply with
-    no pairs), or "error" (no reply: a transport, HTTP or JSON failure, or
-    no time left).  error says why for the last two.
+    no pairs), or "error" (no reply: a transport, HTTP or JSON failure, no
+    time left, or a vertex label no reply could name).  error says why for
+    the last two.
     """
 
     kind: str
@@ -257,7 +258,8 @@ class RemoteProposer:
     """Chat-completions HTTP client with retries.
 
     One call has one deadline: each attempt gets the time left, a backoff
-    sleeps at most that long, and no attempt starts once it is spent.
+    sleeps at most that long, and no attempt starts once it is spent.  A
+    graph with a label parse_response cannot read back gets no request.
     """
 
     def __init__(self, config: ProposerConfig) -> None:
@@ -266,6 +268,10 @@ class RemoteProposer:
         self.config = config
 
     def propose(self, prompt: Prompt, *, timeout: Optional[float] = None) -> ProposerResponse:
+        for v in prompt.graph.vertices:  # a vertex no reply can name would make every reply fail
+            pair = _PAIR_RE.fullmatch(f"({v} 1)")
+            if pair is None or pair.group(1) != v:
+                return ProposerResponse("error", raw="", error=f"no reply can color vertex {v!r}")
         # Imported here, not at the top: the network stack, ssl too, costs memory in every run without an endpoint.
         import http.client
         import urllib.request

@@ -161,10 +161,10 @@ class TestChromaticNumber:
 
     def test_one_search_state_per_sweep(self, petersen, monkeypatch):
         built = []
-        monkeypatch.setattr(dsatur, "_SearchState", lambda graph, k: built.append(k) or _SearchState(graph, k))
+        monkeypatch.setattr(dsatur, "_SearchState", lambda graph: built.append(graph) or _SearchState(graph))
         assert chromatic_number(petersen) == 3
-        assert built == [10]
-        assert _SearchState(petersen, 10).colors == 4  # max degree 3, plus one
+        assert built == [petersen]
+        assert _SearchState(petersen).colors == 4  # max degree 3, plus one
 
     def test_deadline_raises(self):
         graph = myciel(6)
@@ -228,7 +228,7 @@ class TestSelectVertex:
         # leaves (saturation 1 beats a lower index), which tie on saturation
         # and degree, so the lowest index wins, as it does for "1" over "2".
         graph = Graph(tuple("123456"), (("1", "2"), ("3", "4"), ("3", "5"), ("3", "6")))
-        assert _SearchState(graph, 3).order == [2, 0, 1, 3, 4, 5]  # degree descending, then index
+        assert _SearchState(graph).order == [2, 0, 1, 3, 4, 5]  # degree descending, then index
         expected = [2, 3, 4, 5, 0, 1]
         assert reference_dsatur(graph, 3)[0] == expected
         outcome, choices = search_path(graph, 3)
@@ -271,7 +271,7 @@ class TestSelectVertex:
 
 def clique_size(graph: Graph) -> int:
     """Size of the checked greedy clique chromatic_number starts its sweep at."""
-    return len(dsatur._clique(graph, _SearchState(graph, 1)))
+    return len(dsatur._clique(graph, _SearchState(graph)))
 
 
 # gen_erdos_renyi(n, p, seed): chi, chromatic_number's nodes (None: not run),
@@ -327,8 +327,8 @@ from sofai_gc import Graph, chromatic_number, dsatur
 
 built = dsatur._SearchState
 
-def corrupted(graph, k):
-    state = built(graph, k)
+def corrupted(graph):
+    state = built(graph)
     state.nmask[0] = sum(state.bit) ^ state.bit[0]
     return state
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,7 +22,7 @@ from sofai_gc import memory
 
 
 def record_for(graph, k, solution, solver="S2", timestamp=0.0):
-    return EpisodicRecord.make(graph, k, solution, solver, timestamp=timestamp)
+    return dataclasses.replace(EpisodicRecord.make(graph, k, solution, solver), timestamp=timestamp)
 
 
 # One memory file line, byte for byte: the JSONL format must not drift.
@@ -88,15 +89,13 @@ class TestUpdateMemory:
 
     def test_invalid_solution_rejected(self, triangle):
         store = MemoryStore()
-        bad = record_for(triangle, 3, {"A": 1, "B": 1, "C": 2})
         with pytest.raises(MemoryRejected, match="invalid solution"):
-            update_memory(store, bad)
+            update_memory(store, record_for(triangle, 3, {"A": 1, "B": 1, "C": 2}))
         assert len(store) == 0
 
     def test_over_budget_solution_rejected(self, triangle):
-        bad = record_for(triangle, 2, {"A": 1, "B": 2, "C": 3})
         with pytest.raises(MemoryRejected):
-            update_memory(MemoryStore(), bad)
+            update_memory(MemoryStore(), record_for(triangle, 2, {"A": 1, "B": 2, "C": 3}))
 
     def test_duplicate_id_rejected(self, triangle):
         store = MemoryStore()
@@ -154,6 +153,25 @@ class TestPersistence:
         with pytest.raises(MemoryRejected, match="DIMACS"):
             update_memory(MemoryStore(path), record_for(graph, 2, {label: 1, "c": 2}))
         assert not path.exists()
+
+    @pytest.mark.parametrize("graph, k, solution, fragment", [
+        (Graph(("a b", "c"), (("a b", "c"),)), 2, {"a b": 1, "c": 2}, "DIMACS"),
+        (Graph(("A", "B", "C"), (("A", "B"), ("B", "C"), ("A", "C"))), 3, {"A": 1, "B": 1, "C": 2}, "invalid solution"),
+    ], ids=["spaced-label", "improper"])
+    def test_a_record_the_file_could_not_hold_is_refused_when_built(self, tmp_path, triangle, graph, k, solution,
+                                                                   fragment):
+        # append writes what it is given, so only a record that checked itself keeps the file loadable
+        path = tmp_path / "memory.jsonl"
+        store = MemoryStore(path)
+        known = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
+        store.append(known)
+        with pytest.raises(MemoryRejected, match=fragment):
+            store.append(EpisodicRecord.make(graph, k, solution, "S2"))
+        with pytest.raises(MemoryRejected, match=fragment):  # nor by copying a valid record
+            dataclasses.replace(known, graph=graph, k=k, solution=solution)
+        with pytest.raises(MemoryRejected, match=fragment):
+            EpisodicRecord("0" * 16, k, graph, solution, "S2", 0.0)
+        assert store.records() == MemoryStore(path).records() == (known,)
 
     def test_solving_a_graph_with_a_spaced_label_leaves_the_file_loadable(self, tmp_path, triangle):
         path = tmp_path / "memory.jsonl"

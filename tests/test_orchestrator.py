@@ -20,11 +20,13 @@ from sofai_gc import (
     format_feedback,
     gen_erdos_renyi,
     generate_example,
+    parse_dimacs,
     solve_decision,
     solve_mc_s1_iN,
     solve_s1,
     solve_sofai_v1,
     solve_sofai_v2,
+    serialize_dimacs,
     verdict,
 )
 from sofai_gc import bench, metacognition, proposer
@@ -301,6 +303,20 @@ class TestSofaiV2:
         outcome, trace = solve_sofai_v2(bipartite, 2, cfg_with(store=store))
         assert outcome.is_sat
         assert len(store) == 1  # duplicate id rejected quietly
+
+    def test_a_trial_does_not_rebuild_the_record_memory_holds(self, monkeypatch):
+        graph, k = gen_erdos_renyi(12, 0.4, 3), 4
+        make, built = EpisodicRecord.make, []
+        monkeypatch.setattr(EpisodicRecord, "make", lambda *a: built.append(make(*a)) or built[-1])
+        store = MemoryStore()
+        first, _ = solve_sofai_v2(graph, k, cfg_with(store=store))
+        # an equal graph, not the same object: the nearest hit is this instance's record
+        parsed = parse_dimacs(serialize_dimacs(graph))
+        for seed in (1, 2):
+            outcome, _ = solve_sofai_v2(parsed, k, cfg_with(ProposerConfig(kind="mock", seed=seed), store=store))
+            assert outcome.is_sat
+        assert len(built) == 1 and store.records() == (built[0],)
+        assert (built[0].graph, built[0].k, built[0].solution) == (graph, k, first.assignment)
 
     def test_memory_example_is_rendered_once_per_record(self, monkeypatch):
         graph, k = gen_erdos_renyi(12, 0.4, 3), 4

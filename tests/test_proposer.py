@@ -389,6 +389,29 @@ class TestRemoteProposer:
         second_prompt = _ChatHandler.seen[1]["body"]["messages"][0]["content"]
         assert "Incorrect Coloring Submitted" not in second_prompt
 
+    @pytest.mark.parametrize("label", ["v(1", "w)", "v((1))", "a b", " a", ""])
+    def test_a_label_no_reply_can_name_sends_no_request(self, chat_server, label):
+        graph = Graph(("A", label, "z)"), (("A", label),))
+        resp = RemoteProposer(ProposerConfig(kind="remote", endpoint=chat_server)).propose(render_prompt(graph, 2))
+        assert resp.kind == "error" and resp.error == f"no reply can color vertex {label!r}"  # the first such label
+        assert _ChatHandler.seen == []
+
+    def test_a_label_with_balanced_parentheses_still_gets_a_request(self, chat_server):
+        graph = Graph(("v(1)", "B"), (("v(1)", "B"),))
+        _ChatHandler.script = [(200, "(v(1) 1)\n(B 2)")]
+        resp = RemoteProposer(ProposerConfig(kind="remote", endpoint=chat_server)).propose(render_prompt(graph, 2))
+        assert resp.assignment == {"v(1)": 1, "B": 2}
+        assert len(_ChatHandler.seen) == 1
+
+    def test_sofai_v2_answers_a_graph_no_reply_can_color_through_s2(self, chat_server):
+        graph = Graph(("v(1", "B", "C"), (("v(1", "B"), ("B", "C")))
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server)
+        outcome, trace = solve_sofai_v2(graph, 2, OrchestratorConfig(proposer=cfg, time_limit=30.0))
+        assert outcome.is_sat and trace.source == "S2"
+        assert [it.kind for it in trace.iterations] == ["error", "error"]
+        assert trace.iterations[0].error == "no reply can color vertex 'v(1'"
+        assert _ChatHandler.seen == []
+
     def test_not_solvable_reply(self, chat_server, triangle):
         _ChatHandler.script = [(200, "NOT SOLVABLE")]
         cfg = ProposerConfig(kind="remote", endpoint=chat_server)

@@ -44,7 +44,8 @@ cli.solve (the bench lines and the solve lines look a roster id up
 through one of them) to record those rounds, and dsatur.select_vertex,
 which the search calls once per node with any arguments, to count those
 nodes.  Prints the counts and the keys compared, and exits 1 on any
-mismatch.  Standard library only.
+mismatch.  Last it prints the total lines of the *.py files under REV's
+src/ and the tree's, and the difference.  Standard library only.
 """
 
 from __future__ import annotations
@@ -198,6 +199,11 @@ def records(path: Path, ignored: str) -> list[dict]:
     return rows
 
 
+def py_lines(src: Path) -> int:
+    """Total lines of the *.py files under src."""
+    return sum(len(p.read_bytes().splitlines()) for p in src.rglob("*.py"))
+
+
 def main(argv: list[str]) -> int:
     rev = argv[0] if argv else "HEAD"
     with tempfile.TemporaryDirectory() as tmp:
@@ -207,6 +213,7 @@ def main(argv: list[str]) -> int:
             tar.extractall(base, filter="data")
         old = run_matrix(base / "src", base / "rev")
         new = run_matrix(ROOT / "src", base / "tree")
+        lines = [py_lines(base / "src"), py_lines(ROOT / "src")]
     print(f"working tree vs {rev}, {len(SOLVERS)} solver ids:")
     keys = [{key for call in side[ROUNDS] for row in call for key in row} for side in (old, new)]
     shared = keys[0] & keys[1]
@@ -221,6 +228,7 @@ def main(argv: list[str]) -> int:
     print(f"  S1 round keys compared: {', '.join(sorted(shared))}")
     print(f"  only {rev} writes: {', '.join(sorted(keys[0] - shared)) or '-'}")
     print(f"  only the tree writes: {', '.join(sorted(keys[1] - shared)) or '-'}")
+    print(f"  src/ lines of *.py: {lines[0]} at {rev}, {lines[1]} in the tree ({lines[1] - lines[0]:+d})")
     return 1 if failed else 0
 
 
