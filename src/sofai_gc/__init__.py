@@ -39,8 +39,6 @@ from .metacognition import (
     format_feedback,
     generate_example,
     solve_mc_s1_iN,
-    solve_s1,
-    solve_sofai_v1,
     solve_sofai_v2,
 )
 from .proposer import (

@@ -23,24 +23,10 @@ from .dsatur import SolveOutcome
 from .generate import InstanceRecord, load_dataset, read_manifest_meta
 from .graphs import Graph
 from .memory import MemoryStore, check_json_types, read_jsonl, sha256
-from .metacognition import (
-    MAX_ROUNDS,
-    OrchestratorConfig,
-    SolveTrace,
-    solve_mc_s1_iN,
-    solve_s1,
-    solve_s2,
-    solve_sofai_v1,
-    solve_sofai_v2,
-)
+from .metacognition import MEMORYLESS_ERROR, PRESETS, OrchestratorConfig, SolveTrace, run_preset, solve_sofai_v2
 from .proposer import ProposerConfig
 
-# MC-S1-IN runs for every N up to the budget that SOFAI-v2 has.
-SOLVERS = ("S1", "S2", "SOFAI-v1", "SOFAI-v2", *(f"MC-S1-I{n}" for n in range(1, MAX_ROUNDS + 1)))
-
-# Roster ids whose presets neither read nor write episodic memory; a memory path for one is an error.
-MEMORYLESS = ("S2", "SOFAI-v1")
-MEMORYLESS_ERROR = "--memory is not used by {solver}, which reads no episodic memory"
+SOLVERS = tuple(PRESETS)
 
 
 @dataclass(frozen=True)
@@ -56,7 +42,7 @@ class RunConfig:
     memory_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.solver not in SOLVERS:
+        if self.solver not in PRESETS:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
         if not self.time_limit > 0:  # NaN too
             raise ValueError("time_limit must be positive")
@@ -64,7 +50,7 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.memory_path and self.solver in MEMORYLESS:
+        if self.memory_path and not PRESETS[self.solver].memory:
             raise ValueError(MEMORYLESS_ERROR.format(solver=self.solver))
 
 
@@ -117,25 +103,15 @@ def derive_seed(root_seed: int, instance_id: str, trial: int) -> int:
 
 
 def solve(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[SolveOutcome, SolveTrace]:
-    """Run one roster solver on one instance; every id is a preset of one controller loop.
+    """Run one roster solver on one instance: its row of PRESETS, through run_preset.
 
-    The presets are looked up in this module's globals on each call, so a
-    caller may swap one of them (for example to check every answer).
-    A store for an id that reads no memory is an error, not ignored.
+    An unknown id, and a store for an id that reads no memory, raise ValueError.
     """
-    if cfg.store is not None and solver in MEMORYLESS:
-        raise ValueError(MEMORYLESS_ERROR.format(solver=solver))
-    if solver == "S2":
-        return solve_s2(graph, k, cfg)
-    if solver == "S1":
-        return solve_s1(graph, k, cfg)
-    if solver == "SOFAI-v1":
-        return solve_sofai_v1(graph, k, cfg)
+    # SOFAI-v2 goes through this module's solve_sofai_v2, looked up on each call:
+    # perfbench's answer check swaps bench.solve_sofai_v2 to see every trial's answer.
     if solver == "SOFAI-v2":
         return solve_sofai_v2(graph, k, cfg)
-    if solver.startswith("MC-S1-I"):
-        return solve_mc_s1_iN(graph, k, cfg, int(solver.removeprefix("MC-S1-I")))
-    raise ValueError(f"unknown solver {solver!r}")
+    return run_preset(solver, graph, k, cfg)
 
 
 @dataclass(frozen=True)

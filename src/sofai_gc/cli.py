@@ -10,16 +10,17 @@ from .bench import SOLVERS, RunConfig, aggregate, load_results, report, run_benc
 from .generate import GenSpec, build_dataset, write_dataset
 from .graphs import parse_dimacs_instance
 from .memory import MemoryStore
-from .metacognition import OrchestratorConfig
-from .proposer import NOT_SOLVABLE, ProposerConfig
+from .metacognition import PRESETS, OrchestratorConfig
+from .proposer import NOT_SOLVABLE, ProposerConfig, format_assignment
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
     """The flags that solve and bench share: solver, time limit, memory and the proposer group."""
     parser.add_argument("--solver", choices=SOLVERS, required=True)
     parser.add_argument("--time-limit", type=float, default=200.0)
+    memoryless = " or ".join(solver for solver, preset in PRESETS.items() if not preset.memory)
     parser.add_argument(
-        "--memory", help="episodic memory JSONL path; a bench run with it is sequential (not for S2 or SOFAI-v1)"
+        "--memory", help=f"episodic memory JSONL path; a bench run with it is sequential (not for {memoryless})"
     )
     group = parser.add_argument_group("proposer")
     group.add_argument(
@@ -38,8 +39,8 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _proposer_config(args: argparse.Namespace) -> ProposerConfig:
-    """The proposer for args.solver; S2 runs no S1 round, so its proposer flags are neither read nor checked."""
-    if args.solver == "S2":
+    """The proposer for args.solver; a solver with no S1 round reads no proposer flag, and checks none."""
+    if PRESETS[args.solver].rounds == 0:
         return ProposerConfig()
     overrides = dict(
         temperature=args.temperature,
@@ -89,8 +90,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     cfg = OrchestratorConfig(proposer=_proposer_config(args), time_limit=args.time_limit, store=store)
     outcome, _ = solve(args.solver, graph, k, cfg)
     if outcome.is_sat:
-        for v in graph.vertices:
-            print(f"({v} {outcome.assignment[v]})")
+        if graph.vertices:  # a graph with no vertices prints no line
+            print(format_assignment(outcome.assignment, graph.vertices))
         return 0
     if outcome.is_unsat:
         print(NOT_SOLVABLE)

@@ -46,8 +46,10 @@ class Graph:
     their insertion order and endpoint orientation; equality compares
     both tuples, so a parse/serialize round trip is exact.  adjacency[v]
     lists v's neighbours in edge order.  Building one rejects duplicate
-    vertex labels, self-loops, duplicate edges in either orientation and
-    edges to unknown vertices, raising ValueError.
+    vertex labels, a label that is not one DIMACS token (empty or holding
+    whitespace, so its DIMACS lines would not parse back), self-loops,
+    duplicate edges in either orientation and edges to unknown vertices,
+    raising ValueError.
     """
 
     vertices: tuple[str, ...]
@@ -63,6 +65,9 @@ class Graph:
         lists: dict[str, list[str]] = {v: [] for v in self.vertices}
         if len(lists) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
+        if " ".join(self.vertices).split() != list(self.vertices):
+            bad = next(v for v in self.vertices if v.split() != [v])
+            raise ValueError(f"vertex label {bad!r} is not one DIMACS token: it is empty or holds whitespace")
         try:
             for u, v in self.edges:
                 lists[u].append(v)

@@ -34,7 +34,7 @@ _SOLVERS = ("S1", "S2")
 
 
 class MemoryRejected(ValueError):
-    """Record refused: invalid solution, duplicate id, or a label DIMACS cannot carry."""
+    """Record refused: an invalid solution or a duplicate id."""
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,9 @@ class EpisodicRecord:
     """A solved instance: the graph, its color bound k, and the answer.
 
     However it is built (make, from_json, replace, the constructor), a
-    record checks itself: a known solver, labels DIMACS can carry, and a
-    solution that properly colors the graph within k.
+    record checks itself: a known solver and a solution that properly
+    colors the graph within k.  Its labels need no check: a Graph holds
+    only labels that DIMACS can carry.
     """
 
     id: str
@@ -56,9 +57,6 @@ class EpisodicRecord:
     def __post_init__(self) -> None:
         if self.solver not in _SOLVERS:
             raise ValueError(f"solver must be one of {_SOLVERS}")
-        for v in self.graph.vertices:
-            if v.split() != [v]:  # empty or holds whitespace: its DIMACS line would not parse back
-                raise MemoryRejected(f"record {self.id}: vertex label {v!r} cannot be written as DIMACS")
         if self.solution is not None and not verdict(self.graph, self.solution, self.k).valid:
             raise MemoryRejected(f"record {self.id} carries an invalid solution")
 

@@ -2,12 +2,10 @@
 
 Verifies proposer output, renders template feedback, generates worked
 subgraph examples, and decides when to stop trusting the fast path and
-hand the instance to the exact solver.  There is one loop, _run: each S1
-round records one IterationRecord, and every trial ends in one place
-after the loop.  The entry points are presets of it: solve_sofai_v2 (full
-loop), solve_sofai_v1 (one shot then fallback), solve_mc_s1_iN (capped
-loop, no fallback), solve_s1 (one round, its NOT SOLVABLE final) and
-solve_s2 (no S1 rounds).
+hand the instance to the exact solver.  There is one loop, run_preset:
+each S1 round records one IterationRecord, and every trial ends in one
+place after the loop.  Each roster id is one row of PRESETS, which sets
+the loop's round budget and switches; run_preset runs a row by its id.
 """
 
 from __future__ import annotations
@@ -98,8 +96,38 @@ def generate_example(graph: Graph) -> PromptExample:
 
 
 @dataclass(frozen=True)
+class Preset:
+    """A roster id's fixed facts: its S1 round budget and three switches.
+
+    memory seeds the prompt from cfg.store and records each solved
+    instance there.  fallback applies the escalation rule after each
+    failed round and hands S2 what S1 left unanswered.  accept_unsat
+    makes S1's NOT SOLVABLE final instead of feeding back that it is
+    unproven; the other rows leave certifying UNSAT to S2.
+    """
+
+    rounds: int
+    memory: bool
+    fallback: bool
+    accept_unsat: bool = False
+
+
+# The roster, in report order; a new solver id is one more row.
+PRESETS: dict[str, Preset] = {
+    "S1": Preset(1, memory=True, fallback=False, accept_unsat=True),  # the proposer alone
+    "S2": Preset(0, memory=False, fallback=True),  # the exact solver alone
+    "SOFAI-v1": Preset(1, memory=False, fallback=True),  # one shot, no feedback, then S2
+    "SOFAI-v2": Preset(MAX_ROUNDS, memory=True, fallback=True),  # the full loop
+    # The capped ablation: exactly N rounds, even once the trend has stalled, with no S2 to escalate to.
+    **{f"MC-S1-I{n}": Preset(n, memory=True, fallback=False) for n in range(1, MAX_ROUNDS + 1)},
+}
+
+MEMORYLESS_ERROR = "--memory is not used by {solver}, which reads no episodic memory"
+
+
+@dataclass(frozen=True)
 class OrchestratorConfig:
-    """What a caller sets; a roster id's fixed facts, such as its round budget, are its preset's."""
+    """What a caller sets; a roster id's fixed facts, such as its round budget, are in its PRESETS row."""
 
     proposer: ProposerConfig = ProposerConfig()
     time_limit: float = 200.0
@@ -150,42 +178,35 @@ class SolveTrace:
         return len(self.iterations)
 
 
-def _run(
-    graph: Graph,
-    k: int,
-    cfg: OrchestratorConfig,
-    max_iters: int,
-    *,
-    use_memory: bool,
-    fallback: bool,
-    accept_unsat: bool = False,
-) -> tuple[SolveOutcome, SolveTrace]:
-    """The one metacognitive loop; every solver entry point is a preset of it.
+def run_preset(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[SolveOutcome, SolveTrace]:
+    """The one metacognitive loop, run as roster id solver's row of PRESETS.
 
-    Runs up to max_iters S1 rounds with template feedback while time is
-    left.  use_memory seeds the prompt from cfg.store and records each
-    solved instance there.  fallback applies the escalation rule after
-    each failed round.  accept_unsat makes S1's NOT SOLVABLE final
-    instead of feeding back that it is unproven.  The trial then ends
-    with S1's answer; else S2's, given fallback and time left; else a
-    timeout if no time is left; else Failure("s1-exhausted").
+    Runs up to the row's rounds of S1 with template feedback while time
+    is left.  The trial then ends with S1's answer; else S2's, given
+    fallback and time left; else a timeout if no time is left; else
+    Failure("s1-exhausted").  An unknown id, and a cfg.store for a row
+    that reads no memory, raise ValueError.
 
     A round whose call got no reply (kind error) adds nothing to the
-    prompt history, but it counts toward max_iters and the escalation
+    prompt history, but it counts toward the rounds and the escalation
     rule like any other failed round.
     """
+    preset = PRESETS.get(solver)
+    if preset is None:
+        raise ValueError(f"unknown solver {solver!r}; expected one of {tuple(PRESETS)}")
+    if cfg.store is not None and not preset.memory:
+        raise ValueError(MEMORYLESS_ERROR.format(solver=solver))
     if k < 1:
         raise ValueError("k must be >= 1")
     deadline = time.monotonic() + cfg.time_limit
-    store = cfg.store if use_memory else None
-    proposer = make_proposer(cfg.proposer) if max_iters else None
-    hits = retrieve_memory(store, graph, k) if store is not None else []
+    proposer = make_proposer(cfg.proposer) if preset.rounds else None
+    hits = retrieve_memory(cfg.store, graph, k) if cfg.store is not None else []
     examples = [rec.example for rec in hits]
     history: list[tuple[str, tuple[str, ...]]] = []
     iterations: list[IterationRecord] = []
     outcome: Optional[SolveOutcome] = None  # set once S1 answers
 
-    for t in range(1, max_iters + 1):
+    for t in range(1, preset.rounds + 1):
         if time.monotonic() >= deadline:
             break
         if t == 2 and graph.vertices:  # rounds after a failed one show a worked example
@@ -209,7 +230,7 @@ def _run(
                 messages = tuple(item.message for item in _feedback(graph, response.assignment, v, k))
                 signature = ("conflicts", tuple((c.u, c.v) for c in v.conflicts))
                 history.append((format_assignment(response.assignment, graph.vertices), messages))
-        elif response.is_not_solvable and accept_unsat:
+        elif response.is_not_solvable and preset.accept_unsat:
             outcome = SolveOutcome.unsat()
         elif response.is_not_solvable:
             messages = (NOT_SOLVABLE_REJECTED_MESSAGE,)
@@ -220,11 +241,11 @@ def _run(
         # kind error got no reply, so the next prompt shows nothing of it
         error = response.error if response.kind == "error" else None
         iterations.append(IterationRecord(response.kind, score, messages, signature, elapsed, error))
-        if outcome is not None or (fallback and escalation_rule(iterations, max_iters)):
+        if outcome is not None or (preset.fallback and escalation_rule(iterations, preset.rounds)):
             break
 
     remaining = deadline - time.monotonic()
-    s2_invoked = outcome is None and fallback and remaining > 0
+    s2_invoked = outcome is None and preset.fallback and remaining > 0
     if outcome is not None:
         source = "S1"
     elif s2_invoked:
@@ -234,45 +255,21 @@ def _run(
         source = None
         outcome = SolveOutcome.timeout() if remaining <= 0 else SolveOutcome.failure("s1-exhausted")
     # The nearest hit at this k with an equal graph is this instance's record: equal graphs have one id.
-    if store is not None and outcome.is_sat and not (hits and hits[0].k == k and hits[0].graph == graph):
+    if cfg.store is not None and outcome.is_sat and not (hits and hits[0].k == k and hits[0].graph == graph):
         try:
-            update_memory(store, EpisodicRecord.make(graph, k, outcome.assignment, source))
+            update_memory(cfg.store, EpisodicRecord.make(graph, k, outcome.assignment, source))
         except MemoryRejected:
-            pass  # already known, or not storable; the answer stands
+            pass  # already known; the answer stands
     return outcome, SolveTrace(iterations=tuple(iterations), s2_invoked=s2_invoked, source=source)
 
 
 def solve_sofai_v2(graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[SolveOutcome, SolveTrace]:
     """Full loop: memory-seeded iterative S1 with feedback, then exact fallback."""
-    return _run(graph, k, cfg, MAX_ROUNDS, use_memory=True, fallback=True)
-
-
-def solve_sofai_v1(graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[SolveOutcome, SolveTrace]:
-    """One S1 shot, no feedback, no memory; anything short of valid goes to S2."""
-    return _run(graph, k, cfg, 1, use_memory=False, fallback=True)
+    return run_preset("SOFAI-v2", graph, k, cfg)
 
 
 def solve_mc_s1_iN(
     graph: Graph, k: int, cfg: OrchestratorConfig, n_iterations: int
 ) -> tuple[SolveOutcome, SolveTrace]:
-    """The capped ablation: exactly N feedback rounds, no exact fallback.
-
-    Runs all N rounds even when the trend has stalled (there is no S2 to
-    escalate to), and reports Failure("s1-exhausted") if none succeeded.
-    """
-    if not 1 <= n_iterations <= MAX_ROUNDS:
-        raise ValueError(f"n_iterations must be in 1..{MAX_ROUNDS}")
-    return _run(graph, k, cfg, n_iterations, use_memory=True, fallback=False)
-
-
-def solve_s1(graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[SolveOutcome, SolveTrace]:
-    """The proposer alone: one memory-seeded round, no fallback, its NOT SOLVABLE final.
-
-    The other presets leave certifying UNSAT to the exact solver.
-    """
-    return _run(graph, k, cfg, 1, use_memory=True, fallback=False, accept_unsat=True)
-
-
-def solve_s2(graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[SolveOutcome, SolveTrace]:
-    """The exact solver alone, under cfg.time_limit; no S1 rounds, no memory."""
-    return _run(graph, k, cfg, 0, use_memory=False, fallback=True)
+    """The capped ablation MC-S1-IN, N = n_iterations: exactly N feedback rounds, no exact fallback."""
+    return run_preset(f"MC-S1-I{n_iterations}", graph, k, cfg)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -94,6 +95,12 @@ class TestGraphConstruction:
     def test_rejects_duplicate_vertices(self):
         with pytest.raises(ValueError, match="duplicate vertex"):
             Graph(("A", "A"), ())
+
+    @pytest.mark.parametrize("label", ["a b", "", "a\tb", " a"])
+    def test_rejects_a_label_that_is_not_one_dimacs_token(self, label):
+        # its DIMACS lines would not parse back, so no dataset or memory file can hold it
+        with pytest.raises(ValueError, match=re.escape(f"vertex label {label!r} is not one DIMACS token")):
+            Graph(("A", label, "b c"), (("A", label),))  # the first such label is named
 
     def test_density(self, fig2_graph, triangle):
         assert triangle.density == 1.0

@@ -23,8 +23,6 @@ from sofai_gc import (
     parse_dimacs,
     solve_decision,
     solve_mc_s1_iN,
-    solve_s1,
-    solve_sofai_v1,
     solve_sofai_v2,
     serialize_dimacs,
     verdict,
@@ -35,6 +33,7 @@ from sofai_gc.metacognition import (
     MAX_ROUNDS,
     NOT_SOLVABLE_REJECTED_MESSAGE,
     OVER_COLOR_TEMPLATE,
+    PRESETS,
 )
 from sofai_gc.proposer import ProposerResponse
 
@@ -165,7 +164,7 @@ class TestGenerateExample:
         real = metacognition.generate_example
         monkeypatch.setattr(metacognition, "generate_example", lambda g: calls.append(g) or real(g))
         # Every round fails, so each preset runs as many rounds as it may.
-        solve_sofai_v1(fig2_graph, 3, cfg_with(ALWAYS_UNSAT))
+        bench.solve("SOFAI-v1", fig2_graph, 3, cfg_with(ALWAYS_UNSAT))
         solve_mc_s1_iN(fig2_graph, 3, cfg_with(ALWAYS_UNSAT), 1)
         assert calls == []
         _, trace = solve_sofai_v2(fig2_graph, 3, cfg_with(ALWAYS_UNSAT))
@@ -344,7 +343,7 @@ class TestSofaiV2:
         # SOFAI-v2 rejects the declaration; only the S1 preset takes it as final.
         _, v2_trace = solve_sofai_v2(fig2_graph, 3, cfg_with(ALWAYS_UNSAT))
         assert v2_trace.s2_invoked
-        outcome, trace = solve_s1(fig2_graph, 3, cfg_with(ALWAYS_UNSAT))
+        outcome, trace = bench.solve("S1", fig2_graph, 3, cfg_with(ALWAYS_UNSAT))
         assert outcome.is_unsat  # declaration accepted as final
         assert not trace.s2_invoked
         assert trace.source == "S1"
@@ -424,28 +423,38 @@ class TestSofaiV2:
 class TestSofaiV1:
     def test_single_shot_then_accept(self):
         bipartite = Graph(("A", "B"), (("A", "B"),))
-        outcome, trace = solve_sofai_v1(bipartite, 2, cfg_with())
+        outcome, trace = bench.solve("SOFAI-v1", bipartite, 2, cfg_with())
         assert outcome.is_sat
         assert trace.s1_calls == 1 and not trace.s2_invoked
 
     def test_failure_goes_straight_to_s2(self, fig2_graph):
-        outcome, trace = solve_sofai_v1(fig2_graph, 3, cfg_with(ALWAYS_UNSAT))
+        outcome, trace = bench.solve("SOFAI-v1", fig2_graph, 3, cfg_with(ALWAYS_UNSAT))
         assert outcome.is_sat
         assert trace.s1_calls == 1 and trace.s2_invoked
 
     def test_unsat_instance(self, triangle):
-        outcome, trace = solve_sofai_v1(triangle, 2, cfg_with())
+        outcome, trace = bench.solve("SOFAI-v1", triangle, 2, cfg_with())
         assert outcome.is_unsat
 
-    def test_no_memory_reads_or_writes(self):
-        store = MemoryStore()
+    def test_no_memory_reads_or_writes(self, tmp_path):
+        # a store for a row that reads no memory is refused by every entry point, not ignored
+        memoryless = [solver for solver, preset in PRESETS.items() if not preset.memory]
+        assert memoryless == ["S2", "SOFAI-v1"]
         bipartite = Graph(("A", "B"), (("A", "B"),))
-        outcome, _ = solve_sofai_v1(bipartite, 2, cfg_with(store=store))
-        assert outcome.is_sat
-        assert len(store) == 0
+        path = tmp_path / "memory.jsonl"
+        store = MemoryStore(path)
+        for solver in memoryless:
+            refused = f"--memory is not used by {solver}, which reads no episodic memory"
+            with pytest.raises(ValueError, match=refused):
+                bench.solve(solver, bipartite, 2, cfg_with(store=store))
+            with pytest.raises(ValueError, match=refused):
+                metacognition.run_preset(solver, bipartite, 2, cfg_with(store=store))
+            with pytest.raises(ValueError, match=refused):
+                bench.RunConfig(solver=solver, dataset="x", memory_path=str(path))
+        assert len(store) == 0 and not path.exists()
 
     def test_no_feedback_in_single_iteration(self, fig2_graph):
-        _, trace = solve_sofai_v1(fig2_graph, 2, cfg_with())
+        _, trace = bench.solve("SOFAI-v1", fig2_graph, 2, cfg_with())
         assert trace.s1_calls == 1
 
 
@@ -480,10 +489,10 @@ class TestMcS1IN:
         assert two.is_sat and trace2.s1_calls == 2
 
     def test_accepts_declaration_when_configured(self, triangle):
-        # MC-S1-IN feeds back every declaration; solve_s1 stops at the first.
+        # MC-S1-IN feeds back every declaration; S1 stops at the first.
         capped, capped_trace = solve_mc_s1_iN(triangle, 2, cfg_with(ALWAYS_UNSAT), 3)
         assert capped.is_failure and capped_trace.s1_calls == 3
-        outcome, trace = solve_s1(triangle, 2, cfg_with(ALWAYS_UNSAT))
+        outcome, trace = bench.solve("S1", triangle, 2, cfg_with(ALWAYS_UNSAT))
         assert outcome.is_unsat
         assert trace.s1_calls == 1
 
@@ -492,7 +501,7 @@ def test_empty_graph_is_answered_by_s1():
     # the empty assignment colors a graph with no vertices, so S1 answers it
     empty = Graph((), ())
     runs = [
-        solve_s1(empty, 1, cfg_with()),
+        bench.solve("S1", empty, 1, cfg_with()),
         solve_mc_s1_iN(empty, 1, cfg_with(), 2),
         solve_sofai_v2(empty, 1, cfg_with()),
     ]
@@ -507,10 +516,10 @@ class TestS2:
         built = []
         make = metacognition.make_proposer
         monkeypatch.setattr(metacognition, "make_proposer", lambda config: built.append(config) or make(config))
-        outcome, trace = metacognition.solve_s2(fig2_graph, 3, cfg_with())
+        outcome, trace = bench.solve("S2", fig2_graph, 3, cfg_with())
         assert outcome.is_sat and trace.s2_invoked and trace.s1_calls == 0
         assert built == []
-        solve_sofai_v1(fig2_graph, 3, cfg_with())
+        bench.solve("SOFAI-v1", fig2_graph, 3, cfg_with())
         assert len(built) == 1
 
 
@@ -560,3 +569,18 @@ def test_no_time_at_all_is_a_timeout_with_no_rounds(triangle, monkeypatch, solve
     outcome, trace = bench.solve(solver, triangle, 3, cfg_with(time_limit=1e-9))
     assert outcome.is_timeout
     assert (trace.source, trace.s2_invoked, trace.s1_calls) == (None, False, 0)
+
+
+@pytest.mark.parametrize("solver", PRESETS)
+def test_every_row_runs_as_its_table_says(fig2_graph, solver):
+    # Every S1 round declares NOT SOLVABLE on a colorable graph, so each row runs as far as its switches let it.
+    preset = PRESETS[solver]
+    store = MemoryStore() if preset.memory else None
+    outcome, trace = bench.solve(solver, fig2_graph, 3, cfg_with(ALWAYS_UNSAT, store=store))
+    assert (outcome.is_unsat and trace.source == "S1") == preset.accept_unsat
+    assert trace.s2_invoked == preset.fallback
+    assert trace.s1_calls <= preset.rounds
+    if not (preset.fallback or preset.accept_unsat):
+        assert outcome.is_failure and trace.s1_calls == preset.rounds
+    if store is not None:  # a row that reads memory records what it solved
+        assert len(store) == outcome.is_sat

@@ -12,8 +12,9 @@ working tree alike, it runs
     sofai-gc bench --proposer mock --noise 0.15 --noise-decay 0.7 \\
         --unsat-rate 0.2 --trials 3 --workers 1 --seed 9 --solver ID
 
-and the bench line on the n = 12 dataset for every roster id, with a
-fresh --memory file for each id that reads memory.  The G(30, 0.5)
+and the bench line on the n = 12 dataset for every roster id, the rows
+of the tree's metacognition.PRESETS, with a fresh --memory file for each
+row that reads memory.  The G(30, 0.5)
 dataset is labeled only: its chromatic numbers take real S2 sweeps, which
 n = 12 graphs barely need.  Every generated graph is labeled 1..n with
 each edge written low to high, so last it runs
@@ -62,7 +63,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from sofai_gc.bench import MEMORYLESS, SOLVERS  # noqa: E402
+from sofai_gc.metacognition import PRESETS  # noqa: E402
 
 GEN = ["gen", "--p", "0.5", "--mix", "50,50", "--count", "12", "--seed", "5"]
 BENCH = [
@@ -162,8 +163,8 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
     data, dense = out / "data", out / "dense"
     cli(*GEN, "--n", "12", "--out", str(data))
     cli(*GEN, "--n", "30", "--out", str(dense))
-    for solver in SOLVERS:
-        memory = [] if solver in MEMORYLESS else ["--memory", str(out / f"{solver}.memory.jsonl")]
+    for solver, preset in PRESETS.items():
+        memory = ["--memory", str(out / f"{solver}.memory.jsonl")] if preset.memory else []
         cli(*BENCH, "--solver", solver, "--dataset", str(data), "--out", str(out / f"{solver}.jsonl"), *memory)
     letters = out / "letters.col"
     letters.write_text(LETTERS)
@@ -176,10 +177,10 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
             for root in (data, dense) for p in sorted(root.rglob("*")) if p.is_file()
         ],
         "trial records equal except wall_time": [
-            row for solver in SOLVERS for row in records(out / f"{solver}.jsonl", "wall_time")
+            row for solver in PRESETS for row in records(out / f"{solver}.jsonl", "wall_time")
         ],
         "memory records equal except timestamp": [
-            row for solver in SOLVERS for row in records(out / f"{solver}.memory.jsonl", "timestamp")
+            row for solver in PRESETS for row in records(out / f"{solver}.memory.jsonl", "timestamp")
         ],
         "prompt texts equal by sha256": digests.read_text().split(),
         "solve on letters.col, prompt texts equal by sha256": solve_digests.read_text().split(),
@@ -214,7 +215,7 @@ def main(argv: list[str]) -> int:
         old = run_matrix(base / "src", base / "rev")
         new = run_matrix(ROOT / "src", base / "tree")
         lines = [py_lines(base / "src"), py_lines(ROOT / "src")]
-    print(f"working tree vs {rev}, {len(SOLVERS)} solver ids:")
+    print(f"working tree vs {rev}, {len(PRESETS)} solver ids:")
     keys = [{key for call in side[ROUNDS] for row in call for key in row} for side in (old, new)]
     shared = keys[0] & keys[1]
     for side in (old, new):
