@@ -12,7 +12,10 @@ from sofai_gc import (
     Graph,
     MemoryRejected,
     MemoryStore,
+    OrchestratorConfig,
+    ProposerConfig,
     retrieve_memory,
+    solve_sofai_v2,
     update_memory,
 )
 from sofai_gc import memory
@@ -143,23 +146,44 @@ class TestPersistence:
         reopened = MemoryStore(path)
         assert reopened.records() == store.records()
 
-    @pytest.mark.parametrize("graph, k, solution, fragment", [
-        (Graph(("A", "B", "C"), (("A", "B"), ("B", "C"), ("A", "C"))), 3, {"A": 1, "B": 1, "C": 2}, "invalid solution"),
-    ], ids=["improper"])
-    def test_a_record_the_file_could_not_hold_is_refused_when_built(self, tmp_path, triangle, graph, k, solution,
-                                                                   fragment):
-        # append writes what it is given, so only a record that checked itself keeps the file loadable
+    @pytest.mark.parametrize("label", ["a b", "", "a\tb", " a"])
+    def test_label_dimacs_cannot_carry_is_rejected_before_writing(self, tmp_path, label):
+        # Graph refuses the label, so no record of it can reach the file
+        path = tmp_path / "memory.jsonl"
+        with pytest.raises(ValueError, match="not one DIMACS token"):
+            update_memory(MemoryStore(path), record_for(Graph((label, "c"), ((label, "c"),)), 2, {label: 1, "c": 2}))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("vertices, edges, k, solution, error, fragment", [
+        (("a b", "c"), (("a b", "c"),), 2, {"a b": 1, "c": 2}, ValueError, "not one DIMACS token"),
+        (("A", "B", "C"), (("A", "B"), ("B", "C"), ("A", "C")), 3, {"A": 1, "B": 1, "C": 2}, MemoryRejected,
+         "invalid solution"),
+    ], ids=["spaced-label", "improper"])
+    def test_a_record_the_file_could_not_hold_is_refused_when_built(self, tmp_path, triangle, vertices, edges, k,
+                                                                   solution, error, fragment):
+        # append writes what it is given, so only a record that checked itself keeps the file loadable;
+        # a label DIMACS cannot carry is refused already by the Graph the record would hold
         path = tmp_path / "memory.jsonl"
         store = MemoryStore(path)
         known = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
         store.append(known)
-        with pytest.raises(MemoryRejected, match=fragment):
-            store.append(EpisodicRecord.make(graph, k, solution, "S2"))
-        with pytest.raises(MemoryRejected, match=fragment):  # nor by copying a valid record
-            dataclasses.replace(known, graph=graph, k=k, solution=solution)
-        with pytest.raises(MemoryRejected, match=fragment):
-            EpisodicRecord("0" * 16, k, graph, solution, "S2", 0.0)
+        with pytest.raises(error, match=fragment):
+            store.append(EpisodicRecord.make(Graph(vertices, edges), k, solution, "S2"))
+        with pytest.raises(error, match=fragment):  # nor by copying a valid record
+            dataclasses.replace(known, graph=Graph(vertices, edges), k=k, solution=solution)
+        with pytest.raises(error, match=fragment):
+            EpisodicRecord("0" * 16, k, Graph(vertices, edges), solution, "S2", 0.0)
         assert store.records() == MemoryStore(path).records() == (known,)
+
+    def test_solving_a_graph_with_a_spaced_label_leaves_the_file_loadable(self, tmp_path, triangle):
+        path = tmp_path / "memory.jsonl"
+        store = MemoryStore(path)
+        known = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
+        update_memory(store, known)
+        cfg = OrchestratorConfig(proposer=ProposerConfig(kind="mock"), store=store)
+        with pytest.raises(ValueError, match="not one DIMACS token"):  # no trial starts on such a graph
+            solve_sofai_v2(Graph(("a b", "c"), (("a b", "c"),)), 2, cfg)
+        assert MemoryStore(path).records() == (known,)
 
     def test_torn_final_line_skipped_then_cut_off(self, tmp_path, triangle, fig2_graph, petersen):
         path = tmp_path / "memory.jsonl"

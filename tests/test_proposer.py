@@ -390,11 +390,15 @@ class TestRemoteProposer:
         second_prompt = _ChatHandler.seen[1]["body"]["messages"][0]["content"]
         assert "Incorrect Coloring Submitted" not in second_prompt
 
-    @pytest.mark.parametrize("label", ["v(1", "w)", "v((1))"])
+    @pytest.mark.parametrize("label", ["v(1", "w)", "v((1))", "a b", " a", ""])
     def test_a_label_no_reply_can_name_sends_no_request(self, chat_server, label):
-        graph = Graph(("A", label, "z)"), (("A", label),))
-        resp = RemoteProposer(ProposerConfig(kind="remote", endpoint=chat_server)).propose(render_prompt(graph, 2))
-        assert resp.kind == "error" and resp.error == f"no reply can color vertex {label!r}"  # the first such label
+        proposer = RemoteProposer(ProposerConfig(kind="remote", endpoint=chat_server))
+        if label.split() != [label]:  # not one DIMACS token: Graph refuses it before any prompt exists
+            with pytest.raises(ValueError, match="not one DIMACS token"):
+                Graph(("A", label, "z)"), (("A", label),))
+        else:
+            resp = proposer.propose(render_prompt(Graph(("A", label, "z)"), (("A", label),)), 2))
+            assert resp.kind == "error" and resp.error == f"no reply can color vertex {label!r}"  # the first such label
         assert _ChatHandler.seen == []
 
     def test_a_label_with_balanced_parentheses_still_gets_a_request(self, chat_server):
