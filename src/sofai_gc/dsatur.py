@@ -22,19 +22,31 @@ however many neighbors v has.  The search unwinds LIFO, so undoing a
 color restores the forb[c] saved when it was set and lowers the same
 vertices back.  The search path, node for node, is plain DSATUR's.
 
-Every graph of maximum degree D is (D + 1)-colorable and a search that
-may use D + 1 colors never backtracks, so a search holds min(k, D + 1)
-colors.  The search state is the graph's encoding only (order, bits,
-neighbor masks and D + 1); each search starts empty on it and
-keeps everything it changes to itself.  chromatic_number builds one
-encoding for its whole sweep over k and starts the sweep at the size of a
-greedy clique grown on its masks and checked against the graph: a clique
-needs that many colors, so no smaller k is searched, and the sweep ends
-by k = D + 1.  solve_decision answers Unsat only from an exhausted search.
+The search state is the graph's encoding only (order, bits and neighbor
+masks); each search starts empty on it and keeps everything it changes
+to itself.  chromatic_number builds one encoding for its whole sweep over
+k and starts the sweep at the size of a greedy clique grown on its masks
+and checked against the graph: a clique needs that many colors, so no
+smaller k is searched.
+
+Before it searches at k, S2 peels the graph (_peel): it removes vertices
+with fewer than k remaining neighbors until none is left or a k-core
+remains.  An empty k-core, k above the graph's degeneracy, proves the
+graph k-colorable (Szekeres & Wilf 1968), the upper bound that mirrors the
+clique's lower one, and coloring in reverse removal order gives the
+certificate, checked by verdict like a search's, with no search node and
+only if the deadline has not passed.  Only those Sat answers differ from
+plain DSATUR's, in their coloring; any other input is searched whole as
+above, so every search and every Unsat answer is plain DSATUR's, node for
+node.  A search thus runs only on a graph with a nonempty k-core, whose
+maximum degree is at least k, so it holds k colors, and the sweep ends by
+k = degeneracy + 1.  solve_decision answers Unsat only from an exhausted
+search.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -96,17 +108,15 @@ class _SearchState:
 
     bit[v] is 1 << v's place in (degree descending, index ascending) order
     and order[place] is the vertex there.  nmask[v] is the union of the
-    bits of v's neighbors.  colors is D + 1 for maximum degree D: with
-    D + 1 colors every vertex has a free one, so no search needs more.
+    bits of v's neighbors.
     """
 
-    __slots__ = ("order", "bit", "nmask", "colors")
+    __slots__ = ("order", "bit", "nmask")
 
     def __init__(self, graph: Graph) -> None:
         adj = graph.adjacency
         degree = [len(adj[v]) for v in graph.vertices]
         n = len(degree)
-        self.colors = max(degree, default=0) + 1
         # A stable sort keeps equal degrees in index order.
         self.order = sorted(range(n), key=degree.__getitem__, reverse=True)
         self.bit = [0] * n
@@ -131,10 +141,9 @@ def _decide(graph: Graph, state: _SearchState, k: int, deadline: float) -> Solve
     """
     order, bit, nmask = state.order, state.bit, state.nmask
     n = len(order)
-    colors = min(k, state.colors)
-    forb = [0] * (colors + 1)
+    forb = [0] * (k + 1)
     free = (1 << n) - 1
-    levels = [0] * (colors + 1)
+    levels = [0] * (k + 1)
     levels[0] = free
     top = 0
     # The stack, flat: at each depth the vertex colored there, its color,
@@ -152,7 +161,7 @@ def _decide(graph: Graph, state: _SearchState, k: int, deadline: float) -> Solve
         # Advance the vertex at depth to its next feasible color, backing up
         # past depths whose colors are exhausted; none left means no coloring.
         while True:
-            cap = used + 1 if used < colors else colors
+            cap = used + 1 if used < k else k
             b = bit[v]
             color += 1
             while color <= cap and forb[color] & b:
@@ -176,7 +185,7 @@ def _decide(graph: Graph, state: _SearchState, k: int, deadline: float) -> Solve
                     newly ^= moved
                 s += 1
             # top needs no raise: a search backs up only from a vertex with
-            # every color forbidden, so top is colors until the next choice.
+            # every color forbidden, so top is k until the next choice.
             b = bit[v]
             free |= b
             levels[stack_level[depth]] |= b
@@ -210,10 +219,59 @@ def _decide(graph: Graph, state: _SearchState, k: int, deadline: float) -> Solve
     coloring = [0] * n
     for v, color in zip(stack_v, stack_color):
         coloring[v] = color
-    assignment = dict(zip(graph.vertices, coloring))
+    return _certified(graph, dict(zip(graph.vertices, coloring)), k)
+
+
+def _certified(graph: Graph, assignment: ColorAssignment, k: int) -> SolveOutcome:
+    """Sat with the assignment if verdict accepts it as a k-coloring, else a failure."""
     if not verdict(graph, assignment, k).valid:
-        return SolveOutcome.failure("search produced an improper coloring")
+        return SolveOutcome.failure("S2 produced an improper coloring")
     return SolveOutcome.sat(assignment)
+
+
+def _peel(graph: Graph, k: int) -> Optional[ColorAssignment]:
+    """A k-coloring found by peeling, or None if the graph has a nonempty k-core.
+
+    Repeatedly removes a vertex with fewer than k remaining neighbors.  If
+    every vertex goes, coloring them in reverse removal order, each with
+    the lowest color its colored neighbors leave free, uses at most k
+    colors: the neighbors colored before a vertex are those it still had
+    when it was removed, fewer than k (Matula & Beck 1983).
+    """
+    adj, vertices = graph.adjacency, graph.vertices
+    degree = dict(zip(adj, map(len, adj.values())))
+    stack = [v for v, d in degree.items() if d < k]
+    removed = []
+    low = k - 1
+    while stack:
+        v = stack.pop()
+        removed.append(v)
+        for u in adj[v]:
+            d = degree[u] - 1
+            degree[u] = d
+            if d == low:  # each vertex falls below k once
+                stack.append(u)
+    if len(removed) < len(vertices):
+        return None
+    classes: list[set[str]] = [set() for _ in range(k)]
+    coloring = {}
+    for v in reversed(removed):
+        for color, members in enumerate(classes, 1):
+            if members.isdisjoint(adj[v]):
+                members.add(v)
+                coloring[v] = color
+                break
+    return dict(zip(vertices, map(coloring.__getitem__, vertices)))
+
+
+def _solve(graph: Graph, k: int, deadline: float, state: Optional[_SearchState] = None) -> SolveOutcome:
+    """A peeled coloring if the graph's k-core is empty, else a search on state (built here if None)."""
+    coloring = _peel(graph, k)
+    if coloring is None:
+        return _decide(graph, _SearchState(graph) if state is None else state, k, deadline)
+    if time.monotonic() > deadline:
+        return SolveOutcome.timeout()
+    return _certified(graph, coloring, k)
 
 
 def solve_decision(graph: Graph, k: int, time_limit: float = 200.0) -> SolveOutcome:
@@ -222,8 +280,7 @@ def solve_decision(graph: Graph, k: int, time_limit: float = 200.0) -> SolveOutc
         raise ValueError("k must be >= 1")
     if not time_limit > 0:  # NaN too: a NaN deadline never passes
         return SolveOutcome.timeout()
-    deadline = time.monotonic() + time_limit
-    return _decide(graph, _SearchState(graph), k, deadline)
+    return _solve(graph, k, time.monotonic() + time_limit)
 
 
 def _clique(graph: Graph, state: _SearchState) -> list[int]:
@@ -261,7 +318,8 @@ def chromatic_number(graph: Graph, time_limit: float = 200.0) -> int:
 
     The sweep starts at k = the size of a checked clique (see _clique): a
     clique certificate makes every smaller k Unsat, so those searches are
-    skipped.  The whole sweep shares one deadline and one search state;
+    skipped.  It ends by k = degeneracy + 1, where peeling answers Sat (see
+    _peel).  The whole sweep shares one deadline and one search state;
     DeadlineExceeded is raised if it cannot finish in time, and at once
     for a time limit that is not positive (NaN too).
     """
@@ -271,12 +329,11 @@ def chromatic_number(graph: Graph, time_limit: float = 200.0) -> int:
         raise DeadlineExceeded(f"chromatic number search has no time: {time_limit}s")
     deadline = time.monotonic() + time_limit
     state = _SearchState(graph)
-    for k in range(len(_clique(graph, state)), state.colors + 1):
-        outcome = _decide(graph, state, k, deadline)
+    for k in itertools.count(len(_clique(graph, state))):
+        outcome = _solve(graph, k, deadline, state)
         if outcome.is_timeout:
             raise DeadlineExceeded(f"chromatic number search exceeded {time_limit}s")
         if outcome.is_failure:
             raise RuntimeError(f"exact solver failed at k={k}: {outcome.reason}")
         if outcome.is_sat:
             return k
-    raise AssertionError("graph not (max degree + 1)-colorable")  # unreachable

@@ -61,6 +61,16 @@ def brute_force_chromatic(graph: Graph) -> int:
     raise AssertionError("unreachable: any graph is n-colorable")
 
 
+def k_core(graph: Graph, k: int) -> frozenset[str]:
+    """The vertices left after repeatedly deleting every vertex with fewer than k neighbors left."""
+    core = set(graph.vertices)
+    while True:
+        low = {v for v in core if len(core.intersection(graph.adjacency[v])) < k}
+        if not low:
+            return frozenset(core)
+        core -= low
+
+
 def score_by_edge_enumeration(graph: Graph, assignment: dict[str, int]) -> Fraction:
     """Fraction of edges with both endpoints assigned distinct colors."""
     if not graph.edges:

@@ -22,13 +22,24 @@ from sofai_gc import (
     verdict,
 )
 from sofai_gc import dsatur
-from sofai_gc.dsatur import _SearchState, select_vertex
+from sofai_gc.dsatur import _decide, _SearchState, select_vertex
 
 from conftest import complete_graph, cycle_graph, myciel
-from oracles import brute_force_chromatic, brute_force_colorable, product_scan_colorable, reference_dsatur
+from oracles import (
+    brute_force_chromatic,
+    brute_force_colorable,
+    k_core,
+    product_scan_colorable,
+    reference_dsatur,
+)
 from strategies import er_graphs
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def search(graph: Graph, k: int):
+    """_decide's outcome on the whole graph: a DSATUR search even where peeling would answer."""
+    return _decide(graph, _SearchState(graph), k, time.monotonic() + 200.0)
 
 
 class TestSolveDecision:
@@ -74,21 +85,28 @@ class TestSolveDecision:
         # unused colors, without which it ran for tens of seconds
         assert solve_decision(gen_erdos_renyi(45, 0.5, seed=3), 8, time_limit=1.0).is_unsat
 
-    def test_large_sparse_graph_does_not_exhaust_the_stack(self):
+    def test_large_sparse_graph_does_not_exhaust_the_stack(self, monkeypatch):
+        # G(1500, 0.002) at k = 4 peels to nothing, so the search is run directly
         graph = gen_erdos_renyi(1500, 0.002, 1)
-        outcome = solve_decision(graph, 4)
-        assert outcome.is_sat
+        nodes = count_nodes(monkeypatch)
+        outcome = search(graph, 4)
+        assert outcome.is_sat and nodes[0] >= 1500
         assert verdict(graph, outcome.assignment, 4).valid
 
-    def test_rejected_certificate_is_a_failure(self, fig2_graph, monkeypatch):
-        # the certificate check must hold under `python -O`, so it cannot be an assert
+    def test_rejected_certificate_is_a_failure(self, fig2_graph, petersen, monkeypatch):
+        # the certificate check must hold under `python -O`, so it cannot be an assert;
+        # fig2 at k = 3 is answered by peeling, the Petersen graph (3-regular) by a search
+        nodes = count_nodes(monkeypatch)
         rejected = verdict(fig2_graph, {}, 3)
         monkeypatch.setattr("sofai_gc.dsatur.verdict", lambda graph, assignment, k: rejected)
-        outcome = solve_decision(fig2_graph, 3)
-        assert outcome.is_failure and outcome.reason
+        for graph, searched in [(fig2_graph, False), (petersen, True)]:
+            nodes[0] = 0
+            outcome = solve_decision(graph, 3)
+            assert outcome.is_failure and outcome.reason
+            assert (nodes[0] > 0) == searched
+            with pytest.raises(RuntimeError, match="k=3"):
+                chromatic_number(graph)
         assert solve_decision(fig2_graph, 2).is_unsat
-        with pytest.raises(RuntimeError, match="k=3"):
-            chromatic_number(fig2_graph)
 
     @settings(max_examples=200, deadline=None)
     @given(er_graphs(max_n=7), st.integers(1, 5))
@@ -154,7 +172,7 @@ class TestChromaticNumber:
             assert chromatic_number(graph) == brute_force_chromatic(graph)
 
     def test_chi_at_the_max_degree_bound(self):
-        # chi = D + 1 here, so the sweep runs to the last color its state holds
+        # chi = D + 1 here, the largest k a sweep can reach
         for graph in [complete_graph(n) for n in range(1, 9)] + [cycle_graph(n) for n in (3, 5, 9, 11)]:
             top_degree = max(graph.degree(v) for v in graph.vertices)
             assert chromatic_number(graph) == top_degree + 1
@@ -164,7 +182,6 @@ class TestChromaticNumber:
         monkeypatch.setattr(dsatur, "_SearchState", lambda graph: built.append(graph) or _SearchState(graph))
         assert chromatic_number(petersen) == 3
         assert built == [petersen]
-        assert _SearchState(petersen).colors == 4  # max degree 3, plus one
 
     def test_deadline_raises(self):
         graph = myciel(6)
@@ -189,13 +206,13 @@ def count_nodes(monkeypatch):
     return nodes
 
 
-def search_path(graph: Graph, k: int):
-    """solve_decision's outcome, and the vertex index select_vertex returned at each node, in order."""
+def search_path(graph: Graph, k: int, solve=search):
+    """solve's outcome, and the vertex index select_vertex returned at each node, in order."""
     choices: list[int] = []
     real = dsatur.select_vertex
     dsatur.select_vertex = lambda *args: choices.append(real(*args)) or choices[-1]
     try:
-        return solve_decision(graph, k), choices
+        return solve(graph, k), choices
     finally:
         dsatur.select_vertex = real
 
@@ -211,7 +228,7 @@ def search_tops(graph: Graph, k: int) -> list[frozenset[int]]:
 
     dsatur.select_vertex = recorded
     try:
-        solve_decision(graph, k)
+        search(graph, k)
         return tops
     finally:
         dsatur.select_vertex = real
@@ -269,6 +286,66 @@ class TestSelectVertex:
         assert search_tops(graph, k) == expected
 
 
+class TestPeeling:
+    @settings(max_examples=200, deadline=None)
+    @given(er_graphs(max_n=9), st.integers(1, 5))
+    def test_searches_exactly_when_the_k_core_is_nonempty(self, graph, k):
+        # an empty k-core answers Sat with no search; any other input is
+        # plain DSATUR, every node, Unsat answers included
+        outcome, choices = search_path(graph, k, solve_decision)
+        if not k_core(graph, k):
+            assert choices == []
+            assert outcome.is_sat and verdict(graph, outcome.assignment, k).valid
+            assert brute_force_colorable(graph, k)
+        else:
+            expected, coloring = reference_dsatur(graph, k)
+            assert choices == expected != []
+            assert outcome.status == ("unsat" if coloring is None else "sat")
+            assert outcome.assignment == coloring
+
+    def test_sparse_graph_is_answered_without_a_search(self, monkeypatch):
+        # the graph of test_sparse_search_path_never_backtracks: degeneracy
+        # 6 at k = 8, so it peels to nothing
+        text = serialize_dimacs(gen_erdos_renyi(300, 0.03, 3553260803050964941), 8)
+        graph, k, _ = parse_dimacs_instance(text)
+        assert k_core(graph, 6) and not k_core(graph, 7)
+        nodes = count_nodes(monkeypatch)
+        outcome = solve_decision(graph, k)
+        assert outcome.is_sat and nodes[0] == 0
+        assert verdict(graph, outcome.assignment, k).valid
+        assert coloring_digest(outcome.assignment) == "aedba54855e8"
+
+    def test_a_passed_deadline_is_a_timeout(self, fig2_graph, monkeypatch):
+        # fig2 at k = 3 peels to nothing, but the coloring stands only before the deadline
+        nodes = count_nodes(monkeypatch)
+        assert dsatur._solve(fig2_graph, 3, time.monotonic() - 1).is_timeout and nodes[0] == 0
+
+    @pytest.mark.parametrize("graph, chi, searched", [
+        # a path with branches: a tree, 2-colorable, whose 2-core is empty
+        (Graph(tuple("abcdefg"), (("a", "b"), ("b", "c"), ("c", "d"), ("b", "e"), ("e", "f"), ("c", "g"))), 2,
+         {}),
+        # a 7-cycle with a pendant vertex on each cycle vertex: the 2-core is
+        # the odd cycle, so k = 2 is a search proving Unsat; the 3-core is empty
+        (Graph(tuple("1234567abcdefg"), tuple(cycle_graph(7).edges) + tuple(zip("1234567", "abcdefg"))), 3,
+         {2: 7}),
+    ], ids=["tree", "pendant-cycle"])
+    def test_sweep_ends_on_a_peeled_k(self, graph, chi, searched, monkeypatch):
+        nodes, per_k = count_nodes(monkeypatch), {}
+        solve = dsatur._solve
+
+        def counted(graph, k, *args):
+            start = nodes[0]
+            outcome = solve(graph, k, *args)
+            per_k[k] = nodes[0] - start
+            return outcome
+
+        monkeypatch.setattr(dsatur, "_solve", counted)
+        assert chromatic_number(graph) == chi == brute_force_chromatic(graph)
+        assert per_k == {**searched, chi: 0}
+        for k, count in searched.items():
+            assert count == len(reference_dsatur(graph, k)[0])
+
+
 def clique_size(graph: Graph) -> int:
     """Size of the checked greedy clique chromatic_number starts its sweep at."""
     return len(dsatur._clique(graph, _SearchState(graph)))
@@ -315,7 +392,7 @@ def test_sparse_search_path_never_backtracks(monkeypatch):
     text = serialize_dimacs(gen_erdos_renyi(300, 0.03, 3553260803050964941), 8)
     graph, k, _ = parse_dimacs_instance(text)
     nodes = count_nodes(monkeypatch)
-    outcome = solve_decision(graph, k)
+    outcome = search(graph, k)
     assert outcome.is_sat and nodes[0] == 300 == len(graph.vertices)
     assert coloring_digest(outcome.assignment) == "9b718cb9fbe7"
 
@@ -358,8 +435,9 @@ class TestClique:
         gen_erdos_renyi(30, 0.5, 7),  # greedy clique 8 = chi
     ], ids=["K1", "K2", "K3", "K4", "K5", "K6", "er30-seed2", "er30-seed7"])
     def test_a_clique_of_size_chi_leaves_one_search(self, graph, monkeypatch):
-        decide, ks = dsatur._decide, []
-        monkeypatch.setattr(dsatur, "_decide", lambda *args: ks.append(args[2]) or decide(*args))  # args[2] is k
+        # one k is tried; on K_n it is answered by peeling, not a search
+        solve, ks = dsatur._solve, []
+        monkeypatch.setattr(dsatur, "_solve", lambda *args: ks.append(args[1]) or solve(*args))  # args[1] is k
         chi = chromatic_number(graph)
         assert ks == [chi] == [clique_size(graph)]
 

@@ -44,7 +44,8 @@ metacognition.render_prompt to record those digests, bench.solve and
 cli.solve (the bench lines and the solve lines look a roster id up
 through one of them) to record those rounds, and dsatur.select_vertex,
 which the search calls once per node with any arguments, to count those
-nodes.  Prints the counts and the keys compared, and exits 1 on any
+nodes.  Prints the counts and the keys compared, and each S2 call whose
+node count differs (its index, name and both counts), and exits 1 on any
 mismatch.  Last it prints the total lines of the *.py files under REV's
 src/ and the tree's, and the difference.  Standard library only.
 """
@@ -143,6 +144,7 @@ sys.exit(cli.main(sys.argv[4:]))
 """
 
 ROUNDS = "S1 rounds of each solve call, equal on the keys both sides write"
+NODES = "S2 nodes per call"
 
 
 def run_matrix(src: Path, out: Path) -> dict[str, list]:
@@ -186,7 +188,7 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
         "solve on letters.col, prompt texts equal by sha256": solve_digests.read_text().split(),
         "solve again from its memory file, prompt texts equal by sha256": again_digests.read_text().split(),
         ROUNDS: [json.loads(line) for line in rounds.read_text().splitlines()],
-        "S2 nodes per call": nodes.read_text().splitlines(),
+        NODES: nodes.read_text().splitlines(),
     }
 
 
@@ -226,6 +228,10 @@ def main(argv: list[str]) -> int:
         ok = same == len(rows) == len(new[name])
         failed |= not ok
         print(f"  {name}: {same}/{len(rows)}" + ("" if ok else f"  MISMATCH (the tree has {len(new[name])})"))
+        if name == NODES and not ok:
+            for i, (a, b) in enumerate(zip(rows, new[name])):
+                if a != b:
+                    print(f"    call {i}: {a} nodes at {rev}, {b} nodes in the tree")
     print(f"  S1 round keys compared: {', '.join(sorted(shared))}")
     print(f"  only {rev} writes: {', '.join(sorted(keys[0] - shared)) or '-'}")
     print(f"  only the tree writes: {', '.join(sorted(keys[1] - shared)) or '-'}")
