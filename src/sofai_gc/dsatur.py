@@ -253,14 +253,14 @@ def _peel(graph: Graph, k: int) -> Optional[ColorAssignment]:
                 stack.append(u)
     if len(removed) < len(vertices):
         return None
-    classes: list[set[str]] = [set() for _ in range(k)]
-    coloring = {}
+    # first fit over the neighbors' colors: at most deg(v) + 1, nothing sized by k
+    coloring: dict[str, int] = {}
     for v in reversed(removed):
-        for color, members in enumerate(classes, 1):
-            if members.isdisjoint(adj[v]):
-                members.add(v)
-                coloring[v] = color
-                break
+        taken = set(map(coloring.get, adj[v]))
+        color = 1
+        while color in taken:
+            color += 1
+        coloring[v] = color
     return dict(zip(vertices, map(coloring.__getitem__, vertices)))
 
 

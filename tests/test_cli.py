@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from sofai_gc import parse_dimacs_instance, verdict
 from sofai_gc.cli import _proposer_config, build_parser, main
 
 
@@ -49,6 +54,27 @@ class TestSolve:
         rc = main(["solve", "--solver", "S2", "--instance", str(unsat_file), "--k", "5"])
         assert rc == 0
         assert capsys.readouterr().out.strip() != "NOT SOLVABLE"
+
+    def test_s2_answers_a_huge_k(self, dataset_dir):
+        # run under a 1 GiB address-space cap, so memory sized by k fails fast
+        unsat_file = dataset_dir / "instances" / "er_n5_p0.5_0003.col"
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from sofai_gc.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "solve", "--solver", "S2", "--instance", str(unsat_file),
+             "--k", str(10**12)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        graph, _, _ = parse_dimacs_instance(unsat_file.read_text())
+        pairs = [line.strip("()").split() for line in proc.stdout.splitlines()]
+        assignment = {v: int(c) for v, c in pairs}
+        assert verdict(graph, assignment, 10**12).valid
 
     def test_missing_k_is_an_error(self, tmp_path, capsys):
         inst = tmp_path / "bare.col"

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,21 @@ class TestPeeling:
         assert outcome.is_sat and nodes[0] == 0
         assert verdict(graph, outcome.assignment, k).valid
         assert coloring_digest(outcome.assignment) == "aedba54855e8"
+
+    def test_a_huge_k_allocates_nothing_sized_by_k(self, petersen, monkeypatch):
+        # k comes from the command line or an instance's `c k` line, and a k
+        # far above the degree is exactly the input that peels to nothing
+        tracemalloc.start()
+        try:
+            assert solve_decision(petersen, 10**5).is_sat
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+        nodes = count_nodes(monkeypatch)
+        outcome = solve_decision(petersen, 10**12)
+        assert outcome.is_sat and nodes[0] == 0
+        assert verdict(petersen, outcome.assignment, 10**12).valid
+        assert max(outcome.assignment.values()) <= 4  # the maximum degree + 1
 
     def test_a_passed_deadline_is_a_timeout(self, fig2_graph, monkeypatch):
         # fig2 at k = 3 peels to nothing, but the coloring stands only before the deadline
