@@ -23,10 +23,11 @@ color restores the forb[c] saved when it was set and lowers the same
 vertices back.  The search path, node for node, is plain DSATUR's.
 
 The search state is the graph's encoding only (order, bits and neighbor
-masks); each search starts empty on it and keeps everything it changes
-to itself.  chromatic_number builds one encoding for its whole sweep over
-k and starts the sweep at the size of a greedy clique grown on its masks
-and checked against the graph: a clique needs that many colors, so no
+masks), built from the graph's neighbour lists over positions; each
+search starts empty on it and keeps everything it changes to itself.
+chromatic_number builds one encoding for its whole sweep over k and
+starts the sweep at the size of a greedy clique grown on its masks and
+checked against the graph: a clique needs that many colors, so no
 smaller k is searched.
 
 Before it searches at k, S2 peels the graph (_peel): it removes vertices
@@ -108,23 +109,22 @@ class _SearchState:
 
     bit[v] is 1 << v's place in (degree descending, index ascending) order
     and order[place] is the vertex there.  nmask[v] is the union of the
-    bits of v's neighbors.
+    bits of v's neighbors, read from graph.neighbours, which already holds
+    indices.
     """
 
     __slots__ = ("order", "bit", "nmask")
 
     def __init__(self, graph: Graph) -> None:
-        adj = graph.adjacency
-        degree = [len(adj[v]) for v in graph.vertices]
-        n = len(degree)
+        neighbours = graph.neighbours
+        degree = list(map(len, neighbours))
         # A stable sort keeps equal degrees in index order.
-        self.order = sorted(range(n), key=degree.__getitem__, reverse=True)
-        self.bit = [0] * n
+        self.order = sorted(range(len(degree)), key=degree.__getitem__, reverse=True)
+        self.bit = bit = [0] * len(degree)
         for place, v in enumerate(self.order):
-            self.bit[v] = 1 << place
-        bit_of = dict(zip(graph.vertices, self.bit))
+            bit[v] = 1 << place
         # The bits are distinct, so their sum is their union.
-        self.nmask = [sum(map(bit_of.__getitem__, adj[v])) for v in graph.vertices]
+        self.nmask = [sum(map(bit.__getitem__, ns)) for ns in neighbours]
 
 
 def select_vertex(bits: int, order: list[int]) -> int:
@@ -237,31 +237,35 @@ def _peel(graph: Graph, k: int) -> Optional[ColorAssignment]:
     the lowest color its colored neighbors leave free, uses at most k
     colors: the neighbors colored before a vertex are those it still had
     when it was removed, fewer than k (Matula & Beck 1983).
+
+    taken[v] has bit c set once a neighbor of v is colored c.  Bit 0 is set
+    from the start, so the lowest clear bit, ~t & (t + 1), is a color >= 1,
+    and it is at most deg(v) + 1: nothing here is sized by k.
     """
-    adj, vertices = graph.adjacency, graph.vertices
-    degree = dict(zip(adj, map(len, adj.values())))
-    stack = [v for v, d in degree.items() if d < k]
+    neighbours = graph.neighbours
+    degree = list(map(len, neighbours))
+    stack = [v for v, d in enumerate(degree) if d < k]
     removed = []
-    low = k - 1
+    last = k - 1
     while stack:
         v = stack.pop()
         removed.append(v)
-        for u in adj[v]:
+        for u in neighbours[v]:
             d = degree[u] - 1
             degree[u] = d
-            if d == low:  # each vertex falls below k once
+            if d == last:  # each vertex falls below k once
                 stack.append(u)
-    if len(removed) < len(vertices):
+    if len(removed) < len(degree):
         return None
-    # first fit over the neighbors' colors: at most deg(v) + 1, nothing sized by k
-    coloring: dict[str, int] = {}
+    taken = [1] * len(degree)
+    coloring = [0] * len(degree)
     for v in reversed(removed):
-        taken = set(map(coloring.get, adj[v]))
-        color = 1
-        while color in taken:
-            color += 1
-        coloring[v] = color
-    return dict(zip(vertices, map(coloring.__getitem__, vertices)))
+        t = taken[v]
+        low = ~t & (t + 1)
+        coloring[v] = low.bit_length() - 1
+        for u in neighbours[v]:
+            taken[u] |= low
+    return dict(zip(graph.vertices, coloring))
 
 
 def _solve(graph: Graph, k: int, deadline: float, state: Optional[_SearchState] = None) -> SolveOutcome:
@@ -284,12 +288,12 @@ def solve_decision(graph: Graph, k: int, time_limit: float = 200.0) -> SolveOutc
 
 
 def _clique(graph: Graph, state: _SearchState) -> list[int]:
-    """A greedy clique of the graph, as vertex indices, checked against its adjacency.
+    """A greedy clique of the graph, as vertex indices, checked against its neighbour lists.
 
     Each step takes the candidate with the most neighbors among the
     remaining candidates (the first in degree order on a tie), then keeps
     only its neighbors as candidates.  The members are then checked
-    pairwise against graph.adjacency, not the masks they were grown from;
+    pairwise against graph.neighbours, not the masks they were grown from;
     a failed check raises RuntimeError.
     """
     nmask, order = state.nmask, state.order
@@ -306,9 +310,9 @@ def _clique(graph: Graph, state: _SearchState) -> list[int]:
                 best, most = u, count
         members.append(best)
         cand &= nmask[best]
-    names = [graph.vertices[v] for v in members]
-    for i, v in enumerate(names):
-        if not set(names[:i]).issubset(graph.adjacency[v]):
+    for i, v in enumerate(members):
+        if not set(members[:i]).issubset(graph.neighbours[v]):
+            names = [graph.vertices[u] for u in members]
             raise RuntimeError(f"greedy clique {names} is not a clique of the graph")
     return members
 

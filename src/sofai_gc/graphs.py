@@ -4,12 +4,14 @@ Everything else in the package is built on the value types here: an
 immutable labeled graph, partial color assignments, and the correctness
 verdict used to accept or reject proposed colorings.
 
-A graph is validated once, when the `Graph` is built: one count over its
-neighbour lists checks every edge, and only a graph that fails is walked
-edge by edge to name the bad one.  The DIMACS parser checks only the
-text's own structure and leaves the edges to `Graph`, adding the line
-number to the error for the edge it rejects.  A parsed graph holds one string object
-per vertex label: every edge endpoint is the object in `vertices`.
+A graph is encoded once, when the `Graph` is built: each vertex gets its
+position in `vertices`, and the neighbour lists hold positions, the form
+every solver and the mock proposer walk.  One count over those lists
+checks every edge, and only a graph that fails is walked edge by edge to
+name the bad one.  The DIMACS parser checks only the text's own structure
+and leaves the edges to `Graph`, adding the line number to the error for
+the edge it rejects.  A parsed graph holds one string object per vertex
+label: every edge endpoint is the object in `vertices`.
 """
 
 from __future__ import annotations
@@ -44,39 +46,53 @@ class Graph:
 
     Vertex order is stable (source or generator order) and edges keep
     their insertion order and endpoint orientation; equality compares
-    both tuples, so a parse/serialize round trip is exact.  adjacency[v]
-    lists v's neighbours in edge order.  Building one rejects duplicate
-    vertex labels, a label that is not one DIMACS token (empty or holding
-    whitespace, so its DIMACS lines would not parse back), self-loops,
-    duplicate edges in either orientation and edges to unknown vertices,
-    raising ValueError.
+    both tuples, so a parse/serialize round trip is exact.  index[v] is
+    v's position in vertices, and neighbours[i] lists the positions of
+    the neighbours of vertices[i] in edge order.  adjacency[v] lists v's
+    neighbours by label, in the same order: a view built from neighbours
+    on first read and then kept, which no package code reads.  Building
+    one rejects duplicate vertex labels, a label that is not one DIMACS
+    token (empty or holding whitespace, so its DIMACS lines would not
+    parse back), self-loops, duplicate edges in either orientation and
+    edges to unknown vertices, raising ValueError.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
-    adjacency: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    neighbours: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # The neighbour lists are built with appends alone.  A list names a
         # neighbour twice exactly when an edge repeats, in either orientation,
         # or is a self-loop, so one count over their sets checks every edge;
-        # an unknown endpoint has no list.  Only a graph that fails is walked
+        # an unknown endpoint has no index.  Only a graph that fails is walked
         # again, to name its first bad edge.
-        lists: dict[str, list[str]] = {v: [] for v in self.vertices}
-        if len(lists) != len(self.vertices):
+        index = dict(zip(self.vertices, range(len(self.vertices))))
+        if len(index) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
         if " ".join(self.vertices).split() != list(self.vertices):
             bad = next(v for v in self.vertices if v.split() != [v])
             raise ValueError(f"vertex label {bad!r} is not one DIMACS token: it is empty or holds whitespace")
+        lists: list[list[int]] = [[] for _ in self.vertices]
         try:
             for u, v in self.edges:
-                lists[u].append(v)
-                lists[v].append(u)
+                i = index[u]
+                j = index[v]
+                lists[i].append(j)
+                lists[j].append(i)
         except KeyError:
             _raise_first_bad_edge(self)
-        if sum(map(len, map(set, lists.values()))) != 2 * len(self.edges):
+        if sum(map(len, map(set, lists))) != 2 * len(self.edges):
             _raise_first_bad_edge(self)
-        object.__setattr__(self, "adjacency", {v: tuple(ns) for v, ns in lists.items()})
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "neighbours", tuple(map(tuple, lists)))
+
+    @cached_property
+    def adjacency(self) -> dict[str, tuple[str, ...]]:
+        """Each vertex's neighbours by label, in edge order; built on first read and then kept."""
+        vertices = self.vertices
+        return {v: tuple(map(vertices.__getitem__, ns)) for v, ns in zip(vertices, self.neighbours)}
 
     @property
     def density(self) -> float:
@@ -101,7 +117,7 @@ class Graph:
         return _first_appearance(self.edges) != self.vertices
 
     def degree(self, v: str) -> int:
-        return len(self.adjacency[v])
+        return len(self.neighbours[self.index[v]])
 
 
 def _raise_first_bad_edge(graph: Graph) -> None:
@@ -150,7 +166,7 @@ class Verdict:
 
 def _check_assignment(graph: Graph, assignment: Mapping[str, int]) -> None:
     for v, c in assignment.items():
-        if v not in graph.adjacency:
+        if v not in graph.index:
             raise ValueError(f"assignment references unknown vertex {v!r}")
         if not isinstance(c, int) or c < 1:
             raise ValueError(f"color for vertex {v!r} must be an integer >= 1, got {c!r}")

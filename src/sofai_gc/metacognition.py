@@ -82,17 +82,18 @@ def generate_example(graph: Graph) -> PromptExample:
         raise ValueError("graph must have at least one vertex")
     # A stable sort keeps vertex order among equal degrees.
     kept = set(sorted(graph.vertices, key=graph.degree, reverse=True)[:3])
-    # graph.edges, not graph.adjacency: only the edges keep each edge's orientation.
+    # graph.edges, not graph.neighbours: only the edges keep each edge's orientation.
     edges = tuple((u, v) for u, v in graph.edges if u in kept and v in kept)
     sub = Graph(tuple(v for v in graph.vertices if v in kept), edges)
-    coloring: ColorAssignment = {}
-    for v in sub.vertices:
-        used = {coloring[u] for u in sub.adjacency[v] if u in coloring}
+    # first fit in vertex order; a neighbor not yet colored reads 0
+    colors = [0] * len(sub.vertices)
+    for v, ns in enumerate(sub.neighbours):
+        used = {colors[u] for u in ns}
         color = 1
         while color in used:
             color += 1
-        coloring[v] = color
-    return PromptExample(sub, coloring)
+        colors[v] = color
+    return PromptExample(sub, dict(zip(sub.vertices, colors)))
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,13 @@ class MockProposer:
     feedback path).  noise corrupts per-vertex choices; it decays with
     the number of feedback rounds already in the prompt, so iteration
     helps.  unsat_rate declares NOT SOLVABLE regardless of the graph.
+
+    The greedy choice is first fit over the graph's neighbour lists:
+    taken[v] has bit c set once a neighbor of v is colored c, and bit 0 is
+    set from the start, so the lowest clear bit, ~t & (t + 1), is a color
+    >= 1.  A first fit on n vertices is at most n, so a noisy color above
+    n, which can be as large as k, sets no bit: the masks stay n + 1 bits
+    wide whatever k is.
     """
 
     def __init__(self, config: ProposerConfig) -> None:
@@ -242,15 +249,20 @@ class MockProposer:
             return ProposerResponse("not_solvable", raw=NOT_SOLVABLE)
         graph, k = prompt.graph, prompt.k
         effective_noise = self.config.noise * (self.config.noise_decay ** len(prompt.feedback_history))
-        assignment: ColorAssignment = {}
-        for v in graph.vertices:
-            used = {assignment[u] for u in graph.adjacency[v] if u in assignment}
-            color = 1
-            while color in used:
-                color += 1
+        n = len(graph.vertices)
+        taken = [1] * n
+        colors = [0] * n
+        for v, ns in enumerate(graph.neighbours):
+            t = taken[v]
+            low = ~t & (t + 1)
+            color = low.bit_length() - 1
             if effective_noise and rng.random() < effective_noise:
                 color = rng.randint(1, k)
-            assignment[v] = color
+                low = 1 << color if color <= n else 0
+            colors[v] = color
+            for u in ns:
+                taken[u] |= low
+        assignment = dict(zip(graph.vertices, colors))
         return ProposerResponse("assignment", raw=format_assignment(assignment, graph.vertices), assignment=assignment)
 
 

@@ -6,11 +6,17 @@ no symmetry breaking, so agreement with the production solver is
 meaningful.  The one exception, reference_dsatur, follows DSATUR's rules
 but recomputes every choice by a scan from scratch, with no saturation
 bookkeeping and no bitmasks, so it can check the solver's search path.
+The first-fit references (reference_mock_reply, reference_peel) keep the
+label-keyed, set-based loops the package used before its graphs held
+neighbour lists over positions and its first fits read taken-colour
+bitmasks; they read neighbours_in_edge_order, built from the edges here,
+not any view the Graph builds.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from sofai_gc import Graph
@@ -145,3 +151,65 @@ def reference_dsatur(
         return False
 
     return choices, (coloring if extend(0) else None)
+
+
+def neighbours_in_edge_order(graph: Graph) -> dict[str, tuple[str, ...]]:
+    """Each vertex's neighbours by label, in edge order, walked from graph.edges."""
+    neighbours: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    for u, v in graph.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    return {v: tuple(ns) for v, ns in neighbours.items()}
+
+
+def reference_mock_reply(graph: Graph, k: int, noise: float, unsat_rate: float, rng: random.Random):
+    """The mock proposer's reply, drawing from rng as it does: None for NOT SOLVABLE, else its coloring.
+
+    Greedy first fit in vertex order over a set of the colored neighbors'
+    colors; with probability noise a vertex takes a uniform color in 1..k
+    instead.
+    """
+    if rng.random() < unsat_rate:
+        return None
+    adjacency = neighbours_in_edge_order(graph)
+    assignment: dict[str, int] = {}
+    for v in graph.vertices:
+        used = {assignment[u] for u in adjacency[v] if u in assignment}
+        color = 1
+        while color in used:
+            color += 1
+        if noise and rng.random() < noise:
+            color = rng.randint(1, k)
+        assignment[v] = color
+    return assignment
+
+
+def reference_peel(graph: Graph, k: int) -> dict[str, int] | None:
+    """Peeling's k-coloring, or None if the k-core is nonempty: first fit in reverse removal order.
+
+    Vertices with fewer than k remaining neighbors are removed from a
+    stack seeded in vertex order, each pushed once, when it falls below
+    k; each is then colored, last removed first, with the lowest color
+    missing from a set of its colored neighbors' colors.
+    """
+    adjacency = neighbours_in_edge_order(graph)
+    degree = {v: len(ns) for v, ns in adjacency.items()}
+    stack = [v for v in graph.vertices if degree[v] < k]
+    removed = []
+    while stack:
+        v = stack.pop()
+        removed.append(v)
+        for u in adjacency[v]:
+            degree[u] -= 1
+            if degree[u] == k - 1:
+                stack.append(u)
+    if len(removed) < len(graph.vertices):
+        return None
+    coloring: dict[str, int] = {}
+    for v in reversed(removed):
+        taken = {coloring[u] for u in adjacency[v] if u in coloring}
+        color = 1
+        while color in taken:
+            color += 1
+        coloring[v] = color
+    return {v: coloring[v] for v in graph.vertices}

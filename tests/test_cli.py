@@ -55,9 +55,9 @@ class TestSolve:
         assert rc == 0
         assert capsys.readouterr().out.strip() != "NOT SOLVABLE"
 
-    def test_s2_answers_a_huge_k(self, dataset_dir):
-        # run under a 1 GiB address-space cap, so memory sized by k fails fast
-        unsat_file = dataset_dir / "instances" / "er_n5_p0.5_0003.col"
+    @staticmethod
+    def solve_huge_k(instance: Path, *args: str) -> None:
+        """Run solve at k = 10**12 under a 1 GiB address-space cap, so memory sized by k fails fast."""
         code = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
@@ -66,15 +66,22 @@ class TestSolve:
         )
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
-            [sys.executable, "-c", code, "solve", "--solver", "S2", "--instance", str(unsat_file),
-             "--k", str(10**12)],
+            [sys.executable, "-c", code, "solve", *args, "--instance", str(instance), "--k", str(10**12)],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        graph, _, _ = parse_dimacs_instance(unsat_file.read_text())
+        graph, _, _ = parse_dimacs_instance(instance.read_text())
         pairs = [line.strip("()").split() for line in proc.stdout.splitlines()]
         assignment = {v: int(c) for v, c in pairs}
         assert verdict(graph, assignment, 10**12).valid
+
+    def test_s2_answers_a_huge_k(self, dataset_dir):
+        self.solve_huge_k(dataset_dir / "instances" / "er_n5_p0.5_0003.col", "--solver", "S2")
+
+    def test_a_noisy_mock_answers_a_huge_k(self, dataset_dir):
+        # every mock color is drawn from 1..k, up to 10**12
+        self.solve_huge_k(dataset_dir / "instances" / "er_n5_p0.5_0003.col",
+                          "--solver", "SOFAI-v2", "--proposer", "mock", "--noise", "1")
 
     def test_missing_k_is_an_error(self, tmp_path, capsys):
         inst = tmp_path / "bare.col"

@@ -32,6 +32,7 @@ from oracles import (
     k_core,
     product_scan_colorable,
     reference_dsatur,
+    reference_peel,
 )
 from strategies import er_graphs
 
@@ -303,6 +304,11 @@ class TestPeeling:
             assert choices == expected != []
             assert outcome.status == ("unsat" if coloring is None else "sat")
             assert outcome.assignment == coloring
+
+    @settings(max_examples=300, deadline=None)
+    @given(er_graphs(max_n=12), st.integers(1, 6))
+    def test_coloring_is_first_fit_in_reverse_removal_order(self, graph, k):
+        assert dsatur._peel(graph, k) == reference_peel(graph, k)
 
     def test_sparse_graph_is_answered_without_a_search(self, monkeypatch):
         # the graph of test_sparse_search_path_never_backtracks: degeneracy

@@ -23,6 +23,7 @@ from sofai_gc import (
 from oracles import (
     complete_by_vertex_scan,
     conflicts_by_edge_enumeration,
+    neighbours_in_edge_order,
     score_by_edge_enumeration,
     valid_by_edge_enumeration,
 )
@@ -39,12 +40,15 @@ class _CountingEdges(tuple):
         return super().__iter__()
 
 
-def _neighbours_in_edge_order(graph):
-    neighbours = {v: [] for v in graph.vertices}
-    for u, v in graph.edges:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    return {v: tuple(ns) for v, ns in neighbours.items()}
+def _by_position(graph):
+    """The label view walked from the edges, mapped through graph.index."""
+    view = neighbours_in_edge_order(graph)
+    return tuple(tuple(graph.index[u] for u in view[v]) for v in graph.vertices)
+
+
+# Letter labels listed by a `c vertices` line, edges written high to low and
+# out of order, so positions, edge order and orientation all differ.
+OUT_OF_ORDER = "c vertices A B C D E F\np edge 6 6\ne F C\ne E A\ne D B\ne F A\ne C A\ne B A"
 
 
 class TestGraphConstruction:
@@ -72,7 +76,17 @@ class TestGraphConstruction:
             for seed in ("1", "2")
         ]
         graph = parse_dimacs(serialize_dimacs(gen_erdos_renyi(40, 0.3, 7)))
-        assert outputs[0] == outputs[1] == f"{[_neighbours_in_edge_order(graph)[v] for v in graph.vertices]}\n"
+        assert outputs[0] == outputs[1] == f"{[neighbours_in_edge_order(graph)[v] for v in graph.vertices]}\n"
+
+    @pytest.mark.parametrize("graph", [
+        gen_erdos_renyi(40, 0.3, 7),
+        parse_dimacs(serialize_dimacs(gen_erdos_renyi(40, 0.3, 7))),
+        parse_dimacs(OUT_OF_ORDER),
+    ], ids=["generated", "parsed", "out-of-order"])
+    def test_neighbours_are_the_label_view_by_position(self, graph):
+        assert graph.index == {v: i for i, v in enumerate(graph.vertices)}
+        assert graph.neighbours == _by_position(graph)
+        assert graph.adjacency == neighbours_in_edge_order(graph)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -268,7 +282,8 @@ class TestSerializeDimacs:
         rng.shuffle(edges)
         graph = Graph(graph.vertices, tuple(edges))
         parsed = parse_dimacs(serialize_dimacs(graph))
-        assert parsed.adjacency == graph.adjacency == _neighbours_in_edge_order(graph)
+        assert parsed.adjacency == graph.adjacency == neighbours_in_edge_order(graph)
+        assert parsed.neighbours == graph.neighbours == _by_position(graph)
 
     def test_second_serialization_walks_no_edges(self, fig2_graph):
         edges = _CountingEdges(fig2_graph.edges[::-1])  # edge order differs from vertex order

@@ -11,6 +11,7 @@ from strategies import er_graphs
 from sofai_gc import (
     Graph,
     EpisodicRecord,
+    chromatic_number,
     MemoryStore,
     OrchestratorConfig,
     PromptExample,
@@ -21,6 +22,7 @@ from sofai_gc import (
     gen_erdos_renyi,
     generate_example,
     parse_dimacs,
+    render_prompt,
     solve_decision,
     solve_mc_s1_iN,
     solve_sofai_v2,
@@ -44,6 +46,24 @@ ALWAYS_UNSAT = ProposerConfig(kind="mock", unsat_rate=1.0)
 def cfg_with(proposer=PERFECT, **kwargs):
     kwargs.setdefault("time_limit", 30.0)
     return OrchestratorConfig(proposer=proposer, **kwargs)
+
+
+def test_no_package_code_builds_the_label_view():
+    # Graph.adjacency is built on first read and then kept, so a graph that
+    # holds it holds both encodings: no package code may read it.
+    graph = gen_erdos_renyi(20, 0.4, 3)
+    chi = chromatic_number(graph)
+    assert solve_decision(graph, chi).is_sat and solve_decision(graph, chi - 1).is_unsat
+    assert solve_decision(graph, 20).is_sat  # answered by peeling
+    verdict(graph, {graph.vertices[0]: 1}, chi)
+    generate_example(graph)
+    proposer.MockProposer(ProposerConfig(noise=0.5, seed=1)).propose(render_prompt(graph, chi))
+    store = MemoryStore()
+    noisy = ProposerConfig(noise=1.0, seed=2)
+    for _ in range(2):
+        outcome, trace = metacognition.run_preset("SOFAI-v2", graph, chi, cfg_with(noisy, store=store))
+        assert outcome.is_sat and trace.s1_calls > 1
+    assert "adjacency" not in vars(graph)
 
 
 class TestFormatFeedback:

@@ -3,9 +3,12 @@ import json
 import random
 import threading
 import time
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sofai_gc import (
     Graph,
@@ -26,6 +29,9 @@ from sofai_gc import (
     verdict,
 )
 from sofai_gc.proposer import format_assignment
+
+from oracles import reference_mock_reply
+from strategies import er_graphs
 
 # The full base prompt for the five-vertex worked example at k=2, frozen
 # so template drift is caught character-for-character.
@@ -224,6 +230,37 @@ class TestMockProposer:
             history.append((reply.raw, messages))
         assert [bool(m) for _, m in history] == [True, True, False]
         assert digest.hexdigest() == "39dd90828ab33f9de5df97e583eead5560220239ce4dbde2951d02aba5d5f1f8"
+
+    @settings(max_examples=300, deadline=None)
+    @given(er_graphs(max_n=9), st.integers(1, 14), st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0.0, 0.25]),
+           st.integers(0, 2**32))
+    def test_replies_match_a_set_based_first_fit(self, graph, k, noise, unsat_rate, seed):
+        # k both below and above n, so some noisy colors exceed every first fit
+        proposer = MockProposer(ProposerConfig(noise=noise, noise_decay=0.5, unsat_rate=unsat_rate, seed=seed))
+        rng = random.Random(seed)
+        history = []
+        for rounds in range(3):
+            reply = proposer.propose(render_prompt(graph, k, (), history))
+            expected = reference_mock_reply(graph, k, noise * 0.5**rounds, unsat_rate, rng)
+            if expected is None:
+                assert reply.is_not_solvable
+            else:
+                assert list(reply.assignment.items()) == list(expected.items())
+                assert reply.raw == format_assignment(expected, graph.vertices)
+            history.append((reply.raw, ("Error: something",)))
+
+    def test_a_huge_k_allocates_nothing_sized_by_k(self, petersen):
+        # A noisy color is drawn from 1..k, and k comes from the command line
+        # or an instance's `c k` line; only colors up to n can block a first fit.
+        tracemalloc.start()
+        try:
+            MockProposer(ProposerConfig(noise=1.0)).propose(render_prompt(petersen, 10**8))
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+        reply = MockProposer(ProposerConfig(noise=1.0, seed=4)).propose(render_prompt(petersen, 10**12))
+        expected = reference_mock_reply(petersen, 10**12, 1.0, 0.0, random.Random(4))
+        assert reply.assignment == expected and max(expected.values()) > 10**6
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
