@@ -81,7 +81,8 @@ def generate_example(graph: Graph) -> PromptExample:
     if not graph.vertices:
         raise ValueError("graph must have at least one vertex")
     # A stable sort keeps vertex order among equal degrees.
-    kept = set(sorted(graph.vertices, key=graph.degree, reverse=True)[:3])
+    degree = list(map(len, graph.neighbours))
+    kept = {graph.vertices[v] for v in sorted(range(len(degree)), key=degree.__getitem__, reverse=True)[:3]}
     # graph.edges, not graph.neighbours: only the edges keep each edge's orientation.
     edges = tuple((u, v) for u, v in graph.edges if u in kept and v in kept)
     sub = Graph(tuple(v for v in graph.vertices if v in kept), edges)
