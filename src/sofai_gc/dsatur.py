@@ -236,11 +236,8 @@ def _peel(graph: Graph, k: int) -> Optional[ColorAssignment]:
     every vertex goes, coloring them in reverse removal order, each with
     the lowest color its colored neighbors leave free, uses at most k
     colors: the neighbors colored before a vertex are those it still had
-    when it was removed, fewer than k (Matula & Beck 1983).
-
-    taken[v] has bit c set once a neighbor of v is colored c.  Bit 0 is set
-    from the start, so the lowest clear bit, ~t & (t + 1), is a color >= 1,
-    and it is at most deg(v) + 1: nothing here is sized by k.
+    when it was removed, fewer than k (Matula & Beck 1983).  The colors
+    come from Graph.first_fit's taken-color bitmasks, nothing sized by k.
     """
     neighbours = graph.neighbours
     degree = list(map(len, neighbours))
@@ -257,15 +254,7 @@ def _peel(graph: Graph, k: int) -> Optional[ColorAssignment]:
                 stack.append(u)
     if len(removed) < len(degree):
         return None
-    taken = [1] * len(degree)
-    coloring = [0] * len(degree)
-    for v in reversed(removed):
-        t = taken[v]
-        low = ~t & (t + 1)
-        coloring[v] = low.bit_length() - 1
-        for u in neighbours[v]:
-            taken[u] |= low
-    return dict(zip(graph.vertices, coloring))
+    return graph.first_fit(reversed(removed))
 
 
 def _solve(graph: Graph, k: int, deadline: float, state: Optional[_SearchState] = None) -> SolveOutcome:

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # Vertex label -> color index (>= 1).  May be partial.
 ColorAssignment = dict[str, int]
@@ -118,6 +118,25 @@ class Graph:
 
     def degree(self, v: str) -> int:
         return len(self.neighbours[self.index[v]])
+
+    def first_fit(self, order: Iterable[int]) -> ColorAssignment:
+        """Color the vertices at the positions in order, which lists each once, each with the lowest color left free.
+
+        taken[v] has bit c set once a neighbour of v is colored c.  Bit 0 is
+        set from the start, so the lowest clear bit, ~t & (t + 1), is a
+        color >= 1, and it is at most deg(v) + 1: nothing is sized by a
+        color bound.
+        """
+        neighbours = self.neighbours
+        taken = [1] * len(neighbours)
+        colors = [0] * len(neighbours)
+        for v in order:
+            t = taken[v]
+            low = ~t & (t + 1)
+            colors[v] = low.bit_length() - 1
+            for u in neighbours[v]:
+                taken[u] |= low
+        return dict(zip(self.vertices, colors))
 
 
 def _raise_first_bad_edge(graph: Graph) -> None:

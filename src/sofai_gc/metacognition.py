@@ -86,15 +86,7 @@ def generate_example(graph: Graph) -> PromptExample:
     # graph.edges, not graph.neighbours: only the edges keep each edge's orientation.
     edges = tuple((u, v) for u, v in graph.edges if u in kept and v in kept)
     sub = Graph(tuple(v for v in graph.vertices if v in kept), edges)
-    # first fit in vertex order; a neighbor not yet colored reads 0
-    colors = [0] * len(sub.vertices)
-    for v, ns in enumerate(sub.neighbours):
-        used = {colors[u] for u in ns}
-        color = 1
-        while color in used:
-            color += 1
-        colors[v] = color
-    return PromptExample(sub, dict(zip(sub.vertices, colors)))
+    return PromptExample(sub, sub.first_fit(range(len(sub.vertices))))
 
 
 @dataclass(frozen=True)

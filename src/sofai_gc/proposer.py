@@ -230,12 +230,12 @@ class MockProposer:
     the number of feedback rounds already in the prompt, so iteration
     helps.  unsat_rate declares NOT SOLVABLE regardless of the graph.
 
-    The greedy choice is first fit over the graph's neighbour lists:
-    taken[v] has bit c set once a neighbor of v is colored c, and bit 0 is
-    set from the start, so the lowest clear bit, ~t & (t + 1), is a color
-    >= 1.  A first fit on n vertices is at most n, so a noisy color above
-    n, which can be as large as k, sets no bit: the masks stay n + 1 bits
-    wide whatever k is.
+    The greedy choice is Graph.first_fit's, in vertex order, drawn from
+    the same taken-color bitmasks (bit c set once a neighbor is colored
+    c, bit 0 always, so the lowest clear bit is a color >= 1), with each
+    noisy color set in them in its place.  A first fit on n vertices is at
+    most n, so a noisy color above n, which can be as large as k, sets no
+    bit: the masks stay n + 1 bits wide whatever k is.
     """
 
     def __init__(self, config: ProposerConfig) -> None:

@@ -215,7 +215,7 @@ class TestMockProposer:
         # workload's noise: three rounds, each prompt carrying the feedback
         # so far.  Trial 2's replies fail twice and then succeed, so all
         # three reach the controller.  The replies must not depend on the
-        # order of graph.adjacency or on which string objects hold the labels.
+        # order of graph.neighbours or on which string objects hold the labels.
         graph = parse_dimacs(serialize_dimacs(gen_erdos_renyi(300, 0.03, random.Random(0).getrandbits(63))))
         greedy = MockProposer(ProposerConfig()).propose(render_prompt(graph, len(graph.vertices))).assignment
         k = max(greedy.values()) + 1
