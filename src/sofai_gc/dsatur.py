@@ -22,13 +22,13 @@ however many neighbors v has.  The search unwinds LIFO, so undoing a
 color restores the forb[c] saved when it was set and lowers the same
 vertices back.  The search path, node for node, is plain DSATUR's.
 
-The search state is the graph's encoding only (order, bits and neighbor
-masks), built from the graph's neighbour lists over positions; each
-search starts empty on it and keeps everything it changes to itself.
-chromatic_number builds one encoding for its whole sweep over k and
-starts the sweep at the size of a greedy clique grown on its masks and
-checked against the graph: a clique needs that many colors, so no
-smaller k is searched.
+S2 keeps no search state of its own: a search reads the graph's
+degree_order and neighbour_masks, which the Graph builds on first read
+and keeps, so every search of one graph, and chromatic_number's clique
+bound, share them.  Each search starts empty on them and keeps
+everything it changes to itself.  chromatic_number starts its sweep at
+the size of a greedy clique grown on the masks and checked against the
+graph: a clique needs that many colors, so no smaller k is searched.
 
 Before it searches at k, S2 peels the graph (_peel): it removes vertices
 with fewer than k remaining neighbors until none is left or a k-core
@@ -104,42 +104,20 @@ class SolveOutcome:
         return self.status == "failure"
 
 
-class _SearchState:
-    """What the graph fixes for a search, over vertex indices (positions in graph.vertices).
-
-    bit[v] is 1 << v's place in (degree descending, index ascending) order
-    and order[place] is the vertex there.  nmask[v] is the union of the
-    bits of v's neighbors, read from graph.neighbours, which already holds
-    indices.
-    """
-
-    __slots__ = ("order", "bit", "nmask")
-
-    def __init__(self, graph: Graph) -> None:
-        neighbours = graph.neighbours
-        degree = list(map(len, neighbours))
-        # A stable sort keeps equal degrees in index order.
-        self.order = sorted(range(len(degree)), key=degree.__getitem__, reverse=True)
-        self.bit = bit = [0] * len(degree)
-        for place, v in enumerate(self.order):
-            bit[v] = 1 << place
-        # The bits are distinct, so their sum is their union.
-        self.nmask = [sum(map(bit.__getitem__, ns)) for ns in neighbours]
-
-
-def select_vertex(bits: int, order: list[int]) -> int:
+def select_vertex(bits: int, order: tuple[int, ...]) -> int:
     """Next vertex to color, given the top saturation level's bits: the first of them in degree order."""
     return order[(bits & -bits).bit_length() - 1]
 
 
-def _decide(graph: Graph, state: _SearchState, k: int, deadline: float) -> SolveOutcome:
+def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
     """Search for a k-coloring, starting from no vertex colored.
 
     free holds the bits of the uncolored vertices and levels[s] those of
     saturation s; no level above top holds any.  When v is uncolored every
     later change is undone, so free is what it was when v was colored.
     """
-    order, bit, nmask = state.order, state.bit, state.nmask
+    order = graph.degree_order
+    bit, nmask = graph.neighbour_masks
     n = len(order)
     forb = [0] * (k + 1)
     free = (1 << n) - 1
@@ -257,11 +235,11 @@ def _peel(graph: Graph, k: int) -> Optional[ColorAssignment]:
     return graph.first_fit(reversed(removed))
 
 
-def _solve(graph: Graph, k: int, deadline: float, state: Optional[_SearchState] = None) -> SolveOutcome:
-    """A peeled coloring if the graph's k-core is empty, else a search on state (built here if None)."""
+def _solve(graph: Graph, k: int, deadline: float) -> SolveOutcome:
+    """A peeled coloring if the graph's k-core is empty, else a search."""
     coloring = _peel(graph, k)
     if coloring is None:
-        return _decide(graph, _SearchState(graph) if state is None else state, k, deadline)
+        return _decide(graph, k, deadline)
     if time.monotonic() > deadline:
         return SolveOutcome.timeout()
     return _certified(graph, coloring, k)
@@ -276,7 +254,7 @@ def solve_decision(graph: Graph, k: int, time_limit: float = 200.0) -> SolveOutc
     return _solve(graph, k, time.monotonic() + time_limit)
 
 
-def _clique(graph: Graph, state: _SearchState) -> list[int]:
+def _clique(graph: Graph) -> list[int]:
     """A greedy clique of the graph, as vertex indices, checked against its neighbour lists.
 
     Each step takes the candidate with the most neighbors among the
@@ -285,7 +263,8 @@ def _clique(graph: Graph, state: _SearchState) -> list[int]:
     pairwise against graph.neighbours, not the masks they were grown from;
     a failed check raises RuntimeError.
     """
-    nmask, order = state.nmask, state.order
+    order = graph.degree_order
+    nmask = graph.neighbour_masks[1]
     members: list[int] = []
     cand = (1 << len(order)) - 1
     while cand:
@@ -312,7 +291,7 @@ def chromatic_number(graph: Graph, time_limit: float = 200.0) -> int:
     The sweep starts at k = the size of a checked clique (see _clique): a
     clique certificate makes every smaller k Unsat, so those searches are
     skipped.  It ends by k = degeneracy + 1, where peeling answers Sat (see
-    _peel).  The whole sweep shares one deadline and one search state;
+    _peel).  The whole sweep shares one deadline and the graph's masks;
     DeadlineExceeded is raised if it cannot finish in time, and at once
     for a time limit that is not positive (NaN too).
     """
@@ -321,9 +300,8 @@ def chromatic_number(graph: Graph, time_limit: float = 200.0) -> int:
     if not time_limit > 0:
         raise DeadlineExceeded(f"chromatic number search has no time: {time_limit}s")
     deadline = time.monotonic() + time_limit
-    state = _SearchState(graph)
-    for k in itertools.count(len(_clique(graph, state))):
-        outcome = _solve(graph, k, deadline, state)
+    for k in itertools.count(len(_clique(graph))):
+        outcome = _solve(graph, k, deadline)
         if outcome.is_timeout:
             raise DeadlineExceeded(f"chromatic number search exceeded {time_limit}s")
         if outcome.is_failure:

@@ -8,10 +8,12 @@ A graph is encoded once, when the `Graph` is built: each vertex gets its
 position in `vertices`, and the neighbour lists hold positions, the form
 every solver and the mock proposer walk.  One count over those lists
 checks every edge, and only a graph that fails is walked edge by edge to
-name the bad one.  The DIMACS parser checks only the text's own structure
-and leaves the edges to `Graph`, adding the line number to the error for
-the edge it rejects.  A parsed graph holds one string object per vertex
-label: every edge endpoint is the object in `vertices`.
+name the bad one.  S2's degree order and neighbour bitmasks are built
+from those lists on first read and kept with the graph, so every search
+of one graph shares them.  The DIMACS parser checks only the text's own
+structure and leaves the edges to `Graph`, adding the line number to the
+error for the edge it rejects.  A parsed graph holds one string object
+per vertex label: every edge endpoint is the object in `vertices`.
 """
 
 from __future__ import annotations
@@ -48,13 +50,13 @@ class Graph:
     their insertion order and endpoint orientation; equality compares
     both tuples, so a parse/serialize round trip is exact.  index[v] is
     v's position in vertices, and neighbours[i] lists the positions of
-    the neighbours of vertices[i] in edge order.  adjacency[v] lists v's
-    neighbours by label, in the same order: a view built from neighbours
-    on first read and then kept, which no package code reads.  Building
-    one rejects duplicate vertex labels, a label that is not one DIMACS
-    token (empty or holding whitespace, so its DIMACS lines would not
-    parse back), self-loops, duplicate edges in either orientation and
-    edges to unknown vertices, raising ValueError.
+    the neighbours of vertices[i] in edge order.  degree_order and
+    neighbour_masks, S2's encoding, are built from neighbours on first
+    read and then kept.  Building one rejects duplicate vertex labels, a
+    label that is not one DIMACS token (empty or holding whitespace, so
+    its DIMACS lines would not parse back), self-loops, duplicate edges
+    in either orientation and edges to unknown vertices, raising
+    ValueError.
     """
 
     vertices: tuple[str, ...]
@@ -89,10 +91,20 @@ class Graph:
         object.__setattr__(self, "neighbours", tuple(map(tuple, lists)))
 
     @cached_property
-    def adjacency(self) -> dict[str, tuple[str, ...]]:
-        """Each vertex's neighbours by label, in edge order; built on first read and then kept."""
-        vertices = self.vertices
-        return {v: tuple(map(vertices.__getitem__, ns)) for v, ns in zip(vertices, self.neighbours)}
+    def degree_order(self) -> tuple[int, ...]:
+        """The positions by degree, highest first, ties in position order; built on first read and then kept."""
+        degree = list(map(len, self.neighbours))
+        # A stable sort keeps equal degrees in position order.
+        return tuple(sorted(range(len(degree)), key=degree.__getitem__, reverse=True))
+
+    @cached_property
+    def neighbour_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(bit, nmask) by position: bit[v] is 1 << v's place in degree_order, nmask[v] its neighbours' bits."""
+        bit = [0] * len(self.neighbours)
+        for place, v in enumerate(self.degree_order):
+            bit[v] = 1 << place
+        # The bits are distinct, so their sum is their union.
+        return tuple(bit), tuple([sum(map(bit.__getitem__, ns)) for ns in self.neighbours])
 
     @property
     def density(self) -> float:
@@ -115,9 +127,6 @@ class Graph:
         isolated vertices, or an order other than first appearance in `edges`.
         """
         return _first_appearance(self.edges) != self.vertices
-
-    def degree(self, v: str) -> int:
-        return len(self.neighbours[self.index[v]])
 
     def first_fit(self, order: Iterable[int]) -> ColorAssignment:
         """Color the vertices at the positions in order, which lists each once, each with the lowest color left free.

@@ -42,9 +42,9 @@ class EpisodicRecord:
     """A solved instance: the graph, its color bound k, and the answer.
 
     However it is built (make, from_json, replace, the constructor), a
-    record checks itself: a known solver and a solution that properly
-    colors the graph within k.  Its labels need no check: a Graph holds
-    only labels that DIMACS can carry.
+    record checks itself: a known solver, k >= 1, and a solution that
+    properly colors the graph within k.  Its labels need no check: a
+    Graph holds only labels that DIMACS can carry.
     """
 
     id: str
@@ -57,6 +57,8 @@ class EpisodicRecord:
     def __post_init__(self) -> None:
         if self.solver not in _SOLVERS:
             raise ValueError(f"solver must be one of {_SOLVERS}")
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
         if self.solution is not None and not verdict(self.graph, self.solution, self.k).valid:
             raise MemoryRejected(f"record {self.id} carries an invalid solution")
 

@@ -61,8 +61,8 @@ class ProposerConfig:
             raise ValueError("noise_decay must be in [0, 1]")
         if not 0.0 <= self.unsat_rate <= 1.0:
             raise ValueError("unsat_rate must be in [0, 1]")
-        if not self.timeout > 0:  # NaN too: a NaN timeout fails every request
-            raise ValueError("timeout must be > 0")
+        if not 0 < self.timeout < float("inf"):  # NaN fails every request; a socket refuses an inf timeout
+            raise ValueError("timeout must be finite and > 0")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
 

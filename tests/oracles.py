@@ -10,7 +10,8 @@ The first-fit references (reference_mock_reply, reference_peel) keep the
 label-keyed, set-based loops the package used before its graphs held
 neighbour lists over positions and its first fits read taken-colour
 bitmasks; they read neighbours_in_edge_order, built from the edges here,
-not any view the Graph builds.
+not any view the Graph builds.  The other searches read label_view, the
+Graph's own neighbour lists by label.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ import random
 from fractions import Fraction
 
 from sofai_gc import Graph
+
+
+def label_view(graph: Graph) -> dict[str, tuple[str, ...]]:
+    """Each vertex's neighbours by label, in edge order, read from graph.neighbours."""
+    vertices = graph.vertices
+    return {v: tuple(map(vertices.__getitem__, ns)) for v, ns in zip(vertices, graph.neighbours)}
 
 
 def product_scan_colorable(graph: Graph, k: int) -> bool:
@@ -39,7 +46,7 @@ def brute_force_colorable(graph: Graph, k: int) -> bool:
     it shares no code path or ordering logic with the production solver.
     """
     vertices = graph.vertices
-    adjacency = graph.adjacency
+    adjacency = label_view(graph)
     coloring: dict[str, int] = {}
 
     def extend(i: int) -> bool:
@@ -69,9 +76,10 @@ def brute_force_chromatic(graph: Graph) -> int:
 
 def k_core(graph: Graph, k: int) -> frozenset[str]:
     """The vertices left after repeatedly deleting every vertex with fewer than k neighbors left."""
+    adjacency = label_view(graph)
     core = set(graph.vertices)
     while True:
-        low = {v for v in core if len(core.intersection(graph.adjacency[v])) < k}
+        low = {v for v in core if len(core.intersection(adjacency[v])) < k}
         if not low:
             return frozenset(core)
         core -= low
@@ -123,14 +131,14 @@ def reference_dsatur(
     largest color in use.  Given a list as tops, it is appended, at every
     node, the uncolored vertices of the highest saturation present.
     """
-    vertices, adjacency = graph.vertices, graph.adjacency
-    colors = min(k, max(map(graph.degree, vertices), default=0) + 1)
+    vertices, adjacency = graph.vertices, label_view(graph)
+    colors = min(k, max(map(len, adjacency.values()), default=0) + 1)
     coloring: dict[str, int] = {}
     choices: list[int] = []
 
     def key(i: int) -> tuple[int, int, int]:
         v = vertices[i]
-        return len({coloring[u] for u in adjacency[v] if u in coloring}), graph.degree(v), -i
+        return len({coloring[u] for u in adjacency[v] if u in coloring}), len(adjacency[v]), -i
 
     def extend(used: int) -> bool:
         uncolored = [i for i, v in enumerate(vertices) if v not in coloring]

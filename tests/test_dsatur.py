@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -23,7 +24,7 @@ from sofai_gc import (
     verdict,
 )
 from sofai_gc import dsatur
-from sofai_gc.dsatur import _decide, _SearchState, select_vertex
+from sofai_gc.dsatur import _decide, select_vertex
 
 from conftest import complete_graph, cycle_graph, myciel
 from oracles import (
@@ -41,7 +42,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 def search(graph: Graph, k: int):
     """_decide's outcome on the whole graph: a DSATUR search even where peeling would answer."""
-    return _decide(graph, _SearchState(graph), k, time.monotonic() + 200.0)
+    return _decide(graph, k, time.monotonic() + 200.0)
 
 
 class TestSolveDecision:
@@ -176,12 +177,19 @@ class TestChromaticNumber:
     def test_chi_at_the_max_degree_bound(self):
         # chi = D + 1 here, the largest k a sweep can reach
         for graph in [complete_graph(n) for n in range(1, 9)] + [cycle_graph(n) for n in (3, 5, 9, 11)]:
-            top_degree = max(graph.degree(v) for v in graph.vertices)
+            top_degree = max(map(len, graph.neighbours))
             assert chromatic_number(graph) == top_degree + 1
 
-    def test_one_search_state_per_sweep(self, petersen, monkeypatch):
-        built = []
-        monkeypatch.setattr(dsatur, "_SearchState", lambda graph: built.append(graph) or _SearchState(graph))
+    def test_masks_are_built_once_per_graph(self, petersen, monkeypatch):
+        # two decisions that search, then a sweep and its clique bound, all on one Graph
+        built, masks = [], Graph.neighbour_masks.func
+        counted = functools.cached_property(lambda graph: built.append(graph) or masks(graph))
+        counted.__set_name__(Graph, "neighbour_masks")
+        monkeypatch.setattr(Graph, "neighbour_masks", counted)
+        nodes = count_nodes(monkeypatch)
+        assert solve_decision(petersen, 3).is_sat and nodes[0] > 0
+        nodes[0] = 0
+        assert solve_decision(petersen, 2).is_unsat and nodes[0] > 0
         assert chromatic_number(petersen) == 3
         assert built == [petersen]
 
@@ -224,7 +232,7 @@ def search_tops(graph: Graph, k: int) -> list[frozenset[int]]:
     tops: list[frozenset[int]] = []
     real = dsatur.select_vertex
 
-    def recorded(bits: int, order: list[int]) -> int:
+    def recorded(bits: int, order: tuple[int, ...]) -> int:
         tops.append(frozenset(v for place, v in enumerate(order) if bits >> place & 1))
         return real(bits, order)
 
@@ -247,7 +255,7 @@ class TestSelectVertex:
         # leaves (saturation 1 beats a lower index), which tie on saturation
         # and degree, so the lowest index wins, as it does for "1" over "2".
         graph = Graph(tuple("123456"), (("1", "2"), ("3", "4"), ("3", "5"), ("3", "6")))
-        assert _SearchState(graph).order == [2, 0, 1, 3, 4, 5]  # degree descending, then index
+        assert graph.degree_order == (2, 0, 1, 3, 4, 5)  # degree descending, then index
         expected = [2, 3, 4, 5, 0, 1]
         assert reference_dsatur(graph, 3)[0] == expected
         outcome, choices = search_path(graph, 3)
@@ -370,7 +378,7 @@ class TestPeeling:
 
 def clique_size(graph: Graph) -> int:
     """Size of the checked greedy clique chromatic_number starts its sweep at."""
-    return len(dsatur._clique(graph, _SearchState(graph)))
+    return len(dsatur._clique(graph))
 
 
 # gen_erdos_renyi(n, p, seed): chi, chromatic_number's nodes (None: not run),
@@ -420,22 +428,14 @@ def test_sparse_search_path_never_backtracks(monkeypatch):
 
 
 # Vertex "1" of a 5-cycle claims every other vertex as a neighbor in the
-# sweep's masks, so the greedy clique grown from them is no clique.
+# graph's cached masks, so the greedy clique grown from them is no clique.
 NON_CLIQUE = """
-from sofai_gc import Graph, chromatic_number, dsatur
+from sofai_gc import Graph, chromatic_number
 
-built = dsatur._SearchState
-
-def corrupted(graph):
-    state = built(graph)
-    state.nmask[0] = sum(state.bit) ^ state.bit[0]
-    return state
-
-dsatur._SearchState = corrupted
-try:
-    chromatic_number(Graph(tuple("12345"), (("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "1"))))
-finally:
-    dsatur._SearchState = built
+graph = Graph(tuple("12345"), (("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "1")))
+bit, nmask = graph.neighbour_masks
+vars(graph)["neighbour_masks"] = bit, (sum(bit) ^ bit[0],) + nmask[1:]
+chromatic_number(graph)
 """
 
 

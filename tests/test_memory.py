@@ -158,7 +158,8 @@ class TestPersistence:
         (("a b", "c"), (("a b", "c"),), 2, {"a b": 1, "c": 2}, ValueError, "not one DIMACS token"),
         (("A", "B", "C"), (("A", "B"), ("B", "C"), ("A", "C")), 3, {"A": 1, "B": 1, "C": 2}, MemoryRejected,
          "invalid solution"),
-    ], ids=["spaced-label", "improper"])
+        (("A", "B", "C"), (("A", "B"), ("B", "C"), ("A", "C")), 0, None, ValueError, "k must be >= 1"),
+    ], ids=["spaced-label", "improper", "zero-k"])
     def test_a_record_the_file_could_not_hold_is_refused_when_built(self, tmp_path, triangle, vertices, edges, k,
                                                                    solution, error, fragment):
         # append writes what it is given, so only a record that checked itself keeps the file loadable;
@@ -221,20 +222,21 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"memory\.jsonl:3: "):
             MemoryStore(path)
 
-    @pytest.mark.parametrize("key, value, error, fragment", [
-        ("solver", "S9", ValueError, "solver must be one of"),
-        ("solution", {"A": 1, "B": 1, "C": 1}, ValueError, "invalid solution"),
-        ("k", 2, ValueError, "invalid solution"),  # three colours over a budget of two
-        ("solution", {"A": 1, "B": 2, "C": 3, "Z": 1}, ValueError, "unknown vertex 'Z'"),
-        ("k", 2.9, TypeError, "k must be int, not float"),  # not truncated to 2
-        ("solution", {"A": True, "B": 2, "C": 3}, TypeError, "the color of A must be int, not bool"),
-        ("solution", {"A": 1, "B": 2.7, "C": 3}, TypeError, "the color of B must be int, not float"),
-        ("timestamp", "1e3", TypeError, "timestamp must be float, not str"),
+    @pytest.mark.parametrize("changes, error, fragment", [
+        ({"solver": "S9"}, ValueError, "solver must be one of"),
+        ({"solution": {"A": 1, "B": 1, "C": 1}}, ValueError, "invalid solution"),
+        ({"k": 2}, ValueError, "invalid solution"),  # three colours over a budget of two
+        ({"solution": {"A": 1, "B": 2, "C": 3, "Z": 1}}, ValueError, "unknown vertex 'Z'"),
+        ({"k": 2.9}, TypeError, "k must be int, not float"),  # not truncated to 2
+        ({"solution": {"A": True, "B": 2, "C": 3}}, TypeError, "the color of A must be int, not bool"),
+        ({"solution": {"A": 1, "B": 2.7, "C": 3}}, TypeError, "the color of B must be int, not float"),
+        ({"timestamp": "1e3"}, TypeError, "timestamp must be float, not str"),
+        ({"k": -3, "solution": None}, ValueError, "k must be >= 1"),  # with no solution for verdict to refuse
     ], ids=["unknown-solver", "improper", "over-budget", "unknown-vertex", "float-k", "bool-color", "float-color",
-            "string-timestamp"])
-    def test_line_no_append_would_accept_is_refused(self, tmp_path, triangle, petersen, key, value, error, fragment):
+            "string-timestamp", "non-positive-k"])
+    def test_line_no_append_would_accept_is_refused(self, tmp_path, triangle, petersen, changes, error, fragment):
         obj = json.loads(record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}).to_json())
-        obj[key] = value
+        obj.update(changes)
         bad = json.dumps(obj)
         with pytest.raises(error, match=fragment):
             EpisodicRecord.from_json(bad)

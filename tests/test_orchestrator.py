@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import myciel
+from oracles import label_view
 from strategies import er_graphs
 from sofai_gc import (
     Graph,
@@ -48,22 +49,23 @@ def cfg_with(proposer=PERFECT, **kwargs):
     return OrchestratorConfig(proposer=proposer, **kwargs)
 
 
-def test_no_package_code_builds_the_label_view():
-    # Graph.adjacency is built on first read and then kept, so a graph that
-    # holds it holds both encodings: no package code may read it.
+def test_only_a_search_builds_the_neighbour_masks():
+    # Graph.neighbour_masks is built on first read and then kept with the
+    # graph, so S1 rounds, memory and answers found by peeling must not read it.
     graph = gen_erdos_renyi(20, 0.4, 3)
-    chi = chromatic_number(graph)
-    assert solve_decision(graph, chi).is_sat and solve_decision(graph, chi - 1).is_unsat
-    assert solve_decision(graph, 20).is_sat  # answered by peeling
-    verdict(graph, {graph.vertices[0]: 1}, chi)
+    k = 8  # above the degeneracy, so S2 answers by peeling
+    assert solve_decision(graph, k).is_sat
+    verdict(graph, {graph.vertices[0]: 1}, k)
     generate_example(graph)
-    proposer.MockProposer(ProposerConfig(noise=0.5, seed=1)).propose(render_prompt(graph, chi))
+    proposer.MockProposer(ProposerConfig(noise=0.5, seed=1)).propose(render_prompt(graph, k))
     store = MemoryStore()
     noisy = ProposerConfig(noise=1.0, seed=2)
     for _ in range(2):
-        outcome, trace = metacognition.run_preset("SOFAI-v2", graph, chi, cfg_with(noisy, store=store))
+        outcome, trace = metacognition.run_preset("SOFAI-v2", graph, k, cfg_with(noisy, store=store))
         assert outcome.is_sat and trace.s1_calls > 1
-    assert "adjacency" not in vars(graph)
+    assert "neighbour_masks" not in vars(graph)
+    chi = chromatic_number(graph)
+    assert solve_decision(graph, chi - 1).is_unsat and "neighbour_masks" in vars(graph)
 
 
 class TestFormatFeedback:
@@ -148,15 +150,16 @@ class TestGenerateExample:
         edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges]
         rng.shuffle(edges)
         graph = Graph(tuple(order), tuple(edges))
-        ranked = sorted(enumerate(graph.vertices), key=lambda iv: (-graph.degree(iv[1]), iv[0]))
+        adjacency = label_view(graph)
+        ranked = sorted(enumerate(graph.vertices), key=lambda iv: (-len(adjacency[iv[1]]), iv[0]))
         kept = {v for _, v in ranked[:3]}
         sub = Graph(
             tuple(v for v in graph.vertices if v in kept),
             tuple((u, v) for u, v in graph.edges if u in kept and v in kept),
         )
-        coloring = {}
+        coloring, sub_adjacency = {}, label_view(sub)
         for v in sub.vertices:
-            used = {coloring[u] for u in sub.adjacency[v] if u in coloring}
+            used = {coloring[u] for u in sub_adjacency[v] if u in coloring}
             coloring[v] = min(set(range(1, len(used) + 2)) - used)
         ex = generate_example(graph)
         assert ex.graph == sub and ex.solution == coloring

@@ -269,8 +269,10 @@ class TestMockProposer:
             ProposerConfig(kind="other")
         with pytest.raises(ValueError):
             ProposerConfig(kind="remote")  # endpoint required
-        # each of these made every remote round an error, the last without a request
-        for name, value in (("timeout", 0), ("timeout", -1), ("timeout", float("nan")), ("retries", -1)):
+        # each of these made every remote round an error (inf an uncaught OverflowError), the last without a request
+        for name, value in (
+            ("timeout", 0), ("timeout", -1), ("timeout", float("nan")), ("timeout", float("inf")), ("retries", -1),
+        ):
             with pytest.raises(ValueError, match=name):
                 ProposerConfig(kind="remote", endpoint="http://example.test/v1", **{name: value})
 
