@@ -196,7 +196,7 @@ def _check_assignment(graph: Graph, assignment: Mapping[str, int]) -> None:
     for v, c in assignment.items():
         if v not in graph.index:
             raise ValueError(f"assignment references unknown vertex {v!r}")
-        if not isinstance(c, int) or c < 1:
+        if type(c) is not int or c < 1:  # bool is an int subclass, and JSON would write it as true
             raise ValueError(f"color for vertex {v!r} must be an integer >= 1, got {c!r}")
 
 

@@ -5,7 +5,8 @@ of the append-only JSONL file (a store may also live purely in memory)
 and in its prompt example, which is rendered once, on first retrieval.
 Retrieval compares (n, e, density, k) attribute vectors; the raw
 chromatic number of a fresh instance is unknown before solving, so the
-color bound k stands in for it.
+color bound k stands in for it.  Only MemoryStore.holds says which
+instances the store holds (by k and graph; a line's id decides nothing).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ _SOLVERS = ("S1", "S2")
 
 
 class MemoryRejected(ValueError):
-    """Record refused: an invalid solution or a duplicate id."""
+    """Record refused: an invalid solution, or an instance the store already holds."""
 
 
 @dataclass(frozen=True)
@@ -193,12 +194,10 @@ class MemoryStore:
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
         self._records: list[EpisodicRecord] = []
-        self._ids: set[str] = set()
         # read_jsonl's mend, made by the next append
         self._mend: Optional[tuple[int, bytes]] = None
         if self.path is not None and self.path.exists():
             self._records, self._mend = read_jsonl(self.path, EpisodicRecord.from_json)
-            self._ids = {rec.id for rec in self._records}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -206,9 +205,13 @@ class MemoryStore:
     def records(self) -> tuple[EpisodicRecord, ...]:
         return tuple(self._records)
 
+    def holds(self, graph: Graph, k: int) -> bool:
+        """Whether a record has this k and an equal graph (so the same id); graphs, which walk labels, compare last."""
+        return any(rec.k == k and rec.e == len(graph.edges) and rec.graph == graph for rec in self._records)
+
     def append(self, record: EpisodicRecord) -> None:
-        """Add a record, refusing a known id; with a path, the line is written before this returns."""
-        if record.id in self._ids:
+        """Add a record unless the store holds its instance; with a path, the line is written before this returns."""
+        if self.holds(record.graph, record.k):
             raise MemoryRejected(f"duplicate record id {record.id}")
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -219,11 +222,10 @@ class MemoryStore:
                     self._mend = None
                 fh.write(record.to_json().encode() + b"\n")
         self._records.append(record)
-        self._ids.add(record.id)
 
 
 def update_memory(store: MemoryStore, record: EpisodicRecord) -> str:
-    """Durably append a record to the store; returns its id, or raises MemoryRejected for a known one."""
+    """Durably append a record to the store; returns its id, or raises MemoryRejected for a held instance."""
     store.append(record)
     return record.id
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .dsatur import SolveOutcome, solve_decision
 from .graphs import ColorAssignment, Graph, Verdict, verdict
-from .memory import EpisodicRecord, MemoryRejected, MemoryStore, retrieve_memory, update_memory
+from .memory import EpisodicRecord, MemoryStore, retrieve_memory, update_memory
 from .proposer import (
     NOT_SOLVABLE,
     PromptExample,
@@ -192,8 +192,7 @@ def run_preset(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tu
         raise ValueError("k must be >= 1")
     deadline = time.monotonic() + cfg.time_limit
     proposer = make_proposer(cfg.proposer) if preset.rounds else None
-    hits = retrieve_memory(cfg.store, graph, k) if cfg.store is not None else []
-    examples = [rec.example for rec in hits]
+    examples = [rec.example for rec in retrieve_memory(cfg.store, graph, k)] if cfg.store is not None else []
     history: list[tuple[str, tuple[str, ...]]] = []
     iterations: list[IterationRecord] = []
     outcome: Optional[SolveOutcome] = None  # set once S1 answers
@@ -246,12 +245,8 @@ def run_preset(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tu
     else:
         source = None
         outcome = SolveOutcome.timeout() if remaining <= 0 else SolveOutcome.failure("s1-exhausted")
-    # The nearest hit at this k with an equal graph is this instance's record: equal graphs have one id.
-    if cfg.store is not None and outcome.is_sat and not (hits and hits[0].k == k and hits[0].graph == graph):
-        try:
-            update_memory(cfg.store, EpisodicRecord.make(graph, k, outcome.assignment, source))
-        except MemoryRejected:
-            pass  # already known; the answer stands
+    if cfg.store is not None and outcome.is_sat and not cfg.store.holds(graph, k):
+        update_memory(cfg.store, EpisodicRecord.make(graph, k, outcome.assignment, source))
     return outcome, SolveTrace(iterations=tuple(iterations), s2_invoked=s2_invoked, source=source)
 
 

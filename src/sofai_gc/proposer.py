@@ -63,6 +63,8 @@ class ProposerConfig:
             raise ValueError("unsat_rate must be in [0, 1]")
         if not 0 < self.timeout < float("inf"):  # NaN fails every request; a socket refuses an inf timeout
             raise ValueError("timeout must be finite and > 0")
+        if not 0 <= self.temperature < float("inf"):  # NaN and inf would be sent as NaN and Infinity, not JSON
+            raise ValueError("temperature must be finite and >= 0")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
 
@@ -181,7 +183,8 @@ class ProposerResponse:
     the mock's own coloring), "not_solvable", "unparseable" (a reply with
     no pairs), or "error" (no reply: a transport, HTTP or JSON failure, no
     time left, or a vertex label no reply could name).  error says why for
-    the last two.
+    the last two.  raw is the reply's text, empty from the mock, which
+    sends none: the controller writes a failed coloring into the prompt.
     """
 
     kind: str
@@ -205,15 +208,14 @@ def parse_response(text: str, graph: Graph) -> ProposerResponse:
     pairs that do not nest, as in v(1), so v(1 or v((1)) cannot be read.
     Pairs naming unknown vertices or color 0 are ignored; the last pair
     for a vertex wins.  The assignment is keyed by the graph's own vertex
-    strings, not the reply's copies.  With no usable pairs, the text is
+    strings, found through graph.index.  With no usable pairs, the text is
     scanned for a NOT SOLVABLE declaration; anything else is unparseable.
     """
-    own = dict(zip(graph.vertices, graph.vertices)).get
     assignment: ColorAssignment = {}
     for label, c in _PAIR_RE.findall(text):
-        v = own(label)
-        if v is not None and int(c) >= 1:
-            assignment[v] = int(c)
+        i = graph.index.get(label)
+        if i is not None and int(c) >= 1:
+            assignment[graph.vertices[i]] = int(c)
     if assignment:
         return ProposerResponse("assignment", raw=text, assignment=assignment)
     if NOT_SOLVABLE in text.upper():
@@ -229,6 +231,7 @@ class MockProposer:
     feedback path).  noise corrupts per-vertex choices; it decays with
     the number of feedback rounds already in the prompt, so iteration
     helps.  unsat_rate declares NOT SOLVABLE regardless of the graph.
+    It sends no text: a reply carries only its kind and its coloring.
 
     The greedy choice is Graph.first_fit's, in vertex order, drawn from
     the same taken-color bitmasks (bit c set once a neighbor is colored
@@ -246,7 +249,7 @@ class MockProposer:
         del timeout  # the mock never blocks
         rng = self._rng
         if rng.random() < self.config.unsat_rate:
-            return ProposerResponse("not_solvable", raw=NOT_SOLVABLE)
+            return ProposerResponse("not_solvable", raw="")
         graph, k = prompt.graph, prompt.k
         effective_noise = self.config.noise * (self.config.noise_decay ** len(prompt.feedback_history))
         n = len(graph.vertices)
@@ -262,8 +265,7 @@ class MockProposer:
             colors[v] = color
             for u in ns:
                 taken[u] |= low
-        assignment = dict(zip(graph.vertices, colors))
-        return ProposerResponse("assignment", raw=format_assignment(assignment, graph.vertices), assignment=assignment)
+        return ProposerResponse("assignment", raw="", assignment=dict(zip(graph.vertices, colors)))
 
 
 class RemoteProposer:

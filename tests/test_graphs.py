@@ -353,6 +353,11 @@ class TestVerdict:
         with pytest.raises(ValueError, match="k must be"):
             verdict(triangle, {}, 0)
 
+    def test_bool_color_refused(self, triangle):
+        # True == 1, but a memory line would hold it as true, which no store can load back
+        with pytest.raises(ValueError, match="color for vertex 'A' must be an integer >= 1, got True"):
+            verdict(triangle, {"A": True, "B": 2, "C": 3}, 3)
+
     @settings(max_examples=200)
     @given(graphs_with_assignments(), st.integers(1, 5))
     def test_score_matches_edge_enumeration(self, graph_and_assignment, k):

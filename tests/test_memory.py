@@ -14,7 +14,9 @@ from sofai_gc import (
     MemoryStore,
     OrchestratorConfig,
     ProposerConfig,
+    parse_dimacs,
     retrieve_memory,
+    serialize_dimacs,
     solve_sofai_v2,
     update_memory,
 )
@@ -115,8 +117,22 @@ class TestUpdateMemory:
             update_memory(store, rec)
         assert checked == []
         with pytest.raises(MemoryRejected, match="duplicate"):
-            store.append(rec)  # the append itself still refuses a known id
+            store.append(rec)  # the append itself still refuses an instance the store holds
         assert len(store) == 1
+
+    def test_holds_an_equal_graph_at_its_k_whatever_the_id(self, petersen):
+        store = MemoryStore()
+        record = record_for(petersen, 2, None)
+        update_memory(store, record)
+        # the twin has petersen's n, e, density and vertices, in another edge order: another instance
+        twin = Graph(petersen.vertices, petersen.edges[::-1])
+        assert store.holds(parse_dimacs(serialize_dimacs(petersen)), 2)
+        assert not store.holds(petersen, 3)
+        assert not store.holds(twin, 2)
+        with pytest.raises(MemoryRejected, match="duplicate"):  # append refuses what holds finds, not an id
+            store.append(dataclasses.replace(record, id="0" * 16))
+        update_memory(store, record_for(twin, 2, None))
+        assert store.holds(twin, 2) and len(store) == 2
 
     def test_unsat_record_accepted_without_solution(self, triangle):
         store = MemoryStore()
@@ -159,7 +175,8 @@ class TestPersistence:
         (("A", "B", "C"), (("A", "B"), ("B", "C"), ("A", "C")), 3, {"A": 1, "B": 1, "C": 2}, MemoryRejected,
          "invalid solution"),
         (("A", "B", "C"), (("A", "B"), ("B", "C"), ("A", "C")), 0, None, ValueError, "k must be >= 1"),
-    ], ids=["spaced-label", "improper", "zero-k"])
+        (("A", "B"), (("A", "B"),), 2, {"A": True, "B": 2}, ValueError, "must be an integer >= 1, got True"),
+    ], ids=["spaced-label", "improper", "zero-k", "bool-color"])
     def test_a_record_the_file_could_not_hold_is_refused_when_built(self, tmp_path, triangle, vertices, edges, k,
                                                                    solution, error, fragment):
         # append writes what it is given, so only a record that checked itself keeps the file loadable;

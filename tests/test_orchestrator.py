@@ -13,6 +13,7 @@ from sofai_gc import (
     Graph,
     EpisodicRecord,
     chromatic_number,
+    MemoryRejected,
     MemoryStore,
     OrchestratorConfig,
     PromptExample,
@@ -324,7 +325,7 @@ class TestSofaiV2:
         solve_sofai_v2(bipartite, 2, cfg_with(store=store))
         outcome, trace = solve_sofai_v2(bipartite, 2, cfg_with(store=store))
         assert outcome.is_sat
-        assert len(store) == 1  # duplicate id rejected quietly
+        assert len(store) == 1  # the store holds the instance, so the second trial builds no record of it
 
     def test_a_trial_does_not_rebuild_the_record_memory_holds(self, monkeypatch):
         graph, k = gen_erdos_renyi(12, 0.4, 3), 4
@@ -339,6 +340,29 @@ class TestSofaiV2:
             assert outcome.is_sat
         assert len(built) == 1 and store.records() == (built[0],)
         assert (built[0].graph, built[0].k, built[0].solution) == (graph, k, first.assignment)
+
+    def test_a_twin_ahead_in_memory_makes_no_trial_rebuild_its_record(self, petersen, monkeypatch):
+        # Same n, e, density and k as petersen, another edge order, stored first: the twin is the
+        # nearest hit of every petersen trial, yet the store knows it holds petersen after the first.
+        twin = Graph(petersen.vertices, petersen.edges[::-1])
+        store = MemoryStore()
+        store.append(EpisodicRecord.make(twin, 3, solve_decision(twin, 3, time_limit=10.0).assignment, "S2"))
+        make, built, append, refused = EpisodicRecord.make, [], MemoryStore.append, []
+        monkeypatch.setattr(EpisodicRecord, "make", lambda *a: built.append(make(*a)) or built[-1])
+
+        def counting_append(self, record):
+            try:
+                append(self, record)
+            except MemoryRejected:
+                refused.append(record)
+                raise
+
+        monkeypatch.setattr(MemoryStore, "append", counting_append)
+        for _ in range(2):
+            outcome, _ = solve_sofai_v2(petersen, 3, cfg_with(store=store))
+            assert outcome.is_sat
+        assert [r.graph for r in built] == [petersen] and refused == []
+        assert [r.graph for r in store.records()] == [twin, petersen]
 
     def test_memory_example_is_rendered_once_per_record(self, monkeypatch):
         graph, k = gen_erdos_renyi(12, 0.4, 3), 4

@@ -205,7 +205,7 @@ class TestMockProposer:
         # parse_response can read it.
         graph = Graph(("v(1)", "B"), (("v(1)", "B"),))
         resp = MockProposer(ProposerConfig()).propose(render_prompt(graph, 2))
-        assert resp.raw == "(v(1) 1)\n(B 2)"
+        assert resp.raw == ""  # the mock sends no text; the controller writes a failed coloring itself
         assert resp.assignment == {"v(1)": 1, "B": 2}
         assert verdict(graph, resp.assignment, 2).valid
 
@@ -226,8 +226,9 @@ class TestMockProposer:
         for _ in range(3):
             reply = proposer.propose(render_prompt(graph, k, (), history))
             messages = tuple(item.message for item in format_feedback(graph, reply.assignment, k))
-            digest.update(reply.raw.encode() + b"\n\n" + "\n".join(messages).encode() + b"\n\n")
-            history.append((reply.raw, messages))
+            attempt = format_assignment(reply.assignment, graph.vertices)
+            digest.update(attempt.encode() + b"\n\n" + "\n".join(messages).encode() + b"\n\n")
+            history.append((attempt, messages))
         assert [bool(m) for _, m in history] == [True, True, False]
         assert digest.hexdigest() == "39dd90828ab33f9de5df97e583eead5560220239ce4dbde2951d02aba5d5f1f8"
 
@@ -246,7 +247,7 @@ class TestMockProposer:
                 assert reply.is_not_solvable
             else:
                 assert list(reply.assignment.items()) == list(expected.items())
-                assert reply.raw == format_assignment(expected, graph.vertices)
+            assert reply.raw == ""
             history.append((reply.raw, ("Error: something",)))
 
     def test_a_huge_k_allocates_nothing_sized_by_k(self, petersen):
@@ -269,9 +270,11 @@ class TestMockProposer:
             ProposerConfig(kind="other")
         with pytest.raises(ValueError):
             ProposerConfig(kind="remote")  # endpoint required
-        # each of these made every remote round an error (inf an uncaught OverflowError), the last without a request
+        # each of these made every remote round an error: an inf timeout an uncaught OverflowError, -1 retries
+        # no request at all, and a NaN or inf temperature a request body that is not JSON (NaN, Infinity)
         for name, value in (
             ("timeout", 0), ("timeout", -1), ("timeout", float("nan")), ("timeout", float("inf")), ("retries", -1),
+            ("temperature", -0.5), ("temperature", float("nan")), ("temperature", float("inf")),
         ):
             with pytest.raises(ValueError, match=name):
                 ProposerConfig(kind="remote", endpoint="http://example.test/v1", **{name: value})

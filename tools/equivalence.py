@@ -44,10 +44,14 @@ metacognition.render_prompt to record those digests, bench.solve and
 cli.solve (the bench lines and the solve lines look a roster id up
 through one of them) to record those rounds, and dsatur.select_vertex,
 which the search calls once per node with any arguments, to count those
-nodes.  Prints the counts and the keys compared, and each S2 call whose
-node count differs (its index, name and both counts), and exits 1 on any
-mismatch.  Last it prints the total lines of the *.py files under REV's
-src/ and the tree's, and the difference.  Standard library only.
+nodes.  It also wraps memory.EpisodicRecord.make and
+memory.MemoryStore.append, to count the records each side builds and the
+appends the store refuses; those two counts are printed per side for
+information, as the round keys are, and are not compared.  Prints the
+counts and the keys compared, and each S2 call whose node count differs
+(its index, name and both counts), and exits 1 on any mismatch.  Last it
+prints the total lines of the *.py files under REV's src/ and the
+tree's, and the difference.  Standard library only.
 """
 
 from __future__ import annotations
@@ -95,16 +99,20 @@ e E B
 """
 
 
-# `python -c RUNNER DIGESTS ROUNDS NODES ARGS...`: sofai_gc.cli.main(ARGS) with
-# each rendered prompt's sha256 appended to the file DIGESTS, each solve
-# call's S1 rounds appended to ROUNDS as one JSON list of dicts, and each
-# top-level S2 call's name and search nodes appended to NODES as one line.
+# `python -c RUNNER DIGESTS ROUNDS NODES MEMORY ARGS...`: sofai_gc.cli.main(ARGS)
+# with each rendered prompt's sha256 appended to the file DIGESTS, each solve
+# call's S1 rounds appended to ROUNDS as one JSON list of dicts, each
+# top-level S2 call's name and search nodes appended to NODES as one line,
+# and the process's EpisodicRecord.make calls and refused MemoryStore
+# appends appended to MEMORY as one line of two counts.
 RUNNER = """
 import dataclasses, hashlib, json, sys
-from sofai_gc import bench, cli, dsatur, generate, metacognition
+from sofai_gc import bench, cli, dsatur, generate, memory, metacognition
 
 render, solve, select = metacognition.render_prompt, bench.solve, dsatur.select_vertex
+make, append = memory.EpisodicRecord.make, memory.MemoryStore.append
 nodes = [0]
+made = [0, 0]  # records built, appends refused
 
 def recording(*args, **kwargs):
     prompt = render(*args, **kwargs)
@@ -135,27 +143,47 @@ def counting_s2(name, search):
                 fh.write(f"{name} {nodes[0]}\\n")
     return call
 
+def counting_make(*args, **kwargs):
+    made[0] += 1
+    return make(*args, **kwargs)
+
+def counting_append(store, record):
+    try:
+        return append(store, record)
+    except memory.MemoryRejected:
+        made[1] += 1
+        raise
+
 metacognition.render_prompt = recording
 bench.solve = cli.solve = recording_rounds
 dsatur.select_vertex = counting
 metacognition.solve_decision = counting_s2("solve_decision", metacognition.solve_decision)
 generate.chromatic_number = counting_s2("chromatic_number", generate.chromatic_number)
-sys.exit(cli.main(sys.argv[4:]))
+memory.EpisodicRecord.make = staticmethod(counting_make)
+memory.MemoryStore.append = counting_append
+try:
+    status = cli.main(sys.argv[5:])
+finally:
+    with open(sys.argv[4], "a") as fh:
+        fh.write(f"{made[0]} {made[1]}\\n")
+sys.exit(status)
 """
 
 ROUNDS = "S1 rounds of each solve call, equal on the keys both sides write"
 NODES = "S2 nodes per call"
+MEMORY = "records built and appends refused"
 
 
 def run_matrix(src: Path, out: Path) -> dict[str, list]:
-    """Run the matrix on the package in src, writing to out; returns what the two sides must share."""
+    """Run the matrix on the package in src, writing to out; returns what the two sides must share, and MEMORY."""
     digests, solve_digests = out / "prompts.sha256", out / "solve-prompts.sha256"
     again_digests, rounds, nodes = out / "solve-again-prompts.sha256", out / "rounds.jsonl", out / "s2-nodes.txt"
+    made = out / "memory-counts.txt"
     out.mkdir(parents=True)  # gen's S2 calls write their nodes before it writes its dataset
 
     def cli(*args: str, digests: Path = digests) -> None:
         subprocess.run(
-            [sys.executable, "-c", RUNNER, str(digests), str(rounds), str(nodes), *args],
+            [sys.executable, "-c", RUNNER, str(digests), str(rounds), str(nodes), str(made), *args],
             env={**os.environ, "PYTHONPATH": str(src)},
             check=True,
             stdout=subprocess.DEVNULL,
@@ -189,6 +217,7 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
         "solve again from its memory file, prompt texts equal by sha256": again_digests.read_text().split(),
         ROUNDS: [json.loads(line) for line in rounds.read_text().splitlines()],
         NODES: nodes.read_text().splitlines(),
+        MEMORY: [sum(int(line.split()[i]) for line in made.read_text().splitlines()) for i in (0, 1)],
     }
 
 
@@ -218,6 +247,7 @@ def main(argv: list[str]) -> int:
         new = run_matrix(ROOT / "src", base / "tree")
         lines = [py_lines(base / "src"), py_lines(ROOT / "src")]
     print(f"working tree vs {rev}, {len(PRESETS)} solver ids:")
+    made = [side.pop(MEMORY) for side in (old, new)]
     keys = [{key for call in side[ROUNDS] for row in call for key in row} for side in (old, new)]
     shared = keys[0] & keys[1]
     for side in (old, new):
@@ -235,6 +265,8 @@ def main(argv: list[str]) -> int:
     print(f"  S1 round keys compared: {', '.join(sorted(shared))}")
     print(f"  only {rev} writes: {', '.join(sorted(keys[0] - shared)) or '-'}")
     print(f"  only the tree writes: {', '.join(sorted(keys[1] - shared)) or '-'}")
+    print(f"  EpisodicRecord.make calls: {made[0][0]} at {rev}, {made[1][0]} in the tree")
+    print(f"  appends MemoryStore refused: {made[0][1]} at {rev}, {made[1][1]} in the tree")
     print(f"  src/ lines of *.py: {lines[0]} at {rev}, {lines[1]} in the tree ({lines[1] - lines[0]:+d})")
     return 1 if failed else 0
 
