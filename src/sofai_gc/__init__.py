@@ -29,7 +29,7 @@ from .generate import (
     load_dataset,
     write_dataset,
 )
-from .memory import EpisodicRecord, MemoryRejected, MemoryStore, retrieve_memory, update_memory
+from .memory import EpisodicRecord, MemoryRejected, MemoryStore, retrieve_memory
 from .metacognition import (
     FeedbackItem,
     IterationRecord,

@@ -22,9 +22,19 @@ from typing import Iterator, Optional, Sequence
 from .dsatur import SolveOutcome
 from .generate import InstanceRecord, load_dataset, read_manifest_meta
 from .graphs import Graph
-from .memory import MemoryStore, check_json_types, read_jsonl, sha256
+from .memory import MemoryStore, check_json_types, read_jsonl
 from .metacognition import MEMORYLESS_ERROR, PRESETS, OrchestratorConfig, SolveTrace, run_preset, solve_sofai_v2
 from .proposer import ProposerConfig
+
+# The interpreter's own SHA-256, as CPython's random module takes its SHA-512:
+# hashlib would map OpenSSL's libcrypto, 3.5 MB resident, for the same bytes.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 SOLVERS = tuple(PRESETS)
 

@@ -5,8 +5,9 @@ of the append-only JSONL file (a store may also live purely in memory)
 and in its prompt example, which is rendered once, on first retrieval.
 Retrieval compares (n, e, density, k) attribute vectors; the raw
 chromatic number of a fresh instance is unknown before solving, so the
-color bound k stands in for it.  Only MemoryStore.holds says which
-instances the store holds (by k and graph; a line's id decides nothing).
+color bound k stands in for it.  An instance is its k and its graph:
+MemoryStore.holds alone says which instances the store holds, and a
+record of that very graph ranks first among retrieval's ties.
 """
 
 from __future__ import annotations
@@ -20,16 +21,6 @@ from typing import Callable, Mapping, Optional, TypeVar
 
 from .graphs import ColorAssignment, Graph, parse_dimacs, serialize_dimacs, verdict
 from .proposer import PromptExample
-
-# The interpreter's own SHA-256, as CPython's random module takes its SHA-512:
-# hashlib would map OpenSSL's libcrypto, 3.5 MB resident, for the same bytes.
-try:
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python 3.10 and 3.11
-    except ImportError:
-        from hashlib import sha256
 
 _SOLVERS = ("S1", "S2")
 
@@ -48,7 +39,6 @@ class EpisodicRecord:
     Graph holds only labels that DIMACS can carry.
     """
 
-    id: str
     k: int
     graph: Graph
     solution: Optional[ColorAssignment]
@@ -61,7 +51,7 @@ class EpisodicRecord:
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.solution is not None and not verdict(self.graph, self.solution, self.k).valid:
-            raise MemoryRejected(f"record {self.id} carries an invalid solution")
+            raise MemoryRejected(f"record of n={self.n}, e={self.e}, k={self.k} carries an invalid solution")
 
     @property
     def n(self) -> int:
@@ -82,10 +72,8 @@ class EpisodicRecord:
 
     @classmethod
     def make(cls, graph: Graph, k: int, solution: Optional[ColorAssignment], solver: str) -> "EpisodicRecord":
-        """Build a record from a graph, stamped now; the id is a digest of (DIMACS text, k)."""
-        digest = sha256(f"{serialize_dimacs(graph)}\nk={k}".encode()).hexdigest()[:16]
+        """Build a record from a graph, stamped now."""
         return cls(
-            id=digest,
             k=k,
             graph=graph,
             solution=dict(solution) if solution is not None else None,
@@ -96,7 +84,6 @@ class EpisodicRecord:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "id": self.id,
                 "n": self.n,
                 "e": self.e,
                 "density": self.density,
@@ -111,14 +98,13 @@ class EpisodicRecord:
 
     @classmethod
     def from_json(cls, line: str | bytes) -> "EpisodicRecord":
-        """Parse one JSONL line into a record, which checks itself; n, e and density are not read back."""
+        """Parse one JSONL line into a record, which checks itself; n, e, density and an old line's id go unread."""
         obj = json.loads(line)
         check_json_types(obj, _LINE_TYPES)
         solution = obj["solution"]
         if solution is not None:
             check_json_types(solution, dict.fromkeys(solution, "int"), "the color of ")
         return cls(
-            id=obj["id"],
             k=obj["k"],
             graph=parse_dimacs(obj["dimacs"]),
             solution=solution,
@@ -128,7 +114,7 @@ class EpisodicRecord:
 
 
 # The keys of a memory line that EpisodicRecord.from_json reads, with their types.
-_LINE_TYPES = dict(id="str", k="int", dimacs="str", solution="Optional[dict]", solver="str", timestamp="float")
+_LINE_TYPES = dict(k="int", dimacs="str", solution="Optional[dict]", solver="str", timestamp="float")
 
 # The JSON value types each annotation accepts: a float takes an int too, as JSON has one number
 # type; bool is a subclass of int, so the check compares types, not isinstance.
@@ -206,13 +192,13 @@ class MemoryStore:
         return tuple(self._records)
 
     def holds(self, graph: Graph, k: int) -> bool:
-        """Whether a record has this k and an equal graph (so the same id); graphs, which walk labels, compare last."""
+        """Whether a record has this k and an equal graph; graphs, which walk labels, compare last."""
         return any(rec.k == k and rec.e == len(graph.edges) and rec.graph == graph for rec in self._records)
 
     def append(self, record: EpisodicRecord) -> None:
         """Add a record unless the store holds its instance; with a path, the line is written before this returns."""
         if self.holds(record.graph, record.k):
-            raise MemoryRejected(f"duplicate record id {record.id}")
+            raise MemoryRejected(f"duplicate: the store holds this n={record.n}, e={record.e} graph at k={record.k}")
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("ab") as fh:
@@ -224,12 +210,6 @@ class MemoryStore:
         self._records.append(record)
 
 
-def update_memory(store: MemoryStore, record: EpisodicRecord) -> str:
-    """Durably append a record to the store; returns its id, or raises MemoryRejected for a held instance."""
-    store.append(record)
-    return record.id
-
-
 def retrieve_memory(
     store: MemoryStore,
     graph: Graph,
@@ -237,15 +217,19 @@ def retrieve_memory(
     alpha: float = 0.1,
     limit: int = 1,
 ) -> list[EpisodicRecord]:
-    """Records whose attribute distance to (graph, k) is below alpha, nearest first.
+    """Up to limit records whose attribute distance to (graph, k) is below alpha, nearest first.
 
     Distance is the mean of per-attribute |difference| over (n, e,
     density, k), each scaled by the store's observed max for that
     attribute (density is already in [0, 1]; scales floor at 1 so a
-    degenerate store cannot divide by zero).
+    degenerate store cannot divide by zero).  Among records at one
+    distance a record of this very graph comes first (at distance 0,
+    the instance MemoryStore.holds finds), then store order decides.
     """
     if not alpha >= 0:  # NaN too: no distance is below a NaN alpha
         raise ValueError("alpha must be >= 0")
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
     records = store.records()
     if not records:
         return []
@@ -256,11 +240,12 @@ def retrieve_memory(
         1.0,
         max(1.0, max(r.k for r in records)),
     )
-    scored: list[tuple[float, int, EpisodicRecord]] = []
+    scored: list[tuple[float, bool, int, EpisodicRecord]] = []
     for idx, rec in enumerate(records):
         attrs = (rec.n, rec.e, rec.density, rec.k)
         d = sum(abs(q - a) / s for q, a, s in zip(query, attrs, scales)) / len(query)
         if d < alpha:
-            scored.append((d, idx, rec))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    return [rec for _, _, rec in scored[:limit]]
+            # only at distance 0 are n, e and k equal, so only there can the graphs be
+            scored.append((d, d > 0 or rec.graph != graph, idx, rec))
+    scored.sort(key=lambda item: item[:3])
+    return [rec for *_, rec in scored[:limit]]

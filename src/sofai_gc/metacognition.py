@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .dsatur import SolveOutcome, solve_decision
 from .graphs import ColorAssignment, Graph, Verdict, verdict
-from .memory import EpisodicRecord, MemoryStore, retrieve_memory, update_memory
+from .memory import EpisodicRecord, MemoryStore, retrieve_memory
 from .proposer import (
     NOT_SOLVABLE,
     PromptExample,
@@ -246,7 +246,7 @@ def run_preset(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tu
         source = None
         outcome = SolveOutcome.timeout() if remaining <= 0 else SolveOutcome.failure("s1-exhausted")
     if cfg.store is not None and outcome.is_sat and not cfg.store.holds(graph, k):
-        update_memory(cfg.store, EpisodicRecord.make(graph, k, outcome.assignment, source))
+        cfg.store.append(EpisodicRecord.make(graph, k, outcome.assignment, source))
     return outcome, SolveTrace(iterations=tuple(iterations), s2_invoked=s2_invoked, source=source)
 
 

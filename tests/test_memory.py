@@ -18,9 +18,8 @@ from sofai_gc import (
     retrieve_memory,
     serialize_dimacs,
     solve_sofai_v2,
-    update_memory,
 )
-from sofai_gc import memory
+from sofai_gc import bench
 
 
 def record_for(graph, k, solution, solver="S2", timestamp=0.0):
@@ -30,18 +29,18 @@ def record_for(graph, k, solution, solver="S2", timestamp=0.0):
 # One memory file line, byte for byte: the JSONL format must not drift.
 FROZEN_LINE = (
     '{"density": 0.5, "dimacs": "c vertices A B C D\\np edge 4 3\\ne A B\\ne B C\\ne A C", '
+    '"e": 3, "k": 3, "n": 4, "solution": {"A": 1, "B": 2, "C": 3, "D": 1}, '
+    '"solver": "S2", "timestamp": 0.0}'
+)
+# The same record as written while each line carried an id, a digest that no reader uses; files hold such lines.
+ID_LINE = (
+    '{"density": 0.5, "dimacs": "c vertices A B C D\\np edge 4 3\\ne A B\\ne B C\\ne A C", '
     '"e": 3, "id": "248afda8ddeea7ed", "k": 3, "n": 4, "solution": {"A": 1, "B": 2, "C": 3, "D": 1}, '
     '"solver": "S2", "timestamp": 0.0}'
 )
 
 
 class TestEpisodicRecord:
-    def test_id_is_content_hash(self, triangle):
-        a = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
-        b = record_for(triangle, 3, {"A": 2, "B": 3, "C": 1})
-        assert a.id == b.id  # same instance, same id regardless of solution
-        assert a.id != record_for(triangle, 4, {"A": 1, "B": 2, "C": 3}).id
-
     def test_attributes(self, fig2_graph):
         rec = record_for(fig2_graph, 2, None)
         assert (rec.n, rec.e, rec.k) == (5, 5, 2)
@@ -58,6 +57,7 @@ class TestEpisodicRecord:
         rec = record_for(graph, 3, {"A": 1, "B": 2, "C": 3, "D": 1})
         assert rec.to_json() == FROZEN_LINE
         assert EpisodicRecord.from_json(FROZEN_LINE) == rec
+        assert EpisodicRecord.from_json(ID_LINE) == rec  # an older line's id is not read
 
     def test_solver_validation(self, triangle):
         with pytest.raises(ValueError, match="solver"):
@@ -65,78 +65,74 @@ class TestEpisodicRecord:
 
     def test_sha256_is_the_standard_digest(self):
         # FIPS 180-2, appendix B.1
-        assert memory.sha256(b"abc").hexdigest() == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert bench.sha256(b"abc").hexdigest() == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
     def test_hashlib_fallback_gives_the_same_ids_and_seeds(self):
         # Without the interpreter's own SHA-256 modules the package falls back to hashlib
         code = (
             'import sys; sys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
-            "from sofai_gc import EpisodicRecord, Graph, derive_seed\n"
-            'graph = Graph(("A", "B", "C", "D"), (("A", "B"), ("B", "C"), ("A", "C")))\n'
-            'print("hashlib" in sys.modules, derive_seed(0, "x", 1), EpisodicRecord.make(graph, 3, None, "S2").id)'
+            "from sofai_gc import derive_seed\n"
+            'print("hashlib" in sys.modules, derive_seed(0, "x", 1))'
         )
-        src = str(Path(memory.__file__).resolve().parents[1])
+        src = str(Path(bench.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                               env={**os.environ, "PYTHONPATH": src})
-        assert proc.stdout.split() == ["True", "3243668993462905595", json.loads(FROZEN_LINE)["id"]]
+        assert proc.stdout.split() == ["True", "3243668993462905595"]
 
 
 class TestUpdateMemory:
     def test_append_then_retrieve_identical(self, triangle):
         store = MemoryStore()
         rec = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
-        update_memory(store, rec)
+        store.append(rec)
         found = retrieve_memory(store, triangle, 3, alpha=0.01)
         assert found == [rec]
 
     def test_invalid_solution_rejected(self, triangle):
         store = MemoryStore()
         with pytest.raises(MemoryRejected, match="invalid solution"):
-            update_memory(store, record_for(triangle, 3, {"A": 1, "B": 1, "C": 2}))
+            store.append(record_for(triangle, 3, {"A": 1, "B": 1, "C": 2}))
         assert len(store) == 0
 
     def test_over_budget_solution_rejected(self, triangle):
         with pytest.raises(MemoryRejected):
-            update_memory(MemoryStore(), record_for(triangle, 2, {"A": 1, "B": 2, "C": 3}))
+            MemoryStore().append(record_for(triangle, 2, {"A": 1, "B": 2, "C": 3}))
 
     def test_duplicate_id_rejected(self, triangle):
         store = MemoryStore()
         rec = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
-        update_memory(store, rec)
+        store.append(rec)
         with pytest.raises(MemoryRejected, match="duplicate"):
-            update_memory(store, record_for(triangle, 3, {"A": 3, "B": 1, "C": 2}))
+            store.append(record_for(triangle, 3, {"A": 3, "B": 1, "C": 2}))
 
     def test_duplicate_rejected_before_parse_and_verify(self, triangle, monkeypatch):
         import sofai_gc.memory as memory
         store = MemoryStore()
         rec = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
-        update_memory(store, rec)
+        store.append(rec)
         checked = []
         monkeypatch.setattr(memory, "verdict", lambda *args: checked.append(args))
         with pytest.raises(MemoryRejected, match="duplicate"):
-            update_memory(store, rec)
-        assert checked == []
-        with pytest.raises(MemoryRejected, match="duplicate"):
-            store.append(rec)  # the append itself still refuses an instance the store holds
-        assert len(store) == 1
+            store.append(rec)
+        assert checked == [] and len(store) == 1
 
     def test_holds_an_equal_graph_at_its_k_whatever_the_id(self, petersen):
         store = MemoryStore()
         record = record_for(petersen, 2, None)
-        update_memory(store, record)
+        store.append(record)
         # the twin has petersen's n, e, density and vertices, in another edge order: another instance
         twin = Graph(petersen.vertices, petersen.edges[::-1])
         assert store.holds(parse_dimacs(serialize_dimacs(petersen)), 2)
         assert not store.holds(petersen, 3)
         assert not store.holds(twin, 2)
-        with pytest.raises(MemoryRejected, match="duplicate"):  # append refuses what holds finds, not an id
-            store.append(dataclasses.replace(record, id="0" * 16))
-        update_memory(store, record_for(twin, 2, None))
+        with pytest.raises(MemoryRejected, match="duplicate"):  # append refuses what holds finds, not a line's id
+            store.append(EpisodicRecord.from_json(json.dumps({**json.loads(record.to_json()), "id": "0" * 16})))
+        store.append(record_for(twin, 2, None))
         assert store.holds(twin, 2) and len(store) == 2
 
     def test_unsat_record_accepted_without_solution(self, triangle):
         store = MemoryStore()
-        update_memory(store, record_for(triangle, 2, None))
+        store.append(record_for(triangle, 2, None))
         assert len(store) == 1
 
     def test_persistence_failure_propagates(self, tmp_path, triangle):
@@ -145,15 +141,15 @@ class TestUpdateMemory:
         store = MemoryStore()  # in-memory load, then break the path
         store.path = blocker / "memory.jsonl"
         with pytest.raises(OSError):
-            update_memory(store, record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}))
+            store.append(record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}))
 
 
 class TestPersistence:
     def test_jsonl_round_trip(self, tmp_path, triangle, fig2_graph):
         path = tmp_path / "memory.jsonl"
         store = MemoryStore(path)
-        update_memory(store, record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}))
-        update_memory(store, record_for(fig2_graph, 3, {"A": 1, "B": 2, "C": 3, "D": 1, "E": 2}))
+        store.append(record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}))
+        store.append(record_for(fig2_graph, 3, {"A": 1, "B": 2, "C": 3, "D": 1, "E": 2}))
 
         lines = path.read_text().splitlines()
         assert len(lines) == 2
@@ -167,7 +163,7 @@ class TestPersistence:
         # Graph refuses the label, so no record of it can reach the file
         path = tmp_path / "memory.jsonl"
         with pytest.raises(ValueError, match="not one DIMACS token"):
-            update_memory(MemoryStore(path), record_for(Graph((label, "c"), ((label, "c"),)), 2, {label: 1, "c": 2}))
+            MemoryStore(path).append(record_for(Graph((label, "c"), ((label, "c"),)), 2, {label: 1, "c": 2}))
         assert not path.exists()
 
     @pytest.mark.parametrize("vertices, edges, k, solution, error, fragment", [
@@ -190,14 +186,14 @@ class TestPersistence:
         with pytest.raises(error, match=fragment):  # nor by copying a valid record
             dataclasses.replace(known, graph=Graph(vertices, edges), k=k, solution=solution)
         with pytest.raises(error, match=fragment):
-            EpisodicRecord("0" * 16, k, Graph(vertices, edges), solution, "S2", 0.0)
+            EpisodicRecord(k, Graph(vertices, edges), solution, "S2", 0.0)
         assert store.records() == MemoryStore(path).records() == (known,)
 
     def test_solving_a_graph_with_a_spaced_label_leaves_the_file_loadable(self, tmp_path, triangle):
         path = tmp_path / "memory.jsonl"
         store = MemoryStore(path)
         known = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
-        update_memory(store, known)
+        store.append(known)
         cfg = OrchestratorConfig(proposer=ProposerConfig(kind="mock"), store=store)
         with pytest.raises(ValueError, match="not one DIMACS token"):  # no trial starts on such a graph
             solve_sofai_v2(Graph(("a b", "c"), (("a b", "c"),)), 2, cfg)
@@ -206,14 +202,14 @@ class TestPersistence:
     def test_torn_final_line_skipped_then_cut_off(self, tmp_path, triangle, fig2_graph, petersen):
         path = tmp_path / "memory.jsonl"
         first = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
-        update_memory(MemoryStore(path), first)
+        MemoryStore(path).append(first)
         cut = record_for(fig2_graph, 3, None).to_json()
         with path.open("a") as fh:
             fh.write(cut[: len(cut) // 2])  # an append cut short before its newline
         store = MemoryStore(path)
         assert store.records() == (first,)
         third = record_for(petersen, 3, None)
-        update_memory(store, third)
+        store.append(third)
         assert MemoryStore(path).records() == (first, third)
 
     def test_unterminated_final_record_kept(self, tmp_path, triangle, petersen):
@@ -223,7 +219,7 @@ class TestPersistence:
         store = MemoryStore(path)
         assert store.records() == (first,)
         second = record_for(petersen, 3, None)
-        update_memory(store, second)
+        store.append(second)
         assert MemoryStore(path).records() == (first, second)
 
     def test_bad_line_mid_file_names_its_line(self, tmp_path, triangle, petersen):
@@ -265,11 +261,25 @@ class TestPersistence:
         path.write_text(good.to_json() + "\n" + bad)  # as a torn final line it is skipped
         assert MemoryStore(path).records() == (good,)
 
+    def test_a_file_of_lines_with_ids_loads_and_grows_without_them(self, tmp_path, triangle):
+        path = tmp_path / "memory.jsonl"
+        path.write_text(ID_LINE + "\n")
+        store = MemoryStore(path)
+        (old,) = store.records()
+        graph = Graph(("A", "B", "C", "D"), (("A", "B"), ("B", "C"), ("A", "C")))
+        assert (old.k, old.graph, old.solution, old.solver, old.timestamp) == (
+            3, graph, {"A": 1, "B": 2, "C": 3, "D": 1}, "S2", 0.0)
+        new = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
+        store.append(new)
+        assert path.read_text().splitlines() == [ID_LINE, new.to_json()]
+        assert "id" not in json.loads(new.to_json())
+        assert MemoryStore(path).records() == (old, new)
+
     def test_reopened_store_still_rejects_duplicates(self, tmp_path, triangle):
         path = tmp_path / "memory.jsonl"
-        update_memory(MemoryStore(path), record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}))
+        MemoryStore(path).append(record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}))
         with pytest.raises(MemoryRejected, match="duplicate"):
-            update_memory(MemoryStore(path), record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}))
+            MemoryStore(path).append(record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}))
 
 
 class TestRetrieveMemory:
@@ -279,14 +289,14 @@ class TestRetrieveMemory:
     def test_identical_instance_distance_zero(self, petersen):
         store = MemoryStore()
         rec = record_for(petersen, 3, None)
-        update_memory(store, rec)
+        store.append(rec)
         # alpha just above zero still admits the d=0 identical instance
         assert retrieve_memory(store, petersen, 3, alpha=1e-9) == [rec]
 
     def test_far_instance_excluded(self, triangle):
         store = MemoryStore()
         big = Graph(tuple(str(i) for i in range(1, 31)), (("1", "2"),))
-        update_memory(store, record_for(big, 2, None))
+        store.append(record_for(big, 2, None))
         # n differs by the full observed range: d >= |3-30|/30 / 4 = 0.225
         assert retrieve_memory(store, triangle, 3, alpha=0.1) == []
 
@@ -298,7 +308,7 @@ class TestRetrieveMemory:
         }
         recs = {n: record_for(graphs[n], 2, None, timestamp=n) for n in (4, 5, 6)}
         for n in (6, 4, 5):
-            update_memory(store, recs[n])
+            store.append(recs[n])
         got = retrieve_memory(store, graphs[5], 2, alpha=1.0, limit=2)
         assert got[0] == recs[5]  # exact match first
         assert len(got) == 2
@@ -308,8 +318,8 @@ class TestRetrieveMemory:
         store = MemoryStore()
         g = Graph(("1", "2"), (("1", "2"),))
         h = Graph(("1", "2", "3"), (("1", "2"),))
-        update_memory(store, record_for(g, 2, {"1": 1, "2": 2}))
-        update_memory(store, record_for(h, 2, {"1": 1, "2": 2, "3": 1}))
+        store.append(record_for(g, 2, {"1": 1, "2": 2}))
+        store.append(record_for(h, 2, {"1": 1, "2": 2, "3": 1}))
         assert len(retrieve_memory(store, g, 2, alpha=1.0)) == 1
 
     def test_alpha_validation(self, triangle):
@@ -318,15 +328,34 @@ class TestRetrieveMemory:
         with pytest.raises(ValueError):  # a NaN alpha retrieved nothing
             retrieve_memory(MemoryStore(), triangle, 3, alpha=float("nan"))
 
+    @pytest.mark.parametrize("limit", [0, -1])  # -1 returned every hit but the farthest, 0 returned none
+    def test_limit_validation(self, triangle, limit):
+        store = MemoryStore()
+        store.append(record_for(triangle, 3, None))
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            retrieve_memory(store, triangle, 3, limit=limit)
+
     def test_insertion_order_breaks_distance_ties(self):
         store = MemoryStore()
         # same n, e, density, k: attribute vectors are identical, so the
-        # two records tie on distance and insertion order must decide
+        # records tie on distance; the query is neither graph, so insertion order must decide
         ga = Graph(("1", "2", "3", "4"), (("1", "2"), ("3", "4")))
         gb = Graph(("1", "2", "3", "4"), (("1", "3"), ("2", "4")))
+        gc = Graph(("1", "2", "3", "4"), (("1", "4"), ("2", "3")))
         ra = record_for(ga, 2, None, timestamp=1)
         rb = record_for(gb, 2, None, timestamp=2)
-        update_memory(store, rb)
-        update_memory(store, ra)
-        got = retrieve_memory(store, ga, 2, alpha=1.0, limit=2)
+        store.append(rb)
+        store.append(ra)
+        got = retrieve_memory(store, gc, 2, alpha=1.0, limit=2)
         assert got == [rb, ra]  # tie on distance: first stored wins
+
+    def test_own_record_beats_a_tie_stored_first(self, petersen):
+        # the twin has petersen's n, e, density and k, in another edge order: another graph at distance 0
+        twin = Graph(petersen.vertices, petersen.edges[::-1])
+        store = MemoryStore()
+        theirs, own = record_for(twin, 2, None), record_for(petersen, 2, None)
+        store.append(theirs)
+        store.append(own)
+        assert retrieve_memory(store, petersen, 2) == [own]
+        assert retrieve_memory(store, parse_dimacs(serialize_dimacs(petersen)), 2, limit=2) == [own, theirs]
+        assert retrieve_memory(store, twin, 2) == [theirs]

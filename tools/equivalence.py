@@ -26,16 +26,23 @@ on LETTERS, an instance written here with letter labels, a `c vertices`
 line and its edges written high to low, out of order; its first round
 fails, so later prompts carry a worked example.  Then it runs that line
 again against the memory file the first one wrote, so its prompts carry
-an example read back from JSONL, rendered from a parsed graph.  The
-datasets must be byte-identical, every trial record and memory record
-must be equal except wall_time and timestamp, and every prompt the bench
+an example read back from JSONL, rendered from a parsed graph.  Last,
+on a fresh memory file, it runs the solve line on TWIN, LETTERS with its
+edges in another order (the same n, e, density and k, another graph),
+then on LETTERS, then on LETTERS again: the store then holds both
+graphs, the twin first, so the last solve's memory hit shows which of
+two tied records retrieval ranks first.  The
+datasets must be byte-identical, every trial record must be equal
+except wall_time, every memory record of the bench and solve lines must
+be equal except timestamp, and every prompt the bench
 lines and the solve lines render must have the same text, compared by
 sha256 in the order rendered (the mock proposer ignores prompt text, so nothing else
 would see it change).  The S1 rounds of every solve call, each round's
-IterationRecord as a dict without its elapsed time, must be equal on the
-keys that both sides write: a field one side dropped or added is listed,
-not counted as a mismatch, so a change to the record's fields can still
-be checked on every fact the two sides share.  Every top-level S2 call
+IterationRecord as a dict without its elapsed time, and the memory
+records must be equal on the keys that both sides write: a field one
+side dropped or added is listed, not counted as a mismatch, so a change
+to the record's fields can still be checked on every fact the two sides
+share.  Every top-level S2 call
 (the controller's solve_decision, gen's chromatic_number) must visit the
 same number of search nodes, call for call, so a change to how S2
 branches or backtracks shows which searches it changed.  Each command
@@ -47,7 +54,7 @@ which the search calls once per node with any arguments, to count those
 nodes.  It also wraps memory.EpisodicRecord.make and
 memory.MemoryStore.append, to count the records each side builds and the
 appends the store refuses; those two counts are printed per side for
-information, as the round keys are, and are not compared.  Prints the
+information, as the keys are, and are not compared.  Prints the
 counts and the keys compared, and each S2 call whose node count differs
 (its index, name and both counts), and exits 1 on any mismatch.  Last it
 prints the total lines of the *.py files under REV's src/ and the
@@ -97,6 +104,8 @@ e H G
 e F C
 e E B
 """
+# LETTERS with its edge lines in reverse order: equal counts, another Graph.
+TWIN = "\n".join([*LETTERS.splitlines()[:3], *LETTERS.splitlines()[:2:-1]]) + "\n"
 
 
 # `python -c RUNNER DIGESTS ROUNDS NODES MEMORY ARGS...`: sofai_gc.cli.main(ARGS)
@@ -170,6 +179,7 @@ sys.exit(status)
 """
 
 ROUNDS = "S1 rounds of each solve call, equal on the keys both sides write"
+RECORDS = "memory records equal except timestamp, on the keys both sides write"
 NODES = "S2 nodes per call"
 MEMORY = "records built and appends refused"
 
@@ -178,6 +188,7 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
     """Run the matrix on the package in src, writing to out; returns what the two sides must share, and MEMORY."""
     digests, solve_digests = out / "prompts.sha256", out / "solve-prompts.sha256"
     again_digests, rounds, nodes = out / "solve-again-prompts.sha256", out / "rounds.jsonl", out / "s2-nodes.txt"
+    twin_digests, tied_digests = out / "twin-prompts.sha256", out / "tied-prompts.sha256"
     made = out / "memory-counts.txt"
     out.mkdir(parents=True)  # gen's S2 calls write their nodes before it writes its dataset
 
@@ -196,11 +207,17 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
     for solver, preset in PRESETS.items():
         memory = ["--memory", str(out / f"{solver}.memory.jsonl")] if preset.memory else []
         cli(*BENCH, "--solver", solver, "--dataset", str(data), "--out", str(out / f"{solver}.jsonl"), *memory)
-    letters = out / "letters.col"
+    letters, twin = out / "letters.col", out / "twin.col"
     letters.write_text(LETTERS)
+    twin.write_text(TWIN)
     solve = [*SOLVE, "--instance", str(letters), "--memory", str(out / "solve.memory.jsonl")]
     cli(*solve, digests=solve_digests)
     cli(*solve, digests=again_digests)
+    tied = ["--memory", str(out / "twin.memory.jsonl")]
+    cli(*SOLVE, "--instance", str(twin), *tied, digests=twin_digests)
+    cli(*SOLVE, "--instance", str(letters), *tied, digests=twin_digests)
+    cli(*SOLVE, "--instance", str(letters), *tied, digests=tied_digests)
+    memory_files = [*(f"{solver}.memory.jsonl" for solver in PRESETS), "solve.memory.jsonl", "twin.memory.jsonl"]
     return {
         "dataset files byte-identical": [
             (p.relative_to(out).as_posix(), p.read_bytes())
@@ -209,12 +226,14 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
         "trial records equal except wall_time": [
             row for solver in PRESETS for row in records(out / f"{solver}.jsonl", "wall_time")
         ],
-        "memory records equal except timestamp": [
-            row for solver in PRESETS for row in records(out / f"{solver}.memory.jsonl", "timestamp")
-        ],
+        RECORDS: [row for name in memory_files for row in records(out / name, "timestamp")],
         "prompt texts equal by sha256": digests.read_text().split(),
         "solve on letters.col, prompt texts equal by sha256": solve_digests.read_text().split(),
         "solve again from its memory file, prompt texts equal by sha256": again_digests.read_text().split(),
+        "solve on TWIN, then on letters.col, one memory file, prompt texts equal by sha256":
+            twin_digests.read_text().split(),
+        "solve letters.col again, TWIN stored ahead of it, prompt texts equal by sha256":
+            tied_digests.read_text().split(),
         ROUNDS: [json.loads(line) for line in rounds.read_text().splitlines()],
         NODES: nodes.read_text().splitlines(),
         MEMORY: [sum(int(line.split()[i]) for line in made.read_text().splitlines()) for i in (0, 1)],
@@ -229,6 +248,11 @@ def records(path: Path, ignored: str) -> list[dict]:
     for row in rows:
         row.pop(ignored, None)
     return rows
+
+
+def shared_only(row: dict, keys: list[set]) -> dict:
+    """row restricted to the keys both sides write, keys[0] & keys[1], in sorted order."""
+    return {key: row.get(key) for key in sorted(keys[0] & keys[1])}
 
 
 def py_lines(src: Path) -> int:
@@ -248,10 +272,11 @@ def main(argv: list[str]) -> int:
         lines = [py_lines(base / "src"), py_lines(ROOT / "src")]
     print(f"working tree vs {rev}, {len(PRESETS)} solver ids:")
     made = [side.pop(MEMORY) for side in (old, new)]
-    keys = [{key for call in side[ROUNDS] for row in call for key in row} for side in (old, new)]
-    shared = keys[0] & keys[1]
+    round_keys = [{key for call in side[ROUNDS] for row in call for key in row} for side in (old, new)]
+    record_keys = [{key for row in side[RECORDS] for key in row} for side in (old, new)]
     for side in (old, new):
-        side[ROUNDS] = [[{key: row.get(key) for key in sorted(shared)} for row in call] for call in side[ROUNDS]]
+        side[ROUNDS] = [[shared_only(row, round_keys) for row in call] for call in side[ROUNDS]]
+        side[RECORDS] = [shared_only(row, record_keys) for row in side[RECORDS]]
     failed = False
     for name, rows in old.items():
         same = sum(a == b for a, b in zip(rows, new[name]))
@@ -262,9 +287,11 @@ def main(argv: list[str]) -> int:
             for i, (a, b) in enumerate(zip(rows, new[name])):
                 if a != b:
                     print(f"    call {i}: {a} nodes at {rev}, {b} nodes in the tree")
-    print(f"  S1 round keys compared: {', '.join(sorted(shared))}")
-    print(f"  only {rev} writes: {', '.join(sorted(keys[0] - shared)) or '-'}")
-    print(f"  only the tree writes: {', '.join(sorted(keys[1] - shared)) or '-'}")
+    for what, keys in (("S1 round", round_keys), ("memory record", record_keys)):
+        shared = keys[0] & keys[1]
+        print(f"  {what} keys compared: {', '.join(sorted(shared))}")
+        print(f"    only {rev} writes: {', '.join(sorted(keys[0] - shared)) or '-'}")
+        print(f"    only the tree writes: {', '.join(sorted(keys[1] - shared)) or '-'}")
     print(f"  EpisodicRecord.make calls: {made[0][0]} at {rev}, {made[1][0]} in the tree")
     print(f"  appends MemoryStore refused: {made[0][1]} at {rev}, {made[1][1]} in the tree")
     print(f"  src/ lines of *.py: {lines[0]} at {rev}, {lines[1]} in the tree ({lines[1] - lines[0]:+d})")
