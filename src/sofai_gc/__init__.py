@@ -10,7 +10,6 @@ DSATUR-with-backtracking solver when the fast path stalls.
 
 from .graphs import (
     ColorAssignment,
-    Conflict,
     DimacsError,
     Graph,
     Verdict,

@@ -165,28 +165,19 @@ def _raise_first_bad_edge(graph: Graph) -> None:
 
 
 @dataclass(frozen=True)
-class Conflict:
-    """An edge whose endpoints are both assigned the same color."""
-
-    u: str
-    v: str
-    color: int
-
-
-@dataclass(frozen=True)
 class Verdict:
     """Correctness verdict for a (graph, assignment, k) triple.
 
     `score` is the fraction of edges whose two endpoints are assigned and
     differently colored; an edge with an unassigned endpoint counts as
     violated, so score 1 on a nonempty graph implies a full proper
-    coloring.  `conflicts` are the edges whose endpoints are both assigned
-    and share a color, in edge order.  `valid` additionally requires the
-    color budget to hold.
+    coloring.  `conflicts` are the edges, as (u, v) pairs from `edges`,
+    whose endpoints are both assigned and share a color, in edge order.
+    `valid` additionally requires the color budget to hold.
     """
 
     score: Fraction
-    conflicts: tuple[Conflict, ...]
+    conflicts: tuple[tuple[str, str], ...]
     colors_used: int
     complete: bool
     valid: bool
@@ -209,7 +200,7 @@ def verdict(graph: Graph, assignment: Mapping[str, int], k: int) -> Verdict:
     # Every key names a vertex (checked above), so all are assigned iff the counts match.
     complete = len(assignment) == len(graph.vertices)
     if complete:  # the usual case: no endpoint to skip, so plain subscripts do
-        conflicts = [Conflict(u, v, c) for u, v in graph.edges if (c := assignment[u]) == assignment[v]]
+        conflicts = [(u, v) for u, v in graph.edges if assignment[u] == assignment[v]]
         satisfied = m - len(conflicts)
     else:
         conflicts = []
@@ -221,7 +212,7 @@ def verdict(graph: Graph, assignment: Mapping[str, int], k: int) -> Verdict:
             if cu is None or cv is None:
                 continue
             if cu == cv:
-                conflicts.append(Conflict(u, v, cu))
+                conflicts.append((u, v))
             else:
                 satisfied += 1
     score = Fraction(satisfied, m) if m else Fraction(1)

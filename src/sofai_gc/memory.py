@@ -139,14 +139,15 @@ def check_json_types(obj: dict, types: Mapping[str, str], what: str = "") -> Non
 T = TypeVar("T")
 
 
-def read_jsonl(path: Path, parse: Callable[[bytes], T]) -> tuple[list[T], Optional[tuple[int, bytes]]]:
+def read_jsonl(path: Path, parse: Callable[[bytes], T]) -> tuple[list[T], Optional[tuple[int, int, bytes]]]:
     """Parse each nonblank line of a JSONL file; returns the records and the mend.
 
     A final line without its newline may be an append cut short: it is
     skipped when it does not parse.  The mend is what the next append
-    must do first, so the file loads in full again: the offset to
-    truncate to and the bytes to write (None when the file ends cleanly).
-    Any other line that does not parse raises ValueError naming path:line.
+    must do first, so the file loads in full again: the size of the file
+    it was computed for, the offset to truncate to and the bytes to write
+    (None when the file ends cleanly).  Any other line that does not
+    parse raises ValueError naming path:line.
     """
     data = path.read_bytes()
     lines = data.split(b"\n")
@@ -161,9 +162,9 @@ def read_jsonl(path: Path, parse: Callable[[bytes], T]) -> tuple[list[T], Option
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             if not unterminated:
                 raise ValueError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from None
-            return records, (len(data) - len(line), b"")
+            return records, (len(data), len(data) - len(line), b"")
         if unterminated:
-            mend = (len(data), b"\n")
+            mend = (len(data), len(data), b"\n")
     return records, mend
 
 
@@ -174,14 +175,16 @@ class MemoryStore:
     before the call returns, and existing lines are loaded eagerly.
 
     Loading is read_jsonl's: an append cut short is skipped, and the next
-    append mends the file first.
+    append mends the file first, but only while the file still has the
+    size it had when loaded.  Once the size has changed, say by another
+    store's append or by the file's removal, the append only adds its line.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
         self._records: list[EpisodicRecord] = []
         # read_jsonl's mend, made by the next append
-        self._mend: Optional[tuple[int, bytes]] = None
+        self._mend: Optional[tuple[int, int, bytes]] = None
         if self.path is not None and self.path.exists():
             self._records, self._mend = read_jsonl(self.path, EpisodicRecord.from_json)
 
@@ -202,10 +205,11 @@ class MemoryStore:
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("ab") as fh:
-                if self._mend is not None:
-                    fh.truncate(self._mend[0])
-                    fh.write(self._mend[1])
-                    self._mend = None
+                # in append mode the position starts at the end, so tell() is the file's size now
+                if self._mend is not None and fh.tell() == self._mend[0]:
+                    fh.truncate(self._mend[1])
+                    fh.write(self._mend[2])
+                self._mend = None
                 fh.write(record.to_json().encode() + b"\n")
         self._records.append(record)
 

@@ -56,7 +56,7 @@ def format_feedback(graph: Graph, assignment: ColorAssignment, k: int) -> list[F
 
 
 def _feedback(graph: Graph, assignment: ColorAssignment, result: Verdict, k: int) -> list[FeedbackItem]:
-    items = [FeedbackItem(kind="conflict", message=CONFLICT_TEMPLATE.format(u=c.u, v=c.v)) for c in result.conflicts]
+    items = [FeedbackItem(kind="conflict", message=CONFLICT_TEMPLATE.format(u=u, v=v)) for u, v in result.conflicts]
     if result.colors_used > k:
         items.append(
             FeedbackItem(
@@ -219,7 +219,7 @@ def run_preset(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tu
                 signature, outcome = None, SolveOutcome.sat(response.assignment)
             else:  # a failed assignment draws a conflict, over-budget or uncolored message
                 messages = tuple(item.message for item in _feedback(graph, response.assignment, v, k))
-                signature = ("conflicts", tuple((c.u, c.v) for c in v.conflicts))
+                signature = ("conflicts", v.conflicts)
                 history.append((format_assignment(response.assignment, graph.vertices), messages))
         elif response.is_not_solvable and preset.accept_unsat:
             outcome = SolveOutcome.unsat()

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sofai_gc import (
-    Conflict,
     DimacsError,
     Graph,
     gen_erdos_renyi,
@@ -298,15 +297,15 @@ class TestSerializeDimacs:
 
 
 class TestDetectConflicts:
-    """Conflict detection is verdict(...).conflicts."""
+    """Conflict detection is verdict(...).conflicts: the edges, as (u, v) pairs, whose endpoints share a color."""
 
     def test_worked_example(self, fig2_graph):
         conflicts = verdict(fig2_graph, {"A": 1, "B": 1, "C": 2, "D": 2, "E": 1}, 2).conflicts
-        assert conflicts == (Conflict("A", "B", 1), Conflict("C", "D", 2))
+        assert conflicts == (("A", "B"), ("C", "D"))
 
     def test_partial_assignment_edges_not_conflicts(self, triangle):
         v = verdict(triangle, {"A": 1, "B": 1}, 1)
-        assert v.conflicts == (Conflict("A", "B", 1),)  # edges to C, unassigned, are not conflicts
+        assert v.conflicts == (("A", "B"),)  # edges to C, unassigned, are not conflicts
         assert verdict(triangle, {"A": 1}, 1).conflicts == ()
 
     def test_unknown_vertex_rejected(self, triangle):
@@ -364,7 +363,7 @@ class TestVerdict:
         graph, assignment = graph_and_assignment
         v = verdict(graph, assignment, k)
         assert v.score == score_by_edge_enumeration(graph, assignment)
-        assert [(c.u, c.v, c.color) for c in v.conflicts] == conflicts_by_edge_enumeration(
+        assert [(u, w, assignment[u]) for u, w in v.conflicts] == conflicts_by_edge_enumeration(
             graph, assignment
         )
         assert v.complete == complete_by_vertex_scan(graph, assignment)

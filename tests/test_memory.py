@@ -222,6 +222,33 @@ class TestPersistence:
         store.append(second)
         assert MemoryStore(path).records() == (first, second)
 
+    def test_mend_dropped_once_another_store_has_appended(self, tmp_path, triangle, fig2_graph, petersen):
+        path = tmp_path / "memory.jsonl"
+        first = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
+        MemoryStore(path).append(first)
+        cut = record_for(fig2_graph, 3, None).to_json()
+        with path.open("a") as fh:
+            fh.write(cut[: len(cut) // 2])
+        mine, theirs = MemoryStore(path), MemoryStore(path)
+        second = record_for(fig2_graph, 3, None)
+        theirs.append(second)  # cuts the torn line off
+        third = record_for(petersen, 3, None)
+        mine.append(third)  # its mend was for the torn file, so it must not cut the second record off
+        assert MemoryStore(path).records() == (first, second, third)
+
+    def test_mend_dropped_once_the_file_is_gone(self, tmp_path, triangle, fig2_graph, petersen):
+        path = tmp_path / "memory.jsonl"
+        MemoryStore(path).append(record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}))
+        cut = record_for(fig2_graph, 3, None).to_json()
+        with path.open("a") as fh:
+            fh.write(cut[: len(cut) // 2])
+        store = MemoryStore(path)
+        path.unlink()
+        second = record_for(petersen, 3, None)
+        store.append(second)  # a truncate to the old offset would pad the new file with NUL bytes
+        assert path.read_bytes() == second.to_json().encode() + b"\n"
+        assert MemoryStore(path).records() == (second,)
+
     def test_bad_line_mid_file_names_its_line(self, tmp_path, triangle, petersen):
         path = tmp_path / "memory.jsonl"
         good = [record_for(triangle, 3, None).to_json(), record_for(petersen, 3, None).to_json()]
