@@ -307,4 +307,4 @@ def load_results(path: str | Path) -> list[TrialResult]:
     A torn final line (a run killed mid-write) is skipped; any other line
     that is not a trial result raises ValueError naming path:line.
     """
-    return read_jsonl(Path(path), TrialResult.from_json)[0]
+    return read_jsonl(Path(path), TrialResult.from_json)

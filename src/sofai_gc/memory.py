@@ -137,35 +137,27 @@ def check_json_types(obj: dict, types: Mapping[str, str], what: str = "") -> Non
 
 
 T = TypeVar("T")
+_UNPARSED = (ValueError, KeyError, TypeError, AttributeError)  # what parsing a line that is no record raises
 
 
-def read_jsonl(path: Path, parse: Callable[[bytes], T]) -> tuple[list[T], Optional[tuple[int, int, bytes]]]:
-    """Parse each nonblank line of a JSONL file; returns the records and the mend.
+def read_jsonl(path: Path, parse: Callable[[bytes], T]) -> list[T]:
+    """Parse each nonblank line of a JSONL file into a list of records.
 
     A final line without its newline may be an append cut short: it is
-    skipped when it does not parse.  The mend is what the next append
-    must do first, so the file loads in full again: the size of the file
-    it was computed for, the offset to truncate to and the bytes to write
-    (None when the file ends cleanly).  Any other line that does not
-    parse raises ValueError naming path:line.
+    skipped when it does not parse (a memory append cuts it off).
+    Any other line that does not parse raises ValueError naming path:line.
     """
-    data = path.read_bytes()
-    lines = data.split(b"\n")
+    lines = path.read_bytes().split(b"\n")
     records: list[T] = []
-    mend = None
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        unterminated = lineno == len(lines)
         try:
             records.append(parse(line))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            if not unterminated:
+        except _UNPARSED as exc:
+            if lineno < len(lines):
                 raise ValueError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from None
-            return records, (len(data), len(data) - len(line), b"")
-        if unterminated:
-            mend = (len(data), len(data), b"\n")
-    return records, mend
+    return records
 
 
 class MemoryStore:
@@ -174,19 +166,16 @@ class MemoryStore:
     With a path, every accepted record is appended to the JSONL file
     before the call returns, and existing lines are loaded eagerly.
 
-    Loading is read_jsonl's: an append cut short is skipped, and the next
-    append mends the file first, but only while the file still has the
-    size it had when loaded.  Once the size has changed, say by another
-    store's append or by the file's removal, the append only adds its line.
+    Loading is read_jsonl's: an append cut short is skipped.  Each append
+    first ends the file, as it finds it, on a whole line: a final line
+    without its newline is cut off if it does not parse, else terminated.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
         self._records: list[EpisodicRecord] = []
-        # read_jsonl's mend, made by the next append
-        self._mend: Optional[tuple[int, int, bytes]] = None
         if self.path is not None and self.path.exists():
-            self._records, self._mend = read_jsonl(self.path, EpisodicRecord.from_json)
+            self._records = read_jsonl(self.path, EpisodicRecord.from_json)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -204,12 +193,19 @@ class MemoryStore:
             raise MemoryRejected(f"duplicate: the store holds this n={record.n}, e={record.e} graph at k={record.k}")
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("ab") as fh:
-                # in append mode the position starts at the end, so tell() is the file's size now
-                if self._mend is not None and fh.tell() == self._mend[0]:
-                    fh.truncate(self._mend[1])
-                    fh.write(self._mend[2])
-                self._mend = None
+            with self.path.open("a+b") as fh:
+                # in append mode the position starts at the end, and every write goes to the end
+                fh.seek(max(fh.tell() - 1, 0))
+                if fh.read(1) not in (b"", b"\n"):
+                    fh.seek(0)
+                    data = fh.read()
+                    start = data.rfind(b"\n") + 1
+                    try:
+                        EpisodicRecord.from_json(data[start:])
+                    except _UNPARSED:
+                        fh.truncate(start)
+                    else:
+                        fh.write(b"\n")
                 fh.write(record.to_json().encode() + b"\n")
         self._records.append(record)
 

@@ -206,16 +206,19 @@ def parse_response(text: str, graph: Graph) -> ProposerResponse:
 
     A label holds no whitespace; it may hold parentheses in balanced
     pairs that do not nest, as in v(1), so v(1 or v((1)) cannot be read.
-    Pairs naming unknown vertices or color 0 are ignored; the last pair
-    for a vertex wins.  The assignment is keyed by the graph's own vertex
-    strings, found through graph.index.  With no usable pairs, the text is
-    scanned for a NOT SOLVABLE declaration; anything else is unparseable.
+    Pairs naming unknown vertices, color 0 or a color too long for int()
+    are ignored; the last pair for a vertex wins.  The assignment is keyed
+    by the graph's own vertex strings (graph.index).  With no usable pairs,
+    the text is scanned for NOT SOLVABLE; anything else is unparseable.
     """
     assignment: ColorAssignment = {}
     for label, c in _PAIR_RE.findall(text):
         i = graph.index.get(label)
-        if i is not None and int(c) >= 1:
-            assignment[graph.vertices[i]] = int(c)
+        try:
+            if i is not None and (color := int(c)) >= 1:
+                assignment[graph.vertices[i]] = color
+        except ValueError:  # more digits than int() reads (sys.get_int_max_str_digits): no reply text raises
+            pass
     if assignment:
         return ProposerResponse("assignment", raw=text, assignment=assignment)
     if NOT_SOLVABLE in text.upper():

@@ -222,7 +222,7 @@ class TestPersistence:
         store.append(second)
         assert MemoryStore(path).records() == (first, second)
 
-    def test_mend_dropped_once_another_store_has_appended(self, tmp_path, triangle, fig2_graph, petersen):
+    def test_a_torn_line_another_store_cut_off_stays_cut(self, tmp_path, triangle, fig2_graph, petersen):
         path = tmp_path / "memory.jsonl"
         first = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
         MemoryStore(path).append(first)
@@ -233,10 +233,10 @@ class TestPersistence:
         second = record_for(fig2_graph, 3, None)
         theirs.append(second)  # cuts the torn line off
         third = record_for(petersen, 3, None)
-        mine.append(third)  # its mend was for the torn file, so it must not cut the second record off
+        mine.append(third)  # the file it finds ends cleanly, so it must not cut the second record off
         assert MemoryStore(path).records() == (first, second, third)
 
-    def test_mend_dropped_once_the_file_is_gone(self, tmp_path, triangle, fig2_graph, petersen):
+    def test_append_after_the_file_is_gone_writes_only_its_line(self, tmp_path, triangle, fig2_graph, petersen):
         path = tmp_path / "memory.jsonl"
         MemoryStore(path).append(record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}))
         cut = record_for(fig2_graph, 3, None).to_json()
@@ -248,6 +248,31 @@ class TestPersistence:
         store.append(second)  # a truncate to the old offset would pad the new file with NUL bytes
         assert path.read_bytes() == second.to_json().encode() + b"\n"
         assert MemoryStore(path).records() == (second,)
+
+    def test_a_line_torn_after_loading_is_cut_off(self, tmp_path, triangle, fig2_graph, petersen):
+        path = tmp_path / "memory.jsonl"
+        first = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
+        MemoryStore(path).append(first)
+        store = MemoryStore(path)  # loads a clean file
+        cut = record_for(fig2_graph, 3, None).to_json()
+        with path.open("a") as fh:
+            fh.write(cut[:40])  # another writer's append cut short
+        third = record_for(petersen, 3, None)
+        store.append(third)
+        assert MemoryStore(path).records() == (first, third)
+        assert path.read_bytes() == (first.to_json() + "\n" + third.to_json() + "\n").encode()
+
+    def test_a_record_unterminated_after_loading_is_kept(self, tmp_path, triangle, fig2_graph, petersen):
+        path = tmp_path / "memory.jsonl"
+        first = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
+        MemoryStore(path).append(first)
+        store = MemoryStore(path)  # loads a clean file
+        second = record_for(fig2_graph, 3, None)
+        with path.open("a") as fh:
+            fh.write(second.to_json())  # another writer's record, its newline never landed
+        third = record_for(petersen, 3, None)
+        store.append(third)
+        assert MemoryStore(path).records() == (first, second, third)
 
     def test_bad_line_mid_file_names_its_line(self, tmp_path, triangle, petersen):
         path = tmp_path / "memory.jsonl"

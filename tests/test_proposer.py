@@ -136,6 +136,11 @@ class TestParseResponse:
         resp = parse_response("(A 0)", triangle)
         assert resp.kind == "unparseable"
 
+    def test_color_of_more_digits_than_int_reads_ignored(self, triangle):
+        # int() refuses a numeral longer than sys.get_int_max_str_digits(), 4300 by default
+        resp = parse_response("(A 1)\n(B " + "9" * 4301 + ")", triangle)
+        assert resp.assignment == {"A": 1}
+
     def test_last_pair_wins(self, triangle):
         resp = parse_response("(A 1)(A 2)", triangle)
         assert resp.assignment == {"A": 2}
@@ -381,6 +386,14 @@ class TestRemoteProposer:
         resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3))
         assert resp.is_assignment
         assert len(_ChatHandler.seen) == 2
+
+    def test_a_huge_color_is_not_retried(self, chat_server, triangle):
+        # a reply whose text parses is an answer, whatever its colors, so the good pair survives
+        _ChatHandler.script = [(200, "(A 1)\n(B " + "9" * 4301 + ")")]
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=2)
+        resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3))
+        assert resp.assignment == {"A": 1}
+        assert len(_ChatHandler.seen) == 1
 
     def test_exhausted_retries_reported(self, chat_server, triangle):
         _ChatHandler.script = [(500, ""), (500, ""), (500, "")]

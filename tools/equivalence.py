@@ -31,7 +31,11 @@ on a fresh memory file, it runs the solve line on TWIN, LETTERS with its
 edges in another order (the same n, e, density and k, another graph),
 then on LETTERS, then on LETTERS again: the store then holds both
 graphs, the twin first, so the last solve's memory hit shows which of
-two tied records retrieval ranks first.  The
+two tied records retrieval ranks first.  Then it copies the memory file
+the TWIN solve wrote, appends the first half of its last line without a
+newline, as an append cut short, and runs the LETTERS solve on that
+copy: the store skips the torn line, and the append that records
+LETTERS mends the file first.  The
 datasets must be byte-identical, every trial record must be equal
 except wall_time, every memory record of the bench and solve lines must
 be equal except timestamp, and every prompt the bench
@@ -189,6 +193,7 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
     digests, solve_digests = out / "prompts.sha256", out / "solve-prompts.sha256"
     again_digests, rounds, nodes = out / "solve-again-prompts.sha256", out / "rounds.jsonl", out / "s2-nodes.txt"
     twin_digests, tied_digests = out / "twin-prompts.sha256", out / "tied-prompts.sha256"
+    torn_digests = out / "torn-prompts.sha256"
     made = out / "memory-counts.txt"
     out.mkdir(parents=True)  # gen's S2 calls write their nodes before it writes its dataset
 
@@ -215,9 +220,14 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
     cli(*solve, digests=again_digests)
     tied = ["--memory", str(out / "twin.memory.jsonl")]
     cli(*SOLVE, "--instance", str(twin), *tied, digests=twin_digests)
+    torn = out / "torn.memory.jsonl"
+    lines = (out / "twin.memory.jsonl").read_bytes().splitlines(keepends=True)
+    torn.write_bytes(b"".join(lines) + lines[-1][: len(lines[-1]) // 2])
+    cli(*SOLVE, "--instance", str(letters), "--memory", str(torn), digests=torn_digests)
     cli(*SOLVE, "--instance", str(letters), *tied, digests=twin_digests)
     cli(*SOLVE, "--instance", str(letters), *tied, digests=tied_digests)
-    memory_files = [*(f"{solver}.memory.jsonl" for solver in PRESETS), "solve.memory.jsonl", "twin.memory.jsonl"]
+    memory_files = [*(f"{solver}.memory.jsonl" for solver in PRESETS), "solve.memory.jsonl", "twin.memory.jsonl",
+                    "torn.memory.jsonl"]
     return {
         "dataset files byte-identical": [
             (p.relative_to(out).as_posix(), p.read_bytes())
@@ -234,6 +244,8 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
             twin_digests.read_text().split(),
         "solve letters.col again, TWIN stored ahead of it, prompt texts equal by sha256":
             tied_digests.read_text().split(),
+        "solve letters.col on TWIN's memory file with a torn final line, prompt texts equal by sha256":
+            torn_digests.read_text().split(),
         ROUNDS: [json.loads(line) for line in rounds.read_text().splitlines()],
         NODES: nodes.read_text().splitlines(),
         MEMORY: [sum(int(line.split()[i]) for line in made.read_text().splitlines()) for i in (0, 1)],
