@@ -183,8 +183,9 @@ def read_manifest_meta(path: str | Path) -> dict[str, str]:
 def load_dataset(path: str | Path) -> list[InstanceRecord]:
     """Load instance records from a dataset directory (or its manifest.csv).
 
-    ValueError names the manifest row that repeats an instance id or that
-    its instance file disagrees with on k, label or vertex count n.
+    ValueError names the manifest row that repeats an instance id, whose
+    k is below 1, or that its instance file disagrees with on k, label or
+    vertex count n.
     """
     path = Path(path)
     manifest = path / "manifest.csv" if path.is_dir() else path
@@ -208,6 +209,8 @@ def load_dataset(path: str | Path) -> list[InstanceRecord]:
                     raise ValueError(
                         f"{manifest}: row {rowno} has a malformed {column!r} field: {row[column]!r}"
                     ) from None
+            if values["k"] < 1:
+                raise ValueError(f"{manifest}: row {rowno} has k {values['k']}, below 1")
             text = (base / row["filename"]).read_text()
             graph, k, label = parse_dimacs_instance(text)
             if k is None or label is None:

@@ -7,7 +7,7 @@ Retrieval compares (n, e, density, k) attribute vectors; the raw
 chromatic number of a fresh instance is unknown before solving, so the
 color bound k stands in for it.  An instance is its k and its graph:
 MemoryStore.holds alone says which instances the store holds, and a
-record of that very graph ranks first among retrieval's ties.
+record of that very graph wins retrieval's ties.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .graphs import ColorAssignment, Graph, parse_dimacs, serialize_dimacs, verd
 from .proposer import PromptExample
 
 _SOLVERS = ("S1", "S2")
+MAX_DISTANCE = 0.1  # retrieval returns no record this far from the query or farther
 
 
 class MemoryRejected(ValueError):
@@ -31,7 +32,7 @@ class MemoryRejected(ValueError):
 
 @dataclass(frozen=True)
 class EpisodicRecord:
-    """A solved instance: the graph, its color bound k, and the answer.
+    """A solved instance: the graph, its color bound k, and a coloring of it.
 
     However it is built (make, from_json, replace, the constructor), a
     record checks itself: a known solver, k >= 1, and a solution that
@@ -41,7 +42,7 @@ class EpisodicRecord:
 
     k: int
     graph: Graph
-    solution: Optional[ColorAssignment]
+    solution: ColorAssignment
     solver: str
     timestamp: float
 
@@ -50,7 +51,7 @@ class EpisodicRecord:
             raise ValueError(f"solver must be one of {_SOLVERS}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.solution is not None and not verdict(self.graph, self.solution, self.k).valid:
+        if not verdict(self.graph, self.solution, self.k).valid:
             raise MemoryRejected(f"record of n={self.n}, e={self.e}, k={self.k} carries an invalid solution")
 
     @property
@@ -71,15 +72,9 @@ class EpisodicRecord:
         return PromptExample(self.graph, self.solution)
 
     @classmethod
-    def make(cls, graph: Graph, k: int, solution: Optional[ColorAssignment], solver: str) -> "EpisodicRecord":
+    def make(cls, graph: Graph, k: int, solution: ColorAssignment, solver: str) -> "EpisodicRecord":
         """Build a record from a graph, stamped now."""
-        return cls(
-            k=k,
-            graph=graph,
-            solution=dict(solution) if solution is not None else None,
-            solver=solver,
-            timestamp=time.time(),
-        )
+        return cls(k=k, graph=graph, solution=dict(solution), solver=solver, timestamp=time.time())
 
     def to_json(self) -> str:
         return json.dumps(
@@ -101,20 +96,17 @@ class EpisodicRecord:
         """Parse one JSONL line into a record, which checks itself; n, e, density and an old line's id go unread."""
         obj = json.loads(line)
         check_json_types(obj, _LINE_TYPES)
-        solution = obj["solution"]
-        if solution is not None:
-            check_json_types(solution, dict.fromkeys(solution, "int"), "the color of ")
         return cls(
             k=obj["k"],
             graph=parse_dimacs(obj["dimacs"]),
-            solution=solution,
+            solution=obj["solution"],
             solver=obj["solver"],
             timestamp=float(obj["timestamp"]),
         )
 
 
 # The keys of a memory line that EpisodicRecord.from_json reads, with their types.
-_LINE_TYPES = dict(k="int", dimacs="str", solution="Optional[dict]", solver="str", timestamp="float")
+_LINE_TYPES = dict(k="int", dimacs="str", solution="dict", solver="str", timestamp="float")
 
 # The JSON value types each annotation accepts: a float takes an int too, as JSON has one number
 # type; bool is a subclass of int, so the check compares types, not isinstance.
@@ -124,16 +116,16 @@ _JSON_TYPES = {
     "float": (float, int),
     "bool": (bool,),
     "Optional[str]": (str, type(None)),
-    "Optional[dict]": (dict, type(None)),
+    "dict": (dict,),
 }
 
 
-def check_json_types(obj: dict, types: Mapping[str, str], what: str = "") -> None:
+def check_json_types(obj: dict, types: Mapping[str, str]) -> None:
     """Raise TypeError unless each obj[name] has a type its annotation types[name] accepts (KeyError if absent)."""
     for name, annotation in types.items():
         value = obj[name]
         if type(value) not in _JSON_TYPES[annotation]:
-            raise TypeError(f"{what}{name} must be {annotation}, not {type(value).__name__}")
+            raise TypeError(f"{name} must be {annotation}, not {type(value).__name__}")
 
 
 T = TypeVar("T")
@@ -161,21 +153,27 @@ def read_jsonl(path: Path, parse: Callable[[bytes], T]) -> list[T]:
 
 
 class MemoryStore:
-    """Append-only store of episodic records.
+    """Append-only store of episodic records, at most one per instance.
 
     With a path, every accepted record is appended to the JSONL file
     before the call returns, and existing lines are loaded eagerly.
+    One store per file at a time is supported: two stores on one file
+    can each append the same instance, so loading keeps only the first
+    record of each instance.
 
-    Loading is read_jsonl's: an append cut short is skipped.  Each append
-    first ends the file, as it finds it, on a whole line: a final line
-    without its newline is cut off if it does not parse, else terminated.
+    Loading is otherwise read_jsonl's: an append cut short is skipped.
+    Each append first ends the file, as it finds it, on a whole line: a
+    final line without its newline is cut off if it does not parse,
+    else terminated.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
         self._records: list[EpisodicRecord] = []
         if self.path is not None and self.path.exists():
-            self._records = read_jsonl(self.path, EpisodicRecord.from_json)
+            for record in read_jsonl(self.path, EpisodicRecord.from_json):
+                if not self.holds(record.graph, record.k):
+                    self._records.append(record)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -210,29 +208,19 @@ class MemoryStore:
         self._records.append(record)
 
 
-def retrieve_memory(
-    store: MemoryStore,
-    graph: Graph,
-    k: int,
-    alpha: float = 0.1,
-    limit: int = 1,
-) -> list[EpisodicRecord]:
-    """Up to limit records whose attribute distance to (graph, k) is below alpha, nearest first.
+def retrieve_memory(store: MemoryStore, graph: Graph, k: int) -> Optional[EpisodicRecord]:
+    """The record nearest (graph, k), if its attribute distance is below MAX_DISTANCE; else None.
 
     Distance is the mean of per-attribute |difference| over (n, e,
     density, k), each scaled by the store's observed max for that
     attribute (density is already in [0, 1]; scales floor at 1 so a
     degenerate store cannot divide by zero).  Among records at one
-    distance a record of this very graph comes first (at distance 0,
-    the instance MemoryStore.holds finds), then store order decides.
+    distance a record of this very graph wins (at distance 0, the
+    instance MemoryStore.holds finds), then the first stored.
     """
-    if not alpha >= 0:  # NaN too: no distance is below a NaN alpha
-        raise ValueError("alpha must be >= 0")
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
     records = store.records()
     if not records:
-        return []
+        return None
     query = (len(graph.vertices), len(graph.edges), graph.density, k)
     scales = (
         max(1.0, max(r.n for r in records)),
@@ -240,12 +228,13 @@ def retrieve_memory(
         1.0,
         max(1.0, max(r.k for r in records)),
     )
-    scored: list[tuple[float, bool, int, EpisodicRecord]] = []
-    for idx, rec in enumerate(records):
+
+    def rank(idx: int) -> tuple[float, bool, int]:
+        rec = records[idx]
         attrs = (rec.n, rec.e, rec.density, rec.k)
         d = sum(abs(q - a) / s for q, a, s in zip(query, attrs, scales)) / len(query)
-        if d < alpha:
-            # only at distance 0 are n, e and k equal, so only there can the graphs be
-            scored.append((d, d > 0 or rec.graph != graph, idx, rec))
-    scored.sort(key=lambda item: item[:3])
-    return [rec for *_, rec in scored[:limit]]
+        # only at distance 0 are n, e and k equal, so only there can the graphs be
+        return d, d > 0 or rec.graph != graph, idx
+
+    d, _, idx = min(map(rank, range(len(records))))
+    return records[idx] if d < MAX_DISTANCE else None

@@ -192,7 +192,8 @@ def run_preset(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tu
         raise ValueError("k must be >= 1")
     deadline = time.monotonic() + cfg.time_limit
     proposer = make_proposer(cfg.proposer) if preset.rounds else None
-    examples = [rec.example for rec in retrieve_memory(cfg.store, graph, k)] if cfg.store is not None else []
+    hit = retrieve_memory(cfg.store, graph, k) if cfg.store is not None else None
+    examples = [hit.example] if hit is not None else []
     history: list[tuple[str, tuple[str, ...]]] = []
     iterations: list[IterationRecord] = []
     outcome: Optional[SolveOutcome] = None  # set once S1 answers

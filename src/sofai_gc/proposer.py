@@ -87,21 +87,16 @@ class ProposerConfig:
 
 @dataclass(frozen=True)
 class PromptExample:
-    """A solved (or declared-unsolvable) instance shown to the proposer."""
+    """A solved instance shown to the proposer: a graph and a coloring of it."""
 
     graph: Graph
-    solution: Optional[ColorAssignment]
+    solution: ColorAssignment
 
     @cached_property
     def text(self) -> str:
         """The example's prompt block, rendered on first use and then kept with the example."""
-        lines = ["Problem:", serialize_dimacs(self.graph), "", "Correct Solution:"]
-        if self.solution is None:
-            lines.append(NOT_SOLVABLE)
-        else:
-            lines.append(format_assignment(self.solution, self.graph.vertices))
-        lines.extend(["", "End of Example"])
-        return "\n".join(lines)
+        problem, solution = serialize_dimacs(self.graph), format_assignment(self.solution, self.graph.vertices)
+        return "\n".join(["Problem:", problem, "", "Correct Solution:", solution, "", "End of Example"])
 
 
 # One iteration of history: the raw response and the feedback messages it drew.

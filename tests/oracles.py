@@ -11,7 +11,8 @@ label-keyed, set-based loops the package used before its graphs held
 neighbour lists over positions and its first fits read taken-colour
 bitmasks; they read neighbours_in_edge_order, built from the edges here,
 not any view the Graph builds.  The other searches read label_view, the
-Graph's own neighbour lists by label.
+Graph's own neighbour lists by label.  reference_retrieval ranks every
+memory record in reach, as retrieval did before it returned one record.
 """
 
 from __future__ import annotations
@@ -221,3 +222,32 @@ def reference_peel(graph: Graph, k: int) -> dict[str, int] | None:
             color += 1
         coloring[v] = color
     return {v: coloring[v] for v in graph.vertices}
+
+
+def reference_retrieval(records, graph: Graph, k: int) -> list:
+    """Every record within attribute distance 0.1 of (graph, k), ranked by a full sort.
+
+    A record's distance is the mean over n, e, density and k of |query -
+    record| divided by that attribute's scale: the records' max n, max e
+    and max k, each at least 1, and 1 for density.  Ties on distance go
+    to a record of this very instance (its k and an equal graph) first,
+    then to the record stored first.
+    """
+    if not records:
+        return []
+    n_scale = max(1.0, max(len(r.graph.vertices) for r in records))
+    e_scale = max(1.0, max(len(r.graph.edges) for r in records))
+    k_scale = max(1.0, max(r.k for r in records))
+    ranked = []
+    for position, rec in enumerate(records):
+        distance = (
+            abs(len(graph.vertices) - len(rec.graph.vertices)) / n_scale
+            + abs(len(graph.edges) - len(rec.graph.edges)) / e_scale
+            + abs(graph.density - rec.graph.density)
+            + abs(k - rec.k) / k_scale
+        ) / 4
+        if distance < 0.1:
+            same_instance = rec.k == k and rec.graph == graph
+            ranked.append((distance, not same_instance, position, rec))
+    ranked.sort(key=lambda entry: entry[:3])
+    return [rec for *_, rec in ranked]

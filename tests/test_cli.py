@@ -241,11 +241,12 @@ class TestBenchAndReport:
     ("bench", ["--dataset", "no-column"], "manifest.csv: row 1 has no 'filename' field"),
     ("bench", ["--dataset", "short-row"], "manifest.csv: row 1 has no 'chi' field"),
     ("bench", ["--dataset", "bad-value"], "manifest.csv: row 1 has a malformed 'p' field: 'x'"),
+    ("bench", ["--dataset", "zero-k"], "manifest.csv: row 1 has k 0, below 1"),
 ], ids=[
     "k-0", "time-limit-0", "time-limit-nan", "bench-time-limit-nan", "trials-0", "n-0", "duplicate-edge",
     "missing-instance", "gen-time-limit-0", "gen-time-limit-nan", "gen-unsat-one-vertex", "gen-unsat-no-edges",
     "remote-without-endpoint", "no-color-bound", "missing-results", "empty-results",
-    "manifest-missing-column", "manifest-short-row", "manifest-bad-value",
+    "manifest-missing-column", "manifest-short-row", "manifest-bad-value", "manifest-zero-k",
 ])
 def test_input_errors_end_in_one_line(command, flags, fragment, dataset_dir, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -260,6 +261,7 @@ def test_input_errors_end_in_one_line(command, flags, fragment, dataset_dir, tmp
         ("no-column", lines[:header] + [line.rsplit(",", 1)[0] for line in lines[header:]]),
         ("short-row", lines[:header + 1] + [",".join(lines[header + 1].split(",")[:4])]),
         ("bad-value", lines[:header + 1] + [",".join([*first[:2], "x", *first[3:]])]),  # a p of x
+        ("zero-k", lines[:header + 1] + [",".join([*first[:5], "0", *first[6:]])]),
     ]:
         (tmp_path / name).mkdir()
         (tmp_path / name / "manifest.csv").write_text("\n".join(manifest) + "\n")

@@ -167,3 +167,17 @@ class TestDatasetIO:
         manifest.write_text(manifest.read_text().replace("er_n5_p0.5_0001,", "er_n5_p0.5_0000,"))
         with pytest.raises(ValueError, match=r"manifest\.csv: row 2 repeats instance id 'er_n5_p0\.5_0000'"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_load_rejects_a_row_with_k_below_one(self, tmp_path, k):
+        # the row and its file agree, so only the k check stops every trial of it failing in bench
+        ds = build_dataset(GenSpec(n=5, p=0.5, count=2, seed=0), 30)
+        manifest = write_dataset(ds, tmp_path)
+        second = ds.instances[1]
+        path = tmp_path / "instances" / f"{second.id}.col"
+        path.write_text(path.read_text().replace(f"c k {second.k}\n", f"c k {k}\n"))
+        row = f"{second.id},{second.n},{second.p},{second.seed},{second.chi},"
+        assert row + f"{second.k}," in manifest.read_text()
+        manifest.write_text(manifest.read_text().replace(row + f"{second.k},", row + f"{k},"))
+        with pytest.raises(ValueError, match=rf"manifest\.csv: row 2 has k {k}, below 1"):
+            load_dataset(tmp_path)

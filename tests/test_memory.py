@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sofai_gc import (
     EpisodicRecord,
@@ -14,6 +16,7 @@ from sofai_gc import (
     MemoryStore,
     OrchestratorConfig,
     ProposerConfig,
+    gen_erdos_renyi,
     parse_dimacs,
     retrieve_memory,
     serialize_dimacs,
@@ -21,9 +24,17 @@ from sofai_gc import (
 )
 from sofai_gc import bench
 
+from oracles import reference_retrieval
+from strategies import er_graphs
+
 
 def record_for(graph, k, solution, solver="S2", timestamp=0.0):
     return dataclasses.replace(EpisodicRecord.make(graph, k, solution, solver), timestamp=timestamp)
+
+
+def greedy(graph):
+    """A proper coloring of graph: first fit in vertex order (three colors for triangle, fig2_graph and petersen)."""
+    return graph.first_fit(range(len(graph.vertices)))
 
 
 # One memory file line, byte for byte: the JSONL format must not drift.
@@ -42,15 +53,15 @@ ID_LINE = (
 
 class TestEpisodicRecord:
     def test_attributes(self, fig2_graph):
-        rec = record_for(fig2_graph, 2, None)
-        assert (rec.n, rec.e, rec.k) == (5, 5, 2)
+        rec = record_for(fig2_graph, 3, greedy(fig2_graph))
+        assert (rec.n, rec.e, rec.k) == (5, 5, 3)
         assert rec.density == fig2_graph.density
 
     def test_json_round_trip(self, triangle):
         rec = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}, solver="S1")
         assert EpisodicRecord.from_json(rec.to_json()) == rec
-        unsat = record_for(triangle, 2, None)
-        assert EpisodicRecord.from_json(unsat.to_json()) == unsat
+        roomy = record_for(triangle, 4, {"A": 4, "B": 1, "C": 2}, timestamp=1.5)
+        assert EpisodicRecord.from_json(roomy.to_json()) == roomy
 
     def test_json_line_is_frozen(self):
         graph = Graph(("A", "B", "C", "D"), (("A", "B"), ("B", "C"), ("A", "C")))
@@ -61,7 +72,7 @@ class TestEpisodicRecord:
 
     def test_solver_validation(self, triangle):
         with pytest.raises(ValueError, match="solver"):
-            record_for(triangle, 3, None, solver="S3")
+            record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}, solver="S3")
 
     def test_sha256_is_the_standard_digest(self):
         # FIPS 180-2, appendix B.1
@@ -85,8 +96,7 @@ class TestUpdateMemory:
         store = MemoryStore()
         rec = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
         store.append(rec)
-        found = retrieve_memory(store, triangle, 3, alpha=0.01)
-        assert found == [rec]
+        assert retrieve_memory(store, triangle, 3) == rec
 
     def test_invalid_solution_rejected(self, triangle):
         store = MemoryStore()
@@ -118,22 +128,17 @@ class TestUpdateMemory:
 
     def test_holds_an_equal_graph_at_its_k_whatever_the_id(self, petersen):
         store = MemoryStore()
-        record = record_for(petersen, 2, None)
+        record = record_for(petersen, 3, greedy(petersen))
         store.append(record)
         # the twin has petersen's n, e, density and vertices, in another edge order: another instance
         twin = Graph(petersen.vertices, petersen.edges[::-1])
-        assert store.holds(parse_dimacs(serialize_dimacs(petersen)), 2)
-        assert not store.holds(petersen, 3)
-        assert not store.holds(twin, 2)
+        assert store.holds(parse_dimacs(serialize_dimacs(petersen)), 3)
+        assert not store.holds(petersen, 4)
+        assert not store.holds(twin, 3)
         with pytest.raises(MemoryRejected, match="duplicate"):  # append refuses what holds finds, not a line's id
             store.append(EpisodicRecord.from_json(json.dumps({**json.loads(record.to_json()), "id": "0" * 16})))
-        store.append(record_for(twin, 2, None))
-        assert store.holds(twin, 2) and len(store) == 2
-
-    def test_unsat_record_accepted_without_solution(self, triangle):
-        store = MemoryStore()
-        store.append(record_for(triangle, 2, None))
-        assert len(store) == 1
+        store.append(record_for(twin, 3, greedy(petersen)))
+        assert store.holds(twin, 3) and len(store) == 2
 
     def test_persistence_failure_propagates(self, tmp_path, triangle):
         blocker = tmp_path / "blocker"
@@ -170,7 +175,8 @@ class TestPersistence:
         (("a b", "c"), (("a b", "c"),), 2, {"a b": 1, "c": 2}, ValueError, "not one DIMACS token"),
         (("A", "B", "C"), (("A", "B"), ("B", "C"), ("A", "C")), 3, {"A": 1, "B": 1, "C": 2}, MemoryRejected,
          "invalid solution"),
-        (("A", "B", "C"), (("A", "B"), ("B", "C"), ("A", "C")), 0, None, ValueError, "k must be >= 1"),
+        (("A", "B", "C"), (("A", "B"), ("B", "C"), ("A", "C")), 0, {"A": 1, "B": 2, "C": 3}, ValueError,
+         "k must be >= 1"),
         (("A", "B"), (("A", "B"),), 2, {"A": True, "B": 2}, ValueError, "must be an integer >= 1, got True"),
     ], ids=["spaced-label", "improper", "zero-k", "bool-color"])
     def test_a_record_the_file_could_not_hold_is_refused_when_built(self, tmp_path, triangle, vertices, edges, k,
@@ -203,12 +209,12 @@ class TestPersistence:
         path = tmp_path / "memory.jsonl"
         first = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
         MemoryStore(path).append(first)
-        cut = record_for(fig2_graph, 3, None).to_json()
+        cut = record_for(fig2_graph, 3, greedy(fig2_graph)).to_json()
         with path.open("a") as fh:
             fh.write(cut[: len(cut) // 2])  # an append cut short before its newline
         store = MemoryStore(path)
         assert store.records() == (first,)
-        third = record_for(petersen, 3, None)
+        third = record_for(petersen, 3, greedy(petersen))
         store.append(third)
         assert MemoryStore(path).records() == (first, third)
 
@@ -218,7 +224,7 @@ class TestPersistence:
         path.write_text(first.to_json())  # complete, but its newline never landed
         store = MemoryStore(path)
         assert store.records() == (first,)
-        second = record_for(petersen, 3, None)
+        second = record_for(petersen, 3, greedy(petersen))
         store.append(second)
         assert MemoryStore(path).records() == (first, second)
 
@@ -226,25 +232,25 @@ class TestPersistence:
         path = tmp_path / "memory.jsonl"
         first = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
         MemoryStore(path).append(first)
-        cut = record_for(fig2_graph, 3, None).to_json()
+        cut = record_for(fig2_graph, 3, greedy(fig2_graph)).to_json()
         with path.open("a") as fh:
             fh.write(cut[: len(cut) // 2])
         mine, theirs = MemoryStore(path), MemoryStore(path)
-        second = record_for(fig2_graph, 3, None)
+        second = record_for(fig2_graph, 3, greedy(fig2_graph))
         theirs.append(second)  # cuts the torn line off
-        third = record_for(petersen, 3, None)
+        third = record_for(petersen, 3, greedy(petersen))
         mine.append(third)  # the file it finds ends cleanly, so it must not cut the second record off
         assert MemoryStore(path).records() == (first, second, third)
 
     def test_append_after_the_file_is_gone_writes_only_its_line(self, tmp_path, triangle, fig2_graph, petersen):
         path = tmp_path / "memory.jsonl"
         MemoryStore(path).append(record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}))
-        cut = record_for(fig2_graph, 3, None).to_json()
+        cut = record_for(fig2_graph, 3, greedy(fig2_graph)).to_json()
         with path.open("a") as fh:
             fh.write(cut[: len(cut) // 2])
         store = MemoryStore(path)
         path.unlink()
-        second = record_for(petersen, 3, None)
+        second = record_for(petersen, 3, greedy(petersen))
         store.append(second)  # a truncate to the old offset would pad the new file with NUL bytes
         assert path.read_bytes() == second.to_json().encode() + b"\n"
         assert MemoryStore(path).records() == (second,)
@@ -254,10 +260,10 @@ class TestPersistence:
         first = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
         MemoryStore(path).append(first)
         store = MemoryStore(path)  # loads a clean file
-        cut = record_for(fig2_graph, 3, None).to_json()
+        cut = record_for(fig2_graph, 3, greedy(fig2_graph)).to_json()
         with path.open("a") as fh:
             fh.write(cut[:40])  # another writer's append cut short
-        third = record_for(petersen, 3, None)
+        third = record_for(petersen, 3, greedy(petersen))
         store.append(third)
         assert MemoryStore(path).records() == (first, third)
         assert path.read_bytes() == (first.to_json() + "\n" + third.to_json() + "\n").encode()
@@ -267,23 +273,23 @@ class TestPersistence:
         first = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
         MemoryStore(path).append(first)
         store = MemoryStore(path)  # loads a clean file
-        second = record_for(fig2_graph, 3, None)
+        second = record_for(fig2_graph, 3, greedy(fig2_graph))
         with path.open("a") as fh:
             fh.write(second.to_json())  # another writer's record, its newline never landed
-        third = record_for(petersen, 3, None)
+        third = record_for(petersen, 3, greedy(petersen))
         store.append(third)
         assert MemoryStore(path).records() == (first, second, third)
 
     def test_bad_line_mid_file_names_its_line(self, tmp_path, triangle, petersen):
         path = tmp_path / "memory.jsonl"
-        good = [record_for(triangle, 3, None).to_json(), record_for(petersen, 3, None).to_json()]
+        good = [record_for(triangle, 3, greedy(triangle)).to_json(), record_for(petersen, 3, greedy(petersen)).to_json()]
         path.write_text(good[0] + "\n" + good[1][:40] + "\n" + good[1] + "\n")
         with pytest.raises(ValueError, match=r"memory\.jsonl:2: "):
             MemoryStore(path)
 
     def test_bad_terminated_final_line_raises(self, tmp_path, triangle):
         path = tmp_path / "memory.jsonl"
-        path.write_text(record_for(triangle, 3, None).to_json() + "\n\n" + '{"id": "x"}\n')
+        path.write_text(record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}).to_json() + "\n\n" + '{"id": "x"}\n')
         with pytest.raises(ValueError, match=r"memory\.jsonl:3: "):
             MemoryStore(path)
 
@@ -293,12 +299,13 @@ class TestPersistence:
         ({"k": 2}, ValueError, "invalid solution"),  # three colours over a budget of two
         ({"solution": {"A": 1, "B": 2, "C": 3, "Z": 1}}, ValueError, "unknown vertex 'Z'"),
         ({"k": 2.9}, TypeError, "k must be int, not float"),  # not truncated to 2
-        ({"solution": {"A": True, "B": 2, "C": 3}}, TypeError, "the color of A must be int, not bool"),
-        ({"solution": {"A": 1, "B": 2.7, "C": 3}}, TypeError, "the color of B must be int, not float"),
+        ({"solution": {"A": True, "B": 2, "C": 3}}, ValueError, "vertex 'A' must be an integer >= 1, got True"),
+        ({"solution": {"A": 1, "B": 2.7, "C": 3}}, ValueError, "vertex 'B' must be an integer >= 1, got 2.7"),
         ({"timestamp": "1e3"}, TypeError, "timestamp must be float, not str"),
-        ({"k": -3, "solution": None}, ValueError, "k must be >= 1"),  # with no solution for verdict to refuse
+        ({"k": -3}, ValueError, "k must be >= 1"),  # the solution is proper, so only the k check refuses it
+        ({"solution": None}, TypeError, "solution must be dict, not NoneType"),
     ], ids=["unknown-solver", "improper", "over-budget", "unknown-vertex", "float-k", "bool-color", "float-color",
-            "string-timestamp", "non-positive-k"])
+            "string-timestamp", "non-positive-k", "null-solution"])
     def test_line_no_append_would_accept_is_refused(self, tmp_path, triangle, petersen, changes, error, fragment):
         obj = json.loads(record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}).to_json())
         obj.update(changes)
@@ -306,7 +313,7 @@ class TestPersistence:
         with pytest.raises(error, match=fragment):
             EpisodicRecord.from_json(bad)
         path = tmp_path / "memory.jsonl"
-        good = record_for(petersen, 3, None)
+        good = record_for(petersen, 3, greedy(petersen))
         path.write_text(good.to_json() + "\n" + bad + "\n")
         with pytest.raises(ValueError, match=rf"memory\.jsonl:2: \w+: .*{fragment}"):
             MemoryStore(path)
@@ -327,6 +334,19 @@ class TestPersistence:
         assert "id" not in json.loads(new.to_json())
         assert MemoryStore(path).records() == (old, new)
 
+    def test_an_instance_two_stores_appended_loads_once(self, tmp_path):
+        # each store holds only what it loaded or appended, so both write the instance; loading keeps the first
+        path = tmp_path / "memory.jsonl"
+        path.write_text("")
+        graph = gen_erdos_renyi(12, 0.5, 0)
+        a, b = MemoryStore(path), MemoryStore(path)
+        first = record_for(graph, 12, {v: i for i, v in enumerate(graph.vertices, 1)}, timestamp=1.0)
+        a.append(first)
+        b.append(record_for(graph, 12, greedy(graph), timestamp=2.0))
+        assert len(path.read_text().splitlines()) == 2
+        store = MemoryStore(path)
+        assert len(store) == 1 and store.records() == (first,)
+
     def test_reopened_store_still_rejects_duplicates(self, tmp_path, triangle):
         path = tmp_path / "memory.jsonl"
         MemoryStore(path).append(record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}))
@@ -334,58 +354,67 @@ class TestPersistence:
             MemoryStore(path).append(record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}))
 
 
+@st.composite
+def stores_and_queries(draw):
+    """A query (graph, k) and a small store holding copies of the graph, its edge-reversed twin and other graphs."""
+    graph = draw(er_graphs(max_n=6))
+    k = draw(st.integers(1, 6))
+    store = MemoryStore()
+    for kind in draw(st.lists(st.sampled_from(["copy", "twin", "other"]), max_size=8)):
+        if kind == "copy":  # an equal graph, not the query's own object
+            stored = parse_dimacs(serialize_dimacs(graph))
+        elif kind == "twin":  # the same n, e, density and vertices: a tie at distance 0 when k is equal
+            stored = Graph(graph.vertices, graph.edges[::-1])
+        else:
+            stored = draw(er_graphs(max_n=6))
+        coloring = greedy(stored)
+        stored_k = max(len(set(coloring.values())), draw(st.sampled_from([k, k + 1, 1, 2, 3, 4])))
+        if not store.holds(stored, stored_k):
+            store.append(record_for(stored, stored_k, coloring))
+    return store, graph, k
+
+
 class TestRetrieveMemory:
     def test_empty_store(self, triangle):
-        assert retrieve_memory(MemoryStore(), triangle, 3) == []
+        assert retrieve_memory(MemoryStore(), triangle, 3) is None
 
     def test_identical_instance_distance_zero(self, petersen):
         store = MemoryStore()
-        rec = record_for(petersen, 3, None)
+        rec = record_for(petersen, 3, greedy(petersen))
         store.append(rec)
-        # alpha just above zero still admits the d=0 identical instance
-        assert retrieve_memory(store, petersen, 3, alpha=1e-9) == [rec]
+        assert retrieve_memory(store, petersen, 3) == rec
 
     def test_far_instance_excluded(self, triangle):
         store = MemoryStore()
         big = Graph(tuple(str(i) for i in range(1, 31)), (("1", "2"),))
-        store.append(record_for(big, 2, None))
+        store.append(record_for(big, 2, greedy(big)))
         # n differs by the full observed range: d >= |3-30|/30 / 4 = 0.225
-        assert retrieve_memory(store, triangle, 3, alpha=0.1) == []
+        assert retrieve_memory(store, triangle, 3) is None
+
+    @pytest.mark.parametrize("n, hit", [(7, True), (6, False)])
+    def test_the_bound_is_a_distance_below_a_tenth(self, n, hit):
+        # ten isolated vertices at k=1: only n differs, so d = |n - 10| / 10 / 4, and n=6 is exactly 0.1 away
+        stored = Graph(tuple(str(i) for i in range(1, 11)), ())
+        rec = record_for(stored, 1, greedy(stored))
+        store = MemoryStore()
+        store.append(rec)
+        query = Graph(tuple(str(i) for i in range(1, n + 1)), ())
+        assert retrieve_memory(store, query, 1) is (rec if hit else None)
 
     def test_nearest_first_and_limit(self):
+        graphs = {n: Graph(tuple(str(i) for i in range(1, n + 1)), (("1", "2"),)) for n in (4, 5, 6, 20)}
+        recs = {n: record_for(graphs[n], 2, greedy(graphs[n]), timestamp=n) for n in (4, 5, 6, 20)}
         store = MemoryStore()
-        graphs = {
-            n: Graph(tuple(str(i) for i in range(1, n + 1)), (("1", "2"),))
-            for n in (4, 5, 6)
-        }
-        recs = {n: record_for(graphs[n], 2, None, timestamp=n) for n in (4, 5, 6)}
-        for n in (6, 4, 5):
+        for n in (4, 6):
             store.append(recs[n])
-        got = retrieve_memory(store, graphs[5], 2, alpha=1.0, limit=2)
-        assert got[0] == recs[5]  # exact match first
-        assert len(got) == 2
-        assert got[1] in (recs[4], recs[6])
-
-    def test_limit_default_is_one(self):
-        store = MemoryStore()
-        g = Graph(("1", "2"), (("1", "2"),))
-        h = Graph(("1", "2", "3"), (("1", "2"),))
-        store.append(record_for(g, 2, {"1": 1, "2": 2}))
-        store.append(record_for(h, 2, {"1": 1, "2": 2, "3": 1}))
-        assert len(retrieve_memory(store, g, 2, alpha=1.0)) == 1
-
-    def test_alpha_validation(self, triangle):
-        with pytest.raises(ValueError):
-            retrieve_memory(MemoryStore(), triangle, 3, alpha=-0.1)
-        with pytest.raises(ValueError):  # a NaN alpha retrieved nothing
-            retrieve_memory(MemoryStore(), triangle, 3, alpha=float("nan"))
-
-    @pytest.mark.parametrize("limit", [0, -1])  # -1 returned every hit but the farthest, 0 returned none
-    def test_limit_validation(self, triangle, limit):
-        store = MemoryStore()
-        store.append(record_for(triangle, 3, None))
-        with pytest.raises(ValueError, match="limit must be >= 1"):
-            retrieve_memory(store, triangle, 3, limit=limit)
+        # both are one vertex from n=5; the density of n=6 (1/15) is nearer 1/10 than n=4's (1/6)
+        assert retrieve_memory(store, graphs[5], 2) == recs[6]
+        store.append(recs[5])
+        assert retrieve_memory(store, graphs[5], 2) == recs[5]  # exact match first
+        store.append(recs[20])
+        # every record has one edge, a full max e from an edgeless query: d >= 1/4, beyond the distance limit
+        assert retrieve_memory(store, Graph(graphs[20].vertices, ()), 2) is None
+        assert retrieve_memory(store, graphs[20], 2) == recs[20]
 
     def test_insertion_order_breaks_distance_ties(self):
         store = MemoryStore()
@@ -394,20 +423,26 @@ class TestRetrieveMemory:
         ga = Graph(("1", "2", "3", "4"), (("1", "2"), ("3", "4")))
         gb = Graph(("1", "2", "3", "4"), (("1", "3"), ("2", "4")))
         gc = Graph(("1", "2", "3", "4"), (("1", "4"), ("2", "3")))
-        ra = record_for(ga, 2, None, timestamp=1)
-        rb = record_for(gb, 2, None, timestamp=2)
+        ra = record_for(ga, 2, greedy(ga), timestamp=1)
+        rb = record_for(gb, 2, greedy(gb), timestamp=2)
         store.append(rb)
         store.append(ra)
-        got = retrieve_memory(store, gc, 2, alpha=1.0, limit=2)
-        assert got == [rb, ra]  # tie on distance: first stored wins
+        assert retrieve_memory(store, gc, 2) == rb  # tie on distance: first stored wins
 
     def test_own_record_beats_a_tie_stored_first(self, petersen):
         # the twin has petersen's n, e, density and k, in another edge order: another graph at distance 0
         twin = Graph(petersen.vertices, petersen.edges[::-1])
         store = MemoryStore()
-        theirs, own = record_for(twin, 2, None), record_for(petersen, 2, None)
+        theirs, own = record_for(twin, 3, greedy(petersen)), record_for(petersen, 3, greedy(petersen))
         store.append(theirs)
         store.append(own)
-        assert retrieve_memory(store, petersen, 2) == [own]
-        assert retrieve_memory(store, parse_dimacs(serialize_dimacs(petersen)), 2, limit=2) == [own, theirs]
-        assert retrieve_memory(store, twin, 2) == [theirs]
+        assert retrieve_memory(store, petersen, 3) is own
+        assert retrieve_memory(store, parse_dimacs(serialize_dimacs(petersen)), 3) is own
+        assert retrieve_memory(store, twin, 3) is theirs
+
+    @settings(max_examples=300, deadline=None)
+    @given(stores_and_queries())
+    def test_matches_the_reference_ranking(self, case):
+        store, graph, k = case
+        ranking = reference_retrieval(store.records(), graph, k)
+        assert retrieve_memory(store, graph, k) is (ranking[0] if ranking else None)

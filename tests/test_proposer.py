@@ -95,11 +95,6 @@ class TestRenderPrompt:
         # examples sit between the format section and the closing request
         assert text.index("Example Format:") < text.index("Problem:") < text.index("Please provide")
 
-    def test_unsolvable_example_block(self, fig2_graph):
-        example = PromptExample(Graph(("A", "B"), (("A", "B"),)), None)
-        text = render_prompt(fig2_graph, 2, examples=[example]).text
-        assert "Correct Solution:\nNOT SOLVABLE" in text
-
     def test_feedback_history_most_recent_last(self, fig2_graph):
         history = [
             ("(A 1)\n(B 1)", ("Error: Vertices A and B are adjacent but have the same color.",)),
