@@ -28,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 ColorAssignment = dict[str, int]
 
 _LABELS = ("SAT", "UNSAT")
+LABEL = r"(?:[^\s()]|\([^\s()]*\))+"  # vertex labels: one DIMACS token, parentheses paired and unnested, as in v(1)
 
 
 class DimacsError(ValueError):
@@ -53,9 +54,8 @@ class Graph:
     the neighbours of vertices[i] in edge order.  degree_order and
     neighbour_masks, S2's encoding, are built from neighbours on first
     read and then kept.  Building one rejects duplicate vertex labels, a
-    label that is not one DIMACS token (empty or holding whitespace, so
-    its DIMACS lines would not parse back), self-loops, duplicate edges
-    in either orientation and edges to unknown vertices, raising
+    label that breaks LABEL (the first is named), self-loops, duplicate
+    edges in either orientation and edges to unknown vertices, raising
     ValueError.
     """
 
@@ -73,9 +73,11 @@ class Graph:
         index = dict(zip(self.vertices, range(len(self.vertices))))
         if len(index) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
-        if " ".join(self.vertices).split() != list(self.vertices):
-            bad = next(v for v in self.vertices if v.split() != [v])
-            raise ValueError(f"vertex label {bad!r} is not one DIMACS token: it is empty or holds whitespace")
+        joined = " ".join(self.vertices)  # LABEL runs on each label only if this holds a parenthesis or splits wrong
+        if "(" in joined or ")" in joined or joined.split() != list(self.vertices):
+            for v in self.vertices:
+                if not re.fullmatch(LABEL, v):
+                    raise ValueError(f"vertex label {v!r} is not one DIMACS token whose parentheses pair up unnested")
         lists: list[list[int]] = [[] for _ in self.vertices]
         try:
             for u, v in self.edges:
@@ -241,7 +243,7 @@ def parse_dimacs(text: str) -> Graph:
 def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
     """Parse DIMACS-style text plus the structured `c k` / `c label` comments.
 
-    Vertex tokens are arbitrary non-whitespace strings kept verbatim.  The
+    Vertex tokens are kept verbatim; Graph refuses one that breaks LABEL.  The
     vertex list is taken from a `c vertices ...` comment when present;
     otherwise from edge-endpoint first-appearance order; otherwise, for
     classic integer instances with isolated vertices, it is filled in as
@@ -268,7 +270,10 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
         tag = tokens[0]
         if tag == "c":
             if len(tokens) == 3 and tokens[1] == "k" and _INT_RE.match(tokens[2]):
-                k = int(tokens[2])
+                try:
+                    k = int(tokens[2])
+                except ValueError:  # more digits than sys.get_int_max_str_digits()
+                    raise DimacsError(f"line {lineno}: 'c k' holds more digits than int() reads") from None
             elif len(tokens) == 3 and tokens[1] == "label" and tokens[2] in _LABELS:
                 label = tokens[2]
             elif len(tokens) >= 2 and tokens[1] == "vertices":
@@ -311,8 +316,8 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
         endpoints = _first_appearance(edges)
         if len(endpoints) == nv:
             vertices = endpoints
-        elif len(endpoints) < nv and all(
-            _INT_RE.match(t) and t == str(int(t)) and 1 <= int(t) <= nv for t in endpoints
+        elif len(endpoints) < nv and all(  # no label in 1..nv has more digits than nv, so int() reads each one
+            _INT_RE.match(t) and len(t) <= len(str(nv)) and t == str(int(t)) and 1 <= int(t) <= nv for t in endpoints
         ):
             # Classic integer DIMACS: isolated vertices are implied by the header.
             vertices = tuple(labels.get(t, t) for t in map(str, range(1, nv + 1)))

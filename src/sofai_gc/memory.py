@@ -37,7 +37,7 @@ class EpisodicRecord:
     However it is built (make, from_json, replace, the constructor), a
     record checks itself: a known solver, k >= 1, and a solution that
     properly colors the graph within k.  Its labels need no check: a
-    Graph holds only labels that DIMACS can carry.
+    Graph holds only labels that DIMACS and a reply's pairs can carry.
     """
 
     k: int

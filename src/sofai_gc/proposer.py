@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .graphs import ColorAssignment, Graph, serialize_dimacs
+from .graphs import LABEL, ColorAssignment, Graph, serialize_dimacs
 
 NOT_SOLVABLE = "NOT SOLVABLE"
 
-_PAIR_RE = re.compile(r"\(\s*((?:[^\s()]|\([^\s()]*\))+)\s+(\d+)\s*\)")
+_PAIR_RE = re.compile(rf"\(\s*({LABEL})\s+(\d+)\s*\)")
 
 _DEFAULT_TIMEOUT = 30.0
 _RETRY_BACKOFF = 0.5
@@ -176,10 +176,10 @@ class ProposerResponse:
 
     kind: "assignment" (a text reply's parsed pairs, possibly partial, or
     the mock's own coloring), "not_solvable", "unparseable" (a reply with
-    no pairs), or "error" (no reply: a transport, HTTP or JSON failure, no
-    time left, or a vertex label no reply could name).  error says why for
-    the last two.  raw is the reply's text, empty from the mock, which
-    sends none: the controller writes a failed coloring into the prompt.
+    no pairs), or "error" (no reply: a transport, HTTP or JSON failure, or
+    no time left).  error says why for the last two.  raw is the reply's
+    text, empty from the mock, which sends none: the controller writes a
+    failed coloring into the prompt.
     """
 
     kind: str
@@ -199,8 +199,7 @@ class ProposerResponse:
 def parse_response(text: str, graph: Graph) -> ProposerResponse:
     """Extract "(vertex color)" pairs from free-form proposer text.
 
-    A label holds no whitespace; it may hold parentheses in balanced
-    pairs that do not nest, as in v(1), so v(1 or v((1)) cannot be read.
+    A pair names a vertex by graphs.LABEL, so "(v(1) 1)" colors v(1).
     Pairs naming unknown vertices, color 0 or a color too long for int()
     are ignored; the last pair for a vertex wins.  The assignment is keyed
     by the graph's own vertex strings (graph.index).  With no usable pairs,
@@ -270,8 +269,7 @@ class RemoteProposer:
     """Chat-completions HTTP client with retries.
 
     One call has one deadline: each attempt gets the time left, a backoff
-    sleeps at most that long, and no attempt starts once it is spent.  A
-    graph with a label parse_response cannot read back gets no request.
+    sleeps at most that long, and no attempt starts once it is spent.
     """
 
     def __init__(self, config: ProposerConfig) -> None:
@@ -280,10 +278,6 @@ class RemoteProposer:
         self.config = config
 
     def propose(self, prompt: Prompt, *, timeout: Optional[float] = None) -> ProposerResponse:
-        for v in prompt.graph.vertices:  # a vertex no reply can name would make every reply fail
-            pair = _PAIR_RE.fullmatch(f"({v} 1)")
-            if pair is None or pair.group(1) != v:
-                return ProposerResponse("error", raw="", error=f"no reply can color vertex {v!r}")
         # Imported here, not at the top: the network stack, ssl too, costs memory in every run without an endpoint.
         import http.client
         import urllib.request

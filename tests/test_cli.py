@@ -242,17 +242,19 @@ class TestBenchAndReport:
     ("bench", ["--dataset", "short-row"], "manifest.csv: row 1 has no 'chi' field"),
     ("bench", ["--dataset", "bad-value"], "manifest.csv: row 1 has a malformed 'p' field: 'x'"),
     ("bench", ["--dataset", "zero-k"], "manifest.csv: row 1 has k 0, below 1"),
+    ("solve", ["--instance", "paren.col"], "vertex label 'v(1' is not one DIMACS token"),
 ], ids=[
     "k-0", "time-limit-0", "time-limit-nan", "bench-time-limit-nan", "trials-0", "n-0", "duplicate-edge",
     "missing-instance", "gen-time-limit-0", "gen-time-limit-nan", "gen-unsat-one-vertex", "gen-unsat-no-edges",
     "remote-without-endpoint", "no-color-bound", "missing-results", "empty-results",
-    "manifest-missing-column", "manifest-short-row", "manifest-bad-value", "manifest-zero-k",
+    "manifest-missing-column", "manifest-short-row", "manifest-bad-value", "manifest-zero-k", "unpaired-paren-label",
 ])
 def test_input_errors_end_in_one_line(command, flags, fragment, dataset_dir, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("S1_ENDPOINT", raising=False)
     (tmp_path / "dup.col").write_text("c k 2\np edge 2 2\ne A B\ne B A\n")
     (tmp_path / "bare.col").write_text("p edge 2 1\ne A B\n")
+    (tmp_path / "paren.col").write_text("p edge 2 1\ne v(1 B\n")
     (tmp_path / "empty.jsonl").write_text("")
     lines = (dataset_dir / "manifest.csv").read_text().splitlines()
     header = next(i for i, line in enumerate(lines) if not line.startswith("#"))

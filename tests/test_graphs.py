@@ -111,11 +111,14 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="duplicate vertex"):
             Graph(("A", "A"), ())
 
-    @pytest.mark.parametrize("label", ["a b", "", "a\tb", " a"])
+    @pytest.mark.parametrize("label", ["a b", "", "a\tb", " a", "v(1", "w)", "v((1))"])
     def test_rejects_a_label_that_is_not_one_dimacs_token(self, label):
-        # its DIMACS lines would not parse back, so no dataset or memory file can hold it
-        with pytest.raises(ValueError, match=re.escape(f"vertex label {label!r} is not one DIMACS token")):
-            Graph(("A", label, "b c"), (("A", label),))  # the first such label is named
+        # its DIMACS lines would not parse back, or no "(vertex color)" reply could name it,
+        # so no dataset, memory file or proposer ever meets it
+        for vertices in [("A", label), ("A", label, "b c", "z)")]:  # the first such label is named
+            with pytest.raises(ValueError, match=re.escape(f"vertex label {label!r} is not one DIMACS token")):
+                Graph(vertices, (("A", label),))
+        assert Graph(("A", "v(1)"), (("A", "v(1)"),)).vertices == ("A", "v(1)")  # balanced parentheses build
 
     def test_density(self, fig2_graph, triangle):
         assert triangle.density == 1.0
@@ -220,6 +223,20 @@ class TestParseDimacs:
         ],
     )
     def test_bad_edge_names_its_line(self, text, message):
+        with pytest.raises(DimacsError) as exc:
+            parse_dimacs(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("c k " + "1" * 5000 + "\np edge 2 1\ne A B", "line 1: 'c k' holds more digits than int() reads"),
+            ("p edge 3 1\ne " + "1" * 5000 + " 2", "problem line declares 3 vertices, edges mention 2"),
+        ],
+        ids=["long-k", "long-endpoint"],
+    )
+    def test_a_numeral_int_cannot_read_is_a_dimacs_error(self, text, message):
+        # int() refuses more digits than sys.get_int_max_str_digits(), 4300 by default
         with pytest.raises(DimacsError) as exc:
             parse_dimacs(text)
         assert str(exc.value) == message

@@ -178,7 +178,8 @@ class TestPersistence:
         (("A", "B", "C"), (("A", "B"), ("B", "C"), ("A", "C")), 0, {"A": 1, "B": 2, "C": 3}, ValueError,
          "k must be >= 1"),
         (("A", "B"), (("A", "B"),), 2, {"A": True, "B": 2}, ValueError, "must be an integer >= 1, got True"),
-    ], ids=["spaced-label", "improper", "zero-k", "bool-color"])
+        (("v(1", "c"), (("v(1", "c"),), 2, {"v(1": 1, "c": 2}, ValueError, r"label 'v\(1' is not one DIMACS token"),
+    ], ids=["spaced-label", "improper", "zero-k", "bool-color", "unpaired-paren-label"])
     def test_a_record_the_file_could_not_hold_is_refused_when_built(self, tmp_path, triangle, vertices, edges, k,
                                                                    solution, error, fragment):
         # append writes what it is given, so only a record that checked itself keeps the file loadable;
@@ -304,8 +305,9 @@ class TestPersistence:
         ({"timestamp": "1e3"}, TypeError, "timestamp must be float, not str"),
         ({"k": -3}, ValueError, "k must be >= 1"),  # the solution is proper, so only the k check refuses it
         ({"solution": None}, TypeError, "solution must be dict, not NoneType"),
+        ({"dimacs": "p edge 2 1\ne v(1 B"}, ValueError, r"label 'v\(1' is not one DIMACS token"),
     ], ids=["unknown-solver", "improper", "over-budget", "unknown-vertex", "float-k", "bool-color", "float-color",
-            "string-timestamp", "non-positive-k", "null-solution"])
+            "string-timestamp", "non-positive-k", "null-solution", "unpaired-paren-label"])
     def test_line_no_append_would_accept_is_refused(self, tmp_path, triangle, petersen, changes, error, fragment):
         obj = json.loads(record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}).to_json())
         obj.update(changes)

@@ -35,7 +35,10 @@ two tied records retrieval ranks first.  Then it copies the memory file
 the TWIN solve wrote, appends the first half of its last line without a
 newline, as an append cut short, and runs the LETTERS solve on that
 copy: the store skips the torn line, and the append that records
-LETTERS mends the file first.  The
+LETTERS mends the file first.  After those, on another fresh memory file, it
+runs the solve line on PARENS, LETTERS with A written A(1), so prompts,
+S1 rounds and memory lines are compared for a label that holds a pair
+of parentheses.  The
 datasets must be byte-identical, every trial record must be equal
 except wall_time, every memory record of the bench and solve lines must
 be equal except timestamp, and every prompt the bench
@@ -110,6 +113,8 @@ e E B
 """
 # LETTERS with its edge lines in reverse order: equal counts, another Graph.
 TWIN = "\n".join([*LETTERS.splitlines()[:3], *LETTERS.splitlines()[:2:-1]]) + "\n"
+# LETTERS with vertex A labeled A(1): a label with parentheses, which a reply's pairs still name.
+PARENS = "".join(" ".join("A(1)" if t == "A" else t for t in line.split()) + "\n" for line in LETTERS.splitlines())
 
 
 # `python -c RUNNER DIGESTS ROUNDS NODES MEMORY ARGS...`: sofai_gc.cli.main(ARGS)
@@ -193,7 +198,7 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
     digests, solve_digests = out / "prompts.sha256", out / "solve-prompts.sha256"
     again_digests, rounds, nodes = out / "solve-again-prompts.sha256", out / "rounds.jsonl", out / "s2-nodes.txt"
     twin_digests, tied_digests = out / "twin-prompts.sha256", out / "tied-prompts.sha256"
-    torn_digests = out / "torn-prompts.sha256"
+    torn_digests, parens_digests = out / "torn-prompts.sha256", out / "parens-prompts.sha256"
     made = out / "memory-counts.txt"
     out.mkdir(parents=True)  # gen's S2 calls write their nodes before it writes its dataset
 
@@ -212,9 +217,10 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
     for solver, preset in PRESETS.items():
         memory = ["--memory", str(out / f"{solver}.memory.jsonl")] if preset.memory else []
         cli(*BENCH, "--solver", solver, "--dataset", str(data), "--out", str(out / f"{solver}.jsonl"), *memory)
-    letters, twin = out / "letters.col", out / "twin.col"
+    letters, twin, parens = out / "letters.col", out / "twin.col", out / "parens.col"
     letters.write_text(LETTERS)
     twin.write_text(TWIN)
+    parens.write_text(PARENS)
     solve = [*SOLVE, "--instance", str(letters), "--memory", str(out / "solve.memory.jsonl")]
     cli(*solve, digests=solve_digests)
     cli(*solve, digests=again_digests)
@@ -226,8 +232,9 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
     cli(*SOLVE, "--instance", str(letters), "--memory", str(torn), digests=torn_digests)
     cli(*SOLVE, "--instance", str(letters), *tied, digests=twin_digests)
     cli(*SOLVE, "--instance", str(letters), *tied, digests=tied_digests)
+    cli(*SOLVE, "--instance", str(parens), "--memory", str(out / "parens.memory.jsonl"), digests=parens_digests)
     memory_files = [*(f"{solver}.memory.jsonl" for solver in PRESETS), "solve.memory.jsonl", "twin.memory.jsonl",
-                    "torn.memory.jsonl"]
+                    "torn.memory.jsonl", "parens.memory.jsonl"]
     return {
         "dataset files byte-identical": [
             (p.relative_to(out).as_posix(), p.read_bytes())
@@ -246,6 +253,8 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
             tied_digests.read_text().split(),
         "solve letters.col on TWIN's memory file with a torn final line, prompt texts equal by sha256":
             torn_digests.read_text().split(),
+        "solve on PARENS, LETTERS with A written A(1), fresh memory file, prompt texts equal by sha256":
+            parens_digests.read_text().split(),
         ROUNDS: [json.loads(line) for line in rounds.read_text().splitlines()],
         NODES: nodes.read_text().splitlines(),
         MEMORY: [sum(int(line.split()[i]) for line in made.read_text().splitlines()) for i in (0, 1)],
