@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from .dsatur import SolveOutcome
+from .dsatur import DEFAULT_TIME_LIMIT, SolveOutcome
 from .generate import InstanceRecord, load_dataset, read_manifest_meta
 from .graphs import Graph
 from .memory import MemoryStore, check_json_types, read_jsonl
@@ -43,7 +43,7 @@ SOLVERS = tuple(PRESETS)
 class RunConfig:
     solver: str
     dataset: str
-    time_limit: float = 200.0
+    time_limit: float = DEFAULT_TIME_LIMIT
     trials: int = 3
     workers: Optional[int] = None
     proposer: ProposerConfig = ProposerConfig()
@@ -204,11 +204,7 @@ def run_benchmark(cfg: RunConfig) -> list[TrialResult]:
         for trial in range(1, cfg.trials + 1)
     ]
 
-    workers = cfg.workers
-    if workers is None:
-        workers = max(1, (os.cpu_count() or 2) - 1)
-    if store is not None:
-        workers = 1
+    workers = 1 if store is not None else cfg.workers or max(1, (os.cpu_count() or 2) - 1)
 
     results: list[TrialResult] = []
     with open(cfg.out, "w") if cfg.out else nullcontext() as sink:
@@ -264,11 +260,12 @@ def aggregate(results: Sequence[TrialResult]) -> list[AggregateRow]:
 
 
 _COLUMNS = ("n", "p", "mix", "solver", "success_pct", "avg_time_s", "instances")
+REPORT_FORMATS = ("table", "csv")  # the first is the default
 
 
-def report(rows: Sequence[AggregateRow], format: str = "table") -> str:
+def report(rows: Sequence[AggregateRow], format: str = REPORT_FORMATS[0]) -> str:
     """Render aggregate rows as an aligned table or CSV text."""
-    if format not in ("table", "csv"):
+    if format not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {format!r}")
 
     def cell(row: AggregateRow, col: str) -> str:

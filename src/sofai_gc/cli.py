@@ -3,21 +3,32 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-from .bench import SOLVERS, RunConfig, aggregate, load_results, report, run_benchmark, solve
+from .bench import REPORT_FORMATS, SOLVERS, RunConfig, aggregate, load_results, report, run_benchmark, solve
+from .dsatur import DEFAULT_TIME_LIMIT
 from .generate import GenSpec, build_dataset, write_dataset
 from .graphs import parse_dimacs_instance
 from .memory import MemoryStore
 from .metacognition import PRESETS, OrchestratorConfig
 from .proposer import NOT_SOLVABLE, ProposerConfig, format_assignment
 
+# The ProposerConfig fields that are flags of their own (noise_decay is --noise-decay), with their help.
+_KNOBS = {
+    "temperature": None,
+    "noise": "mock: per-vertex corruption probability",
+    "noise_decay": "mock: noise multiplier per feedback round",
+    "unsat_rate": "mock: probability of declaring NOT SOLVABLE",
+    "seed": "solve: the mock's RNG seed; bench: the root seed each trial's proposer seed is derived from",
+}
+
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
     """The flags that solve and bench share: solver, time limit, memory and the proposer group."""
     parser.add_argument("--solver", choices=SOLVERS, required=True)
-    parser.add_argument("--time-limit", type=float, default=200.0)
+    parser.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT)
     memoryless = " or ".join(solver for solver, preset in PRESETS.items() if not preset.memory)
     parser.add_argument(
         "--memory", help=f"episodic memory JSONL path; a bench run with it is sequential (not for {memoryless})"
@@ -27,37 +38,34 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         "--proposer",
         choices=("auto", "mock", "remote"),
         default="auto",
-        help="proposer backend; auto picks remote when S1_ENDPOINT is set (default: auto)",
+        help="proposer backend; auto picks remote when --endpoint or S1_ENDPOINT is set (default: auto)",
     )
     group.add_argument("--endpoint", help="chat-completions URL (overrides S1_ENDPOINT)")
     group.add_argument("--model", help="model name (overrides S1_MODEL)")
-    group.add_argument("--temperature", type=float, default=0.0)
-    group.add_argument("--noise", type=float, default=0.0, help="mock: per-vertex corruption probability")
-    group.add_argument("--noise-decay", type=float, default=1.0, help="mock: noise multiplier per feedback round")
-    group.add_argument("--unsat-rate", type=float, default=0.0, help="mock: probability of declaring NOT SOLVABLE")
-    group.add_argument("--seed", type=int, default=0, help="proposer RNG seed")
+    for field, text in _KNOBS.items():
+        default = getattr(ProposerConfig, field)
+        group.add_argument("--" + field.replace("_", "-"), type=type(default), default=default, help=text)
 
 
 def _proposer_config(args: argparse.Namespace) -> ProposerConfig:
-    """The proposer for args.solver; a solver with no S1 round reads no proposer flag, and checks none."""
+    """The proposer for args.solver, from its flags and the S1_ENDPOINT, S1_API_KEY and S1_MODEL variables.
+
+    A row with no S1 round reads no proposer flag.  --proposer mock reads no environment.  --endpoint and
+    --model win over their variables.  The kind is remote under --proposer remote or when an endpoint is set.
+    """
     if PRESETS[args.solver].rounds == 0:
         return ProposerConfig()
-    overrides = dict(
-        temperature=args.temperature,
-        noise=args.noise,
-        noise_decay=args.noise_decay,
-        unsat_rate=args.unsat_rate,
-        seed=args.seed,
-    )
+    knobs = {field: getattr(args, field) for field in _KNOBS}
     if args.proposer == "mock":
-        return ProposerConfig(kind="mock", **overrides)
-    if args.proposer == "remote":
-        overrides["kind"] = "remote"
-    if args.endpoint:
-        overrides["endpoint"] = args.endpoint
-    if args.model:
-        overrides["model"] = args.model
-    return ProposerConfig.from_env(**overrides)
+        return ProposerConfig(kind="mock", **knobs)
+    endpoint = args.endpoint or os.environ.get("S1_ENDPOINT")
+    return ProposerConfig(
+        kind="remote" if args.proposer == "remote" or endpoint else "mock",
+        endpoint=endpoint,
+        api_key=os.environ.get("S1_API_KEY"),
+        model=args.model or os.environ.get("S1_MODEL"),
+        **knobs,
+    )
 
 
 def _parse_mix(text: str) -> tuple[int, int]:
@@ -146,11 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a labeled random-graph dataset")
     gen.add_argument("--n", type=int, required=True, help="vertices per graph")
     gen.add_argument("--p", type=float, required=True, help="edge probability")
-    gen.add_argument("--mix", type=_parse_mix, default=(100, 0), help="SAT,UNSAT percentages (default 100,0)")
+    mix = "%d,%d" % GenSpec.mix
+    gen.add_argument("--mix", type=_parse_mix, default=GenSpec.mix, help=f"SAT,UNSAT percentages (default {mix})")
     gen.add_argument("--count", type=int, required=True, help="instances to generate")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output dataset directory")
-    gen.add_argument("--time-limit", type=float, default=200.0, help="labeling budget per instance (s)")
+    gen.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT, help="labeling budget per instance (s)")
     gen.set_defaults(func=_cmd_gen)
 
     solve = sub.add_parser("solve", help="solve one instance file")
@@ -161,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a solver over a dataset")
     bench.add_argument("--dataset", required=True, help="dataset directory (with manifest.csv)")
-    bench.add_argument("--trials", type=int, default=3)
+    bench.add_argument("--trials", type=int, default=RunConfig.trials)
     bench.add_argument("--workers", type=int, help="parallel workers (default: cores - 1)")
     bench.add_argument("--out", help="trial results JSONL path (default: print to stdout)")
     _add_run_args(bench)
@@ -169,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="aggregate trial results into a table")
     rep.add_argument("--in", required=True, help="trial results JSONL path")
-    rep.add_argument("--format", choices=("table", "csv"), default="table")
+    rep.add_argument("--format", choices=REPORT_FORMATS, default=REPORT_FORMATS[0])
     rep.set_defaults(func=_cmd_report)
 
     return parser

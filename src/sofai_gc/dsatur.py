@@ -54,6 +54,9 @@ from typing import Optional
 
 from .graphs import ColorAssignment, Graph, verdict
 
+# The wall-clock budget, in seconds, of an S2 call, a solve, a bench trial and a labeled instance.
+DEFAULT_TIME_LIMIT = 200.0
+
 
 class DeadlineExceeded(Exception):
     """Raised when a computation runs past its wall-clock budget."""
@@ -245,7 +248,7 @@ def _solve(graph: Graph, k: int, deadline: float) -> SolveOutcome:
     return _certified(graph, coloring, k)
 
 
-def solve_decision(graph: Graph, k: int, time_limit: float = 200.0) -> SolveOutcome:
+def solve_decision(graph: Graph, k: int, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveOutcome:
     """Decide whether the graph admits a proper coloring with at most k colors."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -285,7 +288,7 @@ def _clique(graph: Graph) -> list[int]:
     return members
 
 
-def chromatic_number(graph: Graph, time_limit: float = 200.0) -> int:
+def chromatic_number(graph: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> int:
     """Smallest k for which the graph is k-colorable; 0 for the empty graph.
 
     The sweep starts at k = the size of a checked clique (see _clique): a

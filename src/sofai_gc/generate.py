@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dsatur import DeadlineExceeded, chromatic_number
+from .dsatur import DEFAULT_TIME_LIMIT, DeadlineExceeded, chromatic_number
 from .graphs import Graph, parse_dimacs_instance, serialize_dimacs
 
 # Recorded in the manifest so datasets state their randomness source.
@@ -94,7 +94,7 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     return Graph(vertices, tuple(edges))
 
 
-def build_dataset(spec: GenSpec, time_limit_per_instance: float = 200.0) -> Dataset:
+def build_dataset(spec: GenSpec, time_limit_per_instance: float = DEFAULT_TIME_LIMIT) -> Dataset:
     """Generate and label spec.count instances.
 
     The first a% of slots are SAT (k = chi), the rest UNSAT (k = chi - 1).
@@ -183,9 +183,9 @@ def read_manifest_meta(path: str | Path) -> dict[str, str]:
 def load_dataset(path: str | Path) -> list[InstanceRecord]:
     """Load instance records from a dataset directory (or its manifest.csv).
 
-    ValueError names the manifest row that repeats an instance id, whose
-    k is below 1, or that its instance file disagrees with on k, label or
-    vertex count n.
+    ValueError names the manifest row that csv cannot read, that repeats an
+    instance id, whose k is below 1, or that its instance file disagrees with
+    on k, label or vertex count n, and the instance file that does not parse.
     """
     path = Path(path)
     manifest = path / "manifest.csv" if path.is_dir() else path
@@ -194,28 +194,35 @@ def load_dataset(path: str | Path) -> list[InstanceRecord]:
     ids: set[str] = set()
     with manifest.open(newline="") as fh:
         rows = csv.DictReader(line for line in fh if not line.startswith("#"))
-        for rowno, row in enumerate(rows, 1):
-            missing = next((c for c in _MANIFEST_COLUMNS if row.get(c) is None), None)
-            if missing is not None:
-                raise ValueError(f"{manifest}: row {rowno} has no {missing!r} field")
-            if row["id"] in ids:
-                raise ValueError(f"{manifest}: row {rowno} repeats instance id {row['id']!r}")
-            ids.add(row["id"])
-            values = {}
-            for column, convert in _MANIFEST_NUMBERS:
+        rowno = 0
+        try:
+            for rowno, row in enumerate(rows, 1):
+                missing = next((c for c in _MANIFEST_COLUMNS if row.get(c) is None), None)
+                if missing is not None:
+                    raise ValueError(f"{manifest}: row {rowno} has no {missing!r} field")
+                if row["id"] in ids:
+                    raise ValueError(f"{manifest}: row {rowno} repeats instance id {row['id']!r}")
+                ids.add(row["id"])
+                values = {}
+                for column, convert in _MANIFEST_NUMBERS:
+                    try:
+                        values[column] = convert(row[column])
+                    except ValueError:
+                        raise ValueError(
+                            f"{manifest}: row {rowno} has a malformed {column!r} field: {row[column]!r}"
+                        ) from None
+                if values["k"] < 1:
+                    raise ValueError(f"{manifest}: row {rowno} has k {values['k']}, below 1")
+                instance = base / row["filename"]
                 try:
-                    values[column] = convert(row[column])
-                except ValueError:
-                    raise ValueError(
-                        f"{manifest}: row {rowno} has a malformed {column!r} field: {row[column]!r}"
-                    ) from None
-            if values["k"] < 1:
-                raise ValueError(f"{manifest}: row {rowno} has k {values['k']}, below 1")
-            text = (base / row["filename"]).read_text()
-            graph, k, label = parse_dimacs_instance(text)
-            if k is None or label is None:
-                raise ValueError(f"instance {row['id']} is missing its k or label comment")
-            if k != values["k"] or label != row["label"] or len(graph.vertices) != values["n"]:
-                raise ValueError(f"instance {row['id']} disagrees with the manifest")
-            records.append(InstanceRecord(id=row["id"], graph=graph, label=label, **values))
+                    graph, k, label = parse_dimacs_instance(instance.read_text())
+                except ValueError as exc:
+                    raise ValueError(f"{instance}: {exc}") from None
+                if k is None or label is None:
+                    raise ValueError(f"instance {row['id']} is missing its k or label comment")
+                if k != values["k"] or label != row["label"] or len(graph.vertices) != values["n"]:
+                    raise ValueError(f"instance {row['id']} disagrees with the manifest")
+                records.append(InstanceRecord(id=row["id"], graph=graph, label=label, **values))
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            raise ValueError(f"{manifest}: row {rowno + 1} is malformed: {exc}") from None
     return records

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .dsatur import SolveOutcome, solve_decision
+from .dsatur import DEFAULT_TIME_LIMIT, SolveOutcome, solve_decision
 from .graphs import ColorAssignment, Graph, Verdict, verdict
 from .memory import EpisodicRecord, MemoryStore, retrieve_memory
 from .proposer import (
@@ -122,7 +122,7 @@ class OrchestratorConfig:
     """What a caller sets; a roster id's fixed facts, such as its round budget, are in its PRESETS row."""
 
     proposer: ProposerConfig = ProposerConfig()
-    time_limit: float = 200.0
+    time_limit: float = DEFAULT_TIME_LIMIT
     store: Optional[MemoryStore] = None
 
     def __post_init__(self) -> None:

@@ -9,7 +9,6 @@ can be exercised deterministically and offline.
 from __future__ import annotations
 
 import json
-import os
 import random
 import re
 import time
@@ -23,7 +22,6 @@ NOT_SOLVABLE = "NOT SOLVABLE"
 
 _PAIR_RE = re.compile(rf"\(\s*({LABEL})\s+(\d+)\s*\)")
 
-_DEFAULT_TIMEOUT = 30.0
 _RETRY_BACKOFF = 0.5
 
 
@@ -43,7 +41,7 @@ class ProposerConfig:
     api_key: Optional[str] = None
     model: Optional[str] = None
     temperature: float = 0.0
-    timeout: float = _DEFAULT_TIMEOUT
+    timeout: float = 30.0
     retries: int = 2
     noise: float = 0.0
     noise_decay: float = 1.0
@@ -67,22 +65,6 @@ class ProposerConfig:
             raise ValueError("temperature must be finite and >= 0")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-
-    @classmethod
-    def from_env(cls, environ: Mapping[str, str] | None = None, **overrides) -> "ProposerConfig":
-        """Build from S1_ENDPOINT / S1_API_KEY / S1_MODEL, then overrides.
-
-        Unless overridden, kind is remote iff the final endpoint is set.
-        """
-        env = os.environ if environ is None else environ
-        fields = dict(
-            endpoint=env.get("S1_ENDPOINT"),
-            api_key=env.get("S1_API_KEY"),
-            model=env.get("S1_MODEL"),
-        )
-        fields.update(overrides)
-        fields.setdefault("kind", "remote" if fields["endpoint"] else "mock")
-        return cls(**fields)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sofai_gc import parse_dimacs_instance, verdict
+from sofai_gc import ProposerConfig, parse_dimacs_instance, verdict
 from sofai_gc.cli import _proposer_config, build_parser, main
 
 
@@ -243,11 +243,15 @@ class TestBenchAndReport:
     ("bench", ["--dataset", "bad-value"], "manifest.csv: row 1 has a malformed 'p' field: 'x'"),
     ("bench", ["--dataset", "zero-k"], "manifest.csv: row 1 has k 0, below 1"),
     ("solve", ["--instance", "paren.col"], "vertex label 'v(1' is not one DIMACS token"),
+    ("bench", ["--dataset", "bad-instance"],
+     "bad-instance/instances/er_n5_p0.5_0000.col: line 5: edge ('v(1', '6') references unknown vertex"),
+    ("bench", ["--dataset", "huge-field"], "manifest.csv: row 1 is malformed: field larger than field limit"),
 ], ids=[
     "k-0", "time-limit-0", "time-limit-nan", "bench-time-limit-nan", "trials-0", "n-0", "duplicate-edge",
     "missing-instance", "gen-time-limit-0", "gen-time-limit-nan", "gen-unsat-one-vertex", "gen-unsat-no-edges",
     "remote-without-endpoint", "no-color-bound", "missing-results", "empty-results",
     "manifest-missing-column", "manifest-short-row", "manifest-bad-value", "manifest-zero-k", "unpaired-paren-label",
+    "instance-bad-edge", "manifest-huge-field",
 ])
 def test_input_errors_end_in_one_line(command, flags, fragment, dataset_dir, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -264,9 +268,15 @@ def test_input_errors_end_in_one_line(command, flags, fragment, dataset_dir, tmp
         ("short-row", lines[:header + 1] + [",".join(lines[header + 1].split(",")[:4])]),
         ("bad-value", lines[:header + 1] + [",".join([*first[:2], "x", *first[3:]])]),  # a p of x
         ("zero-k", lines[:header + 1] + [",".join([*first[:5], "0", *first[6:]])]),
+        ("bad-instance", lines[:header + 2]),
+        ("huge-field", lines[:header + 1] + [",".join(['"' + "x" * 200_000 + '"', *first[1:]])]),
     ]:
         (tmp_path / name).mkdir()
         (tmp_path / name / "manifest.csv").write_text("\n".join(manifest) + "\n")
+    instance = dataset_dir / "instances" / "er_n5_p0.5_0000.col"
+    col = instance.read_text().splitlines()  # line 5 is its first edge
+    (tmp_path / "bad-instance" / "instances").mkdir()
+    (tmp_path / "bad-instance" / "instances" / instance.name).write_text("\n".join([*col[:4], "e v(1 6", *col[5:]]))
     base = {
         "solve": ["--solver", "S2", "--instance", str(dataset_dir / "instances" / "er_n5_p0.5_0000.col")],
         "bench": ["--solver", "S2", "--dataset", str(dataset_dir)],
@@ -278,3 +288,62 @@ def test_input_errors_end_in_one_line(command, flags, fragment, dataset_dir, tmp
     message = str(exc.value.code)
     assert message.startswith("sofai-gc: ") and fragment in message
     assert "\n" not in message
+
+
+# The proposer config the CLI builds from --proposer, its flags and the S1_*
+# environment, over every combination of the rows below.
+ENVIRONMENTS = {
+    "no-env": {},
+    "endpoint-env": {"S1_ENDPOINT": "http://env.test/v1"},
+    "all-env": {"S1_ENDPOINT": "http://env.test/v1", "S1_API_KEY": "sk-env", "S1_MODEL": "env-model"},
+    "key-model-env": {"S1_API_KEY": "sk-env", "S1_MODEL": "env-model"},
+    "empty-endpoint-env": {"S1_ENDPOINT": ""},
+}
+FLAGS = {
+    "no-flag": [],
+    "endpoint-flag": ["--endpoint", "http://flag.test/v1"],
+    "model-flag": ["--model", "flag-model"],
+    "mock-knobs": ["--noise", "0.3", "--seed", "4", "--temperature", "0.5"],
+}
+
+
+def expected_proposer(backend, flags, env, solver):
+    """The config (or ValueError text) the rule in README's Remote proposer section gives."""
+    if solver == "S2":  # no S1 round: no proposer flag and no variable is read
+        return ProposerConfig()
+    knobs = dict(noise=0.3, seed=4, temperature=0.5) if flags == "mock-knobs" else {}
+    if backend == "mock":
+        return ProposerConfig(kind="mock", **knobs)
+    endpoint = "http://flag.test/v1" if flags == "endpoint-flag" else ENVIRONMENTS[env].get("S1_ENDPOINT")
+    model = "flag-model" if flags == "model-flag" else ENVIRONMENTS[env].get("S1_MODEL")
+    if backend == "remote" and not endpoint:
+        return "remote proposer requires an endpoint"
+    return ProposerConfig(
+        kind="remote" if endpoint else "mock",
+        endpoint=endpoint,
+        api_key=ENVIRONMENTS[env].get("S1_API_KEY"),
+        model=model,
+        **knobs,
+    )
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("solver", ["SOFAI-v2", "S2"])
+@pytest.mark.parametrize("env", ENVIRONMENTS)
+@pytest.mark.parametrize("flags", FLAGS)
+@pytest.mark.parametrize("backend", [None, "mock", "remote", "auto"])
+def test_proposer_config_matrix(backend, flags, env, solver, command, monkeypatch):
+    for name in ("S1_ENDPOINT", "S1_API_KEY", "S1_MODEL"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in ENVIRONMENTS[env].items():
+        monkeypatch.setenv(name, value)
+    target = ["--instance", "x.col"] if command == "solve" else ["--dataset", "ds"]
+    chosen = [] if backend is None else ["--proposer", backend]
+    args = build_parser().parse_args([command, "--solver", solver, *target, *chosen, *FLAGS[flags]])
+    expected = expected_proposer(backend, flags, env, solver)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            _proposer_config(args)
+        assert str(exc.value) == expected
+    else:
+        assert _proposer_config(args) == expected

@@ -293,29 +293,6 @@ class TestMockProposer:
                 ProposerConfig(kind="remote", endpoint="http://example.test/v1", **{name: value})
 
 
-class TestFromEnv:
-    def test_remote_when_endpoint_set(self):
-        cfg = ProposerConfig.from_env(
-            {"S1_ENDPOINT": "http://example.test/v1", "S1_API_KEY": "sk-x", "S1_MODEL": "m"}
-        )
-        assert cfg.kind == "remote"
-        assert cfg.endpoint == "http://example.test/v1"
-        assert cfg.api_key == "sk-x"
-        assert cfg.model == "m"
-
-    def test_mock_when_unset(self):
-        assert ProposerConfig.from_env({}).kind == "mock"
-
-    def test_overrides_win(self):
-        cfg = ProposerConfig.from_env({}, noise=0.25)
-        assert cfg.noise == 0.25
-
-    def test_make_proposer_dispatch(self):
-        assert isinstance(make_proposer(ProposerConfig(kind="mock")), MockProposer)
-        remote = ProposerConfig(kind="remote", endpoint="http://example.test")
-        assert isinstance(make_proposer(remote), RemoteProposer)
-
-
 class _ChatHandler(BaseHTTPRequestHandler):
     """Scripted chat-completions endpoint; behavior set per test."""
 
@@ -374,6 +351,11 @@ def chat_server():
 
 
 class TestRemoteProposer:
+    def test_make_proposer_dispatch(self):
+        assert isinstance(make_proposer(ProposerConfig(kind="mock")), MockProposer)
+        remote = ProposerConfig(kind="remote", endpoint="http://example.test")
+        assert isinstance(make_proposer(remote), RemoteProposer)
+
     def test_success_parses_reply(self, chat_server, triangle):
         _ChatHandler.script = [(200, "(A 1)\n(B 2)\n(C 3)")]
         cfg = ProposerConfig(

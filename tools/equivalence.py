@@ -38,7 +38,13 @@ copy: the store skips the torn line, and the append that records
 LETTERS mends the file first.  After those, on another fresh memory file, it
 runs the solve line on PARENS, LETTERS with A written A(1), so prompts,
 S1 rounds and memory lines are compared for a label that holds a pair
-of parentheses.  The
+of parentheses.  Last, on another fresh memory file, it runs the solve
+line on LETTERS without --proposer mock: the CLI's default auto path,
+which picks the mock with no S1_ENDPOINT, so prompts, S1 rounds and
+memory lines are compared for the config the CLI builds from flags and
+environment as well.  Every command runs with S1_ENDPOINT, S1_API_KEY
+and S1_MODEL removed from its environment, so the shell's settings do
+not reach either side.  The
 datasets must be byte-identical, every trial record must be equal
 except wall_time, every memory record of the bench and solve lines must
 be equal except timestamp, and every prompt the bench
@@ -93,6 +99,9 @@ BENCH = [
 SOLVE = [
     "solve", "--solver", "SOFAI-v2", "--proposer", "mock", "--noise", "1", "--noise-decay", "0.5", "--seed", "3",
 ]
+DEFAULT_SOLVE = [arg for arg in SOLVE if arg not in ("--proposer", "mock")]  # the CLI's default --proposer auto
+# Removed from every command's environment, so no endpoint of the shell's is read.
+S1_VARIABLES = ("S1_ENDPOINT", "S1_API_KEY", "S1_MODEL")
 # A, B and C have the highest degrees, so they make the worked example.
 LETTERS = """c k 3
 c vertices A B C D E F G H
@@ -199,13 +208,15 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
     again_digests, rounds, nodes = out / "solve-again-prompts.sha256", out / "rounds.jsonl", out / "s2-nodes.txt"
     twin_digests, tied_digests = out / "twin-prompts.sha256", out / "tied-prompts.sha256"
     torn_digests, parens_digests = out / "torn-prompts.sha256", out / "parens-prompts.sha256"
+    default_digests = out / "default-prompts.sha256"
+    env = {name: value for name, value in os.environ.items() if name not in S1_VARIABLES}
     made = out / "memory-counts.txt"
     out.mkdir(parents=True)  # gen's S2 calls write their nodes before it writes its dataset
 
     def cli(*args: str, digests: Path = digests) -> None:
         subprocess.run(
             [sys.executable, "-c", RUNNER, str(digests), str(rounds), str(nodes), str(made), *args],
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**env, "PYTHONPATH": str(src)},
             check=True,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
@@ -233,8 +244,10 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
     cli(*SOLVE, "--instance", str(letters), *tied, digests=twin_digests)
     cli(*SOLVE, "--instance", str(letters), *tied, digests=tied_digests)
     cli(*SOLVE, "--instance", str(parens), "--memory", str(out / "parens.memory.jsonl"), digests=parens_digests)
+    cli(*DEFAULT_SOLVE, "--instance", str(letters), "--memory", str(out / "default.memory.jsonl"),
+        digests=default_digests)
     memory_files = [*(f"{solver}.memory.jsonl" for solver in PRESETS), "solve.memory.jsonl", "twin.memory.jsonl",
-                    "torn.memory.jsonl", "parens.memory.jsonl"]
+                    "torn.memory.jsonl", "parens.memory.jsonl", "default.memory.jsonl"]
     return {
         "dataset files byte-identical": [
             (p.relative_to(out).as_posix(), p.read_bytes())
@@ -255,6 +268,8 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
             torn_digests.read_text().split(),
         "solve on PARENS, LETTERS with A written A(1), fresh memory file, prompt texts equal by sha256":
             parens_digests.read_text().split(),
+        "solve on letters.col without --proposer (auto, the mock), fresh memory file, prompt texts equal by sha256":
+            default_digests.read_text().split(),
         ROUNDS: [json.loads(line) for line in rounds.read_text().splitlines()],
         NODES: nodes.read_text().splitlines(),
         MEMORY: [sum(int(line.split()[i]) for line in made.read_text().splitlines()) for i in (0, 1)],
