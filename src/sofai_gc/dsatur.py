@@ -10,17 +10,21 @@ interchangeable, so a branch tries only colors 1..min(k, max_used + 1)
 (Brélaz 1979; San Segundo 2012): any coloring can be relabeled into one
 the search reaches.
 
-The next vertex comes from saturation buckets, not a scan.  Each vertex
-has a fixed bit, its place in (degree descending, index ascending) order,
-and one integer bitmask per saturation level holds the bits of the
-uncolored vertices at that level, so the DSATUR choice is the lowest bit
-of the highest nonempty level.  Colors are bitsets too: forb[c] is the
-union of the neighbor masks of the vertices colored c, so v may take c
-iff forb[c] & bit[v] is 0, and coloring v with c raises exactly the
-uncolored neighbors outside forb[c] one level, a few mask operations
-however many neighbors v has.  The search unwinds LIFO, so undoing a
-color restores the forb[c] saved when it was set and lowers the same
-vertices back.  The search path, node for node, is plain DSATUR's.
+The next vertex comes from bit planes, not a scan.  Each vertex has a
+fixed bit, its place in (degree descending, index ascending) order, and
+planes[-1 - j] holds bit j of every vertex's saturation: bit-sliced
+counters, k.bit_length() bitmasks in all, the highest bit first, in San
+Segundo's (2012) bitboard style.  Keeping, from the highest plane down,
+the uncolored vertices with the plane's bit whenever any has it leaves
+those of the highest saturation, and the DSATUR choice is the lowest of
+their bits.  Colors are bitsets
+too: forb[c] is the union of the neighbor masks of the vertices colored
+c, so v may take c iff forb[c] & bit[v] is 0, and coloring v with c adds
+one to exactly the uncolored neighbors outside forb[c], a ripple carry
+through the planes however many neighbors v has.  The search unwinds
+LIFO, so undoing a color restores the forb[c] saved when it was set and
+takes one from the same vertices, a ripple borrow.  The search path,
+node for node, is plain DSATUR's.
 
 S2 keeps no search state of its own: a search reads the graph's
 degree_order and neighbour_masks, which the Graph builds on first read
@@ -108,36 +112,43 @@ class SolveOutcome:
 
 
 def select_vertex(bits: int, order: tuple[int, ...]) -> int:
-    """Next vertex to color, given the top saturation level's bits: the first of them in degree order."""
+    """Next vertex to color, given the bits of the uncolored vertices of top saturation: the first in degree order."""
     return order[(bits & -bits).bit_length() - 1]
 
 
 def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
     """Search for a k-coloring, starting from no vertex colored.
 
-    free holds the bits of the uncolored vertices and levels[s] those of
-    saturation s; no level above top holds any.  When v is uncolored every
-    later change is undone, so free is what it was when v was colored.
+    free holds the bits of the uncolored vertices, and planes[-1 - j] bit j
+    of every vertex's saturation.  Only an uncolored vertex's count
+    changes, and the search unwinds LIFO, so when v is uncolored every
+    later change is undone: free is what it was when v was colored and v's
+    count, never touched while it was colored, is still right.  A
+    saturation counts distinct colors of 1..k, so k.bit_length() planes
+    never overflow.
     """
     order = graph.degree_order
     bit, nmask = graph.neighbour_masks
     n = len(order)
     forb = [0] * (k + 1)
     free = (1 << n) - 1
-    levels = [0] * (k + 1)
-    levels[0] = free
-    top = 0
+    planes = [0] * k.bit_length()
+    lowest = len(planes) - 1  # where a ripple starts; a list reads a non-negative index faster
     # The stack, flat: at each depth the vertex colored there, its color,
-    # the max color used by the vertices colored above it, forb[color]
-    # before it, and its saturation level before it.
-    stack_v, stack_color, stack_used, stack_forb, stack_level = ([0] * n for _ in range(5))
+    # the max color used by the vertices colored above it, and forb[color]
+    # before it.
+    stack_v, stack_color, stack_used, stack_forb = ([0] * n for _ in range(4))
     depth = used = 0
     while depth < n:
         if time.monotonic() > deadline:
             return SolveOutcome.timeout()
-        while not levels[top]:
-            top -= 1
-        v = select_vertex(levels[top], order)  # module global: one call per search node
+        # Keep, plane by plane from the highest, the free vertices with
+        # that bit set if any has it: what is left has the highest count.
+        top = free
+        for plane in planes:
+            if kept := top & plane:
+                top = kept
+        v = select_vertex(top, order)  # module global: one call per search node
         color = 0
         # Advance the vertex at depth to its next feasible color, backing up
         # past depths whose colors are exhausted; none left means no coloring.
@@ -153,46 +164,28 @@ def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
                 return SolveOutcome.unsat()
             depth -= 1
             v, color, used = stack_v[depth], stack_color[depth], stack_used[depth]
-            # Uncolor v, lowering its neighbors bottom up, so a vertex
-            # lowered to level s - 1 is not seen again there.
+            # Uncolor v: take one from each neighbor it raised, a ripple borrow.
             forb[color] = before = stack_forb[depth]
-            newly = nmask[v] & free & ~before
-            s = 1
-            while newly:
-                moved = levels[s] & newly
-                if moved:
-                    levels[s] ^= moved
-                    levels[s - 1] |= moved
-                    newly ^= moved
-                s += 1
-            # top needs no raise: a search backs up only from a vertex with
-            # every color forbidden, so top is k until the next choice.
-            b = bit[v]
-            free |= b
-            levels[stack_level[depth]] |= b
-        # Color v, raising its neighbors top down, so a vertex raised
-        # from level s is not seen again at s + 1.
-        s = top
-        while not levels[s] & b:
-            s -= 1
-        levels[s] ^= b
+            borrow = nmask[v] & free & ~before
+            j = lowest
+            while borrow:
+                planes[j] = plane = planes[j] ^ borrow
+                borrow &= plane
+                j -= 1
+            free |= bit[v]
+        # Color v: add one to each uncolored neighbor outside forb[color], a ripple carry.
         free ^= b
         before = forb[color]
-        stack_v[depth], stack_color[depth], stack_used[depth] = v, color, used
-        stack_forb[depth], stack_level[depth] = before, s
+        stack_v[depth], stack_color[depth], stack_used[depth], stack_forb[depth] = v, color, used, before
         mask = nmask[v]
         forb[color] = before | mask
-        newly = mask & free & ~before
-        s = top
-        while newly:
-            moved = levels[s] & newly
-            if moved:
-                levels[s] ^= moved
-                levels[s + 1] |= moved
-                newly ^= moved
-                if s == top:
-                    top += 1
-            s -= 1
+        carry = mask & free & ~before
+        j = lowest
+        while carry:
+            plane = planes[j]
+            planes[j] = plane ^ carry
+            carry &= plane
+            j -= 1
         depth += 1
         if color > used:
             used = color

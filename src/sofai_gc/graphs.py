@@ -29,6 +29,7 @@ ColorAssignment = dict[str, int]
 
 _LABELS = ("SAT", "UNSAT")
 LABEL = r"(?:[^\s()]|\([^\s()]*\))+"  # vertex labels: one DIMACS token, parentheses paired and unnested, as in v(1)
+MAX_FILLED_VERTICES = 100_000  # isolated vertices a problem line alone may imply: they cost no input bytes
 
 
 class DimacsError(ValueError):
@@ -247,10 +248,10 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
     vertex list is taken from a `c vertices ...` comment when present;
     otherwise from edge-endpoint first-appearance order; otherwise, for
     classic integer instances with isolated vertices, it is filled in as
-    1..nv.  Every edge endpoint is the very string object in the vertex
-    list.  Self-loops, duplicate edges and endpoints missing from a
-    `c vertices` list are rejected by `Graph`; the DimacsError names the
-    offending edge's line.
+    1..nv, at most MAX_FILLED_VERTICES of them isolated.  Every edge
+    endpoint is the very string object in the vertex list.  Self-loops,
+    duplicate edges and endpoints missing from a `c vertices` list are
+    rejected by `Graph`; the DimacsError names the offending edge's line.
     """
     counts: tuple[int, int] | None = None
     edges: list[tuple[str, str]] = []
@@ -320,6 +321,9 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
             _INT_RE.match(t) and len(t) <= len(str(nv)) and t == str(int(t)) and 1 <= int(t) <= nv for t in endpoints
         ):
             # Classic integer DIMACS: isolated vertices are implied by the header.
+            if nv - len(endpoints) > MAX_FILLED_VERTICES:
+                raise DimacsError(f"problem line implies {nv - len(endpoints)} isolated vertices, more than the "
+                                  f"{MAX_FILLED_VERTICES} it may fill in; list them in a 'c vertices' line")
             vertices = tuple(labels.get(t, t) for t in map(str, range(1, nv + 1)))
         else:
             raise DimacsError(f"problem line declares {nv} vertices, edges mention {len(endpoints)}")

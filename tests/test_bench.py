@@ -59,6 +59,22 @@ class TestDeriveSeed:
         }
         assert len(seeds) == 4
 
+    def test_sha256_is_the_standard_digest(self):
+        # FIPS 180-2, appendix B.1
+        assert bench.sha256(b"abc").hexdigest() == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+    def test_hashlib_fallback_gives_the_same_seeds(self):
+        # Without the interpreter's own SHA-256 modules the package falls back to hashlib
+        code = (
+            'import sys; sys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
+            "from sofai_gc import derive_seed\n"
+            'print("hashlib" in sys.modules, derive_seed(0, "x", 1))'
+        )
+        src = str(Path(bench.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.split() == ["True", "3243668993462905595"]
+
 
 class TestRunConfig:
     def test_solver_validation(self):

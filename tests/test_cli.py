@@ -246,12 +246,13 @@ class TestBenchAndReport:
     ("bench", ["--dataset", "bad-instance"],
      "bad-instance/instances/er_n5_p0.5_0000.col: line 5: edge ('v(1', '6') references unknown vertex"),
     ("bench", ["--dataset", "huge-field"], "manifest.csv: row 1 is malformed: field larger than field limit"),
+    ("solve", ["--instance", "huge-header.col"], "problem line implies 3000000 isolated vertices, more than the"),
 ], ids=[
     "k-0", "time-limit-0", "time-limit-nan", "bench-time-limit-nan", "trials-0", "n-0", "duplicate-edge",
     "missing-instance", "gen-time-limit-0", "gen-time-limit-nan", "gen-unsat-one-vertex", "gen-unsat-no-edges",
     "remote-without-endpoint", "no-color-bound", "missing-results", "empty-results",
     "manifest-missing-column", "manifest-short-row", "manifest-bad-value", "manifest-zero-k", "unpaired-paren-label",
-    "instance-bad-edge", "manifest-huge-field",
+    "instance-bad-edge", "manifest-huge-field", "dimacs-huge-fill-in",
 ])
 def test_input_errors_end_in_one_line(command, flags, fragment, dataset_dir, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -259,6 +260,7 @@ def test_input_errors_end_in_one_line(command, flags, fragment, dataset_dir, tmp
     (tmp_path / "dup.col").write_text("c k 2\np edge 2 2\ne A B\ne B A\n")
     (tmp_path / "bare.col").write_text("p edge 2 1\ne A B\n")
     (tmp_path / "paren.col").write_text("p edge 2 1\ne v(1 B\n")
+    (tmp_path / "huge-header.col").write_text("c k 3\np edge 3000000 0\n")
     (tmp_path / "empty.jsonl").write_text("")
     lines = (dataset_dir / "manifest.csv").read_text().splitlines()
     header = next(i for i, line in enumerate(lines) if not line.startswith("#"))

@@ -228,7 +228,7 @@ def search_path(graph: Graph, k: int, solve=search):
 
 
 def search_tops(graph: Graph, k: int) -> list[frozenset[int]]:
-    """The vertex indices in the top saturation level _decide hands select_vertex at each node, in order."""
+    """The vertex indices _decide hands select_vertex at each node, in order: the highest-saturation uncolored ones."""
     tops: list[frozenset[int]] = []
     real = dsatur.select_vertex
 
@@ -272,13 +272,16 @@ class TestSelectVertex:
         assert outcome.assignment == coloring
 
     def test_undo_restores_saturation(self):
-        # Uncoloring lowers each neighbor back to its level, so every node,
-        # after a backtrack too, sees the top level a scan from scratch finds.
-        # A path that never backs up has at most one node per vertex, so
-        # more nodes than vertices means the search uncolored some.
+        # Uncoloring takes each neighbor's count back down, so every node,
+        # after a backtrack too, sees the highest-saturation vertices a scan
+        # from scratch finds.  A path that never backs up has at most one
+        # node per vertex, so more nodes than vertices means the search
+        # uncolored some.
         for graph, k in [
             (myciel(3), 3),  # the Grötzsch graph, chi 4: Unsat after backtracks
             (gen_erdos_renyi(30, 0.5, 0), 7),  # chi 7: Sat after backtracks
+            # chi 9: Unsat after backtracks at saturation 8, a carry into the fourth bit plane
+            (gen_erdos_renyi(18, 0.8, 4), 8),
         ]:
             expected: list[frozenset[int]] = []
             reference_dsatur(graph, k, expected)
@@ -289,8 +292,8 @@ class TestSelectVertex:
     @settings(max_examples=200, deadline=None)
     @given(er_graphs(max_n=9), st.integers(1, 5))
     def test_matches_a_scan_from_scratch_under_lifo_steps(self, graph, k):
-        # the search colors and uncolors LIFO; at every node the top level
-        # holds exactly the uncolored vertices of the highest saturation
+        # the search colors and uncolors LIFO; at every node select_vertex
+        # gets exactly the uncolored vertices of the highest saturation
         expected: list[frozenset[int]] = []
         reference_dsatur(graph, k, expected)
         assert search_tops(graph, k) == expected

@@ -18,6 +18,7 @@ from sofai_gc import (
     serialize_dimacs,
     verdict,
 )
+from sofai_gc.graphs import MAX_FILLED_VERTICES
 
 from oracles import (
     complete_by_vertex_scan,
@@ -173,6 +174,34 @@ class TestParseDimacs:
     def test_integer_isolates_filled_from_header(self):
         graph = parse_dimacs("p edge 4 1\ne 2 3")
         assert graph.vertices == ("1", "2", "3", "4")
+
+    @pytest.mark.parametrize("text, nv", [
+        (f"p edge {MAX_FILLED_VERTICES} 0", MAX_FILLED_VERTICES),
+        (f"p edge {MAX_FILLED_VERTICES + 2} 1\ne 1 2", MAX_FILLED_VERTICES + 2),  # the edge names 2 of the nv
+    ], ids=["no-edges", "one-edge"])
+    def test_fill_in_up_to_the_bound_loads(self, text, nv):
+        graph = parse_dimacs(text)
+        assert len(graph.vertices) == nv and graph.vertices[-1] == str(nv)
+
+    @pytest.mark.parametrize("text, implied", [
+        (f"p edge {MAX_FILLED_VERTICES + 1} 0", MAX_FILLED_VERTICES + 1),
+        (f"p edge {MAX_FILLED_VERTICES + 3} 1\ne 1 2", MAX_FILLED_VERTICES + 1),
+        ("p edge 3000000 0", 3_000_000),
+    ], ids=["no-edges", "one-edge", "millions"])
+    def test_fill_in_above_the_bound_is_refused(self, text, implied):
+        # a problem line alone would cost time and memory in proportion to nv
+        with pytest.raises(DimacsError) as exc:
+            parse_dimacs(text)
+        assert str(exc.value) == (
+            f"problem line implies {implied} isolated vertices, more than the "
+            f"{MAX_FILLED_VERTICES} it may fill in; list them in a 'c vertices' line"
+        )
+
+    def test_listed_vertices_are_not_bounded(self):
+        # a 'c vertices' line pays for its labels in input bytes
+        labels = [f"v{i}" for i in range(MAX_FILLED_VERTICES + 1)]
+        graph = parse_dimacs(f"c vertices {' '.join(labels)}\np edge {len(labels)} 1\ne v0 v1")
+        assert len(graph.vertices) == MAX_FILLED_VERTICES + 1
 
     def test_named_isolates_without_comment_rejected(self):
         with pytest.raises(DimacsError, match="declares 3 vertices"):

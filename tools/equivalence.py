@@ -42,9 +42,18 @@ of parentheses.  Last, on another fresh memory file, it runs the solve
 line on LETTERS without --proposer mock: the CLI's default auto path,
 which picks the mock with no S1_ENDPOINT, so prompts, S1 rounds and
 memory lines are compared for the config the CLI builds from flags and
-environment as well.  Every command runs with S1_ENDPOINT, S1_API_KEY
-and S1_MODEL removed from its environment, so the shell's settings do
-not reach either side.  The
+environment as well.  After those, it runs
+
+    sofai-gc solve --solver S2 --instance FILE
+
+on three instance files written here from the generator, as LETTERS is
+written: G(60, 0.5) seed 1 at k = 9 and at k = 10, long searches
+(22,418 and 34,001 nodes), and G(18, 0.8) seed 4 at k = 8, an Unsat
+proof whose saturations reach 8, so its counts need a fourth bit plane.
+The dataset lines' searches are short, so these compare node counts
+where S2's saturation counting does most of its work.  Every command
+runs with S1_ENDPOINT, S1_API_KEY and S1_MODEL removed from its
+environment, so the shell's settings do not reach either side.  The
 datasets must be byte-identical, every trial record must be equal
 except wall_time, every memory record of the bench and solve lines must
 be equal except timestamp, and every prompt the bench
@@ -88,6 +97,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from sofai_gc.generate import gen_erdos_renyi  # noqa: E402
+from sofai_gc.graphs import serialize_dimacs  # noqa: E402
 from sofai_gc.metacognition import PRESETS  # noqa: E402
 
 GEN = ["gen", "--p", "0.5", "--mix", "50,50", "--count", "12", "--seed", "5"]
@@ -120,6 +131,8 @@ e H G
 e F C
 e E B
 """
+# S2-only solve lines: instance file name, then G(n, p) seed and k (see the module docstring).
+S2_LINES = (("g60-k9.col", 60, 0.5, 1, 9), ("g60-k10.col", 60, 0.5, 1, 10), ("g18-k8.col", 18, 0.8, 4, 8))
 # LETTERS with its edge lines in reverse order: equal counts, another Graph.
 TWIN = "\n".join([*LETTERS.splitlines()[:3], *LETTERS.splitlines()[:2:-1]]) + "\n"
 # LETTERS with vertex A labeled A(1): a label with parentheses, which a reply's pairs still name.
@@ -246,6 +259,10 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
     cli(*SOLVE, "--instance", str(parens), "--memory", str(out / "parens.memory.jsonl"), digests=parens_digests)
     cli(*DEFAULT_SOLVE, "--instance", str(letters), "--memory", str(out / "default.memory.jsonl"),
         digests=default_digests)
+    for name, n, p, seed, k in S2_LINES:
+        instance = out / name
+        instance.write_text(serialize_dimacs(gen_erdos_renyi(n, p, seed), k))
+        cli("solve", "--solver", "S2", "--instance", str(instance))
     memory_files = [*(f"{solver}.memory.jsonl" for solver in PRESETS), "solve.memory.jsonl", "twin.memory.jsonl",
                     "torn.memory.jsonl", "parens.memory.jsonl", "default.memory.jsonl"]
     return {
