@@ -22,9 +22,10 @@ too: forb[c] is the union of the neighbor masks of the vertices colored
 c, so v may take c iff forb[c] & bit[v] is 0, and coloring v with c adds
 one to exactly the uncolored neighbors outside forb[c], a ripple carry
 through the planes however many neighbors v has.  The search unwinds
-LIFO, so undoing a color restores the forb[c] saved when it was set and
-takes one from the same vertices, a ripple borrow.  The search path,
-node for node, is plain DSATUR's.
+LIFO, one frame per depth, so undoing a color restores the forb[c] its
+frame saved and takes one from the same vertices, a ripple borrow.  forb
+is 0 above the colors in use and one slot past k, so the scan for a free
+color needs no bound.  The search path, node for node, is plain DSATUR's.
 
 S2 keeps no search state of its own: a search reads the graph's
 degree_order and neighbour_masks, which the Graph builds on first read
@@ -126,20 +127,22 @@ def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
     count, never touched while it was colored, is still right.  A
     saturation counts distinct colors of 1..k, so k.bit_length() planes
     never overflow.
+
+    The stack holds one frame per depth, (v, color, used, before): used is
+    the highest color above v, before forb[color] as v found it.  forb is 0
+    from used + 1 to k + 1, so the scan for a free color stops, with no
+    bound, by used + 1 or where it resumed; above min(used + 1, k) it fails.
     """
     order = graph.degree_order
     bit, nmask = graph.neighbour_masks
     n = len(order)
-    forb = [0] * (k + 1)
+    forb = [0] * (k + 2)
     free = (1 << n) - 1
     planes = [0] * k.bit_length()
     lowest = len(planes) - 1  # where a ripple starts; a list reads a non-negative index faster
-    # The stack, flat: at each depth the vertex colored there, its color,
-    # the max color used by the vertices colored above it, and forb[color]
-    # before it.
-    stack_v, stack_color, stack_used, stack_forb = ([0] * n for _ in range(4))
-    depth = used = 0
-    while depth < n:
+    stack = []
+    used = 0
+    while free:
         if time.monotonic() > deadline:
             return SolveOutcome.timeout()
         # Keep, plane by plane from the highest, the free vertices with
@@ -149,34 +152,33 @@ def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
             if kept := top & plane:
                 top = kept
         v = select_vertex(top, order)  # module global: one call per search node
-        color = 0
-        # Advance the vertex at depth to its next feasible color, backing up
-        # past depths whose colors are exhausted; none left means no coloring.
+        b = bit[v]
+        color = 1
+        # Advance the vertex on top to its next feasible color, backing up
+        # past frames whose colors are exhausted; none left means no coloring.
         while True:
-            cap = used + 1 if used < k else k
-            b = bit[v]
-            color += 1
-            while color <= cap and forb[color] & b:
+            while forb[color] & b:
                 color += 1
-            if color <= cap:
+            if color <= used + 1 and color <= k:
                 break
-            if not depth:
+            if not stack:
                 return SolveOutcome.unsat()
-            depth -= 1
-            v, color, used = stack_v[depth], stack_color[depth], stack_used[depth]
+            v, color, used, before = stack.pop()
             # Uncolor v: take one from each neighbor it raised, a ripple borrow.
-            forb[color] = before = stack_forb[depth]
+            forb[color] = before
             borrow = nmask[v] & free & ~before
             j = lowest
             while borrow:
                 planes[j] = plane = planes[j] ^ borrow
                 borrow &= plane
                 j -= 1
-            free |= bit[v]
+            b = bit[v]
+            free |= b
+            color += 1
         # Color v: add one to each uncolored neighbor outside forb[color], a ripple carry.
         free ^= b
         before = forb[color]
-        stack_v[depth], stack_color[depth], stack_used[depth], stack_forb[depth] = v, color, used, before
+        stack.append((v, color, used, before))
         mask = nmask[v]
         forb[color] = before | mask
         carry = mask & free & ~before
@@ -186,12 +188,11 @@ def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
             planes[j] = plane ^ carry
             carry &= plane
             j -= 1
-        depth += 1
         if color > used:
             used = color
 
     coloring = [0] * n
-    for v, color in zip(stack_v, stack_color):
+    for v, color, _, _ in stack:
         coloring[v] = color
     return _certified(graph, dict(zip(graph.vertices, coloring)), k)
 

@@ -255,7 +255,6 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
     """
     counts: tuple[int, int] | None = None
     edges: list[tuple[str, str]] = []
-    edge_lines: list[int] = []
     declared: list[str] | None = None
     # Each label maps to the first token object seen for it, in `c vertices`
     # or an edge line, so a label is one string however many lines name it.
@@ -299,7 +298,6 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
                 raise DimacsError(f"line {lineno}: expected 'e <u> <v>'")
             _, u, v = tokens
             edges.append((own(u, u), own(v, v)))
-            edge_lines.append(lineno)
         else:
             raise DimacsError(f"line {lineno}: unrecognized line {raw!r}")
 
@@ -330,7 +328,8 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
 
     try:
         graph = Graph(vertices, tuple(edges))
-    except _EdgeError as exc:
+    except _EdgeError as exc:  # every `e` line is well formed by now, so the exc.index-th one is the bad edge's
+        edge_lines = [lineno for lineno, raw in enumerate(text.splitlines(), 1) if raw.split()[:1] == ["e"]]
         raise DimacsError(f"line {edge_lines[exc.index]}: {exc}") from None
     except ValueError as exc:
         raise DimacsError(str(exc)) from None

@@ -87,10 +87,12 @@ FeedbackEntry = tuple[str, tuple[str, ...]]
 
 @dataclass(frozen=True)
 class Prompt:
+    """What a proposer reads: the remote one sends text and parses its reply against graph; the mock reads
+    graph, k and feedback_rounds, the number of failed attempts the text shows, never the text."""
+
     graph: Graph
     k: int
-    examples: tuple[PromptExample, ...]
-    feedback_history: tuple[FeedbackEntry, ...]
+    feedback_rounds: int
     text: str
 
 
@@ -110,7 +112,8 @@ def render_prompt(
     The base sections are fixed wording; episodic or generated examples
     are appended after the format section, then the accumulated
     (attempt, feedback) history most-recent-last, then the closing
-    request.  Identical inputs produce identical text.
+    request.  Identical inputs produce identical text.  Examples and
+    history reach a proposer only as text, and the history's length as feedback_rounds.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -143,13 +146,7 @@ def render_prompt(
         "Please provide the color assignment for the new problem to solve, "
         f'or respond with "{NOT_SOLVABLE}" if it cannot be solved.'
     )
-    return Prompt(
-        graph=graph,
-        k=k,
-        examples=tuple(examples),
-        feedback_history=tuple((a, tuple(m)) for a, m in feedback_history),
-        text="\n\n".join(sections),
-    )
+    return Prompt(graph, k, feedback_rounds=len(feedback_history), text="\n\n".join(sections))
 
 
 @dataclass(frozen=True)
@@ -205,12 +202,13 @@ def parse_response(text: str, graph: Graph) -> ProposerResponse:
 class MockProposer:
     """Deterministic seeded stand-in for the remote model.
 
+    It reads a prompt's graph, k and feedback_rounds, never its text.
     Base behavior is greedy coloring in stable vertex order, ignoring the
     k bound (greedy may over-color, which exercises the over-color
     feedback path).  noise corrupts per-vertex choices; it decays with
-    the number of feedback rounds already in the prompt, so iteration
-    helps.  unsat_rate declares NOT SOLVABLE regardless of the graph.
-    It sends no text: a reply carries only its kind and its coloring.
+    feedback_rounds, so iteration helps.  unsat_rate declares NOT SOLVABLE
+    regardless of the graph.  It sends no text: a reply carries only its
+    kind and its coloring.
 
     The greedy choice is Graph.first_fit's, in vertex order, drawn from
     the same taken-color bitmasks (bit c set once a neighbor is colored
@@ -230,7 +228,7 @@ class MockProposer:
         if rng.random() < self.config.unsat_rate:
             return ProposerResponse("not_solvable", raw="")
         graph, k = prompt.graph, prompt.k
-        effective_noise = self.config.noise * (self.config.noise_decay ** len(prompt.feedback_history))
+        effective_noise = self.config.noise * (self.config.noise_decay ** prompt.feedback_rounds)
         n = len(graph.vertices)
         taken = [1] * n
         colors = [0] * n

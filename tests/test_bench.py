@@ -86,6 +86,8 @@ class TestRunConfig:
             RunConfig(solver="S2", dataset="x", time_limit=0)
         with pytest.raises(ValueError):
             RunConfig(solver="S2", dataset="x", trials=0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            RunConfig(solver="S2", dataset="x", workers=0)
 
     def test_memory_path_rejected_for_memoryless_solvers(self, tmp_path):
         memory = tmp_path / "memory.jsonl"

@@ -27,6 +27,16 @@ class TestGen:
         cols = sorted((dataset_dir / "instances").glob("*.col"))
         assert len(cols) == 4
 
+    def test_a_slot_that_times_out_is_dropped(self, tmp_path, capsys):
+        # deterministic: the first search node, or the peel's deadline check, already sees the deadline passed
+        rc = main(["gen", "--n", "20", "--p", "0.5", "--count", "2", "--seed", "1", "--time-limit", "1e-9",
+                   "--out", str(tmp_path / "ds")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out.strip() == f"wrote 0 instances to {tmp_path / 'ds'}"
+        assert captured.err.strip() == "warning: some instances were dropped (labeling timed out)"
+        assert "# complete: false\n" in (tmp_path / "ds" / "manifest.csv").read_text()
+
     def test_mix_argument_validation(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["gen", "--n", "5", "--p", "0.5", "--mix", "fifty,fifty",
@@ -115,6 +125,13 @@ class TestSolve:
         rc = main(["solve", "--solver", "S2", "--proposer", "remote", "--instance", str(sat_file)])
         assert rc == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 5
+
+    def test_an_s1_only_row_that_gets_no_answer_is_a_failure(self, dataset_dir, capsys):
+        sat_file = dataset_dir / "instances" / "er_n5_p0.5_0000.col"
+        rc = main(["solve", "--solver", "MC-S1-I1", "--proposer", "mock", "--unsat-rate", "1",
+                   "--instance", str(sat_file)])
+        assert rc == 2
+        assert capsys.readouterr().out.strip() == "FAILURE: s1-exhausted"
 
     def test_unknown_solver_rejected(self, dataset_dir):
         with pytest.raises(SystemExit):
@@ -227,6 +244,7 @@ class TestBenchAndReport:
     ("solve", ["--time-limit", "nan"], "time_limit must be positive"),
     ("bench", ["--time-limit", "nan"], "time_limit must be positive"),
     ("bench", ["--trials", "0"], "trials must be >= 1"),
+    ("bench", ["--workers", "0"], "workers must be >= 1"),
     ("gen", ["--n", "0"], "n must be >= 1"),
     ("solve", ["--instance", "dup.col"], "duplicate edge"),
     ("solve", ["--instance", "missing.col"], "No such file"),
@@ -248,7 +266,7 @@ class TestBenchAndReport:
     ("bench", ["--dataset", "huge-field"], "manifest.csv: row 1 is malformed: field larger than field limit"),
     ("solve", ["--instance", "huge-header.col"], "problem line implies 3000000 isolated vertices, more than the"),
 ], ids=[
-    "k-0", "time-limit-0", "time-limit-nan", "bench-time-limit-nan", "trials-0", "n-0", "duplicate-edge",
+    "k-0", "time-limit-0", "time-limit-nan", "bench-time-limit-nan", "trials-0", "workers-0", "n-0", "duplicate-edge",
     "missing-instance", "gen-time-limit-0", "gen-time-limit-nan", "gen-unsat-one-vertex", "gen-unsat-no-edges",
     "remote-without-endpoint", "no-color-bound", "missing-results", "empty-results",
     "manifest-missing-column", "manifest-short-row", "manifest-bad-value", "manifest-zero-k", "unpaired-paren-label",

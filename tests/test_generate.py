@@ -160,6 +160,17 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="disagrees with the manifest"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("comment", ["c k", "c label"])
+    def test_load_rejects_an_instance_without_its_k_or_label(self, tmp_path, comment):
+        ds = build_dataset(GenSpec(n=5, p=0.5, count=1, seed=0), 30)
+        write_dataset(ds, tmp_path)
+        path = tmp_path / "instances" / "er_n5_p0.5_0000.col"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line.startswith(comment + " ")))
+        assert len(path.read_text().splitlines()) == len(lines) - 1
+        with pytest.raises(ValueError, match="instance er_n5_p0.5_0000 is missing its k or label comment"):
+            load_dataset(tmp_path)
+
     def test_load_rejects_a_repeated_instance_id(self, tmp_path):
         # two rows, two files, one id: a report would merge them into one instance
         ds = build_dataset(GenSpec(n=5, p=0.5, count=2, seed=0), 30)

@@ -270,6 +270,20 @@ class TestParseDimacs:
             parse_dimacs(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p edge three 0", "line 1: non-integer counts in problem line"),
+            ("c k 2\np edge 2 -1", "line 2: negative counts in problem line"),
+            ("c vertices A B\np edge 3 1\ne A B", "problem line declares 3 vertices, 'c vertices' lists 2"),
+        ],
+        ids=["non-integer", "negative", "vertices-comment-count"],
+    )
+    def test_bad_counts_are_named(self, text, message):
+        with pytest.raises(DimacsError) as exc:
+            parse_dimacs(text)
+        assert str(exc.value) == message
+
     def test_bad_arity(self):
         with pytest.raises(DimacsError, match="expected 'e <u> <v>'"):
             parse_dimacs("p edge 2 1\ne A B C")

@@ -50,6 +50,22 @@ def cfg_with(proposer=PERFECT, **kwargs):
     return OrchestratorConfig(proposer=proposer, **kwargs)
 
 
+def recording_renders(renders):
+    """A render_prompt that appends (graph, k, examples, history, prompt) to renders.
+
+    run_preset appends to its examples and history lists after a render,
+    so the arguments are copied into tuples at the call.
+    """
+    render = metacognition.render_prompt
+
+    def recording(graph, k, examples, history):
+        prompt = render(graph, k, examples, history)
+        renders.append((graph, k, tuple(examples), tuple(history), prompt))
+        return prompt
+
+    return recording
+
+
 def test_only_a_search_builds_the_neighbour_masks():
     # Graph.neighbour_masks is built on first read and then kept with the
     # graph, so S1 rounds, memory and answers found by peeling must not read it.
@@ -304,13 +320,12 @@ class TestSofaiV2:
         twin_coloring = solve_decision(twin, 3, time_limit=10.0).assignment
         store = MemoryStore()
         store.append(EpisodicRecord.make(twin, 3, twin_coloring, "S2"))
-        parsed, prompts = [], []
+        parsed, renders = [], []
         monkeypatch.setattr(graphs, "parse_dimacs_instance", lambda *a: parsed.append(a))
-        render = metacognition.render_prompt
-        monkeypatch.setattr(metacognition, "render_prompt", lambda *a: prompts.append(render(*a)) or prompts[-1])
+        monkeypatch.setattr(metacognition, "render_prompt", recording_renders(renders))
         outcome, trace = solve_sofai_v2(petersen, 3, cfg_with(ALWAYS_UNSAT, store=store))
         assert outcome.is_sat and trace.source == "S2"
-        assert prompts[0].examples == (PromptExample(twin, twin_coloring),)  # the memory hit
+        assert renders[0][2] == (PromptExample(twin, twin_coloring),)  # the memory hit
         assert [(r.graph, r.solver) for r in store.records()] == [(twin, "S2"), (petersen, "S2")]
         assert parsed == []
 
@@ -369,22 +384,21 @@ class TestSofaiV2:
         record = EpisodicRecord.make(graph, k, solve_decision(graph, k, time_limit=10.0).assignment, "S2")
         store = MemoryStore()
         store.append(record)
-        formatted, prompts = [], []
+        formatted, renders = [], []
         fmt = proposer.format_assignment
         monkeypatch.setattr(proposer, "format_assignment", lambda *a: formatted.append(a) or fmt(*a))
-        render = metacognition.render_prompt
-        monkeypatch.setattr(metacognition, "render_prompt", lambda *a: prompts.append(render(*a)) or prompts[-1])
+        monkeypatch.setattr(metacognition, "render_prompt", recording_renders(renders))
         noisy = ProposerConfig(kind="mock", noise=1.0, noise_decay=0.5)
         for seed in (1, 2):
             _, trace = solve_sofai_v2(graph, k, cfg_with(dataclasses.replace(noisy, seed=seed), store=store))
             assert trace.s1_calls >= 2
-        assert len(store) == 1 and all(p.examples[0] is record.example for p in prompts)
+        assert len(store) == 1 and all(examples[0] is record.example for _, _, examples, _, _ in renders)
         # the record's solution once in all, the worked example (a 3-vertex graph) once per trial
         assert sum(a is record.solution for a, _ in formatted) == 1
         assert sum(order is not graph.vertices for _, order in formatted) == 2
-        for p in prompts:
-            fresh = [PromptExample(ex.graph, dict(ex.solution)) for ex in p.examples]
-            assert p.text == proposer.render_prompt(p.graph, p.k, fresh, p.feedback_history).text
+        for g, at_k, examples, history, prompt in renders:
+            fresh = [PromptExample(ex.graph, dict(ex.solution)) for ex in examples]
+            assert prompt.text == proposer.render_prompt(g, at_k, fresh, history).text
 
     def test_accept_s1_unsat_flag(self, fig2_graph):
         # SOFAI-v2 rejects the declaration; only the S1 preset takes it as final.

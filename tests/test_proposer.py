@@ -30,6 +30,7 @@ from sofai_gc import (
     verdict,
 )
 from sofai_gc.graphs import LABEL
+from sofai_gc.metacognition import UNPARSEABLE_MESSAGE
 from sofai_gc.proposer import format_assignment
 
 from oracles import reference_mock_reply
@@ -277,8 +278,10 @@ class TestMockProposer:
         assert reply.assignment == expected and max(expected.values()) > 10**6
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ProposerConfig(kind="mock", noise=1.5)
+        for name, value in (("noise", 1.5), ("noise_decay", -0.1), ("noise_decay", 1.5), ("unsat_rate", -0.1),
+                            ("unsat_rate", 1.5)):
+            with pytest.raises(ValueError, match=f"{name} must be in"):
+                ProposerConfig(kind="mock", **{name: value})
         with pytest.raises(ValueError):
             ProposerConfig(kind="other")
         with pytest.raises(ValueError):
@@ -355,6 +358,10 @@ class TestRemoteProposer:
         assert isinstance(make_proposer(ProposerConfig(kind="mock")), MockProposer)
         remote = ProposerConfig(kind="remote", endpoint="http://example.test")
         assert isinstance(make_proposer(remote), RemoteProposer)
+
+    def test_a_mock_config_is_refused(self):
+        with pytest.raises(ValueError, match="RemoteProposer requires a remote config"):
+            RemoteProposer(ProposerConfig())
 
     def test_success_parses_reply(self, chat_server, triangle):
         _ChatHandler.script = [(200, "(A 1)\n(B 2)\n(C 3)")]
@@ -435,6 +442,16 @@ class TestRemoteProposer:
         second_prompt = _ChatHandler.seen[1]["body"]["messages"][0]["content"]
         assert "Incorrect Coloring Submitted" not in second_prompt
 
+    def test_a_reply_with_no_pairs_is_fed_back(self, chat_server, triangle):
+        prose = "I think vertex A should be red."
+        _ChatHandler.script = [(200, prose), (200, "(A 1)\n(B 2)\n(C 3)")]
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=0)
+        outcome, trace = solve_sofai_v2(triangle, 3, OrchestratorConfig(proposer=cfg, time_limit=30.0))
+        assert outcome.is_sat and trace.source == "S1"
+        assert [it.kind for it in trace.iterations] == ["unparseable", "assignment"]
+        second_prompt = _ChatHandler.seen[1]["body"]["messages"][0]["content"]
+        assert f"Incorrect Coloring Submitted:\n{prose}\n\nFeedback Provided:\n{UNPARSEABLE_MESSAGE}" in second_prompt
+
     @pytest.mark.parametrize("label", ["a b", " a", ""])
     def test_a_label_no_reply_can_name_sends_no_request(self, chat_server, label):
         # Graph refuses it, naming the first such label, before any prompt exists
@@ -456,15 +473,22 @@ class TestRemoteProposer:
         assert resp.is_not_solvable
 
     @pytest.mark.parametrize(
-        "body", [b"[]", b'{"choices": null}', b'{"choices": [{"message": null}]}', b'"text"'],
-        ids=["list", "null-choices", "null-message", "string"],
+        "body, error",
+        [
+            (b"[]", "TypeError"),
+            (b'{"choices": null}', "TypeError"),
+            (b'{"choices": [{"message": null}]}', "TypeError"),
+            (b'"text"', "TypeError"),
+            (b'{"choices": [{"message": {"content": ["(A 1)"]}}]}', "ValueError: message content is not text"),
+        ],
+        ids=["list", "null-choices", "null-message", "string", "list-content"],
     )
-    def test_wrong_json_shape_is_an_error(self, chat_server, triangle, body):
+    def test_wrong_json_shape_is_an_error(self, chat_server, triangle, body, error):
         _ChatHandler.script = [(200, body)]
         cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=0)
         resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3))
         assert resp.kind == "error"
-        assert resp.error.startswith("TypeError")
+        assert resp.error.startswith(error)
 
     def test_wrong_json_shape_round_is_survivable(self, chat_server, triangle):
         _ChatHandler.script = [(200, b"[]"), (200, "(A 1)\n(B 2)\n(C 3)")]

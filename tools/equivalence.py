@@ -42,7 +42,15 @@ of parentheses.  Last, on another fresh memory file, it runs the solve
 line on LETTERS without --proposer mock: the CLI's default auto path,
 which picks the mock with no S1_ENDPOINT, so prompts, S1 rounds and
 memory lines are compared for the config the CLI builds from flags and
-environment as well.  After those, it runs
+environment as well.  Then, on another fresh memory file, it runs
+SOFAI-v2 on LETTERS with --proposer remote and --endpoint set to a
+chat-completions server this tool starts on 127.0.0.1 for each side.
+The server answers with a fixed script: prose with no color pairs, a
+partial coloring, a coloring with one conflict, then a proper coloring,
+each scoring higher than the last, so the loop reaches its fourth round.
+The mock never sends such replies, so this line compares the reply
+parser, verdict's partial path, and the unparseable and uncolored
+feedback, through prompts, S1 rounds and memory lines.  After those, it runs
 
     sofai-gc solve --solver S2 --instance FILE
 
@@ -53,7 +61,9 @@ proof whose saturations reach 8, so its counts need a fourth bit plane.
 The dataset lines' searches are short, so these compare node counts
 where S2's saturation counting does most of its work.  Every command
 runs with S1_ENDPOINT, S1_API_KEY and S1_MODEL removed from its
-environment, so the shell's settings do not reach either side.  The
+environment, so the shell's settings do not reach either side, and
+with PYTHONHASHSEED set, to 0 on REV's side and 1 on the tree's, so an
+output that depends on hash order differs on every run.  The
 datasets must be byte-identical, every trial record must be equal
 except wall_time, every memory record of the bench and solve lines must
 be equal except timestamp, and every prompt the bench
@@ -92,6 +102,9 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,6 +150,14 @@ S2_LINES = (("g60-k9.col", 60, 0.5, 1, 9), ("g60-k10.col", 60, 0.5, 1, 10), ("g1
 TWIN = "\n".join([*LETTERS.splitlines()[:3], *LETTERS.splitlines()[:2:-1]]) + "\n"
 # LETTERS with vertex A labeled A(1): a label with parentheses, which a reply's pairs still name.
 PARENS = "".join(" ".join("A(1)" if t == "A" else t for t in line.split()) + "\n" for line in LETTERS.splitlines())
+# The scripted endpoint's replies to LETTERS, in order: no pairs, four of eight vertices, every vertex with
+# one conflict (G and C), a proper 3-coloring.  Each scores strictly higher, so the loop reaches the fourth.
+REMOTE_REPLIES = (
+    "I cannot see a coloring of this graph yet.",
+    "(A 1)\n(B 2)\n(C 3)\n(D 2)",
+    "(A 1)\n(B 2)\n(C 3)\n(D 2)\n(E 3)\n(F 1)\n(G 3)\n(H 1)",
+    "(A 1)\n(B 2)\n(C 3)\n(D 2)\n(E 3)\n(F 1)\n(G 2)\n(H 1)",
+)
 
 
 # `python -c RUNNER DIGESTS ROUNDS NODES MEMORY ARGS...`: sofai_gc.cli.main(ARGS)
@@ -209,20 +230,58 @@ finally:
 sys.exit(status)
 """
 
+
+class ScriptedChat(BaseHTTPRequestHandler):
+    """A chat-completions endpoint that answers each request with the next of its server's replies, then ""."""
+
+    def do_POST(self) -> None:
+        self.rfile.read(int(self.headers["Content-Length"]))
+        replies = self.server.replies
+        content = replies.pop(0) if replies else ""
+        body = json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+@contextmanager
+def scripted_endpoint():
+    """The URL of a ScriptedChat server on 127.0.0.1 that serves REMOTE_REPLIES once, from the first."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedChat)
+    server.replies = list(REMOTE_REPLIES)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
 ROUNDS = "S1 rounds of each solve call, equal on the keys both sides write"
 RECORDS = "memory records equal except timestamp, on the keys both sides write"
 NODES = "S2 nodes per call"
 MEMORY = "records built and appends refused"
 
 
-def run_matrix(src: Path, out: Path) -> dict[str, list]:
-    """Run the matrix on the package in src, writing to out; returns what the two sides must share, and MEMORY."""
+def run_matrix(src: Path, out: Path, hash_seed: str) -> dict[str, list]:
+    """Run the matrix on the package in src under PYTHONHASHSEED=hash_seed, writing to out.
+
+    Returns what the two sides must share, and MEMORY.
+    """
     digests, solve_digests = out / "prompts.sha256", out / "solve-prompts.sha256"
     again_digests, rounds, nodes = out / "solve-again-prompts.sha256", out / "rounds.jsonl", out / "s2-nodes.txt"
     twin_digests, tied_digests = out / "twin-prompts.sha256", out / "tied-prompts.sha256"
     torn_digests, parens_digests = out / "torn-prompts.sha256", out / "parens-prompts.sha256"
-    default_digests = out / "default-prompts.sha256"
+    default_digests, remote_digests = out / "default-prompts.sha256", out / "remote-prompts.sha256"
     env = {name: value for name, value in os.environ.items() if name not in S1_VARIABLES}
+    env["PYTHONHASHSEED"] = hash_seed
     made = out / "memory-counts.txt"
     out.mkdir(parents=True)  # gen's S2 calls write their nodes before it writes its dataset
 
@@ -259,12 +318,15 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
     cli(*SOLVE, "--instance", str(parens), "--memory", str(out / "parens.memory.jsonl"), digests=parens_digests)
     cli(*DEFAULT_SOLVE, "--instance", str(letters), "--memory", str(out / "default.memory.jsonl"),
         digests=default_digests)
+    with scripted_endpoint() as endpoint:
+        cli("solve", "--solver", "SOFAI-v2", "--proposer", "remote", "--endpoint", endpoint, "--instance",
+            str(letters), "--memory", str(out / "remote.memory.jsonl"), digests=remote_digests)
     for name, n, p, seed, k in S2_LINES:
         instance = out / name
         instance.write_text(serialize_dimacs(gen_erdos_renyi(n, p, seed), k))
         cli("solve", "--solver", "S2", "--instance", str(instance))
     memory_files = [*(f"{solver}.memory.jsonl" for solver in PRESETS), "solve.memory.jsonl", "twin.memory.jsonl",
-                    "torn.memory.jsonl", "parens.memory.jsonl", "default.memory.jsonl"]
+                    "torn.memory.jsonl", "parens.memory.jsonl", "default.memory.jsonl", "remote.memory.jsonl"]
     return {
         "dataset files byte-identical": [
             (p.relative_to(out).as_posix(), p.read_bytes())
@@ -287,6 +349,8 @@ def run_matrix(src: Path, out: Path) -> dict[str, list]:
             parens_digests.read_text().split(),
         "solve on letters.col without --proposer (auto, the mock), fresh memory file, prompt texts equal by sha256":
             default_digests.read_text().split(),
+        "solve on letters.col with the remote proposer and a scripted endpoint, fresh memory file, prompt texts "
+        "equal by sha256": remote_digests.read_text().split(),
         ROUNDS: [json.loads(line) for line in rounds.read_text().splitlines()],
         NODES: nodes.read_text().splitlines(),
         MEMORY: [sum(int(line.split()[i]) for line in made.read_text().splitlines()) for i in (0, 1)],
@@ -320,8 +384,8 @@ def main(argv: list[str]) -> int:
         archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, check=True, capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(base, filter="data")
-        old = run_matrix(base / "src", base / "rev")
-        new = run_matrix(ROOT / "src", base / "tree")
+        old = run_matrix(base / "src", base / "rev", hash_seed="0")
+        new = run_matrix(ROOT / "src", base / "tree", hash_seed="1")
         lines = [py_lines(base / "src"), py_lines(ROOT / "src")]
     print(f"working tree vs {rev}, {len(PRESETS)} solver ids:")
     made = [side.pop(MEMORY) for side in (old, new)]
