@@ -73,27 +73,12 @@ class SolveOutcome:
 
     status: "sat" (assignment holds a verified coloring), "unsat"
     (search space exhausted), "timeout", or "failure" (reason says why).
+    An outcome is built with its constructor; Sat keeps the dict it is given.
     """
 
     status: str
     assignment: Optional[ColorAssignment] = None
     reason: Optional[str] = None
-
-    @classmethod
-    def sat(cls, assignment: ColorAssignment) -> "SolveOutcome":
-        return cls("sat", assignment=dict(assignment))
-
-    @classmethod
-    def unsat(cls) -> "SolveOutcome":
-        return cls("unsat")
-
-    @classmethod
-    def timeout(cls) -> "SolveOutcome":
-        return cls("timeout")
-
-    @classmethod
-    def failure(cls, reason: str) -> "SolveOutcome":
-        return cls("failure", reason=reason)
 
     @property
     def is_sat(self) -> bool:
@@ -144,7 +129,7 @@ def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
     used = 0
     while free:
         if time.monotonic() > deadline:
-            return SolveOutcome.timeout()
+            return SolveOutcome("timeout")
         # Keep, plane by plane from the highest, the free vertices with
         # that bit set if any has it: what is left has the highest count.
         top = free
@@ -162,7 +147,7 @@ def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
             if color <= used + 1 and color <= k:
                 break
             if not stack:
-                return SolveOutcome.unsat()
+                return SolveOutcome("unsat")
             v, color, used, before = stack.pop()
             # Uncolor v: take one from each neighbor it raised, a ripple borrow.
             forb[color] = before
@@ -200,8 +185,8 @@ def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
 def _certified(graph: Graph, assignment: ColorAssignment, k: int) -> SolveOutcome:
     """Sat with the assignment if verdict accepts it as a k-coloring, else a failure."""
     if not verdict(graph, assignment, k).valid:
-        return SolveOutcome.failure("S2 produced an improper coloring")
-    return SolveOutcome.sat(assignment)
+        return SolveOutcome("failure", reason="S2 produced an improper coloring")
+    return SolveOutcome("sat", assignment)
 
 
 def _peel(graph: Graph, k: int) -> Optional[ColorAssignment]:
@@ -238,7 +223,7 @@ def _solve(graph: Graph, k: int, deadline: float) -> SolveOutcome:
     if coloring is None:
         return _decide(graph, k, deadline)
     if time.monotonic() > deadline:
-        return SolveOutcome.timeout()
+        return SolveOutcome("timeout")
     return _certified(graph, coloring, k)
 
 
@@ -247,7 +232,7 @@ def solve_decision(graph: Graph, k: int, time_limit: float = DEFAULT_TIME_LIMIT)
     if k < 1:
         raise ValueError("k must be >= 1")
     if not time_limit > 0:  # NaN too: a NaN deadline never passes
-        return SolveOutcome.timeout()
+        return SolveOutcome("timeout")
     return _solve(graph, k, time.monotonic() + time_limit)
 
 

@@ -18,11 +18,12 @@ per vertex label: every edge endpoint is the object in `vertices`.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 # Vertex label -> color index (>= 1).  May be partial.
 ColorAssignment = dict[str, int]
@@ -129,7 +130,7 @@ class Graph:
         It does when the edge lines alone would give another vertex list:
         isolated vertices, or an order other than first appearance in `edges`.
         """
-        return _first_appearance(self.edges) != self.vertices
+        return tuple(dict.fromkeys(itertools.chain.from_iterable(self.edges))) != self.vertices
 
     def first_fit(self, order: Iterable[int]) -> ColorAssignment:
         """Color the vertices at the positions in order, which lists each once, each with the lowest color left free.
@@ -224,14 +225,6 @@ def verdict(graph: Graph, assignment: Mapping[str, int], k: int) -> Verdict:
     return Verdict(score, tuple(conflicts), colors_used, complete, valid)
 
 
-def _first_appearance(edges: Sequence[tuple[str, str]]) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for u, v in edges:
-        seen.setdefault(u)
-        seen.setdefault(v)
-    return tuple(seen)
-
-
 _INT_RE = re.compile(r"^[0-9]+$")
 
 
@@ -245,13 +238,15 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
     """Parse DIMACS-style text plus the structured `c k` / `c label` comments.
 
     Vertex tokens are kept verbatim; Graph refuses one that breaks LABEL.  The
-    vertex list is taken from a `c vertices ...` comment when present;
-    otherwise from edge-endpoint first-appearance order; otherwise, for
-    classic integer instances with isolated vertices, it is filled in as
-    1..nv, at most MAX_FILLED_VERTICES of them isolated.  Every edge
-    endpoint is the very string object in the vertex list.  Self-loops,
-    duplicate edges and endpoints missing from a `c vertices` list are
-    rejected by `Graph`; the DimacsError names the offending edge's line.
+    vertex list is taken from the `c vertices ...` comments when present,
+    their labels joined in file order; otherwise from edge-endpoint
+    first-appearance order; otherwise, for classic integer instances with
+    isolated vertices, it is filled in as 1..nv, at most
+    MAX_FILLED_VERTICES of them isolated.  Parsing is linear in the text.
+    Every edge endpoint is the very string object in the vertex list.
+    Self-loops, duplicate edges and endpoints missing from a `c vertices`
+    list are rejected by `Graph`; the DimacsError names the offending edge's
+    line.
     """
     counts: tuple[int, int] | None = None
     edges: list[tuple[str, str]] = []
@@ -277,7 +272,9 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
             elif len(tokens) == 3 and tokens[1] == "label" and tokens[2] in _LABELS:
                 label = tokens[2]
             elif len(tokens) >= 2 and tokens[1] == "vertices":
-                declared = (declared or []) + [own(t, t) for t in tokens[2:]]
+                if declared is None:
+                    declared = []
+                declared.extend([own(t, t) for t in tokens[2:]])
             continue
         if tag == "p":
             if counts is not None:
@@ -312,7 +309,7 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
             raise DimacsError(f"problem line declares {nv} vertices, 'c vertices' lists {len(declared)}")
         vertices = tuple(declared)
     else:
-        endpoints = _first_appearance(edges)
+        endpoints = tuple(labels)  # no `c vertices` line: labels holds the endpoints in first-appearance order
         if len(endpoints) == nv:
             vertices = endpoints
         elif len(endpoints) < nv and all(  # no label in 1..nv has more digits than nv, so int() reads each one

@@ -217,13 +217,13 @@ def run_preset(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tu
             v = verdict(graph, response.assignment, k)
             score = float(v.score)
             if v.valid:
-                signature, outcome = None, SolveOutcome.sat(response.assignment)
+                signature, outcome = None, SolveOutcome("sat", response.assignment)
             else:  # a failed assignment draws a conflict, over-budget or uncolored message
                 messages = tuple(item.message for item in _feedback(graph, response.assignment, v, k))
                 signature = ("conflicts", v.conflicts)
                 history.append((format_assignment(response.assignment, graph.vertices), messages))
         elif response.is_not_solvable and preset.accept_unsat:
-            outcome = SolveOutcome.unsat()
+            outcome = SolveOutcome("unsat")
         elif response.is_not_solvable:
             messages = (NOT_SOLVABLE_REJECTED_MESSAGE,)
             history.append((response.raw or NOT_SOLVABLE, messages))
@@ -245,7 +245,7 @@ def run_preset(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tu
         source = None if outcome.is_timeout else "S2"
     else:
         source = None
-        outcome = SolveOutcome.timeout() if remaining <= 0 else SolveOutcome.failure("s1-exhausted")
+        outcome = SolveOutcome("timeout") if remaining <= 0 else SolveOutcome("failure", reason="s1-exhausted")
     if cfg.store is not None and outcome.is_sat and not cfg.store.holds(graph, k):
         cfg.store.append(EpisodicRecord.make(graph, k, outcome.assignment, source))
     return outcome, SolveTrace(iterations=tuple(iterations), s2_invoked=s2_invoked, source=source)

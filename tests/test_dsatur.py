@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -91,22 +92,22 @@ class TestSolveDecision:
     def test_large_sparse_graph_does_not_exhaust_the_stack(self, monkeypatch):
         # G(1500, 0.002) at k = 4 peels to nothing, so the search is run directly
         graph = gen_erdos_renyi(1500, 0.002, 1)
-        nodes = count_nodes(monkeypatch)
+        nodes = record_nodes(monkeypatch)
         outcome = search(graph, 4)
-        assert outcome.is_sat and nodes[0] >= 1500
+        assert outcome.is_sat and len(nodes) >= 1500
         assert verdict(graph, outcome.assignment, 4).valid
 
     def test_rejected_certificate_is_a_failure(self, fig2_graph, petersen, monkeypatch):
         # the certificate check must hold under `python -O`, so it cannot be an assert;
         # fig2 at k = 3 is answered by peeling, the Petersen graph (3-regular) by a search
-        nodes = count_nodes(monkeypatch)
+        nodes = record_nodes(monkeypatch)
         rejected = verdict(fig2_graph, {}, 3)
         monkeypatch.setattr("sofai_gc.dsatur.verdict", lambda graph, assignment, k: rejected)
         for graph, searched in [(fig2_graph, False), (petersen, True)]:
-            nodes[0] = 0
+            nodes.clear()
             outcome = solve_decision(graph, 3)
             assert outcome.is_failure and outcome.reason
-            assert (nodes[0] > 0) == searched
+            assert (len(nodes) > 0) == searched
             with pytest.raises(RuntimeError, match="k=3"):
                 chromatic_number(graph)
         assert solve_decision(fig2_graph, 2).is_unsat
@@ -186,10 +187,10 @@ class TestChromaticNumber:
         counted = functools.cached_property(lambda graph: built.append(graph) or masks(graph))
         counted.__set_name__(Graph, "neighbour_masks")
         monkeypatch.setattr(Graph, "neighbour_masks", counted)
-        nodes = count_nodes(monkeypatch)
-        assert solve_decision(petersen, 3).is_sat and nodes[0] > 0
-        nodes[0] = 0
-        assert solve_decision(petersen, 2).is_unsat and nodes[0] > 0
+        nodes = record_nodes(monkeypatch)
+        assert solve_decision(petersen, 3).is_sat and len(nodes) > 0
+        nodes.clear()
+        assert solve_decision(petersen, 2).is_unsat and len(nodes) > 0
         assert chromatic_number(petersen) == 3
         assert built == [petersen]
 
@@ -204,44 +205,34 @@ class TestChromaticNumber:
             chromatic_number(triangle, time_limit=limit)
 
 
-def count_nodes(monkeypatch):
-    """Counts search nodes: _decide calls select_vertex once per node."""
-    nodes = [0]
+class Node(NamedTuple):
+    """One search node: the bits and degree order _decide handed select_vertex, and the vertex it chose."""
 
-    def counted(*args):
-        nodes[0] += 1
-        return select_vertex(*args)
+    bits: int
+    order: tuple[int, ...]
+    chosen: int
 
-    monkeypatch.setattr(dsatur, "select_vertex", counted)
-    return nodes
-
-
-def search_path(graph: Graph, k: int, solve=search):
-    """solve's outcome, and the vertex index select_vertex returned at each node, in order."""
-    choices: list[int] = []
-    real = dsatur.select_vertex
-    dsatur.select_vertex = lambda *args: choices.append(real(*args)) or choices[-1]
-    try:
-        return solve(graph, k), choices
-    finally:
-        dsatur.select_vertex = real
+    @property
+    def tops(self) -> frozenset[int]:
+        """The vertex indices whose bits are set: the uncolored vertices of the highest saturation."""
+        return frozenset(v for place, v in enumerate(self.order) if self.bits >> place & 1)
 
 
-def search_tops(graph: Graph, k: int) -> list[frozenset[int]]:
-    """The vertex indices _decide hands select_vertex at each node, in order: the highest-saturation uncolored ones."""
-    tops: list[frozenset[int]] = []
-    real = dsatur.select_vertex
+def record_nodes(monkeypatch: pytest.MonkeyPatch) -> list[Node]:
+    """Every search node from here on, in order: _decide calls select_vertex once per node.
+
+    A Hypothesis test, which takes no function-scoped fixture, passes the
+    patcher of a `with pytest.MonkeyPatch.context()` block.
+    """
+    nodes: list[Node] = []
 
     def recorded(bits: int, order: tuple[int, ...]) -> int:
-        tops.append(frozenset(v for place, v in enumerate(order) if bits >> place & 1))
-        return real(bits, order)
+        chosen = select_vertex(bits, order)
+        nodes.append(Node(bits, order, chosen))
+        return chosen
 
-    dsatur.select_vertex = recorded
-    try:
-        search(graph, k)
-        return tops
-    finally:
-        dsatur.select_vertex = real
+    monkeypatch.setattr(dsatur, "select_vertex", recorded)
+    return nodes
 
 
 def coloring_digest(assignment: dict[str, int]) -> str:
@@ -249,7 +240,7 @@ def coloring_digest(assignment: dict[str, int]) -> str:
 
 
 class TestSelectVertex:
-    def test_prefers_saturation_then_degree_then_order(self):
+    def test_prefers_saturation_then_degree_then_order(self, monkeypatch):
         # "1"-"2" is an edge; "3" is the center of a star on "4", "5", "6".
         # "3" goes first (degree 3 beats an earlier position), then its
         # leaves (saturation 1 beats a lower index), which tie on saturation
@@ -258,25 +249,29 @@ class TestSelectVertex:
         assert graph.degree_order == (2, 0, 1, 3, 4, 5)  # degree descending, then index
         expected = [2, 3, 4, 5, 0, 1]
         assert reference_dsatur(graph, 3)[0] == expected
-        outcome, choices = search_path(graph, 3)
-        assert outcome.is_sat and choices == expected
+        nodes = record_nodes(monkeypatch)
+        assert search(graph, 3).is_sat
+        assert [node.chosen for node in nodes] == expected
 
     @settings(max_examples=200, deadline=None)
     @given(er_graphs(max_n=9), st.integers(1, 5))
     def test_matches_a_reference_dsatur(self, graph, k):
         # every node's choice, after backtracks too, then the answer and its coloring
         expected, coloring = reference_dsatur(graph, k)
-        outcome, choices = search_path(graph, k)
-        assert choices == expected
+        with pytest.MonkeyPatch.context() as patch:
+            nodes = record_nodes(patch)
+            outcome = search(graph, k)
+        assert [node.chosen for node in nodes] == expected
         assert outcome.status == ("unsat" if coloring is None else "sat")
         assert outcome.assignment == coloring
 
-    def test_undo_restores_saturation(self):
+    def test_undo_restores_saturation(self, monkeypatch):
         # Uncoloring takes each neighbor's count back down, so every node,
         # after a backtrack too, sees the highest-saturation vertices a scan
         # from scratch finds.  A path that never backs up has at most one
         # node per vertex, so more nodes than vertices means the search
         # uncolored some.
+        nodes = record_nodes(monkeypatch)
         for graph, k in [
             (myciel(3), 3),  # the Grötzsch graph, chi 4: Unsat after backtracks
             (gen_erdos_renyi(30, 0.5, 0), 7),  # chi 7: Sat after backtracks
@@ -285,9 +280,10 @@ class TestSelectVertex:
         ]:
             expected: list[frozenset[int]] = []
             reference_dsatur(graph, k, expected)
-            tops = search_tops(graph, k)
-            assert tops == expected
-            assert len(tops) > len(graph.vertices)
+            nodes.clear()
+            search(graph, k)
+            assert [node.tops for node in nodes] == expected
+            assert len(nodes) > len(graph.vertices)
 
     @settings(max_examples=200, deadline=None)
     @given(er_graphs(max_n=9), st.integers(1, 5))
@@ -296,7 +292,10 @@ class TestSelectVertex:
         # gets exactly the uncolored vertices of the highest saturation
         expected: list[frozenset[int]] = []
         reference_dsatur(graph, k, expected)
-        assert search_tops(graph, k) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            nodes = record_nodes(patch)
+            search(graph, k)
+        assert [node.tops for node in nodes] == expected
 
 
 class TestPeeling:
@@ -305,7 +304,10 @@ class TestPeeling:
     def test_searches_exactly_when_the_k_core_is_nonempty(self, graph, k):
         # an empty k-core answers Sat with no search; any other input is
         # plain DSATUR, every node, Unsat answers included
-        outcome, choices = search_path(graph, k, solve_decision)
+        with pytest.MonkeyPatch.context() as patch:
+            nodes = record_nodes(patch)
+            outcome = solve_decision(graph, k)
+        choices = [node.chosen for node in nodes]
         if not k_core(graph, k):
             assert choices == []
             assert outcome.is_sat and verdict(graph, outcome.assignment, k).valid
@@ -327,9 +329,9 @@ class TestPeeling:
         text = serialize_dimacs(gen_erdos_renyi(300, 0.03, 3553260803050964941), 8)
         graph, k, _ = parse_dimacs_instance(text)
         assert k_core(graph, 6) and not k_core(graph, 7)
-        nodes = count_nodes(monkeypatch)
+        nodes = record_nodes(monkeypatch)
         outcome = solve_decision(graph, k)
-        assert outcome.is_sat and nodes[0] == 0
+        assert outcome.is_sat and nodes == []
         assert verdict(graph, outcome.assignment, k).valid
         assert coloring_digest(outcome.assignment) == "aedba54855e8"
 
@@ -342,16 +344,16 @@ class TestPeeling:
             assert tracemalloc.get_traced_memory()[1] < 2**20
         finally:
             tracemalloc.stop()
-        nodes = count_nodes(monkeypatch)
+        nodes = record_nodes(monkeypatch)
         outcome = solve_decision(petersen, 10**12)
-        assert outcome.is_sat and nodes[0] == 0
+        assert outcome.is_sat and nodes == []
         assert verdict(petersen, outcome.assignment, 10**12).valid
         assert max(outcome.assignment.values()) <= 4  # the maximum degree + 1
 
     def test_a_passed_deadline_is_a_timeout(self, fig2_graph, monkeypatch):
         # fig2 at k = 3 peels to nothing, but the coloring stands only before the deadline
-        nodes = count_nodes(monkeypatch)
-        assert dsatur._solve(fig2_graph, 3, time.monotonic() - 1).is_timeout and nodes[0] == 0
+        nodes = record_nodes(monkeypatch)
+        assert dsatur._solve(fig2_graph, 3, time.monotonic() - 1).is_timeout and nodes == []
 
     @pytest.mark.parametrize("graph, chi, searched", [
         # a path with branches: a tree, 2-colorable, whose 2-core is empty
@@ -363,13 +365,13 @@ class TestPeeling:
          {2: 7}),
     ], ids=["tree", "pendant-cycle"])
     def test_sweep_ends_on_a_peeled_k(self, graph, chi, searched, monkeypatch):
-        nodes, per_k = count_nodes(monkeypatch), {}
+        nodes, per_k = record_nodes(monkeypatch), {}
         solve = dsatur._solve
 
         def counted(graph, k, *args):
-            start = nodes[0]
+            start = len(nodes)
             outcome = solve(graph, k, *args)
-            per_k[k] = nodes[0] - start
+            per_k[k] = len(nodes) - start
             return outcome
 
         monkeypatch.setattr(dsatur, "_solve", counted)
@@ -401,20 +403,20 @@ SEARCH_PATHS = {
 def test_search_path_is_plain_dsatur(args, monkeypatch):
     chi, sweep, unsat, sat, digest = SEARCH_PATHS[args]
     graph = gen_erdos_renyi(*args)
-    nodes = count_nodes(monkeypatch)
+    nodes = record_nodes(monkeypatch)
     if sweep is not None:
-        assert (chromatic_number(graph), nodes[0]) == (chi, sweep)
+        assert (chromatic_number(graph), len(nodes)) == (chi, sweep)
         per_k = {}
         for k in range(1, chi + 1):
-            nodes[0] = 0
+            nodes.clear()
             solve_decision(graph, k)
-            per_k[k] = nodes[0]
+            per_k[k] = len(nodes)
         assert sweep == sum(per_k[k] for k in range(clique_size(graph), chi + 1)) < sum(per_k.values())
-    nodes[0] = 0
-    assert solve_decision(graph, chi - 1).is_unsat and nodes[0] == unsat
-    nodes[0] = 0
+    nodes.clear()
+    assert solve_decision(graph, chi - 1).is_unsat and len(nodes) == unsat
+    nodes.clear()
     outcome = solve_decision(graph, chi)
-    assert outcome.is_sat and nodes[0] == sat
+    assert outcome.is_sat and len(nodes) == sat
     assert coloring_digest(outcome.assignment) == digest
 
 
@@ -424,9 +426,10 @@ def test_sparse_search_path_never_backtracks(monkeypatch):
     # loads it: one node per vertex, none revisited.
     text = serialize_dimacs(gen_erdos_renyi(300, 0.03, 3553260803050964941), 8)
     graph, k, _ = parse_dimacs_instance(text)
-    nodes = count_nodes(monkeypatch)
+    nodes = record_nodes(monkeypatch)
     outcome = search(graph, k)
-    assert outcome.is_sat and nodes[0] == 300 == len(graph.vertices)
+    assert outcome.is_sat and len(nodes) == 300 == len(graph.vertices)
+    assert len({node.chosen for node in nodes}) == 300
     assert coloring_digest(outcome.assignment) == "9b718cb9fbe7"
 
 

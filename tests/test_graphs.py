@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -167,9 +168,9 @@ class TestParseDimacs:
         assert k is None and label is None
 
     def test_vertices_comment_defines_order_and_isolates(self):
-        text = "c vertices C B A D\np edge 4 1\ne A B"
-        graph = parse_dimacs(text)
-        assert graph.vertices == ("C", "B", "A", "D")
+        # several `c vertices` lines, one after the edges, join in file order
+        for text in ["c vertices C B A D\np edge 4 1\ne A B", "c vertices C B\np edge 4 1\ne A B\nc vertices A D"]:
+            assert parse_dimacs(text).vertices == ("C", "B", "A", "D")
 
     def test_integer_isolates_filled_from_header(self):
         graph = parse_dimacs("p edge 4 1\ne 2 3")
@@ -198,10 +199,15 @@ class TestParseDimacs:
         )
 
     def test_listed_vertices_are_not_bounded(self):
-        # a 'c vertices' line pays for its labels in input bytes
+        # a 'c vertices' line pays for its labels in input bytes, and parsing
+        # is linear in them whether they sit on one line or one to a line
         labels = [f"v{i}" for i in range(MAX_FILLED_VERTICES + 1)]
-        graph = parse_dimacs(f"c vertices {' '.join(labels)}\np edge {len(labels)} 1\ne v0 v1")
-        assert len(graph.vertices) == MAX_FILLED_VERTICES + 1
+        tail = f"\np edge {len(labels)} 1\ne v0 v1"
+        for listed in [f"c vertices {' '.join(labels)}", "\n".join(f"c vertices {v}" for v in labels)]:
+            start = time.monotonic()
+            graph = parse_dimacs(listed + tail)
+            assert time.monotonic() - start < 3.0
+            assert graph.vertices == tuple(labels)
 
     def test_named_isolates_without_comment_rejected(self):
         with pytest.raises(DimacsError, match="declares 3 vertices"):

@@ -70,7 +70,7 @@ class TestEpisodicRecord:
             record_for(triangle, 3, {"A": 1, "B": 2, "C": 3}, solver="S3")
 
 
-class TestUpdateMemory:
+class TestAppend:
     def test_append_then_retrieve_identical(self, triangle):
         store = MemoryStore()
         rec = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})

@@ -31,7 +31,7 @@ from sofai_gc import (
     serialize_dimacs,
     verdict,
 )
-from sofai_gc import bench, metacognition, proposer
+from sofai_gc import bench, dsatur, metacognition, proposer
 from sofai_gc.metacognition import (
     CONFLICT_TEMPLATE,
     MAX_ROUNDS,
@@ -645,3 +645,46 @@ def test_every_row_runs_as_its_table_says(fig2_graph, solver):
         assert outcome.is_failure and trace.s1_calls == preset.rounds
     if store is not None:  # a row that reads memory records what it solved
         assert len(store) == outcome.is_sat
+
+
+# The fields an outcome of each status carries: (type of assignment, type of reason).
+OUTCOME_SHAPES = {
+    "sat": (dict, type(None)),
+    "unsat": (type(None), type(None)),
+    "timeout": (type(None), type(None)),
+    "failure": (type(None), str),
+}
+
+
+def assert_shaped(outcome):
+    """The outcome carries just its status's fields, and exactly one status predicate holds."""
+    assert (type(outcome.assignment), type(outcome.reason)) == OUTCOME_SHAPES[outcome.status]
+    predicates = [outcome.is_sat, outcome.is_unsat, outcome.is_timeout, outcome.is_failure]
+    assert predicates == [status == outcome.status for status in OUTCOME_SHAPES]
+
+
+class TestOutcomeShapes:
+    @settings(max_examples=200, deadline=None)
+    @given(er_graphs(), st.integers(1, 5), st.sampled_from([30.0, 0.0]), st.booleans())
+    def test_every_s2_outcome(self, graph, k, time_limit, rejected):
+        # a rejected certificate is S2's one failure
+        with pytest.MonkeyPatch.context() as patch:
+            if rejected:
+                patch.setattr(dsatur, "verdict", lambda *args: dataclasses.replace(verdict(*args), valid=False))
+            assert_shaped(solve_decision(graph, k, time_limit))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(list(PRESETS)),
+        er_graphs(),
+        st.integers(1, 5),
+        st.sampled_from([0.0, 0.5, 1.0]),  # noise
+        st.sampled_from([0.0, 0.5, 1.0]),  # unsat_rate
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([30.0, 1e-9]),
+    )
+    def test_every_trial_outcome(self, solver, graph, k, noise, unsat_rate, seed, time_limit):
+        config = ProposerConfig(kind="mock", noise=noise, unsat_rate=unsat_rate, seed=seed)
+        store = MemoryStore() if PRESETS[solver].memory else None
+        outcome, _ = metacognition.run_preset(solver, graph, k, cfg_with(config, time_limit=time_limit, store=store))
+        assert_shaped(outcome)
