@@ -48,6 +48,11 @@ node.  A search thus runs only on a graph with a nonempty k-core, whose
 maximum degree is at least k, so it holds k colors, and the sweep ends by
 k = degeneracy + 1.  solve_decision answers Unsat only from an exhausted
 search.
+
+The encoding takes Θ(n²) bits, about one per vertex pair, and is built
+before the first deadline check, so S2 searches no graph of more than
+MAX_SEARCH_VERTICES vertices: _solve answers failure once peeling leaves
+a k-core, and chromatic_number raises ValueError.
 """
 
 from __future__ import annotations
@@ -61,6 +66,8 @@ from .graphs import ColorAssignment, Graph, verdict
 
 # The wall-clock budget, in seconds, of an S2 call, a solve, a bench trial and a labeled instance.
 DEFAULT_TIME_LIMIT = 200.0
+# The most vertices a graph S2 searches may have: its encoding then takes about 18 MB and 0.07 s (see README).
+MAX_SEARCH_VERTICES = 10_000
 
 
 class DeadlineExceeded(Exception):
@@ -74,11 +81,15 @@ class SolveOutcome:
     status: "sat" (assignment holds a verified coloring), "unsat"
     (search space exhausted), "timeout", or "failure" (reason says why).
     An outcome is built with its constructor; Sat keeps the dict it is given.
+    nodes counts S2's search nodes, one per vertex choice, up to its answer
+    (Sat, Unsat or a rejected certificate) or its deadline.  0 means no search
+    ran: a peeled Sat, an S1 answer, no time, or a graph too large to search.
     """
 
     status: str
     assignment: Optional[ColorAssignment] = None
     reason: Optional[str] = None
+    nodes: int = 0
 
     @property
     def is_sat(self) -> bool:
@@ -126,10 +137,10 @@ def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
     planes = [0] * k.bit_length()
     lowest = len(planes) - 1  # where a ripple starts; a list reads a non-negative index faster
     stack = []
-    used = 0
+    used = nodes = 0
     while free:
         if time.monotonic() > deadline:
-            return SolveOutcome("timeout")
+            return SolveOutcome("timeout", nodes=nodes)
         # Keep, plane by plane from the highest, the free vertices with
         # that bit set if any has it: what is left has the highest count.
         top = free
@@ -137,6 +148,7 @@ def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
             if kept := top & plane:
                 top = kept
         v = select_vertex(top, order)  # module global: one call per search node
+        nodes += 1
         b = bit[v]
         color = 1
         # Advance the vertex on top to its next feasible color, backing up
@@ -147,7 +159,7 @@ def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
             if color <= used + 1 and color <= k:
                 break
             if not stack:
-                return SolveOutcome("unsat")
+                return SolveOutcome("unsat", nodes=nodes)
             v, color, used, before = stack.pop()
             # Uncolor v: take one from each neighbor it raised, a ripple borrow.
             forb[color] = before
@@ -179,14 +191,14 @@ def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
     coloring = [0] * n
     for v, color, _, _ in stack:
         coloring[v] = color
-    return _certified(graph, dict(zip(graph.vertices, coloring)), k)
+    return _certified(graph, dict(zip(graph.vertices, coloring)), k, nodes)
 
 
-def _certified(graph: Graph, assignment: ColorAssignment, k: int) -> SolveOutcome:
-    """Sat with the assignment if verdict accepts it as a k-coloring, else a failure."""
+def _certified(graph: Graph, assignment: ColorAssignment, k: int, nodes: int = 0) -> SolveOutcome:
+    """Sat with the assignment if verdict accepts it as a k-coloring, else a failure; both carry nodes."""
     if not verdict(graph, assignment, k).valid:
-        return SolveOutcome("failure", reason="S2 produced an improper coloring")
-    return SolveOutcome("sat", assignment)
+        return SolveOutcome("failure", reason="S2 produced an improper coloring", nodes=nodes)
+    return SolveOutcome("sat", assignment, nodes=nodes)
 
 
 def _peel(graph: Graph, k: int) -> Optional[ColorAssignment]:
@@ -218,9 +230,12 @@ def _peel(graph: Graph, k: int) -> Optional[ColorAssignment]:
 
 
 def _solve(graph: Graph, k: int, deadline: float) -> SolveOutcome:
-    """A peeled coloring if the graph's k-core is empty, else a search."""
+    """A peeled coloring if the graph's k-core is empty, else a search, or a failure above MAX_SEARCH_VERTICES."""
     coloring = _peel(graph, k)
     if coloring is None:
+        n = len(graph.vertices)
+        if n > MAX_SEARCH_VERTICES:
+            return SolveOutcome("failure", reason=f"{n} vertices, more than the {MAX_SEARCH_VERTICES} S2 may search")
         return _decide(graph, k, deadline)
     if time.monotonic() > deadline:
         return SolveOutcome("timeout")
@@ -275,12 +290,15 @@ def chromatic_number(graph: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> in
     skipped.  It ends by k = degeneracy + 1, where peeling answers Sat (see
     _peel).  The whole sweep shares one deadline and the graph's masks;
     DeadlineExceeded is raised if it cannot finish in time, and at once
-    for a time limit that is not positive (NaN too).
+    for a time limit that is not positive (NaN too).  ValueError is raised
+    at once for a graph of more than MAX_SEARCH_VERTICES vertices.
     """
     if not graph.vertices:
         return 0
     if not time_limit > 0:
         raise DeadlineExceeded(f"chromatic number search has no time: {time_limit}s")
+    if len(graph.vertices) > MAX_SEARCH_VERTICES:
+        raise ValueError(f"{len(graph.vertices)} vertices, more than the {MAX_SEARCH_VERTICES} S2 may search")
     deadline = time.monotonic() + time_limit
     for k in itertools.count(len(_clique(graph))):
         outcome = _solve(graph, k, deadline)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sofai_gc import ProposerConfig, parse_dimacs_instance, verdict
+from sofai_gc import ProposerConfig, dsatur, parse_dimacs_instance, verdict
 from sofai_gc.cli import _proposer_config, build_parser, main
 
 
@@ -36,6 +36,12 @@ class TestGen:
         assert captured.out.strip() == f"wrote 0 instances to {tmp_path / 'ds'}"
         assert captured.err.strip() == "warning: some instances were dropped (labeling timed out)"
         assert "# complete: false\n" in (tmp_path / "ds" / "manifest.csv").read_text()
+
+    def test_a_graph_too_large_to_search_is_a_one_line_error(self, tmp_path, monkeypatch):
+        # gen_erdos_renyi draws every vertex pair, so the bound is lowered rather than passed
+        monkeypatch.setattr(dsatur, "MAX_SEARCH_VERTICES", 4)
+        with pytest.raises(SystemExit, match=r"^sofai-gc: 5 vertices, more than the 4 S2 may search$"):
+            main(["gen", "--n", "5", "--p", "0.5", "--count", "1", "--out", str(tmp_path / "ds")])
 
     def test_mix_argument_validation(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

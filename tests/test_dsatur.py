@@ -81,7 +81,7 @@ class TestSolveDecision:
         start = time.monotonic()
         outcome = solve_decision(graph, 6, time_limit=0.2)
         elapsed = time.monotonic() - start
-        assert outcome.is_timeout
+        assert outcome.is_timeout and outcome.nodes > 0
         assert elapsed < 1.2  # cooperative deadline: bounded overshoot
 
     def test_boundary_instance_is_proved_unsat_within_a_second(self):
@@ -89,25 +89,22 @@ class TestSolveDecision:
         # unused colors, without which it ran for tens of seconds
         assert solve_decision(gen_erdos_renyi(45, 0.5, seed=3), 8, time_limit=1.0).is_unsat
 
-    def test_large_sparse_graph_does_not_exhaust_the_stack(self, monkeypatch):
+    def test_large_sparse_graph_does_not_exhaust_the_stack(self):
         # G(1500, 0.002) at k = 4 peels to nothing, so the search is run directly
         graph = gen_erdos_renyi(1500, 0.002, 1)
-        nodes = record_nodes(monkeypatch)
         outcome = search(graph, 4)
-        assert outcome.is_sat and len(nodes) >= 1500
+        assert outcome.is_sat and outcome.nodes >= 1500
         assert verdict(graph, outcome.assignment, 4).valid
 
     def test_rejected_certificate_is_a_failure(self, fig2_graph, petersen, monkeypatch):
         # the certificate check must hold under `python -O`, so it cannot be an assert;
         # fig2 at k = 3 is answered by peeling, the Petersen graph (3-regular) by a search
-        nodes = record_nodes(monkeypatch)
         rejected = verdict(fig2_graph, {}, 3)
         monkeypatch.setattr("sofai_gc.dsatur.verdict", lambda graph, assignment, k: rejected)
         for graph, searched in [(fig2_graph, False), (petersen, True)]:
-            nodes.clear()
             outcome = solve_decision(graph, 3)
             assert outcome.is_failure and outcome.reason
-            assert (len(nodes) > 0) == searched
+            assert (outcome.nodes > 0) == searched
             with pytest.raises(RuntimeError, match="k=3"):
                 chromatic_number(graph)
         assert solve_decision(fig2_graph, 2).is_unsat
@@ -187,10 +184,8 @@ class TestChromaticNumber:
         counted = functools.cached_property(lambda graph: built.append(graph) or masks(graph))
         counted.__set_name__(Graph, "neighbour_masks")
         monkeypatch.setattr(Graph, "neighbour_masks", counted)
-        nodes = record_nodes(monkeypatch)
-        assert solve_decision(petersen, 3).is_sat and len(nodes) > 0
-        nodes.clear()
-        assert solve_decision(petersen, 2).is_unsat and len(nodes) > 0
+        sat, unsat = solve_decision(petersen, 3), solve_decision(petersen, 2)
+        assert sat.is_sat and unsat.is_unsat and sat.nodes > 0 and unsat.nodes > 0
         assert chromatic_number(petersen) == 3
         assert built == [petersen]
 
@@ -235,6 +230,18 @@ def record_nodes(monkeypatch: pytest.MonkeyPatch) -> list[Node]:
     return nodes
 
 
+def record_solves(monkeypatch: pytest.MonkeyPatch) -> list[tuple[int, dsatur.SolveOutcome]]:
+    """Every _solve call from here on, as (k, outcome): each k of a sweep, and each solve_decision."""
+    solves, solve = [], dsatur._solve
+
+    def recorded(graph: Graph, k: int, deadline: float) -> dsatur.SolveOutcome:
+        solves.append((k, solve(graph, k, deadline)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(dsatur, "_solve", recorded)
+    return solves
+
+
 def coloring_digest(assignment: dict[str, int]) -> str:
     return hashlib.sha256(json.dumps(assignment, sort_keys=True).encode()).hexdigest()[:12]
 
@@ -261,7 +268,7 @@ class TestSelectVertex:
         with pytest.MonkeyPatch.context() as patch:
             nodes = record_nodes(patch)
             outcome = search(graph, k)
-        assert [node.chosen for node in nodes] == expected
+        assert [node.chosen for node in nodes] == expected and outcome.nodes == len(nodes)
         assert outcome.status == ("unsat" if coloring is None else "sat")
         assert outcome.assignment == coloring
 
@@ -308,9 +315,9 @@ class TestPeeling:
             nodes = record_nodes(patch)
             outcome = solve_decision(graph, k)
         choices = [node.chosen for node in nodes]
+        assert outcome.nodes == len(choices)
         if not k_core(graph, k):
-            assert choices == []
-            assert outcome.is_sat and verdict(graph, outcome.assignment, k).valid
+            assert outcome.is_sat and not choices and verdict(graph, outcome.assignment, k).valid
             assert brute_force_colorable(graph, k)
         else:
             expected, coloring = reference_dsatur(graph, k)
@@ -323,19 +330,18 @@ class TestPeeling:
     def test_coloring_is_first_fit_in_reverse_removal_order(self, graph, k):
         assert dsatur._peel(graph, k) == reference_peel(graph, k)
 
-    def test_sparse_graph_is_answered_without_a_search(self, monkeypatch):
+    def test_sparse_graph_is_answered_without_a_search(self):
         # the graph of test_sparse_search_path_never_backtracks: degeneracy
         # 6 at k = 8, so it peels to nothing
         text = serialize_dimacs(gen_erdos_renyi(300, 0.03, 3553260803050964941), 8)
         graph, k, _ = parse_dimacs_instance(text)
         assert k_core(graph, 6) and not k_core(graph, 7)
-        nodes = record_nodes(monkeypatch)
         outcome = solve_decision(graph, k)
-        assert outcome.is_sat and nodes == []
+        assert outcome.is_sat and outcome.nodes == 0
         assert verdict(graph, outcome.assignment, k).valid
         assert coloring_digest(outcome.assignment) == "aedba54855e8"
 
-    def test_a_huge_k_allocates_nothing_sized_by_k(self, petersen, monkeypatch):
+    def test_a_huge_k_allocates_nothing_sized_by_k(self, petersen):
         # k comes from the command line or an instance's `c k` line, and a k
         # far above the degree is exactly the input that peels to nothing
         tracemalloc.start()
@@ -344,16 +350,14 @@ class TestPeeling:
             assert tracemalloc.get_traced_memory()[1] < 2**20
         finally:
             tracemalloc.stop()
-        nodes = record_nodes(monkeypatch)
         outcome = solve_decision(petersen, 10**12)
-        assert outcome.is_sat and nodes == []
+        assert outcome.is_sat and outcome.nodes == 0
         assert verdict(petersen, outcome.assignment, 10**12).valid
         assert max(outcome.assignment.values()) <= 4  # the maximum degree + 1
 
-    def test_a_passed_deadline_is_a_timeout(self, fig2_graph, monkeypatch):
+    def test_a_passed_deadline_is_a_timeout(self, fig2_graph):
         # fig2 at k = 3 peels to nothing, but the coloring stands only before the deadline
-        nodes = record_nodes(monkeypatch)
-        assert dsatur._solve(fig2_graph, 3, time.monotonic() - 1).is_timeout and nodes == []
+        assert dsatur._solve(fig2_graph, 3, time.monotonic() - 1) == dsatur.SolveOutcome("timeout", nodes=0)
 
     @pytest.mark.parametrize("graph, chi, searched", [
         # a path with branches: a tree, 2-colorable, whose 2-core is empty
@@ -365,20 +369,37 @@ class TestPeeling:
          {2: 7}),
     ], ids=["tree", "pendant-cycle"])
     def test_sweep_ends_on_a_peeled_k(self, graph, chi, searched, monkeypatch):
-        nodes, per_k = record_nodes(monkeypatch), {}
-        solve = dsatur._solve
-
-        def counted(graph, k, *args):
-            start = len(nodes)
-            outcome = solve(graph, k, *args)
-            per_k[k] = len(nodes) - start
-            return outcome
-
-        monkeypatch.setattr(dsatur, "_solve", counted)
+        solves = record_solves(monkeypatch)
         assert chromatic_number(graph) == chi == brute_force_chromatic(graph)
-        assert per_k == {**searched, chi: 0}
+        assert {k: outcome.nodes for k, outcome in solves} == {**searched, chi: 0}
         for k, count in searched.items():
             assert count == len(reference_dsatur(graph, k)[0])
+
+
+class TestSearchBound:
+    @pytest.fixture
+    def graph(self) -> Graph:
+        """A triangle plus isolated vertices past the bound: its 2-core is the triangle, its 3-core is empty."""
+        return Graph(tuple(map(str, range(dsatur.MAX_SEARCH_VERTICES + 1))), (("0", "1"), ("1", "2"), ("2", "0")))
+
+    def test_a_k_core_is_a_failure_without_the_encoding(self, graph):
+        tracemalloc.start()
+        try:
+            outcome = solve_decision(graph, 2)
+            assert tracemalloc.get_traced_memory()[1] < 2**20  # the encoding of 10,001 vertices takes over 6 MB
+        finally:
+            tracemalloc.stop()
+        assert outcome == dsatur.SolveOutcome("failure", reason="10001 vertices, more than the 10000 S2 may search")
+
+    def test_an_empty_k_core_still_peels(self, graph):
+        outcome = solve_decision(graph, 3)
+        assert outcome.is_sat and outcome.nodes == 0
+        assert verdict(graph, outcome.assignment, 3).valid
+
+    def test_chromatic_number_raises_before_the_clique(self, graph, monkeypatch):
+        monkeypatch.setattr(dsatur, "_clique", None)  # a call would raise TypeError
+        with pytest.raises(ValueError, match="^10001 vertices, more than the 10000 S2 may search$"):
+            chromatic_number(graph)
 
 
 def clique_size(graph: Graph) -> int:
@@ -403,20 +424,14 @@ SEARCH_PATHS = {
 def test_search_path_is_plain_dsatur(args, monkeypatch):
     chi, sweep, unsat, sat, digest = SEARCH_PATHS[args]
     graph = gen_erdos_renyi(*args)
-    nodes = record_nodes(monkeypatch)
     if sweep is not None:
-        assert (chromatic_number(graph), len(nodes)) == (chi, sweep)
-        per_k = {}
-        for k in range(1, chi + 1):
-            nodes.clear()
-            solve_decision(graph, k)
-            per_k[k] = len(nodes)
+        solves = record_solves(monkeypatch)
+        assert chromatic_number(graph) == chi and sum(outcome.nodes for _, outcome in solves) == sweep
+        per_k = {k: solve_decision(graph, k).nodes for k in range(1, chi + 1)}
         assert sweep == sum(per_k[k] for k in range(clique_size(graph), chi + 1)) < sum(per_k.values())
-    nodes.clear()
-    assert solve_decision(graph, chi - 1).is_unsat and len(nodes) == unsat
-    nodes.clear()
+    assert solve_decision(graph, chi - 1) == dsatur.SolveOutcome("unsat", nodes=unsat)
     outcome = solve_decision(graph, chi)
-    assert outcome.is_sat and len(nodes) == sat
+    assert outcome.is_sat and outcome.nodes == sat
     assert coloring_digest(outcome.assignment) == digest
 
 
@@ -464,10 +479,9 @@ class TestClique:
     ], ids=["K1", "K2", "K3", "K4", "K5", "K6", "er30-seed2", "er30-seed7"])
     def test_a_clique_of_size_chi_leaves_one_search(self, graph, monkeypatch):
         # one k is tried; on K_n it is answered by peeling, not a search
-        solve, ks = dsatur._solve, []
-        monkeypatch.setattr(dsatur, "_solve", lambda *args: ks.append(args[1]) or solve(*args))  # args[1] is k
+        solves = record_solves(monkeypatch)
         chi = chromatic_number(graph)
-        assert ks == [chi] == [clique_size(graph)]
+        assert [k for k, _ in solves] == [chi] == [clique_size(graph)]
 
     @settings(max_examples=150, deadline=None)
     @given(er_graphs(max_n=7))

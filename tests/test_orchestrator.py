@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import myciel
-from oracles import label_view
+from oracles import k_core, label_view
 from strategies import er_graphs
 from sofai_gc import (
     Graph,
@@ -656,11 +656,14 @@ OUTCOME_SHAPES = {
 }
 
 
-def assert_shaped(outcome):
-    """The outcome carries just its status's fields, and exactly one status predicate holds."""
+def assert_shaped(outcome, graph, k, source="S2"):
+    """The outcome carries just its status's fields, exactly one status predicate holds, and nodes is a count."""
     assert (type(outcome.assignment), type(outcome.reason)) == OUTCOME_SHAPES[outcome.status]
     predicates = [outcome.is_sat, outcome.is_unsat, outcome.is_timeout, outcome.is_failure]
     assert predicates == [status == outcome.status for status in OUTCOME_SHAPES]
+    assert type(outcome.nodes) is int and outcome.nodes >= 0
+    if source == "S1" or outcome.is_sat and not k_core(graph, k):  # no search: S1's answer, or a peeled Sat
+        assert outcome.nodes == 0
 
 
 class TestOutcomeShapes:
@@ -671,7 +674,7 @@ class TestOutcomeShapes:
         with pytest.MonkeyPatch.context() as patch:
             if rejected:
                 patch.setattr(dsatur, "verdict", lambda *args: dataclasses.replace(verdict(*args), valid=False))
-            assert_shaped(solve_decision(graph, k, time_limit))
+            assert_shaped(solve_decision(graph, k, time_limit), graph, k)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -686,5 +689,6 @@ class TestOutcomeShapes:
     def test_every_trial_outcome(self, solver, graph, k, noise, unsat_rate, seed, time_limit):
         config = ProposerConfig(kind="mock", noise=noise, unsat_rate=unsat_rate, seed=seed)
         store = MemoryStore() if PRESETS[solver].memory else None
-        outcome, _ = metacognition.run_preset(solver, graph, k, cfg_with(config, time_limit=time_limit, store=store))
-        assert_shaped(outcome)
+        cfg = cfg_with(config, time_limit=time_limit, store=store)
+        outcome, trace = metacognition.run_preset(solver, graph, k, cfg)
+        assert_shaped(outcome, graph, k, trace.source)

@@ -83,7 +83,9 @@ metacognition.render_prompt to record those digests, bench.solve and
 cli.solve (the bench lines and the solve lines look a roster id up
 through one of them) to record those rounds, and dsatur.select_vertex,
 which the search calls once per node with any arguments, to count those
-nodes.  It also wraps memory.EpisodicRecord.make and
+nodes.  It counts there, not from SolveOutcome.nodes, because a revision
+from before that field still has to run, and because chromatic_number
+returns only its k, not the outcomes of its sweep.  It also wraps memory.EpisodicRecord.make and
 memory.MemoryStore.append, to count the records each side builds and the
 appends the store refuses; those two counts are printed per side for
 information, as the keys are, and are not compared.  Prints the
