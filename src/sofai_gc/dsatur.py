@@ -4,36 +4,35 @@ Answers "is the graph k-colorable?" with a certificate.  Sat outcomes
 carry a verified proper coloring; Unsat means the full search space was
 exhausted, so the answer is a proof, not a guess.
 
-The search is an explicit-stack loop over integer vertex indices, so its
-depth is not bounded by Python's recursion limit.  Unused colors are
-interchangeable, so a branch tries only colors 1..min(k, max_used + 1)
-(Brélaz 1979; San Segundo 2012): any coloring can be relabeled into one
-the search reaches.
+The search is an explicit-stack loop, so its depth is not bounded by
+Python's recursion limit.  Unused colors are interchangeable, so a branch
+tries only colors 1..min(k, max_used + 1) (Brélaz 1979; San Segundo
+2012): any coloring can be relabeled into one the search reaches.
 
-The next vertex comes from bit planes, not a scan.  Each vertex has a
-fixed bit, its place in (degree descending, index ascending) order, and
-planes[-1 - j] holds bit j of every vertex's saturation: bit-sliced
-counters, k.bit_length() bitmasks in all, the highest bit first, in San
-Segundo's (2012) bitboard style.  Keeping, from the highest plane down,
-the uncolored vertices with the plane's bit whenever any has it leaves
-those of the highest saturation, and the DSATUR choice is the lowest of
-their bits.  Colors are bitsets
-too: forb[c] is the union of the neighbor masks of the vertices colored
-c, so v may take c iff forb[c] & bit[v] is 0, and coloring v with c adds
-one to exactly the uncolored neighbors outside forb[c], a ripple carry
-through the planes however many neighbors v has.  The search unwinds
-LIFO, one frame per depth, so undoing a color restores the forb[c] its
-frame saved and takes one from the same vertices, a ripple borrow.  forb
-is 0 above the colors in use and one slot past k, so the scan for a free
-color needs no bound.  The search path, node for node, is plain DSATUR's.
+The search runs on places: place p is the vertex degree_order[p] (degree
+descending, index ascending) and bit p of a mask, so the lowest bit of a
+set is DSATUR's tie-break; only the finished coloring is mapped back to
+positions.  The next place comes from bit planes, not a scan:
+planes[-1 - j] holds bit j of every place's saturation, k.bit_length()
+bit-sliced counters, the highest bit first, in San Segundo's (2012)
+bitboard style.  Keeping, from the highest plane down, the uncolored
+places with the plane's bit whenever any has it leaves those of the
+highest saturation, and DSATUR picks the lowest.  Colors are bitsets too:
+forb[c] is the union of the neighbor masks of the places colored c, so p
+may take c iff bit p of forb[c] is 0, and coloring p with c adds one to
+exactly the uncolored neighbors outside forb[c], a ripple carry through
+the planes however many neighbors p has.  The search unwinds LIFO, one
+frame per depth, so undoing a color restores the forb[c] its frame saved
+and takes one from the same places, a ripple borrow.  forb is 0 above the
+colors in use and one slot past k, so the scan for a free color needs no
+bound.  The search path, node for node, is plain DSATUR's.
 
-S2 keeps no search state of its own: a search reads the graph's
-degree_order and neighbour_masks, which the Graph builds on first read
-and keeps, so every search of one graph, and chromatic_number's clique
-bound, share them.  Each search starts empty on them and keeps
-everything it changes to itself.  chromatic_number starts its sweep at
-the size of a greedy clique grown on the masks and checked against the
-graph: a clique needs that many colors, so no smaller k is searched.
+S2 keeps no search state of its own: every search of a graph, and
+chromatic_number's clique bound, read the neighbour_masks the Graph
+builds on first read and keeps, and each search keeps what it changes to
+itself.  chromatic_number starts its sweep at the size of a greedy clique
+grown on the masks and checked against the graph: a clique needs that
+many colors, so no smaller k is searched.
 
 Before it searches at k, S2 peels the graph (_peel): it removes vertices
 with fewer than k remaining neighbors until none is left or a k-core
@@ -66,7 +65,7 @@ from .graphs import ColorAssignment, Graph, verdict
 
 # The wall-clock budget, in seconds, of an S2 call, a solve, a bench trial and a labeled instance.
 DEFAULT_TIME_LIMIT = 200.0
-# The most vertices a graph S2 searches may have: its encoding then takes about 18 MB and 0.07 s (see README).
+# The most vertices a graph S2 searches may have: its encoding then takes about 10.5 MB and 0.04 s (see README).
 MAX_SEARCH_VERTICES = 10_000
 
 
@@ -108,30 +107,30 @@ class SolveOutcome:
         return self.status == "failure"
 
 
-def select_vertex(bits: int, order: tuple[int, ...]) -> int:
-    """Next vertex to color, given the bits of the uncolored vertices of top saturation: the first in degree order."""
-    return order[(bits & -bits).bit_length() - 1]
+def select_vertex(bits: int) -> int:
+    """Next place to color, given the places of the uncolored vertices of top saturation as bits: the lowest."""
+    return (bits & -bits).bit_length() - 1
 
 
 def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
     """Search for a k-coloring, starting from no vertex colored.
 
-    free holds the bits of the uncolored vertices, and planes[-1 - j] bit j
-    of every vertex's saturation.  Only an uncolored vertex's count
-    changes, and the search unwinds LIFO, so when v is uncolored every
-    later change is undone: free is what it was when v was colored and v's
-    count, never touched while it was colored, is still right.  A
-    saturation counts distinct colors of 1..k, so k.bit_length() planes
-    never overflow.
+    v is a place, bit[v] its bit (a list indexes faster than a shift),
+    free the bits of the uncolored places and planes[-1 - j] bit j of
+    every place's saturation.  Only an uncolored place's count changes,
+    and the search unwinds LIFO, so when v is uncolored every later change
+    is undone: free is what it was when v was colored and v's count, never
+    touched while it was colored, is still right.  A saturation counts
+    distinct colors of 1..k, so k.bit_length() planes never overflow.
 
     The stack holds one frame per depth, (v, color, used, before): used is
     the highest color above v, before forb[color] as v found it.  forb is 0
     from used + 1 to k + 1, so the scan for a free color stops, with no
     bound, by used + 1 or where it resumed; above min(used + 1, k) it fails.
     """
-    order = graph.degree_order
-    bit, nmask = graph.neighbour_masks
-    n = len(order)
+    nmask = graph.neighbour_masks
+    n = len(nmask)
+    bit = [1 << p for p in range(n)]
     forb = [0] * (k + 2)
     free = (1 << n) - 1
     planes = [0] * k.bit_length()
@@ -141,17 +140,17 @@ def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
     while free:
         if time.monotonic() > deadline:
             return SolveOutcome("timeout", nodes=nodes)
-        # Keep, plane by plane from the highest, the free vertices with
+        # Keep, plane by plane from the highest, the free places with
         # that bit set if any has it: what is left has the highest count.
         top = free
         for plane in planes:
             if kept := top & plane:
                 top = kept
-        v = select_vertex(top, order)  # module global: one call per search node
+        v = select_vertex(top)  # module global: one call per search node
         nodes += 1
         b = bit[v]
         color = 1
-        # Advance the vertex on top to its next feasible color, backing up
+        # Advance the place on top to its next feasible color, backing up
         # past frames whose colors are exhausted; none left means no coloring.
         while True:
             while forb[color] & b:
@@ -189,8 +188,9 @@ def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
             used = color
 
     coloring = [0] * n
+    order = graph.degree_order
     for v, color, _, _ in stack:
-        coloring[v] = color
+        coloring[order[v]] = color
     return _certified(graph, dict(zip(graph.vertices, coloring)), k, nodes)
 
 
@@ -254,26 +254,25 @@ def solve_decision(graph: Graph, k: int, time_limit: float = DEFAULT_TIME_LIMIT)
 def _clique(graph: Graph) -> list[int]:
     """A greedy clique of the graph, as vertex indices, checked against its neighbour lists.
 
-    Each step takes the candidate with the most neighbors among the
-    remaining candidates (the first in degree order on a tie), then keeps
-    only its neighbors as candidates.  The members are then checked
-    pairwise against graph.neighbours, not the masks they were grown from;
-    a failed check raises RuntimeError.
+    Each step takes the candidate place with the most neighbors among the
+    remaining candidates (the lowest place on a tie), then keeps only its
+    neighbors as candidates.  The members, mapped back to positions, are
+    then checked pairwise against graph.neighbours, not the masks they were
+    grown from; a failed check raises RuntimeError.
     """
-    order = graph.degree_order
-    nmask = graph.neighbour_masks[1]
+    nmask = graph.neighbour_masks
     members: list[int] = []
-    cand = (1 << len(order)) - 1
+    cand = (1 << len(nmask)) - 1
     while cand:
         best, most, rest = 0, -1, cand
         while rest:
             low = rest & -rest
             rest ^= low
-            u = order[low.bit_length() - 1]
-            count = (nmask[u] & cand).bit_count()
+            p = low.bit_length() - 1
+            count = (nmask[p] & cand).bit_count()
             if count > most:
-                best, most = u, count
-        members.append(best)
+                best, most = p, count
+        members.append(graph.degree_order[best])
         cand &= nmask[best]
     for i, v in enumerate(members):
         if not set(members[:i]).issubset(graph.neighbours[v]):

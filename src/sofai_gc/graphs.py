@@ -53,12 +53,13 @@ class Graph:
     their insertion order and endpoint orientation; equality compares
     both tuples, so a parse/serialize round trip is exact.  index[v] is
     v's position in vertices, and neighbours[i] lists the positions of
-    the neighbours of vertices[i] in edge order.  degree_order and
-    neighbour_masks, S2's encoding, are built from neighbours on first
-    read and then kept.  Building one rejects duplicate vertex labels, a
-    label that breaks LABEL (the first is named), self-loops, duplicate
-    edges in either orientation and edges to unknown vertices, raising
-    ValueError.
+    the neighbours of vertices[i] in edge order.  S2's encoding,
+    neighbour_masks, holds at place p, the vertex at degree_order[p], its
+    neighbours' places as bits: no table maps a vertex to its bit.  Both
+    are built from neighbours on first read and then kept.  Building one
+    rejects duplicate vertex labels, a label that breaks LABEL (the first
+    is named), self-loops, duplicate edges in either orientation and
+    edges to unknown vertices, raising ValueError.
     """
 
     vertices: tuple[str, ...]
@@ -102,13 +103,13 @@ class Graph:
         return tuple(sorted(range(len(degree)), key=degree.__getitem__, reverse=True))
 
     @cached_property
-    def neighbour_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(bit, nmask) by position: bit[v] is 1 << v's place in degree_order, nmask[v] its neighbours' bits."""
-        bit = [0] * len(self.neighbours)
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """nmask by place in degree_order: bit q of nmask[p] is set iff places p and q are neighbours."""
+        bit = [0] * len(self.neighbours)  # by position: 1 << place, dropped once the masks are built
         for place, v in enumerate(self.degree_order):
             bit[v] = 1 << place
         # The bits are distinct, so their sum is their union.
-        return tuple(bit), tuple([sum(map(bit.__getitem__, ns)) for ns in self.neighbours])
+        return tuple([sum(map(bit.__getitem__, self.neighbours[v])) for v in self.degree_order])
 
     @property
     def density(self) -> float:

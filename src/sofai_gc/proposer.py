@@ -32,8 +32,8 @@ class ProposerConfig:
     kind "mock" ignores the endpoint fields; kind "remote" requires an
     endpoint.  noise is the per-vertex probability that the mock replaces
     its greedy choice with a uniform color; it decays by noise_decay per
-    feedback round, so feedback measurably helps.  unsat_rate is the
-    probability the mock declares the instance unsolvable outright.
+    failed round, so later rounds improve by round count alone, not by
+    the feedback.  unsat_rate is the chance the mock answers NOT SOLVABLE.
     """
 
     kind: str = "mock"

@@ -201,16 +201,22 @@ class TestChromaticNumber:
 
 
 class Node(NamedTuple):
-    """One search node: the bits and degree order _decide handed select_vertex, and the vertex it chose."""
+    """One search node, in places of degree_order: the bits _decide handed select_vertex, and the place it chose."""
 
     bits: int
-    order: tuple[int, ...]
     chosen: int
 
-    @property
-    def tops(self) -> frozenset[int]:
-        """The vertex indices whose bits are set: the uncolored vertices of the highest saturation."""
-        return frozenset(v for place, v in enumerate(self.order) if self.bits >> place & 1)
+
+def chosen(graph: Graph, nodes: list[Node]) -> list[int]:
+    """The vertex index each node chose."""
+    order = graph.degree_order
+    return [order[node.chosen] for node in nodes]
+
+
+def tops(graph: Graph, nodes: list[Node]) -> list[frozenset[int]]:
+    """At each node, the vertex indices whose places are set: the uncolored vertices of the highest saturation."""
+    order = graph.degree_order
+    return [frozenset(v for place, v in enumerate(order) if node.bits >> place & 1) for node in nodes]
 
 
 def record_nodes(monkeypatch: pytest.MonkeyPatch) -> list[Node]:
@@ -221,10 +227,10 @@ def record_nodes(monkeypatch: pytest.MonkeyPatch) -> list[Node]:
     """
     nodes: list[Node] = []
 
-    def recorded(bits: int, order: tuple[int, ...]) -> int:
-        chosen = select_vertex(bits, order)
-        nodes.append(Node(bits, order, chosen))
-        return chosen
+    def recorded(bits: int) -> int:
+        place = select_vertex(bits)
+        nodes.append(Node(bits, place))
+        return place
 
     monkeypatch.setattr(dsatur, "select_vertex", recorded)
     return nodes
@@ -258,7 +264,7 @@ class TestSelectVertex:
         assert reference_dsatur(graph, 3)[0] == expected
         nodes = record_nodes(monkeypatch)
         assert search(graph, 3).is_sat
-        assert [node.chosen for node in nodes] == expected
+        assert chosen(graph, nodes) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(er_graphs(max_n=9), st.integers(1, 5))
@@ -268,7 +274,7 @@ class TestSelectVertex:
         with pytest.MonkeyPatch.context() as patch:
             nodes = record_nodes(patch)
             outcome = search(graph, k)
-        assert [node.chosen for node in nodes] == expected and outcome.nodes == len(nodes)
+        assert chosen(graph, nodes) == expected and outcome.nodes == len(nodes)
         assert outcome.status == ("unsat" if coloring is None else "sat")
         assert outcome.assignment == coloring
 
@@ -289,7 +295,7 @@ class TestSelectVertex:
             reference_dsatur(graph, k, expected)
             nodes.clear()
             search(graph, k)
-            assert [node.tops for node in nodes] == expected
+            assert tops(graph, nodes) == expected
             assert len(nodes) > len(graph.vertices)
 
     @settings(max_examples=200, deadline=None)
@@ -302,7 +308,7 @@ class TestSelectVertex:
         with pytest.MonkeyPatch.context() as patch:
             nodes = record_nodes(patch)
             search(graph, k)
-        assert [node.tops for node in nodes] == expected
+        assert tops(graph, nodes) == expected
 
 
 class TestPeeling:
@@ -314,7 +320,7 @@ class TestPeeling:
         with pytest.MonkeyPatch.context() as patch:
             nodes = record_nodes(patch)
             outcome = solve_decision(graph, k)
-        choices = [node.chosen for node in nodes]
+        choices = chosen(graph, nodes)
         assert outcome.nodes == len(choices)
         if not k_core(graph, k):
             assert outcome.is_sat and not choices and verdict(graph, outcome.assignment, k).valid
@@ -386,15 +392,37 @@ class TestSearchBound:
         tracemalloc.start()
         try:
             outcome = solve_decision(graph, 2)
-            assert tracemalloc.get_traced_memory()[1] < 2**20  # the encoding of 10,001 vertices takes over 6 MB
+            assert tracemalloc.get_traced_memory()[1] < 2**20
         finally:
             tracemalloc.stop()
         assert outcome == dsatur.SolveOutcome("failure", reason="10001 vertices, more than the 10000 S2 may search")
+        # this graph's encoding would fit the bound above, so look for it on the graph
+        assert "degree_order" not in vars(graph) and "neighbour_masks" not in vars(graph)
 
     def test_an_empty_k_core_still_peels(self, graph):
         outcome = solve_decision(graph, 3)
         assert outcome.is_sat and outcome.nodes == 0
         assert verdict(graph, outcome.assignment, 3).valid
+
+    def test_the_encoding_keeps_one_mask_per_vertex(self):
+        # a random graph of 2,000 vertices and 6,000 edges: its masks take
+        # about 0.46 MB, and a table of each vertex's bit kept beside them
+        # took 0.34 MB more
+        rng = random.Random(0)
+        names = tuple(map(str, range(2000)))
+        pairs: set[tuple[int, int]] = set()
+        while len(pairs) < 6000:
+            pairs.add(tuple(sorted(rng.sample(range(2000), 2))))
+        graph = Graph(names, tuple((names[u], names[v]) for u, v in sorted(pairs)))
+        graph.degree_order
+        tracemalloc.start()
+        try:
+            masks = graph.neighbour_masks
+            assert tracemalloc.get_traced_memory()[0] < 600_000
+        finally:
+            tracemalloc.stop()
+        place = {v: p for p, v in enumerate(graph.degree_order)}
+        assert masks == tuple(sum(1 << place[u] for u in graph.neighbours[v]) for v in graph.degree_order)
 
     def test_chromatic_number_raises_before_the_clique(self, graph, monkeypatch):
         monkeypatch.setattr(dsatur, "_clique", None)  # a call would raise TypeError
@@ -444,18 +472,19 @@ def test_sparse_search_path_never_backtracks(monkeypatch):
     nodes = record_nodes(monkeypatch)
     outcome = search(graph, k)
     assert outcome.is_sat and len(nodes) == 300 == len(graph.vertices)
-    assert len({node.chosen for node in nodes}) == 300
+    assert len(set(chosen(graph, nodes))) == 300
     assert coloring_digest(outcome.assignment) == "9b718cb9fbe7"
 
 
-# Vertex "1" of a 5-cycle claims every other vertex as a neighbor in the
-# graph's cached masks, so the greedy clique grown from them is no clique.
+# Vertex "1" of a 5-cycle, place 0 as every degree ties, claims every other
+# place as a neighbor in the graph's cached masks, so the greedy clique grown
+# from them is no clique.
 NON_CLIQUE = """
 from sofai_gc import Graph, chromatic_number
 
 graph = Graph(tuple("12345"), (("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "1")))
-bit, nmask = graph.neighbour_masks
-vars(graph)["neighbour_masks"] = bit, (sum(bit) ^ bit[0],) + nmask[1:]
+nmask = graph.neighbour_masks
+vars(graph)["neighbour_masks"] = (0b11110,) + nmask[1:]
 chromatic_number(graph)
 """
 

@@ -21,7 +21,7 @@ def side(**changes) -> dict:
         equivalence.RECORDS: [{"k": 3, "n": 8, "solver": "S2"}],
         equivalence.PROMPTS["bench"]: ["0" * 64, "1" * 64],
         equivalence.ROUNDS: [[{"kind": "ok", "score": 1.0}], []],
-        S2: ["3 unsat 12", "4 sat 9", "9 sat 22418"],
+        S2: ["3 unsat 12 -", "4 sat 9 131fffc532ba", "9 sat 22418 1586ee479662"],
         BUILT: ["S2 8 13 3", "S2 8 13 3"],
         equivalence.STREAMS["refused.txt"]: [],
     }
@@ -36,11 +36,17 @@ def test_identical_sides_pass(capsys):
 
 
 def test_one_differing_s2_line_fails_and_prints_its_index_and_both_lines(capsys):
-    tree = side(**{S2: ["3 unsat 12", "4 sat 11", "9 sat 22418"]})
+    tree = side(**{S2: ["3 unsat 12 -", "4 sat 11 131fffc532ba", "9 sat 22418 1586ee479662"]})
     assert not equivalence.compare(side(), tree, "REV")
     out = capsys.readouterr().out
     assert f"  {S2}: 2/3  MISMATCH (the tree has 3)\n" in out
-    assert "    1: '4 sat 9' at REV, '4 sat 11' in the tree\n" in out
+    assert "    1: '4 sat 9 131fffc532ba' at REV, '4 sat 11 131fffc532ba' in the tree\n" in out
+
+
+def test_an_s2_line_differing_only_in_its_coloring_digest_fails(capsys):
+    tree = side(**{S2: ["3 unsat 12 -", "4 sat 9 131fffc532ba", "9 sat 22418 a297c9c75cef"]})
+    assert not equivalence.compare(side(), tree, "REV")
+    assert f"  {S2}: 2/3  MISMATCH (the tree has 3)\n" in capsys.readouterr().out
 
 
 def test_a_key_only_one_sides_s1_rounds_have_is_listed_and_fails_nothing(capsys):

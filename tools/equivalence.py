@@ -19,8 +19,10 @@ does.  The two sides must be equal, item for item and in order, on:
 - the sha256 of every rendered prompt, one stream per group of commands
   (the mock proposer ignores prompt text, so nothing else would see it change);
 - the S1 rounds of every solve call, each IterationRecord without elapsed;
-- S2's answers per k: `k status nodes` for each dsatur._solve call, so for
-  every top-level S2 call and every k of a chromatic-number sweep;
+- S2's answers per k: `k status nodes digest` for each dsatur._solve call,
+  so for every top-level S2 call and every k of a chromatic-number sweep;
+  digest is the first 12 hex digits of the sha256 of the Sat assignment as
+  sorted JSON, `-` with no assignment, so every S2 coloring is compared;
 - the records built (EpisodicRecord.make calls) and the appends MemoryStore
   refuses.
 
@@ -119,7 +121,7 @@ PROMPTS = {
 # The other streams RUNNER appends to in OUT: the comparison's label for each file.
 STREAMS = {
     "rounds.jsonl": ROUNDS,
-    "s2.txt": "S2 answers per k (k, status, nodes)",
+    "s2.txt": "S2 answers per k (k, status, nodes, coloring digest)",
     "built.txt": "records built (EpisodicRecord.make calls)",
     "refused.txt": "appends MemoryStore refused",
 }
@@ -127,7 +129,7 @@ SHOWN = 10  # differing items printed per comparison
 
 # `python -c RUNNER OUT PROMPTS ARGS...`: sofai_gc.cli.main(ARGS), appending to files in the directory OUT
 # each rendered prompt's sha256 (to PROMPTS.sha256), each solve call's S1 rounds as one JSON list of dicts,
-# `k status nodes` for each S2 answer, `solver n e k` for each record built, and each refused append's reason.
+# `k status nodes digest` for each S2 answer, `solver n e k` for each record built, and each refused append's reason.
 RUNNER = """
 import dataclasses, hashlib, json, sys
 from sofai_gc import bench, cli, dsatur, memory, metacognition
@@ -154,7 +156,9 @@ def recording_rounds(*args, **kwargs):
 
 def recording_s2(graph, k, deadline):
     outcome = search(graph, k, deadline)
-    write("s2.txt", f"{k} {outcome.status} {outcome.nodes}")
+    coloring = outcome.assignment
+    digest = "-" if coloring is None else hashlib.sha256(json.dumps(coloring, sort_keys=True).encode()).hexdigest()[:12]
+    write("s2.txt", f"{k} {outcome.status} {outcome.nodes} {digest}")
     return outcome
 
 def recording_make(*args, **kwargs):
