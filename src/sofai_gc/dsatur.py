@@ -2,7 +2,8 @@
 
 Answers "is the graph k-colorable?" with a certificate.  Sat outcomes
 carry a verified proper coloring; Unsat means the full search space was
-exhausted, so the answer is a proof, not a guess.
+exhausted, or a checked clique of more than k vertices was found, so the
+answer is a proof, not a guess.
 
 The search is an explicit-stack loop, so its depth is not bounded by
 Python's recursion limit.  Unused colors are interchangeable, so a branch
@@ -25,14 +26,20 @@ the planes however many neighbors p has.  The search unwinds LIFO, one
 frame per depth, so undoing a color restores the forb[c] its frame saved
 and takes one from the same places, a ripple borrow.  forb is 0 above the
 colors in use and one slot past k, so the scan for a free color needs no
-bound.  The search path, node for node, is plain DSATUR's.
+bound.
+
+Before its first node the search colors a greedy clique (Graph.clique,
+grown on the masks and checked against the graph) 1..ω in clique order,
+as DSATUR-based exact colorers do (Brélaz 1979; San Segundo 2012), and
+never undoes it; from there it chooses as DSATUR does.  By the same
+relabeling, that loses no coloring.  A clique of more than k vertices is
+itself the proof of Unsat, answered with no node.
 
 S2 keeps no search state of its own: every search of a graph, and
-chromatic_number's clique bound, read the neighbour_masks the Graph
-builds on first read and keeps, and each search keeps what it changes to
-itself.  chromatic_number starts its sweep at the size of a greedy clique
-grown on the masks and checked against the graph: a clique needs that
-many colors, so no smaller k is searched.
+chromatic_number's clique bound, read the neighbour_masks and clique the
+Graph builds on first read and keeps, and each search keeps what it
+changes to itself.  chromatic_number starts its sweep at the clique's
+size: a clique needs that many colors, so no smaller k is searched.
 
 Before it searches at k, S2 peels the graph (_peel): it removes vertices
 with fewer than k remaining neighbors until none is left or a k-core
@@ -40,18 +47,18 @@ remains.  An empty k-core, k above the graph's degeneracy, proves the
 graph k-colorable (Szekeres & Wilf 1968), the upper bound that mirrors the
 clique's lower one, and coloring in reverse removal order gives the
 certificate, checked by verdict like a search's, with no search node and
-only if the deadline has not passed.  Only those Sat answers differ from
-plain DSATUR's, in their coloring; any other input is searched whole as
-above, so every search and every Unsat answer is plain DSATUR's, node for
-node.  A search thus runs only on a graph with a nonempty k-core, whose
-maximum degree is at least k, so it holds k colors, and the sweep ends by
-k = degeneracy + 1.  solve_decision answers Unsat only from an exhausted
-search.
+only if the deadline has not passed.  Any other input is searched whole
+as above.  A search thus runs only on a graph with a nonempty k-core,
+whose maximum degree is at least k, so it holds k colors and at least
+one vertex outside the clique, and the sweep ends by k = degeneracy + 1.
+solve_decision answers Unsat only from an exhausted search or a checked
+clique of k + 1 vertices or more.
 
 The encoding takes Θ(n²) bits, about one per vertex pair, and is built
 before the first deadline check, so S2 searches no graph of more than
 MAX_SEARCH_VERTICES vertices: _solve answers failure once peeling leaves
-a k-core, and chromatic_number raises ValueError.
+a k-core, and chromatic_number, which grows no clique on such a graph,
+raises ValueError at the first k that peeling does not answer.
 """
 
 from __future__ import annotations
@@ -78,11 +85,13 @@ class SolveOutcome:
     """Terminal result of a decision attempt.
 
     status: "sat" (assignment holds a verified coloring), "unsat"
-    (search space exhausted), "timeout", or "failure" (reason says why).
-    An outcome is built with its constructor; Sat keeps the dict it is given.
-    nodes counts S2's search nodes, one per vertex choice, up to its answer
-    (Sat, Unsat or a rejected certificate) or its deadline.  0 means no search
-    ran: a peeled Sat, an S1 answer, no time, or a graph too large to search.
+    (search space exhausted, or a clique of more than k vertices),
+    "timeout", or "failure" (reason says why).  An outcome is built with
+    its constructor; Sat keeps the dict it is given.  nodes counts S2's
+    search nodes, one per vertex choice, up to its answer (Sat, Unsat or a
+    rejected certificate) or its deadline.  0 means no search ran: a peeled
+    Sat, an Unsat from a checked (k+1)-clique, an S1 answer, no time, or a
+    graph too large to search.
     """
 
     status: str
@@ -113,7 +122,15 @@ def select_vertex(bits: int) -> int:
 
 
 def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
-    """Search for a k-coloring, starting from no vertex colored.
+    """Search for a k-coloring, starting from the greedy clique colored 1..ω in clique order.
+
+    The clique is Graph.clique, checked against the graph.  One of more
+    than k vertices proves Unsat with no node, an answer given only if the
+    deadline has not passed, like a peeled Sat.  Otherwise its places take
+    their colors by the steps a node's color takes, but push no frame, so
+    no backtrack undoes them, and the search starts with used = ω.  That
+    loses no coloring: any k-coloring can be relabeled so the clique takes
+    1..ω, and the colors above used stay interchangeable.
 
     v is a place, bit[v] its bit (a list indexes faster than a shift),
     free the bits of the uncolored places and planes[-1 - j] bit j of
@@ -129,14 +146,31 @@ def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
     bound, by used + 1 or where it resumed; above min(used + 1, k) it fails.
     """
     nmask = graph.neighbour_masks
+    clique = graph.clique
+    used = len(clique)
+    if used > k:
+        if time.monotonic() > deadline:
+            return SolveOutcome("timeout")
+        return SolveOutcome("unsat")
     n = len(nmask)
     bit = [1 << p for p in range(n)]
     forb = [0] * (k + 2)
     free = (1 << n) - 1
     planes = [0] * k.bit_length()
     lowest = len(planes) - 1  # where a ripple starts; a list reads a non-negative index faster
+    # Color the clique: each color is new, so every uncolored neighbor gains one.
+    for color, v in enumerate(clique, 1):
+        free ^= bit[v]
+        carry = forb[color] = nmask[v]
+        carry &= free
+        j = lowest
+        while carry:
+            plane = planes[j]
+            planes[j] = plane ^ carry
+            carry &= plane
+            j -= 1
     stack = []
-    used = nodes = 0
+    nodes = 0
     while free:
         if time.monotonic() > deadline:
             return SolveOutcome("timeout", nodes=nodes)
@@ -189,6 +223,8 @@ def _decide(graph: Graph, k: int, deadline: float) -> SolveOutcome:
 
     coloring = [0] * n
     order = graph.degree_order
+    for color, v in enumerate(clique, 1):
+        coloring[order[v]] = color
     for v, color, _, _ in stack:
         coloring[order[v]] = color
     return _certified(graph, dict(zip(graph.vertices, coloring)), k, nodes)
@@ -229,13 +265,18 @@ def _peel(graph: Graph, k: int) -> Optional[ColorAssignment]:
     return graph.first_fit(reversed(removed))
 
 
+def _too_large(n: int) -> str:
+    """The failure reason for a graph of n vertices, more than S2 may search."""
+    return f"{n} vertices, more than the {MAX_SEARCH_VERTICES} S2 may search"
+
+
 def _solve(graph: Graph, k: int, deadline: float) -> SolveOutcome:
-    """A peeled coloring if the graph's k-core is empty, else a search, or a failure above MAX_SEARCH_VERTICES."""
+    """A peeled coloring if the k-core is empty, else _decide's answer, or a failure above MAX_SEARCH_VERTICES."""
     coloring = _peel(graph, k)
     if coloring is None:
         n = len(graph.vertices)
         if n > MAX_SEARCH_VERTICES:
-            return SolveOutcome("failure", reason=f"{n} vertices, more than the {MAX_SEARCH_VERTICES} S2 may search")
+            return SolveOutcome("failure", reason=_too_large(n))
         return _decide(graph, k, deadline)
     if time.monotonic() > deadline:
         return SolveOutcome("timeout")
@@ -251,59 +292,36 @@ def solve_decision(graph: Graph, k: int, time_limit: float = DEFAULT_TIME_LIMIT)
     return _solve(graph, k, time.monotonic() + time_limit)
 
 
-def _clique(graph: Graph) -> list[int]:
-    """A greedy clique of the graph, as vertex indices, checked against its neighbour lists.
-
-    Each step takes the candidate place with the most neighbors among the
-    remaining candidates (the lowest place on a tie), then keeps only its
-    neighbors as candidates.  The members, mapped back to positions, are
-    then checked pairwise against graph.neighbours, not the masks they were
-    grown from; a failed check raises RuntimeError.
-    """
-    nmask = graph.neighbour_masks
-    members: list[int] = []
-    cand = (1 << len(nmask)) - 1
-    while cand:
-        best, most, rest = 0, -1, cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            p = low.bit_length() - 1
-            count = (nmask[p] & cand).bit_count()
-            if count > most:
-                best, most = p, count
-        members.append(graph.degree_order[best])
-        cand &= nmask[best]
-    for i, v in enumerate(members):
-        if not set(members[:i]).issubset(graph.neighbours[v]):
-            names = [graph.vertices[u] for u in members]
-            raise RuntimeError(f"greedy clique {names} is not a clique of the graph")
-    return members
-
-
 def chromatic_number(graph: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> int:
     """Smallest k for which the graph is k-colorable; 0 for the empty graph.
 
-    The sweep starts at k = the size of a checked clique (see _clique): a
-    clique certificate makes every smaller k Unsat, so those searches are
-    skipped.  It ends by k = degeneracy + 1, where peeling answers Sat (see
-    _peel).  The whole sweep shares one deadline and the graph's masks;
-    DeadlineExceeded is raised if it cannot finish in time, and at once
-    for a time limit that is not positive (NaN too).  ValueError is raised
-    at once for a graph of more than MAX_SEARCH_VERTICES vertices.
+    The sweep starts at k = the size of Graph.clique: a checked clique
+    makes every smaller k Unsat, so those k are skipped.  A graph of more
+    than MAX_SEARCH_VERTICES vertices builds no masks, so no clique: its
+    sweep starts at 1 with no edge, else at 2, and ValueError is raised at
+    the first k that needs a search.  The sweep ends by k = degeneracy + 1,
+    where peeling answers Sat (see _peel).  The whole sweep shares one
+    deadline and the graph's encoding; DeadlineExceeded is raised if it
+    cannot finish in time, and at once for a time limit that is not
+    positive (NaN too).
     """
     if not graph.vertices:
         return 0
     if not time_limit > 0:
         raise DeadlineExceeded(f"chromatic number search has no time: {time_limit}s")
-    if len(graph.vertices) > MAX_SEARCH_VERTICES:
-        raise ValueError(f"{len(graph.vertices)} vertices, more than the {MAX_SEARCH_VERTICES} S2 may search")
     deadline = time.monotonic() + time_limit
-    for k in itertools.count(len(_clique(graph))):
+    n = len(graph.vertices)
+    if n > MAX_SEARCH_VERTICES:  # no masks, so no clique: an edge needs two colors
+        start = 2 if graph.edges else 1
+    else:
+        start = len(graph.clique)
+    for k in itertools.count(start):
         outcome = _solve(graph, k, deadline)
         if outcome.is_timeout:
             raise DeadlineExceeded(f"chromatic number search exceeded {time_limit}s")
         if outcome.is_failure:
+            if outcome.reason == _too_large(n):
+                raise ValueError(outcome.reason)
             raise RuntimeError(f"exact solver failed at k={k}: {outcome.reason}")
         if outcome.is_sat:
             return k

@@ -8,12 +8,13 @@ A graph is encoded once, when the `Graph` is built: each vertex gets its
 position in `vertices`, and the neighbour lists hold positions, the form
 every solver and the mock proposer walk.  One count over those lists
 checks every edge, and only a graph that fails is walked edge by edge to
-name the bad one.  S2's degree order and neighbour bitmasks are built
-from those lists on first read and kept with the graph, so every search
-of one graph shares them.  The DIMACS parser checks only the text's own
-structure and leaves the edges to `Graph`, adding the line number to the
-error for the edge it rejects.  A parsed graph holds one string object
-per vertex label: every edge endpoint is the object in `vertices`.
+name the bad one.  S2's degree order, neighbour bitmasks and greedy
+clique are built from those lists on first read and kept with the graph,
+so every search of one graph shares them.  The DIMACS parser checks only
+the text's own structure and leaves the edges to `Graph`, adding the line
+number to the error for the edge it rejects.  A parsed graph holds one
+string object per vertex label: every edge endpoint is the object in
+`vertices`.  A parsed `c label` is one of the two `_LABELS` constants.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ class Graph:
     v's position in vertices, and neighbours[i] lists the positions of
     the neighbours of vertices[i] in edge order.  S2's encoding,
     neighbour_masks, holds at place p, the vertex at degree_order[p], its
-    neighbours' places as bits: no table maps a vertex to its bit.  Both
-    are built from neighbours on first read and then kept.  Building one
-    rejects duplicate vertex labels, a label that breaks LABEL (the first
+    neighbours' places as bits: no table maps a vertex to its bit.  Both,
+    and clique, the places of the greedy clique S2 colors first, are built
+    from neighbours on first read and then kept.  Building one rejects
+    duplicate vertex labels, a label that breaks LABEL (the first
     is named), self-loops, duplicate edges in either orientation and
     edges to unknown vertices, raising ValueError.
     """
@@ -110,6 +112,41 @@ class Graph:
             bit[v] = 1 << place
         # The bits are distinct, so their sum is their union.
         return tuple([sum(map(bit.__getitem__, self.neighbours[v])) for v in self.degree_order])
+
+    @cached_property
+    def clique(self) -> tuple[int, ...]:
+        """The places of a greedy clique in the order grown, checked against neighbours; built on first read, then kept.
+
+        Each step takes the candidate place with the most neighbours among
+        the remaining candidates (the lowest place on a tie), then keeps
+        only its neighbours as candidates.  Among all places that is place
+        0, of the highest degree, so the scan starts at the second step.
+        The members, mapped back to positions, are then checked pairwise
+        against neighbours, not the masks they were grown from; a failed
+        check raises RuntimeError.
+        """
+        nmask = self.neighbour_masks
+        if not nmask:
+            return ()
+        members = [0]
+        cand = nmask[0]
+        while cand:
+            best, most, rest = 0, -1, cand
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                p = low.bit_length() - 1
+                count = (nmask[p] & cand).bit_count()
+                if count > most:
+                    best, most = p, count
+            members.append(best)
+            cand &= nmask[best]
+        positions = [self.degree_order[p] for p in members]
+        for i, v in enumerate(positions):
+            if not set(positions[:i]).issubset(self.neighbours[v]):
+                names = [self.vertices[u] for u in positions]
+                raise RuntimeError(f"greedy clique {names} is not a clique of the graph")
+        return tuple(members)
 
     @property
     def density(self) -> float:
@@ -271,7 +308,7 @@ def parse_dimacs_instance(text: str) -> tuple[Graph, int | None, str | None]:
                 except ValueError:  # more digits than sys.get_int_max_str_digits()
                     raise DimacsError(f"line {lineno}: 'c k' holds more digits than int() reads") from None
             elif len(tokens) == 3 and tokens[1] == "label" and tokens[2] in _LABELS:
-                label = tokens[2]
+                label = _LABELS[_LABELS.index(tokens[2])]  # the constant, so every parsed label shares one string
             elif len(tokens) >= 2 and tokens[1] == "vertices":
                 if declared is None:
                     declared = []

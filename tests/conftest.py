@@ -55,6 +55,22 @@ def myciel(m: int) -> Graph:
     return Graph(tuple(vertices), tuple(edges))
 
 
+def queen(size: int) -> Graph:
+    """DIMACS `queen<size>_<size>`: the cells of a size x size board, row by row, joined when they share a line.
+
+    Cells on one row, column or diagonal are joined, so each row is a
+    clique of size vertices.  queen6_6 and queen7_7 have chi 7.
+    """
+    cells = [(r, c) for r in range(size) for c in range(size)]
+    edges = tuple(
+        (str(i + 1), str(j + 1))
+        for i, (r, c) in enumerate(cells)
+        for j, (s, d) in enumerate(cells[i + 1:], i + 1)
+        if r == s or c == d or abs(r - s) == abs(c - d)
+    )
+    return Graph(tuple(str(i + 1) for i in range(len(cells))), edges)
+
+
 @pytest.fixture
 def petersen() -> Graph:
     outer = [(str(i + 1), str((i + 1) % 5 + 1)) for i in range(5)]

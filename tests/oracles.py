@@ -3,8 +3,9 @@
 Everything here is deliberately naive: plain exhaustive search over
 assignments with no ordering heuristics, no saturation bookkeeping, and
 no symmetry breaking, so agreement with the production solver is
-meaningful.  The one exception, reference_dsatur, follows DSATUR's rules
-but recomputes every choice by a scan from scratch, with no saturation
+meaningful.  The one exception, reference_dsatur, follows S2's rules (a
+greedy clique colored first, then DSATUR) but grows the clique and
+recomputes every choice by a scan from scratch, with no saturation
 bookkeeping and no bitmasks, so it can check the solver's search path.
 The first-fit references (reference_mock_reply, reference_peel) keep the
 label-keyed, set-based loops the package used before its graphs held
@@ -122,10 +123,16 @@ def valid_by_edge_enumeration(graph: Graph, assignment: dict[str, int], k: int) 
 def reference_dsatur(
     graph: Graph, k: int, tops: list[frozenset[int]] | None = None
 ) -> tuple[list[int], dict[str, int] | None]:
-    """Plain recursive DSATUR: its vertex choices, one per node, and a k-coloring or None.
+    """Recursive DSATUR from a colored clique: its vertex choices, one per node, and a k-coloring or None.
 
-    At every node the next vertex comes from a scan from scratch over the
-    uncolored vertices: highest saturation (distinct colors among colored
+    The clique is grown by a scan of its own: while candidates remain, the
+    one with the most neighbors among them joins (ties to the highest
+    degree, then the lowest index: the lowest place), and only its
+    neighbors stay candidates.  A clique of more than k vertices answers
+    None with no node; else its vertices take colors 1..size in the order
+    they joined, and the search starts above them.  At every node the
+    next vertex comes from a scan from scratch over the uncolored
+    vertices: highest saturation (distinct colors among colored
     neighbors), then highest degree, then lowest index.  The choice is
     recorded as that index, after a backtrack too.  Colors are tried in
     order 1..min(k, D + 1, used + 1), D the maximum degree and used the
@@ -159,7 +166,17 @@ def reference_dsatur(
             del coloring[v]
         return False
 
-    return choices, (coloring if extend(0) else None)
+    near = {v: set(ns) for v, ns in adjacency.items()}
+    clique: list[str] = []
+    candidates = set(vertices)
+    while candidates:
+        v = max(candidates, key=lambda u: (len(candidates & near[u]), len(near[u]), -vertices.index(u)))
+        clique.append(v)
+        candidates &= near[v]
+    if len(clique) > k:
+        return choices, None
+    coloring.update(zip(clique, range(1, len(clique) + 1)))
+    return choices, (coloring if extend(len(clique)) else None)
 
 
 def neighbours_in_edge_order(graph: Graph) -> dict[str, tuple[str, ...]]:

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -27,7 +28,7 @@ from sofai_gc import (
 from sofai_gc import dsatur
 from sofai_gc.dsatur import _decide, select_vertex
 
-from conftest import complete_graph, cycle_graph, myciel
+from conftest import complete_graph, cycle_graph, myciel, queen
 from oracles import (
     brute_force_chromatic,
     brute_force_colorable,
@@ -90,10 +91,11 @@ class TestSolveDecision:
         assert solve_decision(gen_erdos_renyi(45, 0.5, seed=3), 8, time_limit=1.0).is_unsat
 
     def test_large_sparse_graph_does_not_exhaust_the_stack(self):
-        # G(1500, 0.002) at k = 4 peels to nothing, so the search is run directly
+        # G(1500, 0.002) at k = 4 peels to nothing, so the search is run
+        # directly: one node at least for each vertex outside the clique
         graph = gen_erdos_renyi(1500, 0.002, 1)
         outcome = search(graph, 4)
-        assert outcome.is_sat and outcome.nodes >= 1500
+        assert outcome.is_sat and outcome.nodes >= 1500 - len(graph.clique)
         assert verdict(graph, outcome.assignment, 4).valid
 
     def test_rejected_certificate_is_a_failure(self, fig2_graph, petersen, monkeypatch):
@@ -180,14 +182,17 @@ class TestChromaticNumber:
 
     def test_masks_are_built_once_per_graph(self, petersen, monkeypatch):
         # two decisions that search, then a sweep and its clique bound, all on one Graph
-        built, masks = [], Graph.neighbour_masks.func
-        counted = functools.cached_property(lambda graph: built.append(graph) or masks(graph))
-        counted.__set_name__(Graph, "neighbour_masks")
-        monkeypatch.setattr(Graph, "neighbour_masks", counted)
+        built = []
+        for name in ("neighbour_masks", "clique"):
+            build = getattr(Graph, name).func
+            counted = functools.cached_property(
+                lambda graph, name=name, build=build: built.append(name) or build(graph))
+            counted.__set_name__(Graph, name)
+            monkeypatch.setattr(Graph, name, counted)
         sat, unsat = solve_decision(petersen, 3), solve_decision(petersen, 2)
         assert sat.is_sat and unsat.is_unsat and sat.nodes > 0 and unsat.nodes > 0
         assert chromatic_number(petersen) == 3
-        assert built == [petersen]
+        assert built == ["neighbour_masks", "clique"]
 
     def test_deadline_raises(self):
         graph = myciel(6)
@@ -254,16 +259,20 @@ def coloring_digest(assignment: dict[str, int]) -> str:
 
 class TestSelectVertex:
     def test_prefers_saturation_then_degree_then_order(self, monkeypatch):
-        # "1"-"2" is an edge; "3" is the center of a star on "4", "5", "6".
-        # "3" goes first (degree 3 beats an earlier position), then its
-        # leaves (saturation 1 beats a lower index), which tie on saturation
-        # and degree, so the lowest index wins, as it does for "1" over "2".
-        graph = Graph(tuple("123456"), (("1", "2"), ("3", "4"), ("3", "5"), ("3", "6")))
-        assert graph.degree_order == (2, 0, 1, 3, 4, 5)  # degree descending, then index
-        expected = [2, 3, 4, 5, 0, 1]
-        assert reference_dsatur(graph, 3)[0] == expected
+        # "abcd" is a K4, the clique colored before the search; apart from
+        # it, "1"-"2" is an edge and "3" is the center of a star on "4",
+        # "5", "6".  "3" goes first (degree 3 beats an earlier position),
+        # then its leaves (saturation 1 beats a lower index), which tie on
+        # saturation and degree, so the lowest index wins, as it does for
+        # "1" over "2".
+        graph = Graph(tuple("abcd123456"), tuple(itertools.combinations("abcd", 2)) + (
+            ("1", "2"), ("3", "4"), ("3", "5"), ("3", "6")))
+        assert graph.degree_order == (0, 1, 2, 3, 6, 4, 5, 7, 8, 9)  # degree descending, then index
+        assert graph.clique == (0, 1, 2, 3)
+        expected = [6, 7, 8, 9, 4, 5]
+        assert reference_dsatur(graph, 4)[0] == expected
         nodes = record_nodes(monkeypatch)
-        assert search(graph, 3).is_sat
+        assert search(graph, 4).is_sat
         assert chosen(graph, nodes) == expected
 
     @settings(max_examples=200, deadline=None)
@@ -282,12 +291,12 @@ class TestSelectVertex:
         # Uncoloring takes each neighbor's count back down, so every node,
         # after a backtrack too, sees the highest-saturation vertices a scan
         # from scratch finds.  A path that never backs up has at most one
-        # node per vertex, so more nodes than vertices means the search
-        # uncolored some.
+        # node per vertex outside the clique, so more nodes than those
+        # means the search uncolored some.
         nodes = record_nodes(monkeypatch)
         for graph, k in [
             (myciel(3), 3),  # the Grötzsch graph, chi 4: Unsat after backtracks
-            (gen_erdos_renyi(30, 0.5, 0), 7),  # chi 7: Sat after backtracks
+            (gen_erdos_renyi(30, 0.5, 1), 7),  # chi 7: Sat after backtracks
             # chi 9: Unsat after backtracks at saturation 8, a carry into the fourth bit plane
             (gen_erdos_renyi(18, 0.8, 4), 8),
         ]:
@@ -296,7 +305,7 @@ class TestSelectVertex:
             nodes.clear()
             search(graph, k)
             assert tops(graph, nodes) == expected
-            assert len(nodes) > len(graph.vertices)
+            assert len(nodes) > len(graph.vertices) - len(graph.clique)
 
     @settings(max_examples=200, deadline=None)
     @given(er_graphs(max_n=9), st.integers(1, 5))
@@ -316,7 +325,8 @@ class TestPeeling:
     @given(er_graphs(max_n=9), st.integers(1, 5))
     def test_searches_exactly_when_the_k_core_is_nonempty(self, graph, k):
         # an empty k-core answers Sat with no search; any other input is
-        # plain DSATUR, every node, Unsat answers included
+        # the reference's clique-first DSATUR, every node, Unsat answers
+        # included, and it has no node only when its clique exceeds k
         with pytest.MonkeyPatch.context() as patch:
             nodes = record_nodes(patch)
             outcome = solve_decision(graph, k)
@@ -327,7 +337,8 @@ class TestPeeling:
             assert brute_force_colorable(graph, k)
         else:
             expected, coloring = reference_dsatur(graph, k)
-            assert choices == expected != []
+            assert choices == expected
+            assert (choices == []) == (len(graph.clique) > k)
             assert outcome.status == ("unsat" if coloring is None else "sat")
             assert outcome.assignment == coloring
 
@@ -370,9 +381,10 @@ class TestPeeling:
         (Graph(tuple("abcdefg"), (("a", "b"), ("b", "c"), ("c", "d"), ("b", "e"), ("e", "f"), ("c", "g"))), 2,
          {}),
         # a 7-cycle with a pendant vertex on each cycle vertex: the 2-core is
-        # the odd cycle, so k = 2 is a search proving Unsat; the 3-core is empty
+        # the odd cycle, so k = 2 is a search proving Unsat, from an edge
+        # colored first; the 3-core is empty
         (Graph(tuple("1234567abcdefg"), tuple(cycle_graph(7).edges) + tuple(zip("1234567", "abcdefg"))), 3,
-         {2: 7}),
+         {2: 5}),
     ], ids=["tree", "pendant-cycle"])
     def test_sweep_ends_on_a_peeled_k(self, graph, chi, searched, monkeypatch):
         solves = record_solves(monkeypatch)
@@ -424,39 +436,59 @@ class TestSearchBound:
         place = {v: p for p, v in enumerate(graph.degree_order)}
         assert masks == tuple(sum(1 << place[u] for u in graph.neighbours[v]) for v in graph.degree_order)
 
-    def test_chromatic_number_raises_before_the_clique(self, graph, monkeypatch):
-        monkeypatch.setattr(dsatur, "_clique", None)  # a call would raise TypeError
+    def test_chromatic_number_raises_before_the_clique(self, graph):
+        # the sweep starts at 2 by the triangle's edges, where the 2-core needs a search
         with pytest.raises(ValueError, match="^10001 vertices, more than the 10000 S2 may search$"):
             chromatic_number(graph)
+        assert not {"degree_order", "neighbour_masks", "clique"} & vars(graph).keys()
+
+    @pytest.mark.parametrize("edges, chi", [
+        ((), 1),
+        (tuple((str(v), str(v + 1)) for v in range(dsatur.MAX_SEARCH_VERTICES)), 2),
+    ], ids=["edgeless", "path"])
+    def test_a_peeled_sweep_answers_without_the_encoding(self, edges, chi, monkeypatch):
+        graph = Graph(tuple(map(str, range(dsatur.MAX_SEARCH_VERTICES + 1))), edges)
+        solves = record_solves(monkeypatch)
+        assert chromatic_number(graph) == chi
+        assert [(k, outcome.status, outcome.nodes) for k, outcome in solves] == [(chi, "sat", 0)]
+        assert not {"degree_order", "neighbour_masks", "clique"} & vars(graph).keys()
 
 
 def clique_size(graph: Graph) -> int:
     """Size of the checked greedy clique chromatic_number starts its sweep at."""
-    return len(dsatur._clique(graph))
+    return len(graph.clique)
 
 
-# gen_erdos_renyi(n, p, seed): chi, chromatic_number's nodes (None: not run),
-# solve_decision's nodes at chi - 1 (Unsat) and at chi (Sat), and a digest of
-# the Sat coloring.  Any change to the vertex choice or the color order moves
-# them.  The sweep searches only the k from its checked clique's size to chi,
-# so its nodes are solve_decision's summed over those k, fewer than over 1..chi.
+# gen_erdos_renyi(n, p, seed), or a queen graph by its DIMACS name: chi,
+# chromatic_number's nodes (None: not run), solve_decision's nodes at chi - 1
+# (Unsat) and at chi (Sat), and a digest of the Sat coloring.  Any change to
+# the clique, the vertex choice or the color order moves them.  The sweep
+# searches only the k from its checked clique's size to chi; below it
+# solve_decision answers Unsat from the clique with no node, so the sweep's
+# nodes are solve_decision's summed over 1..chi.  queen7_7's clique of 7 is
+# such an Unsat at 6.
 SEARCH_PATHS = {
-    (30, 0.5, 0): (7, 119, 29, 90, "131fffc532ba"),
-    (30, 0.5, 1): (7, 245, 42, 194, "a297c9c75cef"),
-    (40, 0.5, 2): (8, 1933, 83, 1850, "62fbf986b22a"),
-    (60, 0.5, 1): (10, None, 22418, 34001, "1586ee479662"),
+    (30, 0.5, 0): (7, 40, 16, 24, "4ff51856ef58"),
+    (30, 0.5, 1): (7, 231, 37, 190, "e694ed50f3d0"),
+    (40, 0.5, 2): (8, 1750, 70, 1680, "ba2e9a1134c0"),
+    (60, 0.5, 1): (10, None, 18047, 14823, "acb5487a8126"),
+    "queen6_6": (7, 969, 186, 783, "e49501ca66de"),
+    "queen7_7": (7, 347, 0, 347, "da8e9503c085"),
 }
+QUEENS = {"queen6_6": 6, "queen7_7": 7}
 
 
 @pytest.mark.parametrize("args", SEARCH_PATHS, ids=str)
 def test_search_path_is_plain_dsatur(args, monkeypatch):
     chi, sweep, unsat, sat, digest = SEARCH_PATHS[args]
-    graph = gen_erdos_renyi(*args)
+    graph = queen(QUEENS[args]) if args in QUEENS else gen_erdos_renyi(*args)
     if sweep is not None:
         solves = record_solves(monkeypatch)
         assert chromatic_number(graph) == chi and sum(outcome.nodes for _, outcome in solves) == sweep
-        per_k = {k: solve_decision(graph, k).nodes for k in range(1, chi + 1)}
-        assert sweep == sum(per_k[k] for k in range(clique_size(graph), chi + 1)) < sum(per_k.values())
+        per_k = {k: solve_decision(graph, k) for k in range(1, chi + 1)}
+        below = [per_k[k] for k in range(1, clique_size(graph))]
+        assert below == [dsatur.SolveOutcome("unsat")] * len(below)
+        assert sweep == sum(outcome.nodes for outcome in per_k.values())
     assert solve_decision(graph, chi - 1) == dsatur.SolveOutcome("unsat", nodes=unsat)
     outcome = solve_decision(graph, chi)
     assert outcome.is_sat and outcome.nodes == sat
@@ -466,14 +498,15 @@ def test_search_path_is_plain_dsatur(args, monkeypatch):
 def test_sparse_search_path_never_backtracks(monkeypatch):
     # The first graph of perfbench's s1-memory suite, a G(300, 0.03), at
     # k = its first-fit colors + 1, parsed from DIMACS as the decide path
-    # loads it: one node per vertex, none revisited.
+    # loads it: one node per vertex outside its clique of 3, none revisited.
     text = serialize_dimacs(gen_erdos_renyi(300, 0.03, 3553260803050964941), 8)
     graph, k, _ = parse_dimacs_instance(text)
     nodes = record_nodes(monkeypatch)
     outcome = search(graph, k)
-    assert outcome.is_sat and len(nodes) == 300 == len(graph.vertices)
-    assert len(set(chosen(graph, nodes))) == 300
-    assert coloring_digest(outcome.assignment) == "9b718cb9fbe7"
+    clique = {graph.degree_order[place] for place in graph.clique}
+    assert outcome.is_sat and len(nodes) == 297 and len(clique) == 3
+    assert set(chosen(graph, nodes)) == set(range(300)) - clique
+    assert coloring_digest(outcome.assignment) == "6d8e49f83661"
 
 
 # Vertex "1" of a 5-cycle, place 0 as every degree ties, claims every other
@@ -516,6 +549,26 @@ class TestClique:
     @given(er_graphs(max_n=7))
     def test_clique_bounds_chi_from_below(self, graph):
         assert clique_size(graph) <= chromatic_number(graph) == brute_force_chromatic(graph)
+
+    @pytest.mark.parametrize("graph, k", [
+        (complete_graph(5), 4),  # the whole graph is its 4-core
+        (queen(7), 6),  # a row of the board: 7 queens that attack each other
+    ], ids=["K5", "queen7_7"])
+    def test_a_clique_above_k_is_unsat_with_no_node_before_the_deadline(self, graph, k):
+        assert k_core(graph, k) and clique_size(graph) == k + 1
+        assert dsatur._solve(graph, k, time.monotonic() + 60) == dsatur.SolveOutcome("unsat", nodes=0)
+        assert dsatur._solve(graph, k, time.monotonic() - 1) == dsatur.SolveOutcome("timeout", nodes=0)
+
+    @pytest.mark.parametrize("args", [(30, 0.5, 1), (40, 0.5, 2), (60, 0.5, 1)], ids=str)
+    def test_the_clique_keeps_colors_one_to_its_size(self, args):
+        # each k from the clique's size up: a Sat search's coloring gives the
+        # clique's vertices 1, 2, ... in the order the clique was grown
+        graph = gen_erdos_renyi(*args)
+        members = [graph.vertices[graph.degree_order[place]] for place in graph.clique]
+        for k in range(len(members), chromatic_number(graph) + 2):
+            outcome = search(graph, k)
+            if outcome.is_sat:
+                assert [outcome.assignment[v] for v in members] == list(range(1, len(members) + 1))
 
 
 def test_chromatic_number_agrees_with_an_independent_solver():

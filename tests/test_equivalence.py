@@ -11,6 +11,7 @@ equivalence = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(equivalence)
 
 S2 = equivalence.STREAMS["s2.txt"]
+STATUSES = equivalence.STATUSES
 BUILT = equivalence.STREAMS["built.txt"]
 
 
@@ -31,8 +32,27 @@ def side(**changes) -> dict:
 def test_identical_sides_pass(capsys):
     assert equivalence.compare(side(), side(), "REV")
     out = capsys.readouterr().out
-    assert f"  {S2}: 3/3\n" in out
+    assert f"  {S2}: 3/3\n" in out and f"  {STATUSES}: 3/3\n" in out
     assert "MISMATCH" not in out
+
+
+def test_s2_lines_differing_in_nodes_and_digests_keep_their_statuses(capsys):
+    tree = side(**{S2: ["3 unsat 0 -", "4 sat 7 e694ed50f3d0", "9 sat 22418 1586ee479662"]})
+    assert not equivalence.compare(side(), tree, "REV")
+    out = capsys.readouterr().out
+    assert f"  {S2}: 1/3  MISMATCH (the tree has 3)\n" in out
+    assert f"  {STATUSES}: 3/3\n" in out
+
+
+@pytest.mark.parametrize("first, shown", [
+    ("3 sat 12 131fffc532ba", "'3 unsat' at REV, '3 sat' in the tree"),
+    ("4 unsat 12 -", "'3 unsat' at REV, '4 unsat' in the tree"),
+], ids=["status", "k"])
+def test_a_changed_status_or_k_fails_the_statuses(capsys, first, shown):
+    lines = [first, *side()[S2][1:]]
+    assert not equivalence.compare(side(), side(**{S2: lines}), "REV")
+    out = capsys.readouterr().out
+    assert f"  {STATUSES}: 2/3  MISMATCH (the tree has 3)\n    0: {shown}\n" in out
 
 
 def test_one_differing_s2_line_fails_and_prints_its_index_and_both_lines(capsys):

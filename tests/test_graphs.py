@@ -19,7 +19,7 @@ from sofai_gc import (
     serialize_dimacs,
     verdict,
 )
-from sofai_gc.graphs import MAX_FILLED_VERTICES
+from sofai_gc.graphs import _LABELS, MAX_FILLED_VERTICES
 
 from oracles import (
     complete_by_vertex_scan,
@@ -161,6 +161,13 @@ class TestParseDimacs:
         graph, k, label = parse_dimacs_instance(text)
         assert (k, label) == (3, "SAT")
         assert graph.edges == (("A", "B"),)
+
+    @pytest.mark.parametrize("label", _LABELS)
+    def test_a_parsed_label_is_the_shared_constant(self, label):
+        # every loaded instance then holds one of two strings, not its own token
+        texts = [f"c label {label}\np edge 2 1\ne A B", f"c k 3\nc label {label} \np edge 1 0\nc vertices A"]
+        labels = [parse_dimacs_instance(text)[2] for text in texts]
+        assert labels == [label, label] and all(parsed is label for parsed in labels)
 
     def test_unstructured_comments_ignored(self):
         graph, k, label = parse_dimacs_instance("c hello world\nc k notanint\np edge 1 0\nc vertices A")

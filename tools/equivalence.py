@@ -23,6 +23,8 @@ does.  The two sides must be equal, item for item and in order, on:
   so for every top-level S2 call and every k of a chromatic-number sweep;
   digest is the first 12 hex digits of the sha256 of the Sat assignment as
   sorted JSON, `-` with no assignment, so every S2 coloring is compared;
+- S2's statuses per k: the `k status` of each of those lines, so a change
+  to S2's search that moves nodes or colorings shows every answer unchanged;
 - the records built (EpisodicRecord.make calls) and the appends MemoryStore
   refuses.
 
@@ -103,6 +105,8 @@ REMOTE_REPLIES = (
 )
 
 ROUNDS = "S1 rounds of each solve call, equal on the keys both sides write"
+ANSWERS = "S2 answers per k (k, status, nodes, coloring digest)"
+STATUSES = "S2 statuses per k (k, status)"  # compare derives it from ANSWERS
 RECORDS = "memory records equal except timestamp, on the keys both sides write"
 # Each prompt-digest stream: the name its commands append under, to NAME.sha256, and its comparison's label.
 PROMPTS = {
@@ -121,7 +125,7 @@ PROMPTS = {
 # The other streams RUNNER appends to in OUT: the comparison's label for each file.
 STREAMS = {
     "rounds.jsonl": ROUNDS,
-    "s2.txt": "S2 answers per k (k, status, nodes, coloring digest)",
+    "s2.txt": ANSWERS,
     "built.txt": "records built (EpisodicRecord.make calls)",
     "refused.txt": "appends MemoryStore refused",
 }
@@ -331,6 +335,7 @@ def compare(old: dict[str, list], new: dict[str, list], rev: str) -> bool:
 
     Each comparison's items must be equal in order and in number.  S1 rounds and memory records are
     compared on the keys both sides write; the keys only one side writes are listed, and fail nothing.
+    STATUSES is added to each side, the first two fields of each of its ANSWERS lines.
     """
     round_keys = [{key for call in side[ROUNDS] for row in call for key in row} for side in (old, new)]
     record_keys = [{key for row in side[RECORDS] for key in row} for side in (old, new)]
@@ -339,6 +344,7 @@ def compare(old: dict[str, list], new: dict[str, list], rev: str) -> bool:
             **side,
             ROUNDS: [[shared_only(row, round_keys) for row in call] for call in side[ROUNDS]],
             RECORDS: [shared_only(row, record_keys) for row in side[RECORDS]],
+            STATUSES: [" ".join(line.split()[:2]) for line in side[ANSWERS]],
         }
         for side in (old, new)
     )
