@@ -22,6 +22,8 @@ NOT_SOLVABLE = "NOT SOLVABLE"
 
 _PAIR_RE = re.compile(rf"\(\s*({LABEL})\s+(\d+)\s*\)")
 
+_REQUEST_TIMEOUT = 30.0
+_RETRIES = 2
 _RETRY_BACKOFF = 0.5
 
 
@@ -34,6 +36,8 @@ class ProposerConfig:
     its greedy choice with a uniform color; it decays by noise_decay per
     failed round, so later rounds improve by round count alone, not by
     the feedback.  unsat_rate is the chance the mock answers NOT SOLVABLE.
+    A remote call's time cap (30 s) and retry count (2) are fixed, not
+    settings: the call's own timeout, the trial's time left, bounds both.
     """
 
     kind: str = "mock"
@@ -41,8 +45,6 @@ class ProposerConfig:
     api_key: Optional[str] = None
     model: Optional[str] = None
     temperature: float = 0.0
-    timeout: float = 30.0
-    retries: int = 2
     noise: float = 0.0
     noise_decay: float = 1.0
     unsat_rate: float = 0.0
@@ -59,12 +61,8 @@ class ProposerConfig:
             raise ValueError("noise_decay must be in [0, 1]")
         if not 0.0 <= self.unsat_rate <= 1.0:
             raise ValueError("unsat_rate must be in [0, 1]")
-        if not 0 < self.timeout < float("inf"):  # NaN fails every request; a socket refuses an inf timeout
-            raise ValueError("timeout must be finite and > 0")
         if not 0 <= self.temperature < float("inf"):  # NaN and inf would be sent as NaN and Infinity, not JSON
             raise ValueError("temperature must be finite and >= 0")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -248,8 +246,9 @@ class MockProposer:
 class RemoteProposer:
     """Chat-completions HTTP client with retries.
 
-    One call has one deadline: each attempt gets the time left, a backoff
-    sleeps at most that long, and no attempt starts once it is spent.
+    One call has one deadline, its timeout or 30 s if that is shorter, for
+    up to 2 retries: each attempt gets the time left, a backoff sleeps at
+    most that long, and no attempt starts once it is spent.
     """
 
     def __init__(self, config: ProposerConfig) -> None:
@@ -262,7 +261,7 @@ class RemoteProposer:
         import http.client
         import urllib.request
 
-        budget = self.config.timeout if timeout is None else min(self.config.timeout, timeout)
+        budget = _REQUEST_TIMEOUT if timeout is None else min(_REQUEST_TIMEOUT, timeout)
         if budget <= 0:
             return ProposerResponse("error", raw="", error="no time budget left")
         deadline = time.monotonic() + budget
@@ -276,7 +275,7 @@ class RemoteProposer:
         }
         request = urllib.request.Request(self.config.endpoint, json.dumps(payload).encode(), headers, method="POST")
         last_error = "transport failure"
-        for attempt in range(self.config.retries + 1):
+        for attempt in range(_RETRIES + 1):
             left = deadline - time.monotonic()
             if left <= 0:
                 break
@@ -289,7 +288,7 @@ class RemoteProposer:
             # HTTPError, URLError and TimeoutError are OSErrors; a wrong JSON shape raises TypeError or LookupError
             except (OSError, http.client.HTTPException, ValueError, LookupError, TypeError) as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
-                if attempt < self.config.retries:
+                if attempt < _RETRIES:
                     time.sleep(max(0.0, min(_RETRY_BACKOFF * (attempt + 1), deadline - time.monotonic())))
         return ProposerResponse("error", raw="", error=last_error)
 

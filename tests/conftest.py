@@ -77,3 +77,9 @@ def petersen() -> Graph:
     spokes = [(str(i + 1), str(i + 6)) for i in range(5)]
     inner = [(str(i + 6), str((i + 2) % 5 + 6)) for i in range(5)]
     return Graph(tuple(str(i) for i in range(1, 11)), tuple(outer + spokes + inner))
+
+
+@pytest.fixture
+def no_retries(monkeypatch):
+    """The remote proposer makes one attempt per call, not 1 + _RETRIES."""
+    monkeypatch.setattr("sofai_gc.proposer._RETRIES", 0)

@@ -231,12 +231,11 @@ class TestRunBenchmark:
             assert r.correct == (r.label == "UNSAT")
             assert not r.s2_invoked
 
-    def test_crashing_solver_recorded_not_raised(self, small_dataset, tmp_path):
+    def test_crashing_solver_recorded_not_raised(self, small_dataset, tmp_path, no_retries):
         # an unreachable remote endpoint: trials complete with failures
         cfg = RunConfig(solver="MC-S1-I1", dataset=str(small_dataset), time_limit=5,
                         trials=1, workers=1,
-                        proposer=ProposerConfig(kind="remote", endpoint="http://127.0.0.1:1/v1",
-                                                retries=0, timeout=0.2))
+                        proposer=ProposerConfig(kind="remote", endpoint="http://127.0.0.1:1/v1"))
         results = run_benchmark(cfg)
         assert all(r.status == "failure" and not r.correct for r in results)
 

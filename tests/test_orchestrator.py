@@ -410,8 +410,8 @@ class TestSofaiV2:
         assert trace.source == "S1"
         assert [it.kind for it in trace.iterations] == ["not_solvable"]
 
-    def test_transport_failure_is_survivable(self, triangle):
-        dead = ProposerConfig(kind="remote", endpoint="http://127.0.0.1:1/v1", retries=0, timeout=0.3)
+    def test_transport_failure_is_survivable(self, triangle, no_retries):
+        dead = ProposerConfig(kind="remote", endpoint="http://127.0.0.1:1/v1")
         outcome, trace = solve_sofai_v2(triangle, 3, cfg_with(dead))
         assert outcome.is_sat  # S2 answers despite a dead proposer
         first = trace.iterations[0]

@@ -286,14 +286,10 @@ class TestMockProposer:
             ProposerConfig(kind="other")
         with pytest.raises(ValueError):
             ProposerConfig(kind="remote")  # endpoint required
-        # each of these made every remote round an error: an inf timeout an uncaught OverflowError, -1 retries
-        # no request at all, and a NaN or inf temperature a request body that is not JSON (NaN, Infinity)
-        for name, value in (
-            ("timeout", 0), ("timeout", -1), ("timeout", float("nan")), ("timeout", float("inf")), ("retries", -1),
-            ("temperature", -0.5), ("temperature", float("nan")), ("temperature", float("inf")),
-        ):
-            with pytest.raises(ValueError, match=name):
-                ProposerConfig(kind="remote", endpoint="http://example.test/v1", **{name: value})
+        # a NaN or inf temperature made every remote round's request body not JSON (NaN, Infinity)
+        for value in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="temperature"):
+                ProposerConfig(kind="remote", endpoint="http://example.test/v1", temperature=value)
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
@@ -379,7 +375,7 @@ class TestRemoteProposer:
 
     def test_retries_after_server_error(self, chat_server, triangle):
         _ChatHandler.script = [(500, ""), (200, "(A 1)\n(B 2)\n(C 3)")]
-        cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=2)
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server)
         resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3))
         assert resp.is_assignment
         assert len(_ChatHandler.seen) == 2
@@ -387,23 +383,21 @@ class TestRemoteProposer:
     def test_a_huge_color_is_not_retried(self, chat_server, triangle):
         # a reply whose text parses is an answer, whatever its colors, so the good pair survives
         _ChatHandler.script = [(200, "(A 1)\n(B " + "9" * 4301 + ")")]
-        cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=2)
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server)
         resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3))
         assert resp.assignment == {"A": 1}
         assert len(_ChatHandler.seen) == 1
 
     def test_exhausted_retries_reported(self, chat_server, triangle):
         _ChatHandler.script = [(500, ""), (500, ""), (500, "")]
-        cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=2)
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server)
         resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3))
         assert resp.kind == "error"
         assert "HTTPError" in resp.error
 
-    def test_unreachable_endpoint(self, triangle):
-        cfg = ProposerConfig(
-            kind="remote", endpoint="http://127.0.0.1:1/v1", retries=0, timeout=0.5
-        )
-        resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3))
+    def test_unreachable_endpoint(self, triangle, no_retries):
+        cfg = ProposerConfig(kind="remote", endpoint="http://127.0.0.1:1/v1")
+        resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3), timeout=0.5)
         assert resp.kind == "error"
         assert resp.error
 
@@ -416,25 +410,38 @@ class TestRemoteProposer:
     def test_retries_share_one_deadline(self, chat_server, triangle):
         # each attempt used to get the full budget, then a backoff: 4.5 s in all
         _ChatHandler.script = [(200, "(A 1)\n(B 2)\n(C 3)", 1.5)] * 3
-        cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=2)
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server)
         start = time.monotonic()
         resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3), timeout=1.0)
         assert time.monotonic() - start < 1.3
         assert resp.kind == "error"
         assert "Timeout" in resp.error
 
+    def test_the_request_cap_bounds_a_longer_timeout(self, chat_server, triangle, monkeypatch):
+        # the cap, not the caller's 5 s, ends the call: one attempt, no retry once the cap is spent
+        monkeypatch.setattr("sofai_gc.proposer._REQUEST_TIMEOUT", 0.2)
+        _ChatHandler.script = [(200, "(A 1)\n(B 2)\n(C 3)", 1.0)] * 3
+        start = time.monotonic()
+        resp = RemoteProposer(ProposerConfig(kind="remote", endpoint=chat_server)).propose(
+            render_prompt(triangle, 3), timeout=5
+        )
+        assert time.monotonic() - start < 0.6
+        assert resp.kind == "error"
+        assert "timed out" in resp.error
+        assert len(_ChatHandler.seen) == 1
+
     def test_backoff_is_clipped_to_the_deadline(self, chat_server, triangle):
         _ChatHandler.script = [(500, ""), (500, ""), (500, "")]
-        cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=2)
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server)
         start = time.monotonic()
         resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3), timeout=0.3)
         assert time.monotonic() - start < 0.45  # the first backoff alone is 0.5 s
         assert "HTTPError" in resp.error
         assert len(_ChatHandler.seen) == 1  # no attempt starts once the time is spent
 
-    def test_transport_error_round_leaves_no_history(self, chat_server, triangle):
+    def test_transport_error_round_leaves_no_history(self, chat_server, triangle, no_retries):
         _ChatHandler.script = [(500, ""), (200, "(A 1)\n(B 2)\n(C 3)")]
-        cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=0)
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server)
         outcome, trace = solve_sofai_v2(triangle, 3, OrchestratorConfig(proposer=cfg, time_limit=30.0))
         assert outcome.is_sat and trace.source == "S1"
         assert [it.kind for it in trace.iterations] == ["error", "assignment"]
@@ -445,7 +452,7 @@ class TestRemoteProposer:
     def test_a_reply_with_no_pairs_is_fed_back(self, chat_server, triangle):
         prose = "I think vertex A should be red."
         _ChatHandler.script = [(200, prose), (200, "(A 1)\n(B 2)\n(C 3)")]
-        cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=0)
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server)
         outcome, trace = solve_sofai_v2(triangle, 3, OrchestratorConfig(proposer=cfg, time_limit=30.0))
         assert outcome.is_sat and trace.source == "S1"
         assert [it.kind for it in trace.iterations] == ["unparseable", "assignment"]
@@ -483,16 +490,16 @@ class TestRemoteProposer:
         ],
         ids=["list", "null-choices", "null-message", "string", "list-content"],
     )
-    def test_wrong_json_shape_is_an_error(self, chat_server, triangle, body, error):
+    def test_wrong_json_shape_is_an_error(self, chat_server, triangle, body, error, no_retries):
         _ChatHandler.script = [(200, body)]
-        cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=0)
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server)
         resp = RemoteProposer(cfg).propose(render_prompt(triangle, 3))
         assert resp.kind == "error"
         assert resp.error.startswith(error)
 
-    def test_wrong_json_shape_round_is_survivable(self, chat_server, triangle):
+    def test_wrong_json_shape_round_is_survivable(self, chat_server, triangle, no_retries):
         _ChatHandler.script = [(200, b"[]"), (200, "(A 1)\n(B 2)\n(C 3)")]
-        cfg = ProposerConfig(kind="remote", endpoint=chat_server, retries=0)
+        cfg = ProposerConfig(kind="remote", endpoint=chat_server)
         outcome, trace = solve_sofai_v2(triangle, 3, OrchestratorConfig(proposer=cfg, time_limit=30.0))
         assert outcome.is_sat and trace.source == "S1"
         assert [it.kind for it in trace.iterations] == ["error", "assignment"]
