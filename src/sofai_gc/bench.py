@@ -207,7 +207,7 @@ def run_benchmark(cfg: RunConfig) -> list[TrialResult]:
     workers = 1 if store is not None else cfg.workers or max(1, (os.cpu_count() or 2) - 1)
 
     results: list[TrialResult] = []
-    with open(cfg.out, "w") if cfg.out else nullcontext() as sink:
+    with open(cfg.out, "w", encoding="utf-8") if cfg.out else nullcontext() as sink:
         for result in _finished(jobs, workers):
             results.append(result)
             if sink:

@@ -88,7 +88,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    text = Path(args.instance).read_text()
+    text = Path(args.instance).read_text(encoding="utf-8")
     graph, file_k, _ = parse_dimacs_instance(text)
     k = args.k if args.k is not None else file_k
     if k is None:

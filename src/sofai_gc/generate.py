@@ -143,13 +143,13 @@ def build_dataset(spec: GenSpec, time_limit_per_instance: float = DEFAULT_TIME_L
 
 
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
-    """Write instances/<id>.col files plus a manifest.csv; returns the manifest path."""
+    """Write instances/<id>.col files plus a manifest.csv, all UTF-8 whatever the locale; returns the manifest path."""
     out = Path(out_dir)
     inst_dir = out / "instances"
     inst_dir.mkdir(parents=True, exist_ok=True)
     spec = dataset.spec
     manifest = out / "manifest.csv"
-    with manifest.open("w", newline="") as fh:
+    with manifest.open("w", encoding="utf-8", newline="") as fh:
         fh.write("# generator: erdos-renyi\n")
         fh.write(f"# prng: {PRNG_NAME}\n")
         fh.write(f"# n: {spec.n}\n")
@@ -163,7 +163,7 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
         for rec in dataset.instances:
             filename = f"instances/{rec.id}.col"
             writer.writerow([rec.id, rec.n, f"{rec.p:g}", rec.seed, rec.chi, rec.k, rec.label, filename])
-            (out / filename).write_text(serialize_dimacs(rec.graph, k=rec.k, label=rec.label) + "\n")
+            (out / filename).write_text(serialize_dimacs(rec.graph, k=rec.k, label=rec.label) + "\n", encoding="utf-8")
     return manifest
 
 
@@ -172,7 +172,7 @@ def read_manifest_meta(path: str | Path) -> dict[str, str]:
     path = Path(path)
     manifest = path / "manifest.csv" if path.is_dir() else path
     meta: dict[str, str] = {}
-    for line in manifest.read_text().splitlines():
+    for line in manifest.read_text(encoding="utf-8").splitlines():
         if not line.startswith("#"):
             break
         key, _, value = line.lstrip("# ").partition(":")
@@ -181,7 +181,7 @@ def read_manifest_meta(path: str | Path) -> dict[str, str]:
 
 
 def load_dataset(path: str | Path) -> list[InstanceRecord]:
-    """Load instance records from a dataset directory (or its manifest.csv).
+    """Load instance records from a dataset directory (or its manifest.csv); all files are UTF-8 whatever the locale.
 
     ValueError names the manifest row that csv cannot read, that repeats an
     instance id, whose k is below 1, or that its instance file disagrees with
@@ -192,7 +192,7 @@ def load_dataset(path: str | Path) -> list[InstanceRecord]:
     base = manifest.parent
     records: list[InstanceRecord] = []
     ids: set[str] = set()
-    with manifest.open(newline="") as fh:
+    with manifest.open(encoding="utf-8", newline="") as fh:
         rows = csv.DictReader(line for line in fh if not line.startswith("#"))
         rowno = 0
         try:
@@ -215,7 +215,7 @@ def load_dataset(path: str | Path) -> list[InstanceRecord]:
                     raise ValueError(f"{manifest}: row {rowno} has k {values['k']}, below 1")
                 instance = base / row["filename"]
                 try:
-                    graph, k, label = parse_dimacs_instance(instance.read_text())
+                    graph, k, label = parse_dimacs_instance(instance.read_text(encoding="utf-8"))
                 except ValueError as exc:
                     raise ValueError(f"{instance}: {exc}") from None
                 if k is None or label is None:
