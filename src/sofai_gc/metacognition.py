@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .dsatur import DEFAULT_TIME_LIMIT, SolveOutcome, solve_decision
@@ -19,10 +20,10 @@ from .graphs import ColorAssignment, Graph, Verdict, verdict
 from .memory import EpisodicRecord, MemoryStore, retrieve_memory
 from .proposer import (
     NOT_SOLVABLE,
+    FeedbackEntry,
     PromptExample,
     ProposerConfig,
     make_proposer,
-    format_assignment,
     render_prompt,
 )
 
@@ -85,6 +86,17 @@ def generate_example(graph: Graph) -> PromptExample:
     edges = tuple((u, v) for u, v in graph.edges if u in kept and v in kept)
     sub = Graph(tuple(v for v in graph.vertices if v in kept), edges)
     return PromptExample(sub, sub.first_fit(range(len(sub.vertices))))
+
+
+@dataclass(frozen=True)
+class _WorkedExample:
+    """A trial's worked example: generate_example(graph), built when a prompt's text first shows it."""
+
+    graph: Graph
+
+    @cached_property
+    def text(self) -> str:
+        return generate_example(self.graph).text
 
 
 @dataclass(frozen=True)
@@ -194,7 +206,7 @@ def run_preset(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tu
     proposer = make_proposer(cfg.proposer) if preset.rounds else None
     hit = retrieve_memory(cfg.store, graph, k) if cfg.store is not None else None
     examples = [hit.example] if hit is not None else []
-    history: list[tuple[str, tuple[str, ...]]] = []
+    history: list[FeedbackEntry] = []
     iterations: list[IterationRecord] = []
     outcome: Optional[SolveOutcome] = None  # set once S1 answers
 
@@ -202,7 +214,7 @@ def run_preset(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tu
         if time.monotonic() >= deadline:
             break
         if t == 2 and graph.vertices:  # rounds after a failed one show a worked example
-            examples.append(generate_example(graph))
+            examples.append(_WorkedExample(graph))
         prompt = render_prompt(graph, k, examples, history)
         now = time.monotonic()
         response = proposer.propose(prompt, timeout=deadline - now)
@@ -221,7 +233,7 @@ def run_preset(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tu
             else:  # a failed assignment draws a conflict, over-budget or uncolored message
                 messages = tuple(item.message for item in _feedback(graph, response.assignment, v, k))
                 signature = ("conflicts", v.conflicts)
-                history.append((format_assignment(response.assignment, graph.vertices), messages))
+                history.append((response.assignment, messages))
         elif response.is_not_solvable and preset.accept_unsat:
             outcome = SolveOutcome("unsat")
         elif response.is_not_solvable:

@@ -79,19 +79,59 @@ class PromptExample:
         return "\n".join(["Problem:", problem, "", "Correct Solution:", solution, "", "End of Example"])
 
 
-# One iteration of history: the raw response and the feedback messages it drew.
-FeedbackEntry = tuple[str, tuple[str, ...]]
+# One iteration of history: the attempt, a reply's text or the failed coloring itself, and the messages it drew.
+FeedbackEntry = tuple[str | ColorAssignment, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
 class Prompt:
     """What a proposer reads: the remote one sends text and parses its reply against graph; the mock reads
-    graph, k and feedback_rounds, the number of failed attempts the text shows, never the text."""
+    graph, k and feedback_rounds, the number of failed attempts the text shows, never the text.  text is
+    rendered on first read and kept: a mock run renders none, a remote call one, inside its timed span."""
 
     graph: Graph
     k: int
-    feedback_rounds: int
-    text: str
+    examples: tuple[PromptExample, ...] = ()
+    history: tuple[FeedbackEntry, ...] = ()
+
+    @property
+    def feedback_rounds(self) -> int:
+        return len(self.history)
+
+    @cached_property
+    def text(self) -> str:
+        graph, k = self.graph, self.k
+        graph_block = (
+            "Graph Representation:\n"
+            f"- Number of vertices and edges: p edge {len(graph.vertices)} {len(graph.edges)}.\n"
+            "- Edges between vertices are listed as follows:"
+        )
+        if graph.edges:
+            graph_block += "\n" + graph.edge_text
+        sections = [
+            "New Problem to Solve:\n"
+            f"You are given an undirected graph with {k} colors available. "
+            "Your task is to assign a color to each vertex such that no two adjacent "
+            "vertices share the same color.",
+            graph_block,
+            "Objective:\n"
+            "Assign a unique color to each vertex, ensuring that no two vertices "
+            "connected by an edge have the same color. "
+            f"Use no more than {k} distinct colors. "
+            "Provide the color assignments for each vertex in the format:\n"
+            "(Vertex Color)",
+            "Example Format:\n(A 1)\n(B 2)\n(C 1)",
+        ]
+        sections.extend(ex.text for ex in self.examples)
+        for attempt, messages in self.history:
+            attempt = attempt if isinstance(attempt, str) else format_assignment(attempt, graph.vertices)
+            sections.append("Incorrect Coloring Submitted:\n" + attempt)
+            sections.append("Feedback Provided:\n" + "\n".join(messages))
+        sections.append(
+            "Please provide the color assignment for the new problem to solve, "
+            f'or respond with "{NOT_SOLVABLE}" if it cannot be solved.'
+        )
+        return "\n\n".join(sections)
 
 
 def format_assignment(assignment: Mapping[str, int], vertex_order: Sequence[str]) -> str:
@@ -105,7 +145,7 @@ def render_prompt(
     examples: Sequence[PromptExample] = (),
     feedback_history: Sequence[FeedbackEntry] = (),
 ) -> Prompt:
-    """Assemble the proposer prompt.
+    """Assemble the proposer prompt from copies of examples and history; its text is rendered on first read.
 
     The base sections are fixed wording; episodic or generated examples
     are appended after the format section, then the accumulated
@@ -115,36 +155,7 @@ def render_prompt(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    graph_block = (
-        "Graph Representation:\n"
-        f"- Number of vertices and edges: p edge {len(graph.vertices)} {len(graph.edges)}.\n"
-        "- Edges between vertices are listed as follows:"
-    )
-    if graph.edges:
-        graph_block += "\n" + graph.edge_text
-    sections = [
-        "New Problem to Solve:\n"
-        f"You are given an undirected graph with {k} colors available. "
-        "Your task is to assign a color to each vertex such that no two adjacent "
-        "vertices share the same color.",
-        graph_block,
-        "Objective:\n"
-        "Assign a unique color to each vertex, ensuring that no two vertices "
-        "connected by an edge have the same color. "
-        f"Use no more than {k} distinct colors. "
-        "Provide the color assignments for each vertex in the format:\n"
-        "(Vertex Color)",
-        "Example Format:\n(A 1)\n(B 2)\n(C 1)",
-    ]
-    sections.extend(ex.text for ex in examples)
-    for attempt, messages in feedback_history:
-        sections.append("Incorrect Coloring Submitted:\n" + attempt)
-        sections.append("Feedback Provided:\n" + "\n".join(messages))
-    sections.append(
-        "Please provide the color assignment for the new problem to solve, "
-        f'or respond with "{NOT_SOLVABLE}" if it cannot be solved.'
-    )
-    return Prompt(graph, k, feedback_rounds=len(feedback_history), text="\n\n".join(sections))
+    return Prompt(graph, k, tuple(examples), tuple(feedback_history))
 
 
 @dataclass(frozen=True)
@@ -200,7 +211,8 @@ def parse_response(text: str, graph: Graph) -> ProposerResponse:
 class MockProposer:
     """Deterministic seeded stand-in for the remote model.
 
-    It reads a prompt's graph, k and feedback_rounds, never its text.
+    It reads a prompt's graph, k and feedback_rounds, never its text, so
+    a mock trial renders no prompt text.
     Base behavior is greedy coloring in stable vertex order, ignoring the
     k bound (greedy may over-color, which exercises the over-color
     feedback path).  noise corrupts per-vertex choices; it decays with

@@ -12,6 +12,9 @@ from strategies import er_graphs
 from sofai_gc import (
     Graph,
     EpisodicRecord,
+    GenSpec,
+    RunConfig,
+    build_dataset,
     chromatic_number,
     MemoryRejected,
     MemoryStore,
@@ -30,6 +33,7 @@ from sofai_gc import (
     solve_sofai_v2,
     serialize_dimacs,
     verdict,
+    write_dataset,
 )
 from sofai_gc import bench, dsatur, metacognition, proposer
 from sofai_gc.metacognition import (
@@ -51,16 +55,12 @@ def cfg_with(proposer=PERFECT, **kwargs):
 
 
 def recording_renders(renders):
-    """A render_prompt that appends (graph, k, examples, history, prompt) to renders.
-
-    run_preset appends to its examples and history lists after a render,
-    so the arguments are copied into tuples at the call.
-    """
+    """A render_prompt that appends (graph, k, examples, history, prompt) to renders; the prompt holds copies."""
     render = metacognition.render_prompt
 
     def recording(graph, k, examples, history):
         prompt = render(graph, k, examples, history)
-        renders.append((graph, k, tuple(examples), tuple(history), prompt))
+        renders.append((prompt.graph, prompt.k, prompt.examples, prompt.history, prompt))
         return prompt
 
     return recording
@@ -83,6 +83,25 @@ def test_only_a_search_builds_the_neighbour_masks():
     assert "neighbour_masks" not in vars(graph)
     chi = chromatic_number(graph)
     assert solve_decision(graph, chi - 1).is_unsat and "neighbour_masks" in vars(graph)
+
+
+def test_a_mock_benchmark_renders_no_prompt_text(tmp_path, monkeypatch):
+    # The mock reads a prompt's graph, k and feedback_rounds, so no text, failed coloring,
+    # worked example or edge list is rendered in a whole run.
+    write_dataset(build_dataset(GenSpec(n=30, p=0.5, count=4, seed=7, mix=(50, 50)), 30), tmp_path)
+    loaded, renders, formatted, built = [], [], [], []
+    load, fmt, example = bench.load_dataset, proposer.format_assignment, metacognition.generate_example
+    monkeypatch.setattr(bench, "load_dataset", lambda path: loaded.extend(load(path)) or loaded)
+    monkeypatch.setattr(metacognition, "render_prompt", recording_renders(renders))
+    monkeypatch.setattr(proposer, "format_assignment", lambda *a: formatted.append(a) or fmt(*a))
+    monkeypatch.setattr(metacognition, "generate_example", lambda g: built.append(g) or example(g))
+    noisy = ProposerConfig(kind="mock", noise=0.5, noise_decay=0.8)
+    results = bench.run_benchmark(RunConfig("SOFAI-v2", str(tmp_path), trials=2, workers=1, proposer=noisy, seed=3))
+    assert len(results) == 8 and all(r.error is None for r in results)
+    assert any(len(examples) == 1 and history for _, _, examples, history, _ in renders)  # a later round
+    assert all("text" not in vars(prompt) for *_, prompt in renders)
+    assert formatted == [] and built == []
+    assert len(loaded) == 4 and all("edge_text" not in vars(rec.graph) for rec in loaded)
 
 
 class TestFormatFeedback:
@@ -199,16 +218,35 @@ class TestGenerateExample:
         assert rendered.endswith("End of Example")
 
     def test_built_only_for_a_second_round(self, fig2_graph, monkeypatch):
-        import sofai_gc.metacognition as metacognition
-        calls = []
+        calls, reads = [], []
         real = metacognition.generate_example
-        monkeypatch.setattr(metacognition, "generate_example", lambda g: calls.append(g) or real(g))
-        # Every round fails, so each preset runs as many rounds as it may.
+        monkeypatch.setattr(metacognition, "generate_example", lambda g: calls.append((g, len(reads))) or real(g))
+        # Every round fails, so each preset runs as many rounds as it may; the mock reads no text.
+        for solver, preset in PRESETS.items():
+            bench.solve(solver, fig2_graph, 3, cfg_with(ALWAYS_UNSAT, store=MemoryStore() if preset.memory else None))
+        assert calls == []
+        monkeypatch.setattr(metacognition, "make_proposer", lambda config: _ReadsText(config, reads))
         bench.solve("SOFAI-v1", fig2_graph, 3, cfg_with(ALWAYS_UNSAT))
         solve_mc_s1_iN(fig2_graph, 3, cfg_with(ALWAYS_UNSAT), 1)
-        assert calls == []
+        assert calls == [] and len(reads) == 2
+        reads.clear()
         _, trace = solve_sofai_v2(fig2_graph, 3, cfg_with(ALWAYS_UNSAT))
-        assert trace.s1_calls == 2 and calls == [fig2_graph]
+        assert trace.s1_calls == 2 and calls == [(fig2_graph, 2)]  # built while round 2's text was read
+        reads.clear()
+        _, trace = solve_mc_s1_iN(fig2_graph, 3, cfg_with(ALWAYS_UNSAT), 3)
+        assert trace.s1_calls == 3 and calls == [(fig2_graph, 2)] * 2  # round 3 shows the same example
+
+
+class _ReadsText:
+    """The mock, reading each prompt's text first as a remote proposer does; reads gets every prompt."""
+
+    def __init__(self, config, reads):
+        self.mock, self.reads = proposer.MockProposer(config), reads
+
+    def propose(self, prompt, *, timeout=None):
+        self.reads.append(prompt)
+        assert prompt.text
+        return self.mock.propose(prompt, timeout=timeout)
 
 
 def failed_round(score, signature):
@@ -393,11 +431,14 @@ class TestSofaiV2:
             _, trace = solve_sofai_v2(graph, k, cfg_with(dataclasses.replace(noisy, seed=seed), store=store))
             assert trace.s1_calls >= 2
         assert len(store) == 1 and all(examples[0] is record.example for _, _, examples, _, _ in renders)
+        assert formatted == []  # the mock reads no text, so nothing is formatted until a text is read
+        for *_, prompt in renders * 2:
+            assert prompt.text
         # the record's solution once in all, the worked example (a 3-vertex graph) once per trial
         assert sum(a is record.solution for a, _ in formatted) == 1
         assert sum(order is not graph.vertices for _, order in formatted) == 2
         for g, at_k, examples, history, prompt in renders:
-            fresh = [PromptExample(ex.graph, dict(ex.solution)) for ex in examples]
+            fresh = [PromptExample(record.graph, dict(record.solution))] + [generate_example(g)] * (len(examples) - 1)
             assert prompt.text == proposer.render_prompt(g, at_k, fresh, history).text
 
     def test_accept_s1_unsat_flag(self, fig2_graph):

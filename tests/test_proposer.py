@@ -110,6 +110,13 @@ class TestRenderPrompt:
         assert "Incorrect Coloring Submitted:\n(A 1)\n(B 1)" in text
         assert "Feedback Provided:\nError: Vertices A and B" in text
 
+    def test_a_coloring_attempt_is_written_in_vertex_order_on_first_read(self, fig2_graph):
+        history = [({"C": 2, "A": 1, "B": 1}, ("Error: Vertices A and B are adjacent but have the same color.",))]
+        prompt = render_prompt(fig2_graph, 2, feedback_history=history)
+        history.clear()  # the prompt keeps its own copy
+        assert prompt.feedback_rounds == 1 and "text" not in vars(prompt)
+        assert "Incorrect Coloring Submitted:\n(A 1)\n(B 1)\n(C 2)\n\nFeedback Provided:\nError" in prompt.text
+
     def test_k_validation(self, fig2_graph):
         with pytest.raises(ValueError):
             render_prompt(fig2_graph, 0)
