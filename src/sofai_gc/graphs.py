@@ -167,8 +167,15 @@ class Graph:
 
         It does when the edge lines alone would give another vertex list:
         isolated vertices, or an order other than first appearance in `edges`.
+        The walk stops at the first endpoint that appears out of vertex order.
         """
-        return tuple(dict.fromkeys(itertools.chain.from_iterable(self.edges))) != self.vertices
+        seen = 0  # the endpoints walked so far are vertices[:seen], first seen in that order
+        for i in map(self.index.__getitem__, itertools.chain.from_iterable(self.edges)):
+            if i >= seen:
+                if i > seen:
+                    return True
+                seen += 1
+        return seen != len(self.vertices)
 
     def first_fit(self, order: Iterable[int]) -> ColorAssignment:
         """Color the vertices at the positions in order, which lists each once, each with the lowest color left free.

@@ -6,13 +6,16 @@ and in its prompt example, which is rendered once, on first retrieval.
 Retrieval compares (n, e, density, k) attribute vectors; the raw
 chromatic number of a fresh instance is unknown before solving, so the
 color bound k stands in for it.  An instance is its k and its graph:
-MemoryStore.holds alone says which instances the store holds, and a
-record of that very graph wins retrieval's ties.
+MemoryStore.lookup alone finds the record of an instance the store
+holds, which a trial answers from at once, and retrieval never returns a
+record of the query graph itself, at any k, so no prompt shows an
+instance its own stored coloring.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -172,7 +175,7 @@ class MemoryStore:
         self._records: list[EpisodicRecord] = []
         if self.path is not None and self.path.exists():
             for record in read_jsonl(self.path, EpisodicRecord.from_json):
-                if not self.holds(record.graph, record.k):
+                if self.lookup(record.graph, record.k) is None:
                     self._records.append(record)
 
     def __len__(self) -> int:
@@ -181,13 +184,14 @@ class MemoryStore:
     def records(self) -> tuple[EpisodicRecord, ...]:
         return tuple(self._records)
 
-    def holds(self, graph: Graph, k: int) -> bool:
-        """Whether a record has this k and an equal graph; graphs, which walk labels, compare last."""
-        return any(rec.k == k and rec.e == len(graph.edges) and rec.graph == graph for rec in self._records)
+    def lookup(self, graph: Graph, k: int) -> Optional[EpisodicRecord]:
+        """The record with this k and an equal graph, or None; graphs, which walk labels, compare last."""
+        e = len(graph.edges)
+        return next((rec for rec in self._records if rec.k == k and rec.e == e and rec.graph == graph), None)
 
     def append(self, record: EpisodicRecord) -> None:
         """Add a record unless the store holds its instance; with a path, the line is written before this returns."""
-        if self.holds(record.graph, record.k):
+        if self.lookup(record.graph, record.k) is not None:
             raise MemoryRejected(f"duplicate: the store holds this n={record.n}, e={record.e} graph at k={record.k}")
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -211,17 +215,19 @@ class MemoryStore:
 def retrieve_memory(store: MemoryStore, graph: Graph, k: int) -> Optional[EpisodicRecord]:
     """The record nearest (graph, k), if its attribute distance is below MAX_DISTANCE; else None.
 
-    Distance is the mean of per-attribute |difference| over (n, e,
-    density, k), each scaled by the store's observed max for that
-    attribute (density is already in [0, 1]; scales floor at 1 so a
-    degenerate store cannot divide by zero).  Among records at one
-    distance a record of this very graph wins (at distance 0, the
-    instance MemoryStore.holds finds), then the first stored.
+    A record of graph itself, at any k, is never returned: the prompt it
+    seeds is for another problem.  Graphs are compared only when n and e
+    match.  Distance is the mean of per-attribute |difference| over (n,
+    e, density, k), each scaled by the max of that attribute over every
+    record in the store (density is already in [0, 1]; scales floor at 1
+    so a degenerate store cannot divide by zero).  Among records at one
+    distance the first stored wins.
     """
     records = store.records()
     if not records:
         return None
-    query = (len(graph.vertices), len(graph.edges), graph.density, k)
+    n, e = len(graph.vertices), len(graph.edges)
+    query = (n, e, graph.density, k)
     scales = (
         max(1.0, max(r.n for r in records)),
         max(1.0, max(r.e for r in records)),
@@ -229,12 +235,12 @@ def retrieve_memory(store: MemoryStore, graph: Graph, k: int) -> Optional[Episod
         max(1.0, max(r.k for r in records)),
     )
 
-    def rank(idx: int) -> tuple[float, bool, int]:
+    def rank(idx: int) -> tuple[float, int]:
         rec = records[idx]
+        if rec.n == n and rec.e == e and rec.graph == graph:
+            return math.inf, idx
         attrs = (rec.n, rec.e, rec.density, rec.k)
-        d = sum(abs(q - a) / s for q, a, s in zip(query, attrs, scales)) / len(query)
-        # only at distance 0 are n, e and k equal, so only there can the graphs be
-        return d, d > 0 or rec.graph != graph, idx
+        return sum(abs(q - a) / s for q, a, s in zip(query, attrs, scales)) / len(query), idx
 
-    d, _, idx = min(map(rank, range(len(records))))
+    d, idx = min(map(rank, range(len(records))))
     return records[idx] if d < MAX_DISTANCE else None

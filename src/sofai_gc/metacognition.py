@@ -4,8 +4,9 @@ Verifies proposer output, renders template feedback, generates worked
 subgraph examples, and decides when to stop trusting the fast path and
 hand the instance to the exact solver.  There is one loop, run_preset:
 each S1 round records one IterationRecord, and every trial ends in one
-place after the loop.  Each roster id is one row of PRESETS, which sets
-the loop's round budget and switches; run_preset runs a row by its id.
+place after the loop, except one that memory answers before it.  Each
+roster id is one row of PRESETS, which sets the loop's round budget and
+switches; run_preset runs a row by its id.
 """
 
 from __future__ import annotations
@@ -103,11 +104,12 @@ class _WorkedExample:
 class Preset:
     """A roster id's fixed facts: its S1 round budget and three switches.
 
-    memory seeds the prompt from cfg.store and records each solved
-    instance there.  fallback applies the escalation rule after each
-    failed round and hands S2 what S1 left unanswered.  accept_unsat
-    makes S1's NOT SOLVABLE final instead of feeding back that it is
-    unproven; the other rows leave certifying UNSAT to S2.
+    memory answers an instance cfg.store holds from its record, with no
+    S1 round and no S2; else it seeds the prompt from the store and
+    records each solved instance there.  fallback applies the escalation
+    rule after each failed round and hands S2 what S1 left unanswered.
+    accept_unsat makes S1's NOT SOLVABLE final instead of feeding back
+    that it is unproven; the other rows leave certifying UNSAT to S2.
     """
 
     rounds: int
@@ -173,9 +175,15 @@ def escalation_rule(rounds: Sequence[IterationRecord], T: int) -> bool:
 
 @dataclass(frozen=True)
 class SolveTrace:
+    """How a trial ended: its S1 rounds, whether S2 ran, and which answered.
+
+    source is S1, S2, memory (the store held the instance: no round, no
+    S2), or None when nothing answered.
+    """
+
     iterations: tuple[IterationRecord, ...]
     s2_invoked: bool
-    source: Optional[str]  # S1 | S2 | None
+    source: Optional[str]  # S1 | S2 | memory | None
 
     @property
     def s1_calls(self) -> int:
@@ -185,8 +193,13 @@ class SolveTrace:
 def run_preset(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tuple[SolveOutcome, SolveTrace]:
     """The one metacognitive loop, run as roster id solver's row of PRESETS.
 
-    Runs up to the row's rounds of S1 with template feedback while time
-    is left.  The trial then ends with S1's answer; else S2's, given
+    For a row that reads memory, an instance cfg.store holds is answered
+    before round 1 with a copy of its stored coloring, once verdict
+    passes it on graph and while time is left: no S1 round, no S2, no
+    record appended, source memory.  Otherwise the trial runs up to the
+    row's rounds of S1 with template feedback while time is left, its
+    prompt seeded from the store's nearest record of another graph.
+    The trial then ends with S1's answer; else S2's, given
     fallback and time left; else a timeout if no time is left; else
     Failure("s1-exhausted").  An unknown id, and a cfg.store for a row
     that reads no memory, raise ValueError.
@@ -203,6 +216,9 @@ def run_preset(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tu
     if k < 1:
         raise ValueError("k must be >= 1")
     deadline = time.monotonic() + cfg.time_limit
+    held = cfg.store.lookup(graph, k) if cfg.store is not None else None
+    if held is not None and time.monotonic() < deadline and verdict(graph, held.solution, k).valid:
+        return SolveOutcome("sat", dict(held.solution)), SolveTrace(iterations=(), s2_invoked=False, source="memory")
     proposer = make_proposer(cfg.proposer) if preset.rounds else None
     hit = retrieve_memory(cfg.store, graph, k) if cfg.store is not None else None
     examples = [hit.example] if hit is not None else []
@@ -258,7 +274,7 @@ def run_preset(solver: str, graph: Graph, k: int, cfg: OrchestratorConfig) -> tu
     else:
         source = None
         outcome = SolveOutcome("timeout") if remaining <= 0 else SolveOutcome("failure", reason="s1-exhausted")
-    if cfg.store is not None and outcome.is_sat and not cfg.store.holds(graph, k):
+    if cfg.store is not None and outcome.is_sat and held is None:
         cfg.store.append(EpisodicRecord.make(graph, k, outcome.assignment, source))
     return outcome, SolveTrace(iterations=tuple(iterations), s2_invoked=s2_invoked, source=source)
 

@@ -13,7 +13,8 @@ neighbour lists over positions and its first fits read taken-colour
 bitmasks; they read neighbours_in_edge_order, built from the edges here,
 not any view the Graph builds.  The other searches read label_view, the
 Graph's own neighbour lists by label.  reference_retrieval ranks every
-memory record in reach, as retrieval did before it returned one record.
+memory record in reach but those of the query graph itself, as retrieval
+did before it returned one record.
 """
 
 from __future__ import annotations
@@ -242,13 +243,14 @@ def reference_peel(graph: Graph, k: int) -> dict[str, int] | None:
 
 
 def reference_retrieval(records, graph: Graph, k: int) -> list:
-    """Every record within attribute distance 0.1 of (graph, k), ranked by a full sort.
+    """Every record within attribute distance 0.1 of (graph, k), ranked by a full sort, none of graph itself.
 
-    A record's distance is the mean over n, e, density and k of |query -
-    record| divided by that attribute's scale: the records' max n, max e
-    and max k, each at least 1, and 1 for density.  Ties on distance go
-    to a record of this very instance (its k and an equal graph) first,
-    then to the record stored first.
+    A record whose graph has graph's vertex tuple and edge tuple is left
+    out, whatever its k.  A record's distance is the mean over n, e,
+    density and k of |query - record| divided by that attribute's scale:
+    the max n, max e and max k over all the records, the left-out ones
+    too, each at least 1, and 1 for density.  Ties on distance go to the
+    record stored first.
     """
     if not records:
         return []
@@ -257,6 +259,8 @@ def reference_retrieval(records, graph: Graph, k: int) -> list:
     k_scale = max(1.0, max(r.k for r in records))
     ranked = []
     for position, rec in enumerate(records):
+        if (rec.graph.vertices, rec.graph.edges) == (graph.vertices, graph.edges):
+            continue
         distance = (
             abs(len(graph.vertices) - len(rec.graph.vertices)) / n_scale
             + abs(len(graph.edges) - len(rec.graph.edges)) / e_scale
@@ -264,7 +268,6 @@ def reference_retrieval(records, graph: Graph, k: int) -> list:
             + abs(k - rec.k) / k_scale
         ) / 4
         if distance < 0.1:
-            same_instance = rec.k == k and rec.graph == graph
-            ranked.append((distance, not same_instance, position, rec))
-    ranked.sort(key=lambda entry: entry[:3])
+            ranked.append((distance, position, rec))
+    ranked.sort(key=lambda entry: entry[:2])
     return [rec for *_, rec in ranked]

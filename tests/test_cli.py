@@ -192,6 +192,25 @@ class TestBenchAndReport:
         csv_text = capsys.readouterr().out
         assert csv_text.startswith("n,p,mix,solver,")
 
+    def test_a_memory_bench_answers_repeat_trials_from_memory(self, dataset_dir, tmp_path, capsys):
+        # The memory file starts empty.  A SAT instance's first trial stores its answer, so its later trials
+        # run no S1 round and no S2; an UNSAT instance is never stored, so each of its trials runs S1.
+        out, memory = tmp_path / "r.jsonl", tmp_path / "memory.jsonl"
+        rc = main([
+            "bench", "--dataset", str(dataset_dir), "--solver", "SOFAI-v2", "--proposer", "mock",
+            "--noise", "0.5", "--time-limit", "30", "--trials", "3", "--workers", "1", "--out", str(out),
+            "--seed", "5", "--memory", str(memory),
+        ])
+        assert rc == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(rows) == 12 and all(row["correct"] for row in rows)
+        for row in rows:
+            repeat = row["label"] == "SAT" and row["trial"] > 1
+            assert (row["s1_iterations"] == 0) == repeat
+            assert not (repeat and row["s2_invoked"])
+        assert len(memory.read_text().splitlines()) == 2
+        capsys.readouterr()
+
     def test_bench_stdout_when_no_out(self, dataset_dir, capsys, monkeypatch):
         monkeypatch.delenv("S1_ENDPOINT", raising=False)
         rc = main([

@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 import subprocess
@@ -348,6 +349,24 @@ class TestSerializeDimacs:
         shuffled = Graph(tuple(vertices), tuple(edges))
         assert parse_dimacs(serialize_dimacs(shuffled)) == shuffled
         assert parse_dimacs_instance(serialize_dimacs(shuffled, k=2, label="SAT")) == (shuffled, 2, "SAT")
+
+    @settings(max_examples=200)
+    @given(er_graphs(), st.integers(0, 3), st.randoms(use_true_random=False))
+    def test_needs_vertices_comment_matches_first_appearance(self, graph, isolates, rng):
+        # the walk stops early; the reference builds the whole first-appearance order of the endpoints
+        def reference(g):
+            return tuple(dict.fromkeys(itertools.chain.from_iterable(g.edges))) != g.vertices
+
+        vertices = list(graph.vertices) + [f"iso{i}" for i in range(isolates)]
+        rng.shuffle(vertices)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges]
+        rng.shuffle(edges)
+        shuffled = Graph(tuple(vertices), tuple(edges))
+        in_order = Graph(tuple(dict.fromkeys(itertools.chain.from_iterable(edges))), tuple(edges))
+        for g in (graph, shuffled, in_order):
+            for each in (g, parse_dimacs(serialize_dimacs(g))):
+                assert each.needs_vertices_comment == reference(each)
+        assert not in_order.needs_vertices_comment
 
     @settings(max_examples=150)
     @given(er_graphs(), st.randoms(use_true_random=False))

@@ -72,10 +72,13 @@ class TestEpisodicRecord:
 
 class TestAppend:
     def test_append_then_retrieve_identical(self, triangle):
+        # the appended instance is found by lookup; retrieval, which seeds prompts, shows it to other graphs only
         store = MemoryStore()
         rec = record_for(triangle, 3, {"A": 1, "B": 2, "C": 3})
         store.append(rec)
-        assert retrieve_memory(store, triangle, 3) == rec
+        assert store.lookup(triangle, 3) is rec
+        assert retrieve_memory(store, triangle, 3) is None
+        assert retrieve_memory(store, Graph(triangle.vertices, triangle.edges[::-1]), 3) is rec
 
     def test_invalid_solution_rejected(self, triangle):
         store = MemoryStore()
@@ -105,19 +108,20 @@ class TestAppend:
             store.append(rec)
         assert checked == [] and len(store) == 1
 
-    def test_holds_an_equal_graph_at_its_k_whatever_the_id(self, petersen):
+    def test_lookup_finds_an_equal_graph_at_its_k_whatever_the_id(self, petersen):
         store = MemoryStore()
         record = record_for(petersen, 3, greedy(petersen))
         store.append(record)
         # the twin has petersen's n, e, density and vertices, in another edge order: another instance
         twin = Graph(petersen.vertices, petersen.edges[::-1])
-        assert store.holds(parse_dimacs(serialize_dimacs(petersen)), 3)
-        assert not store.holds(petersen, 4)
-        assert not store.holds(twin, 3)
-        with pytest.raises(MemoryRejected, match="duplicate"):  # append refuses what holds finds, not a line's id
+        assert store.lookup(parse_dimacs(serialize_dimacs(petersen)), 3) is record
+        assert store.lookup(petersen, 4) is None
+        assert store.lookup(twin, 3) is None
+        with pytest.raises(MemoryRejected, match="duplicate"):  # append refuses what lookup finds, not a line's id
             store.append(EpisodicRecord.from_json(json.dumps({**json.loads(record.to_json()), "id": "0" * 16})))
-        store.append(record_for(twin, 3, greedy(petersen)))
-        assert store.holds(twin, 3) and len(store) == 2
+        theirs = record_for(twin, 3, greedy(petersen))
+        store.append(theirs)
+        assert store.lookup(twin, 3) is theirs and store.lookup(petersen, 3) is record and len(store) == 2
 
     def test_persistence_failure_propagates(self, tmp_path, triangle):
         blocker = tmp_path / "blocker"
@@ -337,20 +341,27 @@ class TestPersistence:
 
 @st.composite
 def stores_and_queries(draw):
-    """A query (graph, k) and a small store holding copies of the graph, its edge-reversed twin and other graphs."""
+    """A query (graph, k) and a small store holding the graph at k and at other k, its edge-reversed twin and
+    other graphs."""
     graph = draw(er_graphs(max_n=6))
     k = draw(st.integers(1, 6))
     store = MemoryStore()
-    for kind in draw(st.lists(st.sampled_from(["copy", "twin", "other"]), max_size=8)):
-        if kind == "copy":  # an equal graph, not the query's own object
-            stored = parse_dimacs(serialize_dimacs(graph))
+    for kind in draw(st.lists(st.sampled_from(["own", "own-other-k", "twin", "other"]), max_size=8)):
+        if kind.startswith("own"):  # the query's own object, or an equal graph
+            stored = draw(st.sampled_from([graph, parse_dimacs(serialize_dimacs(graph))]))
         elif kind == "twin":  # the same n, e, density and vertices: a tie at distance 0 when k is equal
             stored = Graph(graph.vertices, graph.edges[::-1])
         else:
             stored = draw(er_graphs(max_n=6))
         coloring = greedy(stored)
-        stored_k = max(len(set(coloring.values())), draw(st.sampled_from([k, k + 1, 1, 2, 3, 4])))
-        if not store.holds(stored, stored_k):
+        used = len(set(coloring.values()))
+        if kind == "own":  # at the query's k, when greedy's coloring fits it
+            stored_k = max(used, k)
+        elif kind == "own-other-k":
+            stored_k = max(used, k) + draw(st.integers(1, 3))
+        else:
+            stored_k = max(used, draw(st.sampled_from([k, k + 1, 1, 2, 3, 4])))
+        if store.lookup(stored, stored_k) is None:
             store.append(record_for(stored, stored_k, coloring))
     return store, graph, k
 
@@ -360,10 +371,14 @@ class TestRetrieveMemory:
         assert retrieve_memory(MemoryStore(), triangle, 3) is None
 
     def test_identical_instance_distance_zero(self, petersen):
+        # petersen's own record is at distance 0 (1/12 at k=4), yet no prompt for petersen is shown it;
+        # the edge-reversed twin, also at distance 0, is
         store = MemoryStore()
         rec = record_for(petersen, 3, greedy(petersen))
         store.append(rec)
-        assert retrieve_memory(store, petersen, 3) == rec
+        for query, k in ((petersen, 3), (parse_dimacs(serialize_dimacs(petersen)), 3), (petersen, 4)):
+            assert retrieve_memory(store, query, k) is None
+        assert retrieve_memory(store, Graph(petersen.vertices, petersen.edges[::-1]), 3) is rec
 
     def test_far_instance_excluded(self, triangle):
         store = MemoryStore()
@@ -391,11 +406,14 @@ class TestRetrieveMemory:
         # both are one vertex from n=5; the density of n=6 (1/15) is nearer 1/10 than n=4's (1/6)
         assert retrieve_memory(store, graphs[5], 2) == recs[6]
         store.append(recs[5])
-        assert retrieve_memory(store, graphs[5], 2) == recs[5]  # exact match first
+        assert retrieve_memory(store, graphs[5], 2) == recs[6]  # its own record is never shown to it
+        # another one-edge graph on five vertices: recs[5] is at distance 0, so it comes first
+        assert retrieve_memory(store, Graph(graphs[5].vertices, (("2", "3"),)), 2) == recs[5]
         store.append(recs[20])
         # every record has one edge, a full max e from an edgeless query: d >= 1/4, beyond the distance limit
         assert retrieve_memory(store, Graph(graphs[20].vertices, ()), 2) is None
-        assert retrieve_memory(store, graphs[20], 2) == recs[20]
+        assert retrieve_memory(store, Graph(graphs[20].vertices, (("1", "3"),)), 2) == recs[20]
+        assert retrieve_memory(store, graphs[20], 2) is None  # recs[6], the next nearest, is 0.175 away
 
     def test_insertion_order_breaks_distance_ties(self):
         store = MemoryStore()
@@ -410,20 +428,23 @@ class TestRetrieveMemory:
         store.append(ra)
         assert retrieve_memory(store, gc, 2) == rb  # tie on distance: first stored wins
 
-    def test_own_record_beats_a_tie_stored_first(self, petersen):
+    def test_own_record_never_wins_a_tie_in_either_order(self, petersen):
         # the twin has petersen's n, e, density and k, in another edge order: another graph at distance 0
         twin = Graph(petersen.vertices, petersen.edges[::-1])
-        store = MemoryStore()
         theirs, own = record_for(twin, 3, greedy(petersen)), record_for(petersen, 3, greedy(petersen))
-        store.append(theirs)
-        store.append(own)
-        assert retrieve_memory(store, petersen, 3) is own
-        assert retrieve_memory(store, parse_dimacs(serialize_dimacs(petersen)), 3) is own
-        assert retrieve_memory(store, twin, 3) is theirs
+        for stored in ((theirs, own), (own, theirs)):
+            store = MemoryStore()
+            for record in stored:
+                store.append(record)
+            assert retrieve_memory(store, petersen, 3) is theirs
+            assert retrieve_memory(store, parse_dimacs(serialize_dimacs(petersen)), 3) is theirs
+            assert retrieve_memory(store, twin, 3) is own
 
     @settings(max_examples=300, deadline=None)
     @given(stores_and_queries())
     def test_matches_the_reference_ranking(self, case):
         store, graph, k = case
         ranking = reference_retrieval(store.records(), graph, k)
-        assert retrieve_memory(store, graph, k) is (ranking[0] if ranking else None)
+        hit = retrieve_memory(store, graph, k)
+        assert hit is (ranking[0] if ranking else None)
+        assert hit is None or hit.graph != graph

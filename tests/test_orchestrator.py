@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -77,10 +78,13 @@ def test_only_a_search_builds_the_neighbour_masks():
     proposer.MockProposer(ProposerConfig(noise=0.5, seed=1)).propose(render_prompt(graph, k))
     store = MemoryStore()
     noisy = ProposerConfig(noise=1.0, seed=2)
-    for _ in range(2):
-        outcome, trace = metacognition.run_preset("SOFAI-v2", graph, k, cfg_with(noisy, store=store))
+    twin = Graph(graph.vertices, graph.edges[::-1])  # another graph, shown graph's record
+    for query in (graph, twin):
+        outcome, trace = metacognition.run_preset("SOFAI-v2", query, k, cfg_with(noisy, store=store))
         assert outcome.is_sat and trace.s1_calls > 1
-    assert "neighbour_masks" not in vars(graph)
+    outcome, trace = metacognition.run_preset("SOFAI-v2", graph, k, cfg_with(noisy, store=store))
+    assert outcome.is_sat and trace.source == "memory"  # the repeat trial is answered by the stored record
+    assert "neighbour_masks" not in vars(graph) and "neighbour_masks" not in vars(twin)
     chi = chromatic_number(graph)
     assert solve_decision(graph, chi - 1).is_unsat and "neighbour_masks" in vars(graph)
 
@@ -102,6 +106,60 @@ def test_a_mock_benchmark_renders_no_prompt_text(tmp_path, monkeypatch):
     assert all("text" not in vars(prompt) for *_, prompt in renders)
     assert formatted == [] and built == []
     assert len(loaded) == 4 and all("edge_text" not in vars(rec.graph) for rec in loaded)
+
+
+def test_no_prompt_of_a_memory_run_shows_its_own_instance(tmp_path, monkeypatch):
+    # Every prompt's text is read, as a remote proposer reads it.  Each SAT instance is stored after its
+    # first trial, so its later trials would see its own record if anything showed it to them.
+    write_dataset(build_dataset(GenSpec(n=12, p=0.5, count=6, seed=4, mix=(50, 50)), 30), tmp_path / "data")
+    reads = []
+    monkeypatch.setattr(metacognition, "make_proposer", lambda config: _ReadsText(config, reads))
+    noisy = ProposerConfig(kind="mock", noise=0.5, noise_decay=0.8)
+    memory = tmp_path / "memory.jsonl"
+    results = bench.run_benchmark(RunConfig("SOFAI-v2", str(tmp_path / "data"), trials=3, workers=1,
+                                            proposer=noisy, seed=3, memory_path=str(memory)))
+    assert len(results) == 18 and all(r.correct for r in results)
+    stored = MemoryStore(memory).records()
+    assert len(stored) == 3
+    assert any(record.example.text in prompt.text for prompt in reads for record in stored)
+    for prompt in reads:
+        for record in stored:
+            if record.graph == prompt.graph:
+                assert record.example.text not in prompt.text
+
+
+@pytest.mark.parametrize("solver", [solver for solver, preset in PRESETS.items() if preset.memory])
+def test_a_held_instance_is_answered_from_memory(petersen, monkeypatch, solver):
+    # colours 1 and 3 of S2's coloring swapped: a proper coloring that neither S1 nor S2 gives
+    stored = {v: 4 - c for v, c in solve_decision(petersen, 3).assignment.items()}
+    record = EpisodicRecord.make(petersen, 3, stored, "S2")
+    store = MemoryStore()
+    store.append(record)
+    checked = []
+    real = metacognition.verdict
+    monkeypatch.setattr(metacognition, "verdict", lambda *a: checked.append(a) or real(*a))
+    for name in ("make_proposer", "retrieve_memory", "solve_decision"):
+        monkeypatch.setattr(metacognition, name, lambda *a, **kw: pytest.fail("the trial went past memory"))
+    query = parse_dimacs(serialize_dimacs(petersen))  # an equal graph, not the stored object
+    outcome, trace = bench.solve(solver, query, 3, cfg_with(store=store))
+    assert outcome.is_sat and outcome.assignment == stored and outcome.assignment is not record.solution
+    assert (trace.source, trace.s2_invoked, trace.s1_calls) == ("memory", False, 0)
+    assert checked == [(query, record.solution, 3)]
+    assert store.records() == (record,)
+    outcome.assignment.clear()  # the answer is the caller's copy
+    assert record.solution == stored
+
+
+def test_a_held_instance_past_its_deadline_is_a_timeout(triangle, monkeypatch):
+    store = MemoryStore()
+    store.append(EpisodicRecord.make(triangle, 3, {"A": 1, "B": 2, "C": 3}, "S2"))
+    outcome, trace = solve_sofai_v2(triangle, 3, cfg_with(store=store))
+    assert trace.source == "memory"
+    clock = iter(range(100))  # each read of the clock is one second later: the 0.5 s limit has passed at once
+    monkeypatch.setattr(metacognition, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    outcome, trace = solve_sofai_v2(triangle, 3, cfg_with(store=store, time_limit=0.5))
+    assert outcome.is_timeout
+    assert (trace.source, trace.s2_invoked, trace.s1_calls) == (None, False, 0)
 
 
 class TestFormatFeedback:
@@ -386,11 +444,11 @@ class TestSofaiV2:
         monkeypatch.setattr(EpisodicRecord, "make", lambda *a: built.append(make(*a)) or built[-1])
         store = MemoryStore()
         first, _ = solve_sofai_v2(graph, k, cfg_with(store=store))
-        # an equal graph, not the same object: the nearest hit is this instance's record
+        # an equal graph, not the same object: the store holds this instance, so memory answers it
         parsed = parse_dimacs(serialize_dimacs(graph))
         for seed in (1, 2):
-            outcome, _ = solve_sofai_v2(parsed, k, cfg_with(ProposerConfig(kind="mock", seed=seed), store=store))
-            assert outcome.is_sat
+            outcome, trace = solve_sofai_v2(parsed, k, cfg_with(ProposerConfig(kind="mock", seed=seed), store=store))
+            assert outcome.is_sat and trace.source == "memory"
         assert len(built) == 1 and store.records() == (built[0],)
         assert (built[0].graph, built[0].k, built[0].solution) == (graph, k, first.assignment)
 
@@ -419,7 +477,11 @@ class TestSofaiV2:
 
     def test_memory_example_is_rendered_once_per_record(self, monkeypatch):
         graph, k = gen_erdos_renyi(12, 0.4, 3), 4
-        record = EpisodicRecord.make(graph, k, solve_decision(graph, k, time_limit=10.0).assignment, "S2")
+        # the stored graph and the two queries share n, e, density, k and the vertex tuple, in three edge
+        # orders, so the record stored first is the nearest other graph of both queries
+        stored = Graph(graph.vertices, graph.edges[::-1])
+        queries = (graph, Graph(graph.vertices, graph.edges[1:] + graph.edges[:1]))
+        record = EpisodicRecord.make(stored, k, solve_decision(stored, k, time_limit=10.0).assignment, "S2")
         store = MemoryStore()
         store.append(record)
         formatted, renders = [], []
@@ -427,10 +489,11 @@ class TestSofaiV2:
         monkeypatch.setattr(proposer, "format_assignment", lambda *a: formatted.append(a) or fmt(*a))
         monkeypatch.setattr(metacognition, "render_prompt", recording_renders(renders))
         noisy = ProposerConfig(kind="mock", noise=1.0, noise_decay=0.5)
-        for seed in (1, 2):
-            _, trace = solve_sofai_v2(graph, k, cfg_with(dataclasses.replace(noisy, seed=seed), store=store))
+        for query, seed in zip(queries, (1, 2)):
+            _, trace = solve_sofai_v2(query, k, cfg_with(dataclasses.replace(noisy, seed=seed), store=store))
             assert trace.s1_calls >= 2
-        assert len(store) == 1 and all(examples[0] is record.example for _, _, examples, _, _ in renders)
+        assert [r.graph for r in store.records()] == [stored, *queries]
+        assert all(examples[0] is record.example for _, _, examples, _, _ in renders)
         assert formatted == []  # the mock reads no text, so nothing is formatted until a text is read
         for *_, prompt in renders * 2:
             assert prompt.text

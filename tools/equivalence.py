@@ -112,10 +112,13 @@ RECORDS = "memory records equal except timestamp, on the keys both sides write"
 PROMPTS = {
     "bench": "prompt texts equal by sha256",
     "solve": "solve on letters.col, prompt texts equal by sha256",
-    "again": "solve again from its memory file, prompt texts equal by sha256",
-    "twin": "solve on TWIN, then on letters.col, one memory file, prompt texts equal by sha256",
-    "tied": "solve letters.col again, TWIN stored ahead of it, prompt texts equal by sha256",
-    "torn": "solve letters.col on TWIN's memory file with a torn final line, prompt texts equal by sha256",
+    "again": "solve again from its memory file, which holds it: a memory answer, no prompt, prompt texts equal "
+             "by sha256",
+    "twin": "solve on TWIN, then on letters.col shown TWIN's record, one memory file, prompt texts equal by sha256",
+    "tied": "solve letters.col again, TWIN stored ahead of it: a memory answer, no prompt, prompt texts equal by "
+            "sha256",
+    "torn": "solve letters.col on TWIN's memory file with a torn final line, shown TWIN's record, prompt texts "
+            "equal by sha256",
     "parens": "solve on PARENS, LETTERS with A written A(1), fresh memory file, prompt texts equal by sha256",
     "default": "solve on letters.col without --proposer (auto, the mock), fresh memory file, prompt texts equal "
                "by sha256",
@@ -252,16 +255,20 @@ def run_matrix(src: Path, out: Path, hash_seed: str, side: str) -> dict[str, lis
     twin.write_text(TWIN)
     parens.write_text(PARENS)
     # SOFAI-v2 on LETTERS: its first round fails, so later prompts carry a worked example.  Then again on
-    # the memory file the first wrote, so the example is read back from JSONL, rendered from a parsed graph.
+    # the memory file the first wrote, which holds LETTERS: a memory answer, with no S1 round and no prompt,
+    # whose coloring is the stored one read back from JSONL.
     solve = [*SOLVE, "--instance", str(letters), "--memory", str(out / "solve.memory.jsonl")]
     cli(*solve, prompts="solve")
     cli(*solve, prompts="again")
-    # On one fresh memory file: TWIN, then LETTERS twice.  The store then holds both graphs, the twin first,
-    # so the last solve's memory hit shows which of two tied records retrieval ranks first.
+    # On one fresh memory file: TWIN, then LETTERS twice.  The first LETTERS solve is shown TWIN's record,
+    # read back from JSONL and rendered from a parsed graph.  The store then holds both graphs, the twin
+    # first, at equal n, e, density and k, so the last solve shows that the lookup finds LETTERS' own record,
+    # not the twin: a memory answer, with no S1 round and no prompt.
     tied = ["--memory", str(out / "twin.memory.jsonl")]
     cli(*SOLVE, "--instance", str(twin), *tied, prompts="twin")
     # A copy of TWIN's memory file with the first half of its last line appended without a newline, as an
-    # append cut short: the store skips the torn line, and the append that records LETTERS mends it first.
+    # append cut short: the store skips the torn line and holds TWIN alone, so LETTERS runs S1 rounds shown
+    # TWIN's record, and the append that records LETTERS mends the file first.
     torn = out / "torn.memory.jsonl"
     lines = (out / "twin.memory.jsonl").read_bytes().splitlines(keepends=True)
     torn.write_bytes(b"".join(lines) + lines[-1][: len(lines[-1]) // 2])
