@@ -64,16 +64,21 @@ class TestDeriveSeed:
         assert bench.sha256(b"abc").hexdigest() == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
     def test_hashlib_fallback_gives_the_same_seeds(self):
-        # Without the interpreter's own SHA-256 modules the package falls back to hashlib
+        # Without the interpreter's own SHA-256 modules the package takes hashlib's, and derives the seeds
+        # this process's import does.
+        cases = [(0, "x", 1), (7, "er_n12_p0.5_0000", 2)]
         code = (
             'import sys; sys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
-            "from sofai_gc import derive_seed\n"
-            'print("hashlib" in sys.modules, derive_seed(0, "x", 1))'
+            "import hashlib\n"
+            "from sofai_gc import bench\n"
+            f"print(bench.sha256 is hashlib.sha256, *(bench.derive_seed(*case) for case in {cases!r}))"
         )
         src = str(Path(bench.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                               env={**os.environ, "PYTHONPATH": src})
-        assert proc.stdout.split() == ["True", "3243668993462905595"]
+        seeds = ["3243668993462905595", "8079881352595103521"]
+        assert [str(derive_seed(*case)) for case in cases] == seeds
+        assert proc.stdout.split() == ["True", *seeds]
 
 
 class TestRunConfig:

@@ -29,6 +29,12 @@ def side(**changes) -> dict:
     return {**sides, **changes}
 
 
+def mismatch(name: str, equal: int, old: int, new: int, changed: int = 0, only_old: int = 0, only_new: int = 0) -> str:
+    """The summary line compare prints for a stream that differs."""
+    return (f"  {name}: {equal}/{old}  MISMATCH (the tree has {new}; {changed} changed, {only_old} only at REV, "
+            f"{only_new} only in the tree)\n")
+
+
 def test_identical_sides_pass(capsys):
     assert equivalence.compare(side(), side(), "REV")
     out = capsys.readouterr().out
@@ -40,7 +46,7 @@ def test_s2_lines_differing_in_nodes_and_digests_keep_their_statuses(capsys):
     tree = side(**{S2: ["3 unsat 0 -", "4 sat 7 e694ed50f3d0", "9 sat 22418 1586ee479662"]})
     assert not equivalence.compare(side(), tree, "REV")
     out = capsys.readouterr().out
-    assert f"  {S2}: 1/3  MISMATCH (the tree has 3)\n" in out
+    assert mismatch(S2, 1, 3, 3, changed=2) in out
     assert f"  {STATUSES}: 3/3\n" in out
 
 
@@ -52,37 +58,100 @@ def test_a_changed_status_or_k_fails_the_statuses(capsys, first, shown):
     lines = [first, *side()[S2][1:]]
     assert not equivalence.compare(side(), side(**{S2: lines}), "REV")
     out = capsys.readouterr().out
-    assert f"  {STATUSES}: 2/3  MISMATCH (the tree has 3)\n    0: {shown}\n" in out
+    assert mismatch(STATUSES, 2, 3, 3, changed=1) + f"    changed, REV[0:1] tree[0:1]: {shown}\n" in out
 
 
 def test_one_differing_s2_line_fails_and_prints_its_index_and_both_lines(capsys):
     tree = side(**{S2: ["3 unsat 12 -", "4 sat 11 131fffc532ba", "9 sat 22418 1586ee479662"]})
     assert not equivalence.compare(side(), tree, "REV")
     out = capsys.readouterr().out
-    assert f"  {S2}: 2/3  MISMATCH (the tree has 3)\n" in out
-    assert "    1: '4 sat 9 131fffc532ba' at REV, '4 sat 11 131fffc532ba' in the tree\n" in out
+    assert mismatch(S2, 2, 3, 3, changed=1) in out
+    shown = "'4 sat 9 131fffc532ba' at REV, '4 sat 11 131fffc532ba' in the tree"
+    assert f"    changed, REV[1:2] tree[1:2]: {shown}\n" in out
 
 
 def test_an_s2_line_differing_only_in_its_coloring_digest_fails(capsys):
     tree = side(**{S2: ["3 unsat 12 -", "4 sat 9 131fffc532ba", "9 sat 22418 a297c9c75cef"]})
     assert not equivalence.compare(side(), tree, "REV")
-    assert f"  {S2}: 2/3  MISMATCH (the tree has 3)\n" in capsys.readouterr().out
-
-
-def test_a_key_only_one_sides_s1_rounds_have_is_listed_and_fails_nothing(capsys):
-    tree = side(**{equivalence.ROUNDS: [[{"kind": "ok", "score": 1.0, "nodes": 0}], []]})
-    assert equivalence.compare(side(), tree, "REV")
-    out = capsys.readouterr().out
-    assert "  S1 round keys compared: kind, score\n    only REV writes: -\n    only the tree writes: nodes\n" in out
+    assert mismatch(S2, 2, 3, 3, changed=1) in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("built", [["S2 8 13 3"], ["S2 8 13 3", "S2 8 13 3", "S2 8 13 3"]])
 def test_differing_records_built_counts_fail(capsys, built):
     assert not equivalence.compare(side(), side(**{BUILT: built}), "REV")
-    assert f"  {BUILT}: {min(len(built), 2)}/2  MISMATCH (the tree has {len(built)})\n" in capsys.readouterr().out
+    shown = mismatch(BUILT, min(len(built), 2), 2, len(built), only_old=max(2 - len(built), 0),
+                     only_new=max(len(built) - 2, 0))
+    assert shown in capsys.readouterr().out
 
 
 def test_a_differing_record_prints_only_the_keys_that_differ(capsys):
     tree = side(**{equivalence.RECORDS: [{"k": 3, "n": 8, "solver": "SOFAI-v2"}]})
     assert not equivalence.compare(side(), tree, "REV")
-    assert "    0: {'solver': 'S2'} at REV, {'solver': 'SOFAI-v2'} in the tree\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "    changed, REV[0:1] tree[0:1]: {'solver': 'S2'} at REV, {'solver': 'SOFAI-v2'} in the tree\n" in out
+
+
+@pytest.mark.parametrize("stream, tree, shown", [
+    (equivalence.ROUNDS, [[{"kind": "ok", "score": 1.0, "nodes": 0}], []], "[{}] at REV, [{'nodes': 0}] in the tree"),
+    (equivalence.RECORDS, [{"k": 3, "n": 8, "solver": "S2", "source": "s1"}],
+     "{} at REV, {'source': 's1'} in the tree"),
+], ids=["rounds", "records"])
+def test_a_key_only_one_side_writes_fails_and_is_named(capsys, stream, tree, shown):
+    assert not equivalence.compare(side(), side(**{stream: tree}), "REV")
+    out = capsys.readouterr().out
+    assert mismatch(stream, len(tree) - 1, len(tree), len(tree), changed=1) in out
+    assert f"    changed, REV[0:1] tree[0:1]: {shown}\n" in out
+
+
+def test_items_equal_in_python_but_not_in_type_fail(capsys):
+    tree = side(**{equivalence.RECORDS: [{"k": 3.0, "n": 8, "solver": "S2"}]})
+    assert tree[equivalence.RECORDS] == side()[equivalence.RECORDS]
+    assert not equivalence.compare(side(), tree, "REV")
+    assert "{'k': 3} at REV, {'k': 3.0} in the tree\n" in capsys.readouterr().out
+
+
+def test_differing_file_bytes_fail(capsys):
+    tree = side(**{"dataset files byte-identical": [("data/manifest.jsonl", b"{} \n")]})
+    assert not equivalence.compare(side(), tree, "REV")
+    assert mismatch("dataset files byte-identical", 0, 1, 1, changed=1) in capsys.readouterr().out
+
+
+DIGESTS = [f"{i:064x}" for i in range(6)]
+PROMPTS = equivalence.PROMPTS["bench"]
+
+
+def test_an_item_dropped_mid_way_is_only_at_rev_and_shifts_nothing_after_it(capsys):
+    tree = side(**{PROMPTS: DIGESTS[:2] + DIGESTS[3:]})
+    assert not equivalence.compare(side(**{PROMPTS: DIGESTS}), tree, "REV")
+    out = capsys.readouterr().out
+    shown = f"    only at REV, REV[2:3] tree[2:2]: '{DIGESTS[2]}' at REV, [] in the tree\n"
+    assert mismatch(PROMPTS, 5, 6, 5, only_old=1) + shown in out
+    assert "    changed, " not in out
+
+
+def test_an_added_item_is_only_in_the_tree(capsys):
+    tree = side(**{S2: ["3 unsat 12 -", "4 sat 9 131fffc532ba", "5 sat 3 a297c9c75cef", "9 sat 22418 1586ee479662"]})
+    assert not equivalence.compare(side(), tree, "REV")
+    out = capsys.readouterr().out
+    shown = "    only in the tree, REV[2:2] tree[2:3]: [] at REV, '5 sat 3 a297c9c75cef' in the tree\n"
+    assert mismatch(S2, 3, 3, 4, only_new=1) + shown in out
+    assert mismatch(STATUSES, 3, 3, 4, only_new=1) in out
+
+
+def test_a_long_stream_aligns_its_repeated_items_too(capsys):
+    # Over 200 items, one digest 4 times: difflib's default junk rule would never start a match on that digest,
+    # so the repeats after the dropped item would align with nothing and read as changed.
+    digests = [f"{i:064x}" for i in range(201)] + ["f" * 64] * 4
+    assert not equivalence.compare(side(**{PROMPTS: digests}), side(**{PROMPTS: digests[:200] + digests[201:]}), "REV")
+    out = capsys.readouterr().out
+    assert mismatch(PROMPTS, 204, 205, 204, only_old=1) in out
+    assert "    changed, " not in out
+
+
+def test_runs_past_shown_are_counted_not_printed(capsys):
+    digests = [f"{i:064x}" for i in range(2 * equivalence.SHOWN + 4)]
+    tree = [d if i % 2 else "f" * 64 for i, d in enumerate(digests)]
+    assert not equivalence.compare(side(**{PROMPTS: digests}), side(**{PROMPTS: tree}), "REV")
+    out = capsys.readouterr().out
+    assert out.count("    changed, REV[") == equivalence.SHOWN
+    assert "    ... and 2 more runs\n" in out

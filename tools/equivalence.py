@@ -25,16 +25,17 @@ does.  The two sides must be equal, item for item and in order, on:
   sorted JSON, `-` with no assignment, so every S2 coloring is compared;
 - S2's statuses per k: the `k status` of each of those lines, so a change
   to S2's search that moves nodes or colorings shows every answer unchanged;
-- the records built (EpisodicRecord.make calls) and the appends MemoryStore
-  refuses.
+- the records built (EpisodicRecord.make calls) and MemoryStore's refusals.
 
-S1 rounds and memory records are compared on the keys both sides write; a
-key only one side writes is listed, not counted as a mismatch.  Prints each
-comparison's count, the index and both values (of a record, the keys that
-differ) of its first differing items, the keys compared and the lines of
-src/*.py on each side.  Exits 0 if every comparison matches and 1 if one
-does not; if a command fails, prints its side, its arguments and the tail
-of its output, and exits 2.  Standard library only.
+One rule compares every stream: its two sides' items are aligned by longest
+common subsequence (difflib, autojunk off) on their canonical texts,
+sorted-key JSON with bytes as hex, so items compare whole and type-exact,
+and an item one side drops or adds shifts nothing after it.  Prints per
+stream the equal items and, on a mismatch, the counts and first SHOWN
+differing runs: changed, only at REV or only in the tree (of a changed
+record or S1 round, the keys that differ); then src/*.py lines per side.
+Exits 0 if every stream is equal, 1 if one is not, and 2 if a command
+fails, after printing its side, arguments and output tail.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import tarfile
 import tempfile
 import threading
 from contextlib import contextmanager
+from difflib import SequenceMatcher
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -104,10 +106,10 @@ REMOTE_REPLIES = (
     "(A 1)\n(B 2)\n(C 3)\n(D 2)\n(E 3)\n(F 1)\n(G 2)\n(H 1)",
 )
 
-ROUNDS = "S1 rounds of each solve call, equal on the keys both sides write"
+ROUNDS = "S1 rounds of each solve call, each without elapsed"
 ANSWERS = "S2 answers per k (k, status, nodes, coloring digest)"
 STATUSES = "S2 statuses per k (k, status)"  # compare derives it from ANSWERS
-RECORDS = "memory records equal except timestamp, on the keys both sides write"
+RECORDS = "memory records equal except timestamp"
 # Each prompt-digest stream: the name its commands append under, to NAME.sha256, and its comparison's label.
 PROMPTS = {
     "bench": "prompt texts equal by sha256",
@@ -132,7 +134,7 @@ STREAMS = {
     "built.txt": "records built (EpisodicRecord.make calls)",
     "refused.txt": "appends MemoryStore refused",
 }
-SHOWN = 10  # differing items printed per comparison
+SHOWN = 10  # differing runs printed per comparison
 
 # `python -c RUNNER OUT PROMPTS ARGS...`: sofai_gc.cli.main(ARGS), appending to files in the directory OUT
 # each rendered prompt's sha256 (to PROMPTS.sha256), each solve call's S1 rounds as one JSON list of dicts,
@@ -145,7 +147,7 @@ render, solve, search = metacognition.render_prompt, bench.solve, dsatur._solve
 make, append = memory.EpisodicRecord.make, memory.MemoryStore.append
 
 def write(name, line):
-    with open(f"{sys.argv[1]}/{name}", "a") as fh:
+    with open(f"{sys.argv[1]}/{name}", "a", encoding="utf-8") as fh:
         fh.write(line + "\\n")
 
 def recording(*args, **kwargs):
@@ -234,7 +236,7 @@ def run_matrix(src: Path, out: Path, hash_seed: str, side: str) -> dict[str, lis
 
     def cli(*args: str, prompts: str = "bench") -> None:
         run = subprocess.run([sys.executable, "-c", RUNNER, str(out), prompts, *args], env=env,
-                             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+                             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, encoding="utf-8")
         if run.returncode:
             tail = "\n".join(run.stdout.splitlines()[-20:])
             print(f"at {side}, `sofai-gc {' '.join(args)}` exited {run.returncode}:\n{tail}", file=sys.stderr)
@@ -251,9 +253,9 @@ def run_matrix(src: Path, out: Path, hash_seed: str, side: str) -> dict[str, lis
         memory = ["--memory", str(out / f"{solver}.memory.jsonl")] if preset.memory else []
         cli(*BENCH, "--solver", solver, "--dataset", str(data), "--out", str(out / f"{solver}.jsonl"), *memory)
     letters, twin, parens = out / "letters.col", out / "twin.col", out / "parens.col"
-    letters.write_text(LETTERS)
-    twin.write_text(TWIN)
-    parens.write_text(PARENS)
+    letters.write_text(LETTERS, encoding="utf-8")
+    twin.write_text(TWIN, encoding="utf-8")
+    parens.write_text(PARENS, encoding="utf-8")
     # SOFAI-v2 on LETTERS: its first round fails, so later prompts carry a worked example.  Then again on
     # the memory file the first wrote, which holds LETTERS: a memory answer, with no S1 round and no prompt,
     # whose coloring is the stored one read back from JSONL.
@@ -291,7 +293,7 @@ def run_matrix(src: Path, out: Path, hash_seed: str, side: str) -> dict[str, lis
     # The dataset lines' searches are short; these run where saturation counting does most of its work.
     for name, n, p, seed, k in S2_LINES:
         instance = out / name
-        instance.write_text(serialize_dimacs(gen_erdos_renyi(n, p, seed), k))
+        instance.write_text(serialize_dimacs(gen_erdos_renyi(n, p, seed), k), encoding="utf-8")
         cli("solve", "--solver", "S2", "--instance", str(instance))
     memory_files = [*(f"{solver}.memory.jsonl" for solver in PRESETS), "solve.memory.jsonl", "twin.memory.jsonl",
                     "torn.memory.jsonl", "parens.memory.jsonl", "default.memory.jsonl", "remote.memory.jsonl"]
@@ -313,7 +315,7 @@ def run_matrix(src: Path, out: Path, hash_seed: str, side: str) -> dict[str, lis
 
 def lines_of(path: Path) -> list[str]:
     """The lines of a text file, none if it is absent."""
-    return path.read_text().splitlines() if path.exists() else []
+    return path.read_text(encoding="utf-8").splitlines() if path.exists() else []
 
 
 def records(path: Path, ignored: str) -> list[dict]:
@@ -324,54 +326,51 @@ def records(path: Path, ignored: str) -> list[dict]:
     return rows
 
 
-def shared_only(row: dict, keys: list[set]) -> dict:
-    """row restricted to the keys both sides write, keys[0] & keys[1], in sorted order."""
-    return {key: row.get(key) for key in sorted(keys[0] & keys[1])}
+def canonical(item) -> str:
+    """item as sorted-key JSON with bytes as hex: two items, types too, are equal when their texts are."""
+    return json.dumps(item, sort_keys=True, default=bytes.hex)
 
 
-def brief(item, other) -> str:
-    """item's repr, of a dict only the keys where other differs, cut to 100 characters."""
+def differing(item, other):
+    """item less what other shares: of dicts, the keys other lacks or holds otherwise; of equal-length lists, each."""
     if isinstance(item, dict) and isinstance(other, dict):
-        item = {key: item.get(key) for key in sorted(item.keys() | other.keys()) if item.get(key) != other.get(key)}
-    text = repr(item)
+        return {key: value for key, value in sorted(item.items())
+                if key not in other or canonical(value) != canonical(other[key])}
+    if isinstance(item, list) and isinstance(other, list) and len(item) == len(other):
+        return [differing(a, b) for a, b in zip(item, other)]
+    return item
+
+
+def brief(run: list, other: list) -> str:
+    """A run's repr (one item alone) as it differs from the other side's run, cut to 100 characters."""
+    text = repr(differing(*(items[0] if len(items) == 1 else items for items in (run, other))))
     return text if len(text) <= 100 else text[:97] + "..."
 
 
 def compare(old: dict[str, list], new: dict[str, list], rev: str) -> bool:
     """Print how far REV's side (old) and the tree's (new) agree, comparison by comparison; True if on all.
 
-    Each comparison's items must be equal in order and in number.  S1 rounds and memory records are
-    compared on the keys both sides write; the keys only one side writes are listed, and fail nothing.
-    STATUSES is added to each side, the first two fields of each of its ANSWERS lines.
+    Items are aligned on canonical texts, and a changed run counts its items at REV.  STATUSES is added
+    to each side, the first two fields of each of its ANSWERS lines.
     """
-    round_keys = [{key for call in side[ROUNDS] for row in call for key in row} for side in (old, new)]
-    record_keys = [{key for row in side[RECORDS] for key in row} for side in (old, new)]
-    old, new = (
-        {
-            **side,
-            ROUNDS: [[shared_only(row, round_keys) for row in call] for call in side[ROUNDS]],
-            RECORDS: [shared_only(row, record_keys) for row in side[RECORDS]],
-            STATUSES: [" ".join(line.split()[:2]) for line in side[ANSWERS]],
-        }
-        for side in (old, new)
-    )
+    old, new = ({**side, STATUSES: [" ".join(line.split()[:2]) for line in side[ANSWERS]]} for side in (old, new))
+    labels = {"replace": "changed", "delete": f"only at {rev}", "insert": "only in the tree"}
     passed = True
     for name, items in old.items():
         theirs = new[name]
-        differ = [i for i, (a, b) in enumerate(zip(items, theirs)) if a != b]
-        ok = not differ and len(items) == len(theirs)
-        passed &= ok
-        same = min(len(items), len(theirs)) - len(differ)
-        print(f"  {name}: {same}/{len(items)}" + ("" if ok else f"  MISMATCH (the tree has {len(theirs)})"))
-        for i in differ[:SHOWN]:
-            print(f"    {i}: {brief(items[i], theirs[i])} at {rev}, {brief(theirs[i], items[i])} in the tree")
-        if len(differ) > SHOWN:
-            print(f"    ... and {len(differ) - SHOWN} more")
-    for what, keys in (("S1 round", round_keys), ("memory record", record_keys)):
-        shared = keys[0] & keys[1]
-        print(f"  {what} keys compared: {', '.join(sorted(shared))}")
-        print(f"    only {rev} writes: {', '.join(sorted(keys[0] - shared)) or '-'}")
-        print(f"    only the tree writes: {', '.join(sorted(keys[1] - shared)) or '-'}")
+        texts = ([canonical(item) for item in side] for side in (items, theirs))
+        found = [op for op in SequenceMatcher(None, *texts, autojunk=False).get_opcodes() if op[0] != "equal"]
+        passed &= not found
+        count = {tag: sum(i2 - i1 or j2 - j1 for t, i1, i2, j1, j2 in found if t == tag) for tag in labels}
+        tally = ", ".join(f"{count[tag]} {label}" for tag, label in labels.items())
+        print(f"  {name}: {len(items) - count['replace'] - count['delete']}/{len(items)}"
+              + (f"  MISMATCH (the tree has {len(theirs)}; {tally})" if found else ""))
+        for tag, i1, i2, j1, j2 in found[:SHOWN]:
+            ours, other = items[i1:i2], theirs[j1:j2]
+            print(f"    {labels[tag]}, {rev}[{i1}:{i2}] tree[{j1}:{j2}]: {brief(ours, other)} at {rev}, "
+                  f"{brief(other, ours)} in the tree")
+        if len(found) > SHOWN:
+            print(f"    ... and {len(found) - SHOWN} more runs")
     return passed
 
 
