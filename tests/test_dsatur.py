@@ -411,6 +411,13 @@ class TestSearchBound:
         # this graph's encoding would fit the bound above, so look for it on the graph
         assert "degree_order" not in vars(graph) and "neighbour_masks" not in vars(graph)
 
+    def test_a_k_core_at_the_bound_is_searched(self):
+        # the fixture less one vertex: exactly MAX_SEARCH_VERTICES, so S2 builds the encoding and answers from
+        # the triangle, a clique of more than 2, with no node
+        graph = Graph(tuple(map(str, range(dsatur.MAX_SEARCH_VERTICES))), (("0", "1"), ("1", "2"), ("2", "0")))
+        assert solve_decision(graph, 2) == dsatur.SolveOutcome("unsat", nodes=0)
+        assert "neighbour_masks" in vars(graph)
+
     def test_an_empty_k_core_still_peels(self, graph):
         outcome = solve_decision(graph, 3)
         assert outcome.is_sat and outcome.nodes == 0

@@ -10,21 +10,30 @@ spec = importlib.util.spec_from_file_location("equivalence", TOOL)
 equivalence = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(equivalence)
 
-S2 = equivalence.STREAMS["s2.txt"]
+PROMPTS = equivalence.KINDS["prompt"]
+ROUNDS = equivalence.KINDS["rounds"]
+S2 = equivalence.ANSWERS
 STATUSES = equivalence.STATUSES
-BUILT = equivalence.STREAMS["built.txt"]
+BUILT = equivalence.KINDS["built"]
+RECORDS = "memory records equal except timestamp"
+
+
+def keyed(key: str, items: list) -> list:
+    """Each item as the log's streams hold it, [key, item], all under one key."""
+    return [[key, item] for item in items]
 
 
 def side(**changes) -> dict:
     """One side's comparisons as run_matrix returns them, each small; changes replaces some."""
     sides = {
         "dataset files byte-identical": [("data/manifest.jsonl", b"{}\n")],
-        equivalence.RECORDS: [{"k": 3, "n": 8, "solver": "S2"}],
-        equivalence.PROMPTS["bench"]: ["0" * 64, "1" * 64],
-        equivalence.ROUNDS: [[{"kind": "ok", "score": 1.0}], []],
-        S2: ["3 unsat 12 -", "4 sat 9 131fffc532ba", "9 sat 22418 1586ee479662"],
-        BUILT: ["S2 8 13 3", "S2 8 13 3"],
-        equivalence.STREAMS["refused.txt"]: [],
+        RECORDS: [["S2.memory.jsonl", {"k": 3, "n": 8, "solver": "S2"}]],
+        PROMPTS: keyed("solve", ["0" * 64, "1" * 64]),
+        ROUNDS: [["solve", [{"kind": "ok", "score": 1.0}]], ["again", []]],
+        S2: [["gen data 0", "3 unsat 12 -"], ["gen data 0", "4 sat 9 131fffc532ba"],
+             ["S2 g60-k9.col", "9 sat 22418 1586ee479662"]],
+        BUILT: [["solve", "S2 8 13 3"], ["twin", "S2 8 13 3"]],
+        equivalence.KINDS["refused"]: [],
     }
     return {**sides, **changes}
 
@@ -43,7 +52,8 @@ def test_identical_sides_pass(capsys):
 
 
 def test_s2_lines_differing_in_nodes_and_digests_keep_their_statuses(capsys):
-    tree = side(**{S2: ["3 unsat 0 -", "4 sat 7 e694ed50f3d0", "9 sat 22418 1586ee479662"]})
+    tree = side(**{S2: [["gen data 0", "3 unsat 0 -"], ["gen data 0", "4 sat 7 e694ed50f3d0"],
+                        ["S2 g60-k9.col", "9 sat 22418 1586ee479662"]]})
     assert not equivalence.compare(side(), tree, "REV")
     out = capsys.readouterr().out
     assert mismatch(S2, 1, 3, 3, changed=2) in out
@@ -51,32 +61,41 @@ def test_s2_lines_differing_in_nodes_and_digests_keep_their_statuses(capsys):
 
 
 @pytest.mark.parametrize("first, shown", [
-    ("3 sat 12 131fffc532ba", "'3 unsat' at REV, '3 sat' in the tree"),
-    ("4 unsat 12 -", "'3 unsat' at REV, '4 unsat' in the tree"),
+    ("3 sat 12 131fffc532ba", "['gen data 0', '3 unsat'] at REV, ['gen data 0', '3 sat'] in the tree"),
+    ("4 unsat 12 -", "['gen data 0', '3 unsat'] at REV, ['gen data 0', '4 unsat'] in the tree"),
 ], ids=["status", "k"])
 def test_a_changed_status_or_k_fails_the_statuses(capsys, first, shown):
-    lines = [first, *side()[S2][1:]]
+    lines = [["gen data 0", first], *side()[S2][1:]]
     assert not equivalence.compare(side(), side(**{S2: lines}), "REV")
     out = capsys.readouterr().out
     assert mismatch(STATUSES, 2, 3, 3, changed=1) + f"    changed, REV[0:1] tree[0:1]: {shown}\n" in out
 
 
 def test_one_differing_s2_line_fails_and_prints_its_index_and_both_lines(capsys):
-    tree = side(**{S2: ["3 unsat 12 -", "4 sat 11 131fffc532ba", "9 sat 22418 1586ee479662"]})
+    tree = side(**{S2: [["gen data 0", "3 unsat 12 -"], ["gen data 0", "4 sat 11 131fffc532ba"],
+                        ["S2 g60-k9.col", "9 sat 22418 1586ee479662"]]})
     assert not equivalence.compare(side(), tree, "REV")
     out = capsys.readouterr().out
     assert mismatch(S2, 2, 3, 3, changed=1) in out
-    shown = "'4 sat 9 131fffc532ba' at REV, '4 sat 11 131fffc532ba' in the tree"
+    shown = "['gen data 0', '4 sat 9 131fffc532ba'] at REV, ['gen data 0', '4 sat 11 131fffc532ba'] in the tree"
     assert f"    changed, REV[1:2] tree[1:2]: {shown}\n" in out
 
 
 def test_an_s2_line_differing_only_in_its_coloring_digest_fails(capsys):
-    tree = side(**{S2: ["3 unsat 12 -", "4 sat 9 131fffc532ba", "9 sat 22418 a297c9c75cef"]})
+    tree = side(**{S2: [*side()[S2][:2], ["S2 g60-k9.col", "9 sat 22418 a297c9c75cef"]]})
     assert not equivalence.compare(side(), tree, "REV")
     assert mismatch(S2, 2, 3, 3, changed=1) in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("built", [["S2 8 13 3"], ["S2 8 13 3", "S2 8 13 3", "S2 8 13 3"]])
+def test_an_equal_line_under_another_key_fails(capsys):
+    # the same answer, made by another call: without keys the two sides would read equal
+    tree = side(**{S2: [*side()[S2][:2], ["S2 g60-k10.col", "9 sat 22418 1586ee479662"]]})
+    assert not equivalence.compare(side(), tree, "REV")
+    assert mismatch(S2, 2, 3, 3, changed=1) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("built", [[["solve", "S2 8 13 3"]], [["solve", "S2 8 13 3"], ["twin", "S2 8 13 3"],
+                                                              ["tied", "S2 8 13 3"]]])
 def test_differing_records_built_counts_fail(capsys, built):
     assert not equivalence.compare(side(), side(**{BUILT: built}), "REV")
     shown = mismatch(BUILT, min(len(built), 2), 2, len(built), only_old=max(2 - len(built), 0),
@@ -85,16 +104,18 @@ def test_differing_records_built_counts_fail(capsys, built):
 
 
 def test_a_differing_record_prints_only_the_keys_that_differ(capsys):
-    tree = side(**{equivalence.RECORDS: [{"k": 3, "n": 8, "solver": "SOFAI-v2"}]})
+    tree = side(**{RECORDS: [["S2.memory.jsonl", {"k": 3, "n": 8, "solver": "SOFAI-v2"}]]})
     assert not equivalence.compare(side(), tree, "REV")
     out = capsys.readouterr().out
-    assert "    changed, REV[0:1] tree[0:1]: {'solver': 'S2'} at REV, {'solver': 'SOFAI-v2'} in the tree\n" in out
+    shown = "['S2.memory.jsonl', {'solver': 'S2'}] at REV, ['S2.memory.jsonl', {'solver': 'SOFAI-v2'}] in the tree"
+    assert f"    changed, REV[0:1] tree[0:1]: {shown}\n" in out
 
 
 @pytest.mark.parametrize("stream, tree, shown", [
-    (equivalence.ROUNDS, [[{"kind": "ok", "score": 1.0, "nodes": 0}], []], "[{}] at REV, [{'nodes': 0}] in the tree"),
-    (equivalence.RECORDS, [{"k": 3, "n": 8, "solver": "S2", "source": "s1"}],
-     "{} at REV, {'source': 's1'} in the tree"),
+    (ROUNDS, [["solve", [{"kind": "ok", "score": 1.0, "nodes": 0}]], ["again", []]],
+     "['solve', [{}]] at REV, ['solve', [{'nodes': 0}]] in the tree"),
+    (RECORDS, [["S2.memory.jsonl", {"k": 3, "n": 8, "solver": "S2", "source": "s1"}]],
+     "['S2.memory.jsonl', {}] at REV, ['S2.memory.jsonl', {'source': 's1'}] in the tree"),
 ], ids=["rounds", "records"])
 def test_a_key_only_one_side_writes_fails_and_is_named(capsys, stream, tree, shown):
     assert not equivalence.compare(side(), side(**{stream: tree}), "REV")
@@ -104,10 +125,11 @@ def test_a_key_only_one_side_writes_fails_and_is_named(capsys, stream, tree, sho
 
 
 def test_items_equal_in_python_but_not_in_type_fail(capsys):
-    tree = side(**{equivalence.RECORDS: [{"k": 3.0, "n": 8, "solver": "S2"}]})
-    assert tree[equivalence.RECORDS] == side()[equivalence.RECORDS]
+    tree = side(**{RECORDS: [["S2.memory.jsonl", {"k": 3.0, "n": 8, "solver": "S2"}]]})
+    assert tree[RECORDS] == side()[RECORDS]
     assert not equivalence.compare(side(), tree, "REV")
-    assert "{'k': 3} at REV, {'k': 3.0} in the tree\n" in capsys.readouterr().out
+    shown = "['S2.memory.jsonl', {'k': 3}] at REV, ['S2.memory.jsonl', {'k': 3.0}] in the tree\n"
+    assert shown in capsys.readouterr().out
 
 
 def test_differing_file_bytes_fail(capsys):
@@ -116,32 +138,32 @@ def test_differing_file_bytes_fail(capsys):
     assert mismatch("dataset files byte-identical", 0, 1, 1, changed=1) in capsys.readouterr().out
 
 
-DIGESTS = [f"{i:064x}" for i in range(6)]
-PROMPTS = equivalence.PROMPTS["bench"]
+DIGESTS = [[f"bench S2 er_{i:04d} 1", f"{i:064x}"] for i in range(6)]
 
 
 def test_an_item_dropped_mid_way_is_only_at_rev_and_shifts_nothing_after_it(capsys):
     tree = side(**{PROMPTS: DIGESTS[:2] + DIGESTS[3:]})
     assert not equivalence.compare(side(**{PROMPTS: DIGESTS}), tree, "REV")
     out = capsys.readouterr().out
-    shown = f"    only at REV, REV[2:3] tree[2:2]: '{DIGESTS[2]}' at REV, [] in the tree\n"
+    shown = f"    only at REV, REV[2:3] tree[2:2]: ['bench S2 er_0002 1', '{2:064x}'] at REV, [] in the tree\n"
     assert mismatch(PROMPTS, 5, 6, 5, only_old=1) + shown in out
     assert "    changed, " not in out
 
 
 def test_an_added_item_is_only_in_the_tree(capsys):
-    tree = side(**{S2: ["3 unsat 12 -", "4 sat 9 131fffc532ba", "5 sat 3 a297c9c75cef", "9 sat 22418 1586ee479662"]})
+    s2 = side()[S2]
+    tree = side(**{S2: [*s2[:2], ["gen data 1", "5 sat 3 a297c9c75cef"], s2[2]]})
     assert not equivalence.compare(side(), tree, "REV")
     out = capsys.readouterr().out
-    shown = "    only in the tree, REV[2:2] tree[2:3]: [] at REV, '5 sat 3 a297c9c75cef' in the tree\n"
+    shown = "    only in the tree, REV[2:2] tree[2:3]: [] at REV, ['gen data 1', '5 sat 3 a297c9c75cef'] in the tree\n"
     assert mismatch(S2, 3, 3, 4, only_new=1) + shown in out
     assert mismatch(STATUSES, 3, 3, 4, only_new=1) in out
 
 
 def test_a_long_stream_aligns_its_repeated_items_too(capsys):
-    # Over 200 items, one digest 4 times: difflib's default junk rule would never start a match on that digest,
-    # so the repeats after the dropped item would align with nothing and read as changed.
-    digests = [f"{i:064x}" for i in range(201)] + ["f" * 64] * 4
+    # Over 200 items, one digest 4 times under one key: difflib's default junk rule would never start a match
+    # on that item, so the repeats after the dropped item would align with nothing and read as changed.
+    digests = keyed("solve", [f"{i:064x}" for i in range(201)] + ["f" * 64] * 4)
     assert not equivalence.compare(side(**{PROMPTS: digests}), side(**{PROMPTS: digests[:200] + digests[201:]}), "REV")
     out = capsys.readouterr().out
     assert mismatch(PROMPTS, 204, 205, 204, only_old=1) in out
@@ -149,9 +171,22 @@ def test_a_long_stream_aligns_its_repeated_items_too(capsys):
 
 
 def test_runs_past_shown_are_counted_not_printed(capsys):
-    digests = [f"{i:064x}" for i in range(2 * equivalence.SHOWN + 4)]
-    tree = [d if i % 2 else "f" * 64 for i, d in enumerate(digests)]
+    digests = keyed("solve", [f"{i:064x}" for i in range(2 * equivalence.SHOWN + 4)])
+    tree = [item if i % 2 else ["solve", "f" * 64] for i, item in enumerate(digests)]
     assert not equivalence.compare(side(**{PROMPTS: digests}), side(**{PROMPTS: tree}), "REV")
     out = capsys.readouterr().out
     assert out.count("    changed, REV[") == equivalence.SHOWN
     assert "    ... and 2 more runs\n" in out
+
+
+def test_one_changed_call_among_calls_of_no_rounds_is_one_changed_item_under_its_key(capsys):
+    # Memory answers and S2-only calls all log [] rounds.  One call ran a round at REV and none in the tree.
+    keys = [f"bench SOFAI-v2 er_{i:04d} 2" for i in range(8)]
+    rev = [[key, []] for key in keys]
+    rev[2][1] = [{"kind": "assignment", "score": 0.92}]
+    tree = [[key, []] for key in keys]
+    assert not equivalence.compare(side(**{ROUNDS: rev}), side(**{ROUNDS: tree}), "REV")
+    out = capsys.readouterr().out
+    shown = f"    changed, REV[2:3] tree[2:3]: ['{keys[2]}', [{{'kind': 'assignment', 'score': 0.92}}]] at REV, "
+    assert mismatch(ROUNDS, 7, 8, 8, changed=1) + shown + f"['{keys[2]}', []] in the tree\n" in out
+    assert out.count("    changed, ") == 1 and "    only " not in out

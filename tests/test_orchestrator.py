@@ -150,6 +150,20 @@ def test_a_held_instance_is_answered_from_memory(petersen, monkeypatch, solver):
     assert record.solution == stored
 
 
+@pytest.mark.parametrize("proposer, source", [(PERFECT, "S1"), (ALWAYS_UNSAT, "S2")], ids=["S1", "S2"])
+def test_a_held_instance_whose_stored_coloring_fails_is_solved_and_not_stored_again(triangle, proposer, source):
+    # the stored coloring changed after it was stored: verdict rejects it, so S1 or S2 answers, and the
+    # store, which holds the instance, is left as it was rather than sent a duplicate it would refuse
+    record = EpisodicRecord.make(triangle, 3, {"A": 1, "B": 2, "C": 3}, "S2")
+    store = MemoryStore()
+    store.append(record)
+    record.solution["C"] = 1
+    outcome, trace = solve_sofai_v2(triangle, 3, cfg_with(proposer, store=store))
+    assert outcome.is_sat and trace.source == source
+    assert verdict(triangle, outcome.assignment, 3).valid
+    assert store.records() == (record,)
+
+
 def test_a_held_instance_past_its_deadline_is_a_timeout(triangle, monkeypatch):
     store = MemoryStore()
     store.append(EpisodicRecord.make(triangle, 3, {"A": 1, "B": 2, "C": 3}, "S2"))

@@ -7,32 +7,38 @@ REV must be 60c2fb7 or later: the S2 lines read SolveOutcome.nodes.
 
 Exports REV's src/ with `git archive` into a temporary directory, so the
 repository and its .git are left untouched, and runs one fixed matrix of
-`sofai-gc` commands (run_matrix gives each line's reason) on REV, under
-PYTHONHASHSEED=0, and on the working tree, under PYTHONHASHSEED=1, so an
-output that depends on hash order differs.  S1_ENDPOINT, S1_API_KEY and
-S1_MODEL are removed from every command's environment.  Each command runs
-in a fresh interpreter (RUNNER) that wraps the package to record what it
-does.  The two sides must be equal, item for item and in order, on:
+`sofai-gc` commands (each cli call's comment in run_matrix gives its purpose)
+on REV, under PYTHONHASHSEED=0, and on the working tree, under
+PYTHONHASHSEED=1, so an output that depends on hash order differs.
+S1_ENDPOINT, S1_API_KEY and S1_MODEL are removed from every command's
+environment.  Each command runs in a fresh interpreter (RUNNER) that wraps
+the package to append what it does to one log, a JSON line
+[key, kind, item] per observation, whose key names the call that made it:
+the command's key, then a bench trial's instance id and trial number, or a
+gen sweep's position.  The two sides must be equal, item for item and in
+order, on:
 
 - the dataset files, byte for byte;
-- the trial records except wall_time, and the memory records except timestamp;
-- the sha256 of every rendered prompt, one stream per group of commands
-  (the mock proposer ignores prompt text, so nothing else would see it change);
-- the S1 rounds of every solve call, each IterationRecord without elapsed;
-- S2's answers per k: `k status nodes digest` for each dsatur._solve call,
-  so for every top-level S2 call and every k of a chromatic-number sweep;
-  digest is the first 12 hex digits of the sha256 of the Sat assignment as
-  sorted JSON, `-` with no assignment, so every S2 coloring is compared;
-- S2's statuses per k: the `k status` of each of those lines, so a change
-  to S2's search that moves nodes or colorings shows every answer unchanged;
-- the records built (EpisodicRecord.make calls) and MemoryStore's refusals.
+- the trial records except wall_time, and the memory records except
+  timestamp, each as [file name, record], of every such file the matrix wrote;
+- one stream per kind of log line, each item [key, item]: the sha256 of every
+  rendered prompt (the mock proposer ignores prompt text, so nothing else
+  would see it change); the S1 rounds of every solve call, each
+  IterationRecord without elapsed; S2's answers per k, `k status nodes
+  digest` for each dsatur._solve call, so for every top-level S2 call and
+  every k of a chromatic-number sweep (digest is the first 12 hex digits of
+  the sha256 of the Sat assignment as sorted JSON, `-` with no assignment);
+  the records built (EpisodicRecord.make calls) and MemoryStore's refusals;
+- S2's statuses per k: the `k status` of each S2 answer, so a change to S2's
+  search that moves nodes or colorings shows every answer unchanged.
 
 One rule compares every stream: its two sides' items are aligned by longest
 common subsequence (difflib, autojunk off) on their canonical texts,
-sorted-key JSON with bytes as hex, so items compare whole and type-exact,
-and an item one side drops or adds shifts nothing after it.  Prints per
-stream the equal items and, on a mismatch, the counts and first SHOWN
-differing runs: changed, only at REV or only in the tree (of a changed
+sorted-key JSON with bytes as hex, so items compare whole and type-exact, an
+item one side drops or adds shifts nothing after it, and equal items of
+different calls (the [] rounds of two memory answers) differ by their keys.
+Prints per stream the equal items and, on a mismatch, the counts and first
+SHOWN differing runs: changed, only at REV or only in the tree (of a changed
 record or S1 round, the keys that differ); then src/*.py lines per side.
 Exits 0 if every stream is equal, 1 if one is not, and 2 if a command
 fails, after printing its side, arguments and output tail.  Stdlib only.
@@ -106,53 +112,47 @@ REMOTE_REPLIES = (
     "(A 1)\n(B 2)\n(C 3)\n(D 2)\n(E 3)\n(F 1)\n(G 2)\n(H 1)",
 )
 
-ROUNDS = "S1 rounds of each solve call, each without elapsed"
 ANSWERS = "S2 answers per k (k, status, nodes, coloring digest)"
 STATUSES = "S2 statuses per k (k, status)"  # compare derives it from ANSWERS
-RECORDS = "memory records equal except timestamp"
-# Each prompt-digest stream: the name its commands append under, to NAME.sha256, and its comparison's label.
-PROMPTS = {
-    "bench": "prompt texts equal by sha256",
-    "solve": "solve on letters.col, prompt texts equal by sha256",
-    "again": "solve again from its memory file, which holds it: a memory answer, no prompt, prompt texts equal "
-             "by sha256",
-    "twin": "solve on TWIN, then on letters.col shown TWIN's record, one memory file, prompt texts equal by sha256",
-    "tied": "solve letters.col again, TWIN stored ahead of it: a memory answer, no prompt, prompt texts equal by "
-            "sha256",
-    "torn": "solve letters.col on TWIN's memory file with a torn final line, shown TWIN's record, prompt texts "
-            "equal by sha256",
-    "parens": "solve on PARENS, LETTERS with A written A(1), fresh memory file, prompt texts equal by sha256",
-    "default": "solve on letters.col without --proposer (auto, the mock), fresh memory file, prompt texts equal "
-               "by sha256",
-    "remote": "solve on letters.col with the remote proposer and a scripted endpoint, fresh memory file, prompt "
-              "texts equal by sha256",
-}
-# The other streams RUNNER appends to in OUT: the comparison's label for each file.
-STREAMS = {
-    "rounds.jsonl": ROUNDS,
-    "s2.txt": ANSWERS,
-    "built.txt": "records built (EpisodicRecord.make calls)",
-    "refused.txt": "appends MemoryStore refused",
+# Each kind of line RUNNER logs: the label of the stream its items make.
+KINDS = {
+    "prompt": "prompt texts equal by sha256",
+    "rounds": "S1 rounds of each solve call, each without elapsed",
+    "s2": ANSWERS,
+    "built": "records built (EpisodicRecord.make calls)",
+    "refused": "appends MemoryStore refused",
 }
 SHOWN = 10  # differing runs printed per comparison
 
-# `python -c RUNNER OUT PROMPTS ARGS...`: sofai_gc.cli.main(ARGS), appending to files in the directory OUT
-# each rendered prompt's sha256 (to PROMPTS.sha256), each solve call's S1 rounds as one JSON list of dicts,
-# `k status nodes digest` for each S2 answer, `solver n e k` for each record built, and each refused append's reason.
+# `python -c RUNNER OUT KEY ARGS...`: sofai_gc.cli.main(ARGS), appending to OUT/log.jsonl a line
+# [key, kind, item] for each rendered prompt's sha256, each solve call's S1 rounds as a list of dicts,
+# `k status nodes digest` for each S2 answer, `solver n e k` for each record built, and each refused
+# append's reason.  key is KEY, then in a bench trial its instance id and trial, in a gen sweep its position.
 RUNNER = """
-import dataclasses, hashlib, json, sys
-from sofai_gc import bench, cli, dsatur, memory, metacognition
+import dataclasses, hashlib, itertools, json, sys
+from sofai_gc import bench, cli, dsatur, generate, memory, metacognition
 
 render, solve, search = metacognition.render_prompt, bench.solve, dsatur._solve
 make, append = memory.EpisodicRecord.make, memory.MemoryStore.append
+command = key = sys.argv[2]
 
-def write(name, line):
-    with open(f"{sys.argv[1]}/{name}", "a", encoding="utf-8") as fh:
-        fh.write(line + "\\n")
+def write(kind, item):
+    with open(f"{sys.argv[1]}/log.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps([key, kind, item], default=sorted) + "\\n")
+
+def keyed(function, name):
+    def call(*args, **kwargs):
+        global key
+        key = f"{command} {name(*args)}"
+        try:
+            return function(*args, **kwargs)
+        finally:
+            key = command
+    return call
 
 def recording(*args, **kwargs):
     prompt = render(*args, **kwargs)
-    write(sys.argv[2] + ".sha256", hashlib.sha256(prompt.text.encode()).hexdigest())
+    write("prompt", hashlib.sha256(prompt.text.encode()).hexdigest())
     return prompt
 
 def recording_rounds(*args, **kwargs):
@@ -160,28 +160,31 @@ def recording_rounds(*args, **kwargs):
     rounds = [dataclasses.asdict(it) for it in trace.iterations]
     for row in rounds:
         del row["elapsed"]
-    write("rounds.jsonl", json.dumps(rounds, default=sorted))
+    write("rounds", rounds)
     return outcome, trace
 
 def recording_s2(graph, k, deadline):
     outcome = search(graph, k, deadline)
     coloring = outcome.assignment
     digest = "-" if coloring is None else hashlib.sha256(json.dumps(coloring, sort_keys=True).encode()).hexdigest()[:12]
-    write("s2.txt", f"{k} {outcome.status} {outcome.nodes} {digest}")
+    write("s2", f"{k} {outcome.status} {outcome.nodes} {digest}")
     return outcome
 
 def recording_make(*args, **kwargs):
     record = make(*args, **kwargs)
-    write("built.txt", f"{record.solver} {record.n} {record.e} {record.k}")
+    write("built", f"{record.solver} {record.n} {record.e} {record.k}")
     return record
 
 def recording_append(store, record):
     try:
         return append(store, record)
     except memory.MemoryRejected as exc:
-        write("refused.txt", str(exc))
+        write("refused", str(exc))
         raise
 
+positions = itertools.count()
+bench._run_trial = keyed(bench._run_trial, lambda job: f"{job.instance.id} {job.trial}")
+generate.chromatic_number = keyed(generate.chromatic_number, lambda graph: next(positions))
 metacognition.render_prompt = recording
 bench.solve = cli.solve = recording_rounds
 dsatur._solve = recording_s2
@@ -232,10 +235,10 @@ def run_matrix(src: Path, out: Path, hash_seed: str, side: str) -> dict[str, lis
     """
     env = {name: value for name, value in os.environ.items() if name not in S1_VARIABLES}
     env.update(PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
-    out.mkdir(parents=True)  # gen's S2 calls write their answers before it writes its dataset
+    out.mkdir(parents=True)  # gen's S2 calls log their answers before it writes its dataset
 
-    def cli(*args: str, prompts: str = "bench") -> None:
-        run = subprocess.run([sys.executable, "-c", RUNNER, str(out), prompts, *args], env=env,
+    def cli(*args: str, key: str) -> None:
+        run = subprocess.run([sys.executable, "-c", RUNNER, str(out), key, *args], env=env,
                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT, encoding="utf-8")
         if run.returncode:
             tail = "\n".join(run.stdout.splitlines()[-20:])
@@ -245,13 +248,14 @@ def run_matrix(src: Path, out: Path, hash_seed: str, side: str) -> dict[str, lis
     # Two labeled datasets.  The G(30, 0.5) one is labeled only: its chromatic numbers take real S2
     # sweeps, which n = 12 graphs barely need.
     data, dense = out / "data", out / "dense"
-    cli(*GEN, "--n", "12", "--out", str(data))
-    cli(*GEN, "--n", "30", "--out", str(dense))
+    cli(*GEN, "--n", "12", "--out", str(data), key="gen data")
+    cli(*GEN, "--n", "30", "--out", str(dense), key="gen dense")
     # Every roster id, the rows of the tree's PRESETS, benched on the n = 12 dataset, with a fresh
     # memory file for each row that reads memory.
     for solver, preset in PRESETS.items():
         memory = ["--memory", str(out / f"{solver}.memory.jsonl")] if preset.memory else []
-        cli(*BENCH, "--solver", solver, "--dataset", str(data), "--out", str(out / f"{solver}.jsonl"), *memory)
+        cli(*BENCH, "--solver", solver, "--dataset", str(data), "--out", str(out / f"{solver}.trials.jsonl"),
+            *memory, key=f"bench {solver}")
     letters, twin, parens = out / "letters.col", out / "twin.col", out / "parens.col"
     letters.write_text(LETTERS, encoding="utf-8")
     twin.write_text(TWIN, encoding="utf-8")
@@ -260,68 +264,60 @@ def run_matrix(src: Path, out: Path, hash_seed: str, side: str) -> dict[str, lis
     # the memory file the first wrote, which holds LETTERS: a memory answer, with no S1 round and no prompt,
     # whose coloring is the stored one read back from JSONL.
     solve = [*SOLVE, "--instance", str(letters), "--memory", str(out / "solve.memory.jsonl")]
-    cli(*solve, prompts="solve")
-    cli(*solve, prompts="again")
+    cli(*solve, key="solve")
+    cli(*solve, key="again")
     # On one fresh memory file: TWIN, then LETTERS twice.  The first LETTERS solve is shown TWIN's record,
     # read back from JSONL and rendered from a parsed graph.  The store then holds both graphs, the twin
     # first, at equal n, e, density and k, so the last solve shows that the lookup finds LETTERS' own record,
     # not the twin: a memory answer, with no S1 round and no prompt.
     tied = ["--memory", str(out / "twin.memory.jsonl")]
-    cli(*SOLVE, "--instance", str(twin), *tied, prompts="twin")
+    cli(*SOLVE, "--instance", str(twin), *tied, key="twin")
     # A copy of TWIN's memory file with the first half of its last line appended without a newline, as an
     # append cut short: the store skips the torn line and holds TWIN alone, so LETTERS runs S1 rounds shown
     # TWIN's record, and the append that records LETTERS mends the file first.
     torn = out / "torn.memory.jsonl"
     lines = (out / "twin.memory.jsonl").read_bytes().splitlines(keepends=True)
     torn.write_bytes(b"".join(lines) + lines[-1][: len(lines[-1]) // 2])
-    cli(*SOLVE, "--instance", str(letters), "--memory", str(torn), prompts="torn")
-    cli(*SOLVE, "--instance", str(letters), *tied, prompts="twin")
-    cli(*SOLVE, "--instance", str(letters), *tied, prompts="tied")
-    # A label that holds a pair of parentheses, in prompts, S1 rounds and memory lines.
-    cli(*SOLVE, "--instance", str(parens), "--memory", str(out / "parens.memory.jsonl"), prompts="parens")
+    cli(*SOLVE, "--instance", str(letters), "--memory", str(torn), key="torn")
+    cli(*SOLVE, "--instance", str(letters), *tied, key="shown twin")
+    cli(*SOLVE, "--instance", str(letters), *tied, key="tied")
+    # A label that holds a pair of parentheses, in prompts, S1 rounds and memory lines: PARENS, on a fresh
+    # memory file.
+    cli(*SOLVE, "--instance", str(parens), "--memory", str(out / "parens.memory.jsonl"), key="parens")
     # No --proposer: the CLI's default auto path picks the mock with no S1_ENDPOINT, so the config the CLI
     # builds from flags and environment is compared too.
-    cli(*DEFAULT_SOLVE, "--instance", str(letters), "--memory", str(out / "default.memory.jsonl"),
-        prompts="default")
+    cli(*DEFAULT_SOLVE, "--instance", str(letters), "--memory", str(out / "default.memory.jsonl"), key="default")
     # The remote proposer against REMOTE_REPLIES, replies the mock never sends: this compares the reply
     # parser, verdict's partial path, and the unparseable and uncolored feedback.
     with scripted_endpoint() as endpoint:
         cli("solve", "--solver", "SOFAI-v2", "--proposer", "remote", "--endpoint", endpoint, "--instance",
-            str(letters), "--memory", str(out / "remote.memory.jsonl"), prompts="remote")
+            str(letters), "--memory", str(out / "remote.memory.jsonl"), key="remote")
     # S2 on G(60, 0.5) seed 1 at k = 9 and 10, long searches (22,418 and 34,001 nodes), and G(18, 0.8)
     # seed 4 at k = 8, an Unsat proof whose saturations reach 8, so its counts need a fourth bit plane.
     # The dataset lines' searches are short; these run where saturation counting does most of its work.
     for name, n, p, seed, k in S2_LINES:
         instance = out / name
         instance.write_text(serialize_dimacs(gen_erdos_renyi(n, p, seed), k), encoding="utf-8")
-        cli("solve", "--solver", "S2", "--instance", str(instance))
-    memory_files = [*(f"{solver}.memory.jsonl" for solver in PRESETS), "solve.memory.jsonl", "twin.memory.jsonl",
-                    "torn.memory.jsonl", "parens.memory.jsonl", "default.memory.jsonl", "remote.memory.jsonl"]
-    streams = {label: lines_of(out / name) for name, label in STREAMS.items()}
-    streams[ROUNDS] = [json.loads(line) for line in streams[ROUNDS]]
+        cli("solve", "--solver", "S2", "--instance", str(instance), key=f"S2 {name}")
+    streams = {label: [] for label in KINDS.values()}
+    for key, kind, item in map(json.loads, (out / "log.jsonl").read_text(encoding="utf-8").splitlines()):
+        streams[KINDS[kind]].append([key, item])
     return {
         "dataset files byte-identical": [
             (p.relative_to(out).as_posix(), p.read_bytes())
             for root in (data, dense) for p in sorted(root.rglob("*")) if p.is_file()
         ],
-        "trial records equal except wall_time": [
-            row for solver in PRESETS for row in records(out / f"{solver}.jsonl", "wall_time")
-        ],
-        RECORDS: [row for name in memory_files for row in records(out / name, "timestamp")],
-        **{label: lines_of(out / f"{name}.sha256") for name, label in PROMPTS.items()},
+        "trial records equal except wall_time": records(out, "*.trials.jsonl", "wall_time"),
+        "memory records equal except timestamp": records(out, "*.memory.jsonl", "timestamp"),
         **streams,
     }
 
 
-def lines_of(path: Path) -> list[str]:
-    """The lines of a text file, none if it is absent."""
-    return path.read_text(encoding="utf-8").splitlines() if path.exists() else []
-
-
-def records(path: Path, ignored: str) -> list[dict]:
-    """The JSON objects of a JSONL file (none if it is absent), each without its ignored key."""
-    rows = [json.loads(line) for line in lines_of(path) if line.strip()]
-    for row in rows:
+def records(out: Path, pattern: str, ignored: str) -> list[list]:
+    """[file name, JSON object less its ignored key] for each line of the files in out that pattern matches, by name."""
+    rows = [[path.name, json.loads(line)] for path in sorted(out.glob(pattern))
+            for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+    for _, row in rows:
         row.pop(ignored, None)
     return rows
 
@@ -353,7 +349,8 @@ def compare(old: dict[str, list], new: dict[str, list], rev: str) -> bool:
     Items are aligned on canonical texts, and a changed run counts its items at REV.  STATUSES is added
     to each side, the first two fields of each of its ANSWERS lines.
     """
-    old, new = ({**side, STATUSES: [" ".join(line.split()[:2]) for line in side[ANSWERS]]} for side in (old, new))
+    old, new = ({**side, STATUSES: [[key, " ".join(line.split()[:2])] for key, line in side[ANSWERS]]}
+                for side in (old, new))
     labels = {"replace": "changed", "delete": f"only at {rev}", "insert": "only in the tree"}
     passed = True
     for name, items in old.items():
