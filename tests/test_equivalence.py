@@ -1,6 +1,7 @@
-"""tools/equivalence.py's comparison, on small made-up sides: no command or matrix runs."""
+"""tools/equivalence.py's comparison, on small made-up sides and output directories: no command or matrix runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ PROMPTS = equivalence.KINDS["prompt"]
 ROUNDS = equivalence.KINDS["rounds"]
 S2 = equivalence.ANSWERS
 STATUSES = equivalence.STATUSES
-BUILT = equivalence.KINDS["built"]
+TRIALS = "trial records equal except wall_time"
 RECORDS = "memory records equal except timestamp"
 
 
@@ -27,13 +28,12 @@ def side(**changes) -> dict:
     """One side's comparisons as run_matrix returns them, each small; changes replaces some."""
     sides = {
         "dataset files byte-identical": [("data/manifest.jsonl", b"{}\n")],
+        TRIALS: [["bench S2 er_0000 1", {"status": "sat"}], ["bench S2 er_0000 2", {"status": "sat"}]],
         RECORDS: [["S2.memory.jsonl", {"k": 3, "n": 8, "solver": "S2"}]],
         PROMPTS: keyed("solve", ["0" * 64, "1" * 64]),
         ROUNDS: [["solve", [{"kind": "ok", "score": 1.0}]], ["again", []]],
         S2: [["gen data 0", "3 unsat 12 -"], ["gen data 0", "4 sat 9 131fffc532ba"],
              ["S2 g60-k9.col", "9 sat 22418 1586ee479662"]],
-        BUILT: [["solve", "S2 8 13 3"], ["twin", "S2 8 13 3"]],
-        equivalence.KINDS["refused"]: [],
     }
     return {**sides, **changes}
 
@@ -94,13 +94,34 @@ def test_an_equal_line_under_another_key_fails(capsys):
     assert mismatch(S2, 2, 3, 3, changed=1) in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("built", [[["solve", "S2 8 13 3"]], [["solve", "S2 8 13 3"], ["twin", "S2 8 13 3"],
-                                                              ["tied", "S2 8 13 3"]]])
-def test_differing_records_built_counts_fail(capsys, built):
-    assert not equivalence.compare(side(), side(**{BUILT: built}), "REV")
-    shown = mismatch(BUILT, min(len(built), 2), 2, len(built), only_old=max(2 - len(built), 0),
-                     only_new=max(len(built) - 2, 0))
+@pytest.mark.parametrize("trials", [1, 3])
+def test_differing_trial_record_counts_fail(capsys, trials):
+    tree = [[f"bench S2 er_0000 {trial}", {"status": "sat"}] for trial in range(1, trials + 1)]
+    assert not equivalence.compare(side(), side(**{TRIALS: tree}), "REV")
+    shown = mismatch(TRIALS, min(trials, 2), 2, trials, only_old=max(2 - trials, 0), only_new=max(trials - 2, 0))
     assert shown in capsys.readouterr().out
+
+
+def written(out: Path, trials: list[dict]) -> Path:
+    """out as the matrix leaves it: an empty log, no dataset file, trials as S1.trials.jsonl and one memory line."""
+    out.mkdir()
+    (out / "log.jsonl").write_text("", encoding="utf-8")
+    (out / "S1.trials.jsonl").write_text("".join(json.dumps(row) + "\n" for row in trials), encoding="utf-8")
+    (out / "S1.memory.jsonl").write_text('{"k": 3, "timestamp": 1.0}\n', encoding="utf-8")
+    return out
+
+
+def test_a_changed_trial_record_prints_its_trial_key(capsys, tmp_path):
+    trials = [{"solver": "S1", "instance_id": "er_0000", "trial": trial, "status": "sat", "wall_time": 0.5}
+              for trial in (1, 2)]
+    rev = equivalence.outputs(written(tmp_path / "rev", trials))
+    tree = equivalence.outputs(written(tmp_path / "tree", [{**trials[0], "wall_time": 0.7},
+                                                           {**trials[1], "status": "failure"}]))
+    assert rev[RECORDS] == [["S1.memory.jsonl", {"k": 3}]]  # memory records keep their file's name
+    assert not equivalence.compare(rev, tree, "REV")
+    out = capsys.readouterr().out
+    shown = "['bench S1 er_0000 2', {'status': 'sat'}] at REV, ['bench S1 er_0000 2', {'status': 'failure'}] in the tree"
+    assert mismatch(TRIALS, 1, 2, 2, changed=1) + f"    changed, REV[1:2] tree[1:2]: {shown}\n" in out
 
 
 def test_a_differing_record_prints_only_the_keys_that_differ(capsys):
@@ -177,6 +198,17 @@ def test_runs_past_shown_are_counted_not_printed(capsys):
     out = capsys.readouterr().out
     assert out.count("    changed, REV[") == equivalence.SHOWN
     assert "    ... and 2 more runs\n" in out
+
+
+def test_a_differing_run_of_long_items_prints_every_items_key(capsys):
+    keys = [f"bench S1 er_n12_p0.5_{i:04d} 2" for i in range(3)]
+    long = [{"kind": "not_solvable", "score": 0.0, "feedback": ["Error: " + "x" * 80], "signature": "s" * 40}]
+    rev = [[key, long] for key in keys]
+    assert not equivalence.compare(side(**{ROUNDS: rev}), side(**{ROUNDS: [[key, []] for key in keys]}), "REV")
+    line = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("    changed, "))
+    at_rev = line.split(" at REV, ")[0]
+    assert all(f"['{key}', [{{'kind': 'not_solvable'" in at_rev for key in keys)
+    assert at_rev.count("...") == 3  # each item cut on its own
 
 
 def test_one_changed_call_among_calls_of_no_rounds_is_one_changed_item_under_its_key(capsys):

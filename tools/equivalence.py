@@ -9,7 +9,8 @@ Exports REV's src/ with `git archive` into a temporary directory, so the
 repository and its .git are left untouched, and runs one fixed matrix of
 `sofai-gc` commands (each cli call's comment in run_matrix gives its purpose)
 on REV, under PYTHONHASHSEED=0, and on the working tree, under
-PYTHONHASHSEED=1, so an output that depends on hash order differs.
+PYTHONHASHSEED=1, so an output that depends on hash order differs.  The two
+sides run at once, each in its own thread, output directory and endpoint.
 S1_ENDPOINT, S1_API_KEY and S1_MODEL are removed from every command's
 environment.  Each command runs in a fresh interpreter (RUNNER) that wraps
 the package to append what it does to one log, a JSON line
@@ -19,8 +20,10 @@ gen sweep's position.  The two sides must be equal, item for item and in
 order, on:
 
 - the dataset files, byte for byte;
-- the trial records except wall_time, and the memory records except
-  timestamp, each as [file name, record], of every such file the matrix wrote;
+- of every such file the matrix wrote, the trial records except wall_time,
+  each as [key, record] under its trial's key in the log (`bench solver
+  instance_id trial`, from the record's own fields), and the memory records
+  except timestamp, each as [file name, record];
 - one stream per kind of log line, each item [key, item]: the sha256 of every
   rendered prompt (the mock proposer ignores prompt text, so nothing else
   would see it change); the S1 rounds of every solve call, each
@@ -28,7 +31,6 @@ order, on:
   digest` for each dsatur._solve call, so for every top-level S2 call and
   every k of a chromatic-number sweep (digest is the first 12 hex digits of
   the sha256 of the Sat assignment as sorted JSON, `-` with no assignment);
-  the records built (EpisodicRecord.make calls) and MemoryStore's refusals;
 - S2's statuses per k: the `k status` of each S2 answer, so a change to S2's
   search that moves nodes or colorings shows every answer unchanged.
 
@@ -38,8 +40,9 @@ sorted-key JSON with bytes as hex, so items compare whole and type-exact, an
 item one side drops or adds shifts nothing after it, and equal items of
 different calls (the [] rounds of two memory answers) differ by their keys.
 Prints per stream the equal items and, on a mismatch, the counts and first
-SHOWN differing runs: changed, only at REV or only in the tree (of a changed
-record or S1 round, the keys that differ); then src/*.py lines per side.
+SHOWN differing runs: changed, only at REV or only in the tree, each item's
+repr cut to 100 characters (of a changed record or S1 round, the keys that
+differ); then src/*.py lines per side.
 Exits 0 if every stream is equal, 1 if one is not, and 2 if a command
 fails, after printing its side, arguments and output tail.  Stdlib only.
 """
@@ -54,6 +57,7 @@ import sys
 import tarfile
 import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from difflib import SequenceMatcher
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -119,21 +123,18 @@ KINDS = {
     "prompt": "prompt texts equal by sha256",
     "rounds": "S1 rounds of each solve call, each without elapsed",
     "s2": ANSWERS,
-    "built": "records built (EpisodicRecord.make calls)",
-    "refused": "appends MemoryStore refused",
 }
 SHOWN = 10  # differing runs printed per comparison
 
 # `python -c RUNNER OUT KEY ARGS...`: sofai_gc.cli.main(ARGS), appending to OUT/log.jsonl a line
-# [key, kind, item] for each rendered prompt's sha256, each solve call's S1 rounds as a list of dicts,
-# `k status nodes digest` for each S2 answer, `solver n e k` for each record built, and each refused
-# append's reason.  key is KEY, then in a bench trial its instance id and trial, in a gen sweep its position.
+# [key, kind, item] for each rendered prompt's sha256, each solve call's S1 rounds as a list of dicts and
+# `k status nodes digest` for each S2 answer.  key is KEY, then in a bench trial its instance id and trial,
+# in a gen sweep its position.
 RUNNER = """
 import dataclasses, hashlib, itertools, json, sys
-from sofai_gc import bench, cli, dsatur, generate, memory, metacognition
+from sofai_gc import bench, cli, dsatur, generate, metacognition
 
 render, solve, search = metacognition.render_prompt, bench.solve, dsatur._solve
-make, append = memory.EpisodicRecord.make, memory.MemoryStore.append
 command = key = sys.argv[2]
 
 def write(kind, item):
@@ -170,26 +171,12 @@ def recording_s2(graph, k, deadline):
     write("s2", f"{k} {outcome.status} {outcome.nodes} {digest}")
     return outcome
 
-def recording_make(*args, **kwargs):
-    record = make(*args, **kwargs)
-    write("built", f"{record.solver} {record.n} {record.e} {record.k}")
-    return record
-
-def recording_append(store, record):
-    try:
-        return append(store, record)
-    except memory.MemoryRejected as exc:
-        write("refused", str(exc))
-        raise
-
 positions = itertools.count()
 bench._run_trial = keyed(bench._run_trial, lambda job: f"{job.instance.id} {job.trial}")
 generate.chromatic_number = keyed(generate.chromatic_number, lambda graph: next(positions))
 metacognition.render_prompt = recording
 bench.solve = cli.solve = recording_rounds
 dsatur._solve = recording_s2
-memory.EpisodicRecord.make = staticmethod(recording_make)
-memory.MemoryStore.append = recording_append
 sys.exit(cli.main(sys.argv[3:]))
 """
 
@@ -247,9 +234,9 @@ def run_matrix(src: Path, out: Path, hash_seed: str, side: str) -> dict[str, lis
 
     # Two labeled datasets.  The G(30, 0.5) one is labeled only: its chromatic numbers take real S2
     # sweeps, which n = 12 graphs barely need.
-    data, dense = out / "data", out / "dense"
+    data = out / "data"
     cli(*GEN, "--n", "12", "--out", str(data), key="gen data")
-    cli(*GEN, "--n", "30", "--out", str(dense), key="gen dense")
+    cli(*GEN, "--n", "30", "--out", str(out / "dense"), key="gen dense")
     # Every roster id, the rows of the tree's PRESETS, benched on the n = 12 dataset, with a fresh
     # memory file for each row that reads memory.
     for solver, preset in PRESETS.items():
@@ -299,27 +286,37 @@ def run_matrix(src: Path, out: Path, hash_seed: str, side: str) -> dict[str, lis
         instance = out / name
         instance.write_text(serialize_dimacs(gen_erdos_renyi(n, p, seed), k), encoding="utf-8")
         cli("solve", "--solver", "S2", "--instance", str(instance), key=f"S2 {name}")
+    return outputs(out)
+
+
+def outputs(out: Path) -> dict[str, list]:
+    """Every comparison's items, read from the dataset directories, record files and log the matrix wrote to out."""
     streams = {label: [] for label in KINDS.values()}
     for key, kind, item in map(json.loads, (out / "log.jsonl").read_text(encoding="utf-8").splitlines()):
         streams[KINDS[kind]].append([key, item])
     return {
         "dataset files byte-identical": [
             (p.relative_to(out).as_posix(), p.read_bytes())
-            for root in (data, dense) for p in sorted(root.rglob("*")) if p.is_file()
+            for root in (out / "data", out / "dense") for p in sorted(root.rglob("*")) if p.is_file()
         ],
-        "trial records equal except wall_time": records(out, "*.trials.jsonl", "wall_time"),
-        "memory records equal except timestamp": records(out, "*.memory.jsonl", "timestamp"),
+        # A trial record's key is its trial's key in the log.
+        "trial records equal except wall_time": records(out, "*.trials.jsonl", "wall_time",
+                                                        "bench {solver} {instance_id} {trial}"),
+        "memory records equal except timestamp": records(out, "*.memory.jsonl", "timestamp", "{file}"),
         **streams,
     }
 
 
-def records(out: Path, pattern: str, ignored: str) -> list[list]:
-    """[file name, JSON object less its ignored key] for each line of the files in out that pattern matches, by name."""
-    rows = [[path.name, json.loads(line)] for path in sorted(out.glob(pattern))
+def records(out: Path, pattern: str, ignored: str, key: str) -> list[list]:
+    """[key, JSON object less its ignored field] for each line of the files in out that pattern matches, by name.
+
+    key is formatted with the object's fields and file, its file's name.
+    """
+    rows = [(path.name, json.loads(line)) for path in sorted(out.glob(pattern))
             for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
     for _, row in rows:
         row.pop(ignored, None)
-    return rows
+    return [[key.format_map({**row, "file": name}), row] for name, row in rows]
 
 
 def canonical(item) -> str:
@@ -338,9 +335,10 @@ def differing(item, other):
 
 
 def brief(run: list, other: list) -> str:
-    """A run's repr (one item alone) as it differs from the other side's run, cut to 100 characters."""
-    text = repr(differing(*(items[0] if len(items) == 1 else items for items in (run, other))))
-    return text if len(text) <= 100 else text[:97] + "..."
+    """A run's repr (one item alone) as it differs from the other side's run, each item's cut to 100 characters."""
+    shown = differing(*(items[0] if len(items) == 1 else items for items in (run, other)))
+    texts = [text if len(text) <= 100 else text[:97] + "..." for text in map(repr, [shown] if len(run) == 1 else shown)]
+    return texts[0] if len(run) == 1 else f"[{', '.join(texts)}]"
 
 
 def compare(old: dict[str, list], new: dict[str, list], rev: str) -> bool:
@@ -385,8 +383,9 @@ def main(argv: list[str]) -> int:
             return 2  # git has printed why
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(base, filter="data")
-        old = run_matrix(base / "src", base / "rev", "0", rev)
-        new = run_matrix(ROOT / "src", base / "tree", "1", "the tree")
+        with ThreadPoolExecutor(2) as pool:  # the sides share no file, port or process
+            old, new = pool.map(run_matrix, (base / "src", ROOT / "src"), (base / "rev", base / "tree"), ("0", "1"),
+                                (rev, "the tree"))
         lines = [py_lines(base / "src"), py_lines(ROOT / "src")]
     print(f"working tree vs {rev}, {len(PRESETS)} solver ids:")
     passed = compare(old, new, rev)
